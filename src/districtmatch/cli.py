@@ -165,16 +165,7 @@ def cmd_run(inst, args):
         master = tuple(sidx[s] for s in args.master)
 
     trace_doc = None
-    if mechanism == "spda":
-        if not inst.rules or len(inst.rules) < problem.num_districts:
-            raise ValidationError(
-                [("DanglingReference", "spda needs a rule for every district")]
-            )
-        trace = run_spda(problem, inst.rules)
-        outcome = trace.outcome
-        steps = trace.num_steps
-        trace_doc = _spda_trace_doc(problem, trace)
-    elif mechanism == "spda-intra":
+    if mechanism == "spda-intra":
         if not inst.rules or len(inst.rules) < problem.num_districts:
             raise ValidationError(
                 [("DanglingReference", "spda-intra needs a rule for every district")]
@@ -182,14 +173,28 @@ def cmd_run(inst, args):
         outcome = run_intradistrict_spda(problem, inst.rules)
         steps = None
     else:
-        if inst.policy is None:
-            raise ValidationError(
-                [("DanglingReference", "ttc needs a policy section")]
-            )
-        trace = run_ttc(problem, inst.policy, master)
+        if mechanism == "spda":
+            if not inst.rules or len(inst.rules) < problem.num_districts:
+                raise ValidationError(
+                    [("DanglingReference", "spda needs a rule for every district")]
+                )
+            run, run_args, render = run_spda, (problem, inst.rules), _spda_trace_doc
+        else:
+            if inst.policy is None:
+                raise ValidationError(
+                    [("DanglingReference", "ttc needs a policy section")]
+                )
+            run, run_args, render = run_ttc, (problem, inst.policy, master), _ttc_trace_doc
+        try:
+            trace = run(*run_args)
+        except (Stuck, RuleViolation) as exc:
+            # a failed run leaves the steps it took behind
+            if args.trace and exc.trace is not None:
+                _write_trace(args.trace, render(problem, exc.trace))
+            raise
         outcome = trace.outcome
         steps = trace.num_steps
-        trace_doc = _ttc_trace_doc(problem, trace)
+        trace_doc = render(problem, trace)
 
     _print_outcome(problem, outcome)
     print("metric,value")
@@ -209,11 +214,15 @@ def cmd_run(inst, args):
         print(f"steps,{steps}")
 
     if args.trace and trace_doc is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_trace(args.trace, trace_doc)
         print(f"trace,{args.trace}")
     return EXIT_OK
+
+
+def _write_trace(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _spda_trace_doc(problem, trace):
@@ -275,6 +284,16 @@ def cmd_check_rule(inst, args):
     if d not in inst.rules:
         raise ValidationError(
             [("DanglingReference", f"no rule declared for district {args.district}")]
+        )
+    if RuleProperty.IS_COMPLETION_OF.value in args.properties:
+        raise ValidationError(
+            [
+                (
+                    "DanglingReference",
+                    "is_completion_of compares against a base rule, "
+                    "which an instance file cannot name",
+                )
+            ]
         )
     rule = inst.rules[d]
     any_failed = False

@@ -168,11 +168,6 @@ def unit_distribution(problem: Problem, school: int, type_: int) -> Distribution
     return Distribution(tuple(tuple(row) for row in rows))
 
 
-def zero_distribution(problem: Problem) -> Distribution:
-    rows = [[0] * problem.num_types for _ in range(problem.num_schools)]
-    return Distribution(tuple(tuple(row) for row in rows))
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible_for_students: bool

@@ -196,6 +196,133 @@ def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> b
     return in_xi0(xi, problem) and contains(goal, xi, problem)
 
 
+class GoalTally:
+    """One distribution's school-by-type counts, kept mutable, with a running
+    count of the constraints of ``goal`` ∩ Ξ₀ it currently violates.
+
+    The constraints come in families, each a vector of counters with per-entry
+    bounds: school totals under capacity; for box goals each (school, type)
+    count within its floor and ceiling; for balanced goals each district total
+    equal to k_d; for district-ceiling goals each (district, type) count under
+    its ceiling.  A move xi − e(origin) + e(target) changes at most two entries
+    of each family, so ``permits`` answers membership of the moved
+    distribution exactly in O(1), whether or not xi itself is a member.  When
+    origin and target share an entry (same school, same district, or same
+    district and type) that entry does not change.  Explicit and score goals
+    have no such structure; they are answered by ``satisfies_with_feasibility``
+    on the materialised distribution.
+    """
+
+    def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
+        self.goal = goal
+        self.problem = problem
+        T = problem.num_types
+        coords = range(problem.num_schools * T)
+        school = [k // T for k in coords]
+        district = [problem.school_district[c] for c in school]
+        inf = float("inf")
+
+        self.num_types = T
+        self.counts = list(xi.flat())
+        floors = dict(goal.floors)
+        ceilings = dict(goal.ceilings)
+        box = goal.form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION)
+        # (entry per coordinate, counter values, lower bounds, upper bounds)
+        self._families = [
+            (
+                list(coords),
+                self.counts,
+                [floors.get(divmod(k, T), 0) if box else -inf for k in coords],
+                [ceilings.get(divmod(k, T), inf) if box else inf for k in coords],
+            ),
+            (
+                school,
+                [sum(row) for row in xi.counts],
+                [-inf] * problem.num_schools,
+                list(problem.capacities),
+            ),
+        ]
+        if goal.form in (GoalForm.BALANCED_EXCHANGE, GoalForm.COMBINATION):
+            self._families.append(
+                (
+                    district,
+                    [xi.district_total(problem, d) for d in range(problem.num_districts)],
+                    list(problem.k_district),
+                    list(problem.k_district),
+                )
+            )
+        if goal.form is GoalForm.DISTRICT_CEILINGS:
+            caps = dict(goal.district_ceilings)
+            pairs = [divmod(j, T) for j in range(problem.num_districts * T)]
+            self._families.append(
+                (
+                    [district[k] * T + k % T for k in coords],
+                    [xi.district_type(problem, d, t) for d, t in pairs],
+                    [-inf] * len(pairs),
+                    [caps.get(p, inf) for p in pairs],
+                )
+            )
+        self._exact = goal.form not in (GoalForm.EXPLICIT_SET, GoalForm.F_LAMBDA)
+        # moves keep the total, so the everyone-matched part never changes
+        self._violated = int(xi.total() != problem.num_students) + sum(
+            not lo[i] <= v <= hi[i]
+            for _, values, lo, hi in self._families
+            for i, v in enumerate(values)
+        )
+
+    def distribution(self) -> Distribution:
+        T = self.num_types
+        c = self.counts
+        return Distribution(tuple(tuple(c[k : k + T]) for k in range(0, len(c), T)))
+
+    def holds(self) -> bool:
+        """Whether the current distribution lies in the goal ∩ Ξ₀."""
+        if self._exact:
+            return self._violated == 0
+        return satisfies_with_feasibility(self.goal, self.distribution(), self.problem)
+
+    def permits(self, origin, target) -> bool:
+        """Whether xi − e(origin) + e(target) lies in the goal ∩ Ξ₀."""
+        if origin == target:
+            return self.holds()
+        if self._exact:
+            return self._violated + self._change(origin, target) == 0
+        xi = self.distribution().add(*origin, -1).add(*target, +1)
+        return satisfies_with_feasibility(self.goal, xi, self.problem)
+
+    def move(self, origin, target):
+        """Apply xi ← xi − e(origin) + e(target)."""
+        if origin == target:
+            return
+        if self._exact:
+            self._violated += self._change(origin, target)
+        T = self.num_types
+        k0 = origin[0] * T + origin[1]
+        k1 = target[0] * T + target[1]
+        for entry, values, _, _ in self._families:
+            values[entry[k0]] -= 1
+            values[entry[k1]] += 1
+
+    def _change(self, origin, target):
+        """How the violated-constraint count changes under the move."""
+        T = self.num_types
+        k0 = origin[0] * T + origin[1]
+        k1 = target[0] * T + target[1]
+        change = 0
+        for entry, values, lo, hi in self._families:
+            i, j = entry[k0], entry[k1]
+            if i == j:
+                continue
+            a, b = values[i], values[j]
+            change += (
+                (not lo[i] <= a - 1 <= hi[i])
+                - (not lo[i] <= a <= hi[i])
+                + (not lo[j] <= b + 1 <= hi[j])
+                - (not lo[j] <= b <= hi[j])
+            )
+        return change
+
+
 # -- enumeration -------------------------------------------------------------------
 
 

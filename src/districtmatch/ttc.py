@@ -9,12 +9,13 @@ else), tie-broken by one master list shared by all slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
-from .model import Distribution, Matching, Problem, distribution_of
-from .policy import PolicyGoal, satisfies_with_feasibility
+from .model import Matching, Problem, distribution_of
+from .policy import GoalTally, PolicyGoal, satisfies_with_feasibility
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,18 @@ class HypotheticalMarket:
     student_prefs: tuple  # per student: tuple of slots, best first
     initial_slot: tuple  # per student
     master: tuple  # master priority list of student indices
+    # per student: position in the master list
+    master_rank: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rank = [0] * len(self.master)
+        for i, s in enumerate(self.master):
+            rank[s] = i
+        object.__setattr__(self, "master_rank", tuple(rank))
 
     def priority_key(self, slot, student):
         first_class = 0 if self.initial_slot[student] == slot else 1
-        return (first_class, self.master.index(student))
+        return (first_class, self.master_rank[student])
 
 
 @dataclass(frozen=True)
@@ -104,69 +113,82 @@ def is_permissible(
             f"slot type {target[1]} differs from the student's type; "
             "pass audit=True to evaluate anyway"
         )
-    xi = distribution_of(X, problem)
-    c0, t0 = (
+    origin = (
         market.initial_slot[student]
         if market is not None
         else (problem.initial_school[student], problem.student_type[student])
     )
-    moved = xi.add(c0, t0, -1).add(target[0], target[1], +1)
-    return satisfies_with_feasibility(goal, moved, problem)
-
-
-def _slot_distribution(problem, assignment):
-    """Distribution counting each student at her assigned slot's type."""
-    rows = [[0] * problem.num_types for _ in range(problem.num_schools)]
-    for c, t in assignment.values():
-        rows[c][t] += 1
-    return Distribution(tuple(tuple(r) for r in rows))
+    return GoalTally(goal, problem, distribution_of(X, problem)).permits(origin, target)
 
 
 def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
-    """Run the trading algorithm; every cycle found in a step executes."""
+    """Run the trading algorithm; every cycle found in a step executes.
+
+    Unassigned students still sit at their initial slots, so whether a slot
+    may point to one depends only on that initial slot.  Each slot therefore
+    scans, in its priority order, just the first unassigned student of every
+    initial slot: its own holder first, then the others in master order, and
+    points to the first whose move the goal tally permits.  The tally is
+    updated as cycles execute.  A slot stays active until no unassigned
+    student is permissible for it, so a student points to the first slot of
+    her list not yet removed.
+    """
     market = build_hypothetical(problem, master)
     initial_xi = distribution_of(problem.initial_matching(), problem)
     if not satisfies_with_feasibility(goal, initial_xi, problem):
         raise PolicyViolatedAtStart(
             "the initial matching does not satisfy the policy goal"
         )
+    tally = GoalTally(goal, problem, initial_xi)
+    initial = market.initial_slot
+    rank = market.master_rank
 
+    # unassigned students of each initial slot, in master order
+    holders = {slot: deque() for slot in market.pairs}
+    for s in market.master:
+        holders[initial[s]].append(s)
     unassigned = set(range(problem.num_students))
-    assignment = {s: market.initial_slot[s] for s in range(problem.num_students)}
+    assignment = dict(enumerate(initial))
+    next_pref = [0] * problem.num_students  # first slot not yet removed
     removed = set()
     steps = []
     guard = problem.num_students * len(market.pairs) + 2
 
     while unassigned:
         if len(steps) > guard:
-            raise RuleViolation("trading failed to make progress", trace=None)
-        xi = _slot_distribution(problem, assignment)
+            raise RuleViolation(
+                "trading failed to make progress",
+                trace=TtcTrace(tuple(steps), frozenset()),
+            )
         active = [p for p in market.pairs if p not in removed]
+        heads = sorted((q[0] for q in holders.values() if q), key=rank.__getitem__)
+        # staying put is the identity move: permitted iff the goal holds now
+        at_home = tally.holds()
 
         slot_pointer = {}
         newly_removed = []
         for slot in active:
-            best = None
-            best_key = None
-            for s in unassigned:
-                c0, t0 = market.initial_slot[s]
-                moved = xi.add(c0, t0, -1).add(slot[0], slot[1], +1)
-                if satisfies_with_feasibility(goal, moved, problem):
-                    key = market.priority_key(slot, s)
-                    if best_key is None or key < best_key:
-                        best, best_key = s, key
-            if best is None:
+            own = holders[slot]
+            if own and at_home:
+                slot_pointer[slot] = own[0]
+                continue
+            for s in heads:
+                if tally.permits(initial[s], slot):
+                    slot_pointer[slot] = s
+                    break
+            else:
                 removed.add(slot)
                 newly_removed.append(slot)
-            else:
-                slot_pointer[slot] = best
 
         student_pointer = {}
         for s in sorted(unassigned):
-            for slot in market.student_prefs[s]:
-                if slot in slot_pointer:
-                    student_pointer[s] = slot
-                    break
+            prefs = market.student_prefs[s]
+            i = next_pref[s]
+            while i < len(prefs) and prefs[i] not in slot_pointer:
+                i += 1
+            next_pref[s] = i
+            if i < len(prefs):
+                student_pointer[s] = prefs[i]
 
         cycles = _find_cycles(student_pointer, slot_pointer)
         steps.append(
@@ -189,6 +211,8 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             )
         for cycle in cycles:
             for s, slot in cycle:
+                tally.move(initial[s], slot)
+                holders[initial[s]].remove(s)
                 assignment[s] = slot
                 unassigned.discard(s)
 

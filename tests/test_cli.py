@@ -155,6 +155,44 @@ def test_stuck_exits_3(capsys):
     assert "mechanism error" in err
 
 
+def test_stuck_leaves_partial_trace(capsys, tmp_path):
+    import districtmatch as dm
+    from districtmatch.cli import _ttc_trace_doc
+
+    inst = dm.load_fixture("ttc_stuck")
+    with pytest.raises(dm.Stuck) as stuck:
+        dm.run_ttc(inst.problem, inst.policy, inst.master)
+    trace_path = tmp_path / "trace.json"
+    code, out, err = run_cli(
+        capsys, "run", fpath("ttc_stuck"), "--mechanism", "ttc", "--trace", str(trace_path)
+    )
+    # stdout and the exit code are as without --trace
+    assert (code, out) == (3, "")
+    assert "mechanism error" in err
+    doc = json.loads(trace_path.read_text())
+    assert doc == _ttc_trace_doc(inst.problem, stuck.value.trace)
+    assert doc["mechanism"] == "ttc"
+    assert doc["outcome"] == []
+    assert len(doc["steps"]) == stuck.value.trace.num_steps
+    assert doc["steps"][0]["cycles"]
+
+
+def test_check_rule_is_completion_of_exits_2(capsys):
+    # an instance file cannot name the base rule the property compares against
+    code, out, err = run_cli(
+        capsys,
+        "check-rule",
+        fpath("spda_basic"),
+        "--district",
+        "d1",
+        "--properties",
+        "rationed",
+        "is_completion_of",
+    )
+    assert (code, out) == (2, "")
+    assert "validation error" in err and "is_completion_of" in err
+
+
 def test_check_rule_failure_exits_4(capsys):
     code, out, _ = run_cli(
         capsys,
