@@ -1,7 +1,6 @@
 """Interdistrict school choice: mechanisms, policy checkers, and audit oracles."""
 
 from .errors import (
-    BudgetExceeded,
     DistrictMatchError,
     InfeasibleConstraints,
     NoCompletionConstruction,

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     DistrictMatchError,
@@ -92,7 +93,6 @@ def _build_parser():
     )
     p.add_argument("--trace", help="write a JSON step trace to this path")
     p.add_argument("--master", nargs="*", help="override the master priority list")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("check-rule", help="check properties of a district's rule")
@@ -104,7 +104,6 @@ def _build_parser():
         nargs="+",
         choices=sorted(v.value for v in RuleProperty),
     )
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_check_rule)
 
     p = sub.add_parser("bounds", help="implied floors/ceilings and ratio gaps")
@@ -154,36 +153,42 @@ def _verdict(v):
     return "holds" if v else "fails"
 
 
+def _require_inputs(inst, mechanism):
+    """The instance must have the section the mechanism reads: a rule for
+    every district for deferred acceptance, a policy goal otherwise."""
+    if mechanism.startswith("spda"):
+        if not inst.rules or len(inst.rules) < inst.problem.num_districts:
+            raise ValidationError(
+                [("DanglingReference", f"{mechanism} needs a rule for every district")]
+            )
+    elif inst.policy is None:
+        raise ValidationError(
+            [("DanglingReference", f"{mechanism} needs a policy section")]
+        )
+
+
 def cmd_run(inst, args):
     problem = inst.problem
     mechanism = args.mechanism
-    if getattr(args, "threads", 1) < 1:
-        raise ValidationError([("DanglingReference", "--threads must be at least 1")])
     master = inst.master
     if args.master:
         sidx = {v: i for i, v in enumerate(problem.student_ids)}
+        unknown = [s for s in args.master if s not in sidx]
+        if unknown:
+            raise ValidationError(
+                [("DanglingReference", f"--master names unknown student {s!r}") for s in unknown]
+            )
         master = tuple(sidx[s] for s in args.master)
+    _require_inputs(inst, mechanism)
 
     trace_doc = None
     if mechanism == "spda-intra":
-        if not inst.rules or len(inst.rules) < problem.num_districts:
-            raise ValidationError(
-                [("DanglingReference", "spda-intra needs a rule for every district")]
-            )
         outcome = run_intradistrict_spda(problem, inst.rules)
         steps = None
     else:
         if mechanism == "spda":
-            if not inst.rules or len(inst.rules) < problem.num_districts:
-                raise ValidationError(
-                    [("DanglingReference", "spda needs a rule for every district")]
-                )
             run, run_args, render = run_spda, (problem, inst.rules), _spda_trace_doc
         else:
-            if inst.policy is None:
-                raise ValidationError(
-                    [("DanglingReference", "ttc needs a policy section")]
-                )
             run, run_args, render = run_ttc, (problem, inst.policy, master), _ttc_trace_doc
         try:
             trace = run(*run_args)
@@ -220,9 +225,62 @@ def cmd_run(inst, args):
 
 
 def _write_trace(path, doc):
+    parts = []
+    _render_json(doc, "\n", parts)
+    parts.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(parts)
+
+
+def _render_json(value, nl, out):
+    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out``,
+    with ``nl`` the newline and indent of the enclosing level.
+
+    The standard encoder is pure Python once ``indent`` is set; this one
+    renders lists of strings and of (id, id) pairs, which make up most of
+    a trace, with one join each.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(v) is str for v in value):
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + nl + "]")
+            return
+        if all(
+            type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+            for v in value
+        ):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
+            items = [pair % (_quote(a), _quote(b)) for a, b in value]
+            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _render_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            # json writes non-string keys as their JSON text, quoted
+            out.append(_quote(key if isinstance(key, str) else json.dumps(key)))
+            out.append(": ")
+            _render_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def _spda_trace_doc(problem, trace):
@@ -369,6 +427,7 @@ def cmd_bounds(inst, args):
 
 def cmd_audit(inst, args):
     problem = inst.problem
+    _require_inputs(inst, args.mechanism)
     report = audit_strategy_proofness(
         args.mechanism,
         problem,

@@ -81,11 +81,3 @@ class SearchBudgetExceeded(DistrictMatchError):
     def __init__(self, nodes):
         self.nodes = nodes
         super().__init__(f"search budget exceeded after {nodes} nodes")
-
-
-class BudgetExceeded(DistrictMatchError):
-    """An audit ran out of its run budget; results are a non-exhaustive prefix."""
-
-    def __init__(self, message, partial=None):
-        self.partial = partial
-        super().__init__(message)

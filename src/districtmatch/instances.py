@@ -54,6 +54,15 @@ def load_instance(path) -> Instance:
     return instance_from_dict(doc)
 
 
+def _pair_map(section, cidx, tidx):
+    """A school -> type -> count section as a (school, type) -> int dict."""
+    out = {}
+    for school, per_type in (section or {}).items():
+        for type_, value in per_type.items():
+            out[(cidx[school], tidx[type_])] = int(value)
+    return out
+
+
 def instance_from_dict(doc: dict) -> Instance:
     for section in ("types", "districts", "schools", "students", "initial_matching"):
         if section not in doc:
@@ -79,13 +88,6 @@ def instance_from_dict(doc: dict) -> Instance:
     didx = {v: i for i, v in enumerate(problem.district_ids)}
     tidx = {v: i for i, v in enumerate(problem.type_ids)}
 
-    def pair_map(section):
-        out = {}
-        for school, per_type in (section or {}).items():
-            for type_, value in per_type.items():
-                out[(cidx[school], tidx[type_])] = int(value)
-        return out
-
     rules = {}
     for r in doc.get("rules", []):
         d = didx[r["district"]]
@@ -107,8 +109,8 @@ def instance_from_dict(doc: dict) -> Instance:
                 cidx[c]: tuple(sidx[s] for s in order)
                 for c, order in r.get("priorities", {}).items()
             },
-            reserves=pair_map(r.get("reserves")),
-            ceilings=pair_map(r.get("ceilings")),
+            reserves=_pair_map(r.get("reserves"), cidx, tidx),
+            ceilings=_pair_map(r.get("ceilings"), cidx, tidx),
             type_order=tuple(tidx[t] for t in r.get("type_order", [])),
             district_cap=r.get("district_cap"),
             table=tuple(table),
@@ -141,18 +143,11 @@ def instance_from_dict(doc: dict) -> Instance:
 def _policy_from_dict(doc, problem, cidx, tidx, didx) -> PolicyGoal:
     form = GoalForm(doc["form"])
 
-    def pair_map(section):
-        out = {}
-        for school, per_type in (section or {}).items():
-            for type_, value in per_type.items():
-                out[(cidx[school], tidx[type_])] = int(value)
-        return out
-
     if form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
         return PolicyGoal(
             form=form,
-            floors=tuple(sorted(pair_map(doc.get("floors")).items())),
-            ceilings=tuple(sorted(pair_map(doc.get("ceilings")).items())),
+            floors=tuple(sorted(_pair_map(doc.get("floors"), cidx, tidx).items())),
+            ceilings=tuple(sorted(_pair_map(doc.get("ceilings"), cidx, tidx).items())),
             intersect_xi0=bool(doc.get("intersect_xi0", False)),
         )
     if form is GoalForm.BALANCED_EXCHANGE:

@@ -440,12 +440,22 @@ def is_feasible(X: Matching, problem: Problem) -> FeasibilityReport:
     )
 
 
+def outcome_schools(X: Matching) -> dict:
+    """Student -> school in ``X``.  A student listed twice keeps the first
+    school in iteration order, the one ``Problem.outcome_school`` reports."""
+    school_of = {}
+    for x in X:
+        school_of.setdefault(x.student, x.school)
+    return school_of
+
+
 def pareto_dominates(X: Matching, Y: Matching, problem: Problem) -> bool:
     """True iff every student weakly prefers X and someone strictly does."""
     strict = False
+    in_x, in_y = outcome_schools(X), outcome_schools(Y)
     for s in range(problem.num_students):
-        rx = problem.rank_of(s, problem.outcome_school(X, s))
-        ry = problem.rank_of(s, problem.outcome_school(Y, s))
+        rx = problem.rank_of(s, in_x.get(s))
+        ry = problem.rank_of(s, in_y.get(s))
         if rx > ry:
             return False
         if rx < ry:

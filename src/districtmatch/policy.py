@@ -90,12 +90,6 @@ class PolicyGoal:
                 return q
         return None
 
-    def district_ceiling(self, district, type_):
-        for (d, t), q in self.district_ceilings:
-            if d == district and t == type_:
-                return q
-        return None
-
 
 def balanced_exchange_goal() -> PolicyGoal:
     return PolicyGoal(form=GoalForm.BALANCED_EXCHANGE)

@@ -10,6 +10,7 @@ broken lexicographically by sorted contract indices.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -71,6 +72,11 @@ class RuleSpec:
     reserve and ceiling maps are keyed by (school, type).  ``completed``
     switches on the companion construction in which schools draw from the
     full pool without removing already-chosen students.
+
+    ``compiled`` builds the spec's ``CompiledRule`` once (when ``make_rule``
+    checks it against a problem, or at the first ``choose``) and keeps it in
+    the instance ``__dict__``, outside the fields, so it is freed with the
+    spec and ``dataclasses.replace`` starts afresh.
     """
 
     district: int
@@ -85,29 +91,10 @@ class RuleSpec:
     district_ceilings: tuple = ()  # of (type, count), for district-level checks
     completed: bool = False
 
-    def priority_of(self, school: int):
-        for c, order in self.priorities:
-            if c == school:
-                return order
-        raise UnknownContract(f"no priority order for school index {school}")
 
-    def reserve(self, school: int, type_: int) -> int:
-        for (c, t), r in self.reserves:
-            if c == school and t == type_:
-                return r
-        return 0
-
-    def ceiling(self, school: int, type_: int) -> Optional[int]:
-        for (c, t), q in self.ceilings:
-            if c == school and t == type_:
-                return q
-        return None
-
-    def district_ceiling(self, type_: int) -> Optional[int]:
-        for t, q in self.district_ceilings:
-            if t == type_:
-                return q
-        return None
+def _lookup(pairs) -> dict:
+    """A (key, value) tuple as a dict; the first pair for a key wins."""
+    return {k: v for k, v in reversed(pairs)}
 
 
 def make_rule(
@@ -153,29 +140,23 @@ def _check_rule_invariants(rule: RuleSpec, problem: Problem):
             f"school_order must cover exactly district "
             f"{problem.district_ids[rule.district]}'s schools"
         )
-    for c in rule.school_order:
-        rule.priority_of(c)
+    missing = compiled(rule, problem).missing
+    if missing is not None:
+        raise UnknownContract(missing)
     if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
+        reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
         for c in rule.school_order:
-            total = sum(rule.reserve(c, t) for t in range(problem.num_types))
+            total = sum(reserves.get((c, t), 0) for t in range(problem.num_types))
             if total > problem.capacities[c]:
                 raise UnknownContract(
                     f"reserves at school {problem.school_ids[c]} exceed capacity"
                 )
             for t in range(problem.num_types):
-                q = rule.ceiling(c, t)
-                if q is not None and rule.reserve(c, t) > q:
+                q = ceilings.get((c, t))
+                if q is not None and reserves.get((c, t), 0) > q:
                     raise UnknownContract(
                         f"reserve exceeds ceiling at school {problem.school_ids[c]}"
                     )
-
-
-def lift_initial_students(priorities, school, problem: Problem):
-    """Reorder one school's priority so its initial students come first."""
-    order = priorities[school]
-    own = [s for s in order if problem.initial_school[s] == school]
-    rest = [s for s in order if problem.initial_school[s] != school]
-    return tuple(own + rest)
 
 
 def favor_own_students(rule: RuleSpec, problem: Problem) -> RuleSpec:
@@ -209,131 +190,211 @@ def completion_of(rule: RuleSpec) -> RuleSpec:
 # -- evaluation -------------------------------------------------------------------
 
 
+def _basis(problem: Problem) -> tuple:
+    """The fields of a problem a compiled rule depends on.  Preferences are
+    not among them, so misreport variants share one compiled rule."""
+    return (
+        problem.student_type,
+        problem.initial_school,
+        problem.school_district,
+        problem.capacities,
+        problem.k_district,
+    )
+
+
+class CompiledRule:
+    """A rule spec indexed for evaluation on one problem structure.
+
+    Every contract the rule ranks has an integer key: its school's position
+    in ``school_order`` times ``stride``, plus its rank in that school's
+    priority (initial students already lifted first for initial-respecting
+    rules).  Sorting a pool's keys therefore orders it school by school, and
+    each school by priority.  ``key_of`` holds only well-formed contracts of
+    the rule's district, so a hit there also validates the contract.
+    """
+
+    def __init__(self, rule: RuleSpec, problem: Problem):
+        self.basis = _basis(problem)
+        self.table = {}
+        self.key_of = {}
+        self.missing = None
+        if rule.kind is RuleKind.EXPLICIT_TABLE:
+            self.table = _lookup(rule.table)
+            return
+        priorities = _lookup(rule.priorities)
+        unranked = [c for c in rule.school_order if c not in priorities]
+        if unranked:
+            self.missing = f"no priority order for school index {unranked[0]}"
+            return
+        n = problem.num_students
+        orders = [priorities[c] for c in rule.school_order]
+        if rule.kind is RuleKind.INITIAL_RESPECTING:
+            # a stable sort lifts each school's initial students to the top
+            initial = problem.initial_school
+            orders = [
+                sorted(order, key=lambda s: initial[s] != c)
+                for c, order in zip(rule.school_order, orders)
+            ]
+        self.stride = stride = max([1] + [len(order) for order in orders])
+        size = stride * len(orders)
+        self.contract_at = [None] * size
+        self.student_at = [None] * size
+        self.type_at = [None] * size
+        for pos, (c, order) in enumerate(zip(rule.school_order, orders)):
+            for rank, s in enumerate(order):
+                if not 0 <= s < n:
+                    continue
+                key = pos * stride + rank
+                x = problem.contract(s, c)
+                self.key_of[x] = key
+                self.contract_at[key] = x
+                self.student_at[key] = s
+                self.type_at[key] = problem.student_type[s]
+        self.capacity = [problem.capacities[c] for c in rule.school_order]
+        self.cap = rule.district_cap
+        if self.cap is None and rule.kind in (
+            RuleKind.RATIONED_SEQUENTIAL,
+            RuleKind.RESERVES_AND_CEILINGS,
+        ):
+            self.cap = problem.k_district[rule.district]
+        reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
+        type_order = rule.type_order or tuple(range(problem.num_types))
+        self.reserves = [
+            [(t, reserves[(c, t)]) for t in type_order if reserves.get((c, t), 0)]
+            for c in rule.school_order
+        ]
+        self.ceilings = [
+            {t: ceilings[(c, t)] for t in range(problem.num_types) if (c, t) in ceilings}
+            for c in rule.school_order
+        ]
+
+
+def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
+    """The rule's compiled form for the problem's structure, built once and
+    kept on the rule until it is used with a differently shaped problem."""
+    comp = rule.__dict__.get("_compiled")
+    if comp is None or comp.basis != _basis(problem):
+        comp = CompiledRule(rule, problem)
+        object.__setattr__(rule, "_compiled", comp)
+    return comp
+
+
 def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     """Evaluate the rule: the chosen subset of X's contracts for this district."""
-    own = []
-    for x in X:
-        if not (0 <= x.student < problem.num_students) or not (
-            0 <= x.school < problem.num_schools
-        ):
-            raise UnknownContract(f"contract {x} references undeclared entities")
-        if x.district != problem.school_district[x.school]:
-            raise UnknownContract(f"contract {x} has district != d(school)")
-        if x.district == rule.district:
-            own.append(x)
-    own_set = frozenset(own)
+    comp = compiled(rule, problem)
+    key_of = comp.key_of
+    keys = set(map(key_of.get, X))
+    unranked = []  # well-formed contracts of the district that have no key
+    if None in keys:
+        keys.discard(None)
+        for x in X:
+            if x in key_of:
+                continue
+            if not (0 <= x.student < problem.num_students) or not (
+                0 <= x.school < problem.num_schools
+            ):
+                raise UnknownContract(f"contract {x} references undeclared entities")
+            if x.district != problem.school_district[x.school]:
+                raise UnknownContract(f"contract {x} has district != d(school)")
+            if x.district == rule.district:
+                unranked.append(x)
+    keys = sorted(keys)
     if rule.kind is RuleKind.EXPLICIT_TABLE:
-        for key, value in rule.table:
-            if key == own_set:
-                return value
-        raise UnknownContract("set outside the explicit table's declared universe")
+        chosen = comp.table.get(frozenset(unranked))
+        if chosen is None:
+            raise UnknownContract("set outside the explicit table's declared universe")
+        return chosen
+    if comp.missing is not None:
+        raise UnknownContract(comp.missing)
+    if unranked:
+        raise UnknownContract(f"contract {unranked[0]} is outside the rule's priorities")
     if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
-        return _choose_reserves(rule, own, problem)
-    return _choose_sequential(rule, own, problem)
+        return _choose_reserves(comp, keys, rule.completed)
+    return _choose_sequential(comp, keys, rule.completed)
 
 
-def _effective_priority(rule: RuleSpec, school: int, problem: Problem):
-    order = rule.priority_of(school)
-    if rule.kind is RuleKind.INITIAL_RESPECTING:
-        own = [s for s in order if problem.initial_school[s] == school]
-        rest = [s for s in order if problem.initial_school[s] != school]
-        return tuple(own + rest)
-    return order
+def _school_pools(comp: CompiledRule, keys):
+    """Sorted keys split by school position, each part in priority order."""
+    pools = []
+    lo = 0
+    for pos in range(len(comp.capacity)):
+        hi = bisect_left(keys, (pos + 1) * comp.stride, lo)
+        pools.append(keys[lo:hi])
+        lo = hi
+    return pools
 
 
-def _choose_sequential(rule: RuleSpec, own, problem: Problem) -> Matching:
-    """Schools pick responsively in order; chosen students drop out downstream."""
-    cap_district = (
-        rule.district_cap
-        if rule.district_cap is not None
-        else (
-            problem.k_district[rule.district]
-            if rule.kind is RuleKind.RATIONED_SEQUENTIAL
-            else None
-        )
-    )
-    by_school = {c: [] for c in rule.school_order}
-    for x in own:
-        by_school[x.school].append(x)
+def _choose_sequential(comp: CompiledRule, keys, completed) -> Matching:
+    """Schools pick responsively in order; chosen students drop out downstream.
+
+    ``keys`` are sorted and distinct.  When no student has two contracts
+    among them (or chosen students stay in, for a completion), each school
+    takes a prefix of its pool.
+    """
+    student_at, cap = comp.student_at, comp.cap
+    repeats = not completed and len(set(map(student_at.__getitem__, keys))) < len(keys)
     chosen = []
-    chosen_students = set()
-    for c in rule.school_order:
-        order = _effective_priority(rule, c, problem)
-        pos = {s: i for i, s in enumerate(order)}
-        pool = sorted(by_school[c], key=lambda x: pos[x.student])
-        taken = 0
-        for x in pool:
-            if not rule.completed and x.student in chosen_students:
-                continue
-            if taken >= problem.capacities[c]:
+    taken = set()  # chosen students, tracked only when some repeat
+    for room, pool in zip(comp.capacity, _school_pools(comp, keys)):
+        if cap is not None:
+            room = min(room, cap - len(chosen))
+        if not repeats:
+            chosen += pool[: max(room, 0)]
+            continue
+        for key in pool:
+            if room <= 0:
                 break
-            if cap_district is not None and len(chosen) >= cap_district:
-                break
-            chosen.append(x)
-            chosen_students.add(x.student)
-            taken += 1
-    return frozenset(chosen)
+            if student_at[key] not in taken:
+                taken.add(student_at[key])
+                chosen.append(key)
+                room -= 1
+    return frozenset(map(comp.contract_at.__getitem__, chosen))
 
 
-def _choose_reserves(rule: RuleSpec, own, problem: Problem) -> Matching:
-    """Reserve seats fill first (school-major, type-minor), then open seats."""
-    cap_district = (
-        rule.district_cap
-        if rule.district_cap is not None
-        else problem.k_district[rule.district]
-    )
-    type_order = rule.type_order or tuple(range(problem.num_types))
-    by_school = {c: [] for c in rule.school_order}
-    for x in own:
-        by_school[x.school].append(x)
+def _choose_reserves(comp: CompiledRule, keys, completed) -> Matching:
+    """Reserve seats fill first (school-major, type-minor), then open seats.
 
-    chosen = set()
+    ``keys`` are sorted and distinct.  Loads only grow, so once a type
+    reaches its ceiling at a school, no later contract of that type gets an
+    open seat there: the open seats go to the first contracts of the pool
+    that are within their type's remaining ceiling.
+    """
+    student_at, type_at, capacity = comp.student_at, comp.type_at, comp.capacity
+    pools = _school_pools(comp, keys)
+    chosen = set()  # of keys
     chosen_students = set()
-    school_load = {c: 0 for c in rule.school_order}
-    type_load = {}  # (school, type) -> chosen count
+    school_load = [0] * len(capacity)
+    type_load = {}  # (school position, type) -> chosen count
 
-    def pool(c):
-        order = rule.priority_of(c)
-        pos = {s: i for i, s in enumerate(order)}
-        xs = sorted(by_school[c], key=lambda x: pos[x.student])
-        if rule.completed:
-            return [x for x in xs if x not in chosen]
-        return [x for x in xs if x.student not in chosen_students]
+    def free(pool):
+        if completed:
+            return [k for k in pool if k not in chosen]
+        return [k for k in pool if student_at[k] not in chosen_students]
 
-    def take(x, c, t):
-        chosen.add(x)
-        chosen_students.add(x.student)
-        school_load[c] += 1
-        type_load[(c, t)] = type_load.get((c, t), 0) + 1
+    for pos, pool in enumerate(pools):
+        for t, target in comp.reserves[pos]:
+            room = min(target, capacity[pos] - school_load[pos])
+            picks = [k for k in free(pool) if type_at[k] == t][: max(room, 0)]
+            chosen.update(picks)
+            chosen_students.update(map(student_at.__getitem__, picks))
+            school_load[pos] += len(picks)
+            type_load[(pos, t)] = type_load.get((pos, t), 0) + len(picks)
 
-    for c in rule.school_order:
-        for t in type_order:
-            filled = 0
-            target = rule.reserve(c, t)
-            if target == 0:
-                continue
-            for x in pool(c):
-                if filled >= target:
-                    break
-                if problem.student_type[x.student] != t:
-                    continue
-                if school_load[c] >= problem.capacities[c]:
-                    break
-                take(x, c, t)
-                filled += 1
-
-    for c in rule.school_order:
-        for x in pool(c):
-            t = problem.student_type[x.student]
-            if school_load[c] >= problem.capacities[c]:
-                continue
-            q = rule.ceiling(c, t)
-            if q is not None and type_load.get((c, t), 0) >= q:
-                continue
-            if len(chosen) >= cap_district:
-                continue
-            take(x, c, t)
-    return frozenset(chosen)
+    for pos, pool in enumerate(pools):
+        room = min(capacity[pos] - school_load[pos], comp.cap - len(chosen))
+        if room <= 0:
+            continue
+        open_pool = free(pool)
+        over = set()  # contracts beyond their type's remaining ceiling
+        for t, q in comp.ceilings[pos].items():
+            of_type = [k for k in open_pool if type_at[k] == t]
+            over.update(of_type[max(q - type_load.get((pos, t), 0), 0) :])
+        if over:
+            open_pool = [k for k in open_pool if k not in over]
+        picks = open_pool[:room]
+        chosen.update(picks)
+        chosen_students.update(map(student_at.__getitem__, picks))
+    return frozenset(map(comp.contract_at.__getitem__, chosen))
 
 
 class Chooser:
@@ -485,95 +546,75 @@ def _check_feasible(chooser, masks, problem, _):
     return _holds(RuleProperty.FEASIBLE)
 
 
-def _rejection_reason_free(chooser, problem, chosen_mask, x, rule):
-    """True if rejecting x lacks any licensed reason (acceptance variants)."""
-    X = chooser.set_of(chosen_mask)
-    d_load = len(X)
-    c_load = sum(1 for y in X if y.school == x.school)
-    k_d = problem.k_district[rule.district]
-    if c_load >= problem.capacities[x.school]:
-        return False
-    if d_load >= k_d:
-        return False
-    return True
+def _rejections_check(prop, slack_of, note):
+    """A checker that fails on the first rejected contract with no licensed
+    reason: its school has a free seat, the district is below its home
+    count, and ``slack_of(rule)(problem, X, x)`` says no type ceiling
+    binds either."""
+
+    def check(chooser, masks, problem, _):
+        k_d = problem.k_district[chooser.rule.district]
+        slack = slack_of(chooser.rule)
+        for m in masks:
+            ch = chooser.choose_mask(m)
+            X = chooser.set_of(ch)
+            rejected = m & ~ch
+            for i in range(len(chooser.universe)):
+                if rejected >> i & 1:
+                    x = chooser.universe[i]
+                    c_load = sum(1 for y in X if y.school == x.school)
+                    if (
+                        c_load < problem.capacities[x.school]
+                        and len(X) < k_d
+                        and slack(problem, X, x)
+                    ):
+                        return _fails(prop, [chooser.set_of(m)], x, note=note)
+        return _holds(prop)
+
+    return check
 
 
-def _check_acceptant(chooser, masks, problem, _):
-    rule = chooser.rule
-    for m in masks:
-        ch = chooser.choose_mask(m)
-        rejected = m & ~ch
-        for i in range(len(chooser.universe)):
-            if rejected >> i & 1:
-                x = chooser.universe[i]
-                if _rejection_reason_free(chooser, problem, ch, x, rule):
-                    return _fails(
-                        RuleProperty.ACCEPTANT,
-                        [chooser.set_of(m)],
-                        x,
-                        note="rejected with school and district both slack",
-                    )
-    return _holds(RuleProperty.ACCEPTANT)
+def _no_ceiling(rule):
+    return lambda problem, X, x: True
 
 
-def _check_weakly_acceptant(chooser, masks, problem, _):
-    rule = chooser.rule
-    for m in masks:
-        ch = chooser.choose_mask(m)
-        X = chooser.set_of(ch)
-        rejected = m & ~ch
-        for i in range(len(chooser.universe)):
-            if rejected >> i & 1:
-                x = chooser.universe[i]
-                t = problem.student_type[x.student]
-                c_load = sum(1 for y in X if y.school == x.school)
-                ct_load = sum(
-                    1
-                    for y in X
-                    if y.school == x.school and problem.student_type[y.student] == t
-                )
-                q_ct = rule.ceiling(x.school, t)
-                if (
-                    c_load < problem.capacities[x.school]
-                    and len(X) < problem.k_district[rule.district]
-                    and (q_ct is None or ct_load < q_ct)
-                ):
-                    return _fails(
-                        RuleProperty.WEAKLY_ACCEPTANT,
-                        [chooser.set_of(m)],
-                        x,
-                        note="rejected with school, district, and type ceiling slack",
-                    )
-    return _holds(RuleProperty.WEAKLY_ACCEPTANT)
+def _school_type_slack(rule):
+    ceilings = _lookup(rule.ceilings)
+
+    def slack(problem, X, x):
+        t = problem.student_type[x.student]
+        q = ceilings.get((x.school, t))
+        return q is None or q > sum(
+            1 for y in X if y.school == x.school and problem.student_type[y.student] == t
+        )
+
+    return slack
 
 
-def _check_d_weakly_acceptant(chooser, masks, problem, _):
-    rule = chooser.rule
-    for m in masks:
-        ch = chooser.choose_mask(m)
-        X = chooser.set_of(ch)
-        rejected = m & ~ch
-        for i in range(len(chooser.universe)):
-            if rejected >> i & 1:
-                x = chooser.universe[i]
-                t = problem.student_type[x.student]
-                c_load = sum(1 for y in X if y.school == x.school)
-                dt_load = sum(
-                    1 for y in X if problem.student_type[y.student] == t
-                )
-                q_dt = rule.district_ceiling(t)
-                if (
-                    c_load < problem.capacities[x.school]
-                    and len(X) < problem.k_district[rule.district]
-                    and (q_dt is None or dt_load < q_dt)
-                ):
-                    return _fails(
-                        RuleProperty.D_WEAKLY_ACCEPTANT,
-                        [chooser.set_of(m)],
-                        x,
-                        note="rejected with school, district, and district-type ceiling slack",
-                    )
-    return _holds(RuleProperty.D_WEAKLY_ACCEPTANT)
+def _district_type_slack(rule):
+    district_ceilings = _lookup(rule.district_ceilings)
+
+    def slack(problem, X, x):
+        t = problem.student_type[x.student]
+        q = district_ceilings.get(t)
+        return q is None or q > sum(1 for y in X if problem.student_type[y.student] == t)
+
+    return slack
+
+
+_check_acceptant = _rejections_check(
+    RuleProperty.ACCEPTANT, _no_ceiling, "rejected with school and district both slack"
+)
+_check_weakly_acceptant = _rejections_check(
+    RuleProperty.WEAKLY_ACCEPTANT,
+    _school_type_slack,
+    "rejected with school, district, and type ceiling slack",
+)
+_check_d_weakly_acceptant = _rejections_check(
+    RuleProperty.D_WEAKLY_ACCEPTANT,
+    _district_type_slack,
+    "rejected with school, district, and district-type ceiling slack",
+)
 
 
 def _check_rationed(chooser, masks, problem, _):
@@ -590,7 +631,6 @@ def _check_rationed(chooser, masks, problem, _):
 
 
 def _check_respects_initial(chooser, masks, problem, _):
-    rule = chooser.rule
     initial_bits = []
     for i, x in enumerate(chooser.universe):
         if problem.initial_school[x.student] == x.school:
@@ -633,42 +673,38 @@ def _check_favors_own(chooser, masks, problem, _):
     return _holds(RuleProperty.FAVORS_OWN_STUDENTS)
 
 
-def _check_school_ceilings(chooser, masks, problem, _):
-    rule = chooser.rule
-    for m in masks:
-        X = chooser.set_of(chooser.choose_mask(m))
-        counts = {}
-        for y in X:
-            key = (y.school, problem.student_type[y.student])
-            counts[key] = counts.get(key, 0) + 1
-        for (c, t), n in counts.items():
-            q = rule.ceiling(c, t)
-            if q is not None and n > q:
-                return _fails(
-                    RuleProperty.SCHOOL_CEILINGS,
-                    [chooser.set_of(m)],
-                    note=f"type ceiling exceeded at school {problem.school_ids[c]}",
-                )
-    return _holds(RuleProperty.SCHOOL_CEILINGS)
+def _ceilings_check(prop, ceilings_of, key_of, note_of):
+    """A checker that fails on the first chosen set in which the head count
+    of some ``key_of(problem, y)`` exceeds the rule's ceiling for it."""
+
+    def check(chooser, masks, problem, _):
+        ceilings = _lookup(ceilings_of(chooser.rule))
+        for m in masks:
+            counts = {}
+            for y in chooser.set_of(chooser.choose_mask(m)):
+                key = key_of(problem, y)
+                counts[key] = counts.get(key, 0) + 1
+            for key, n in counts.items():
+                q = ceilings.get(key)
+                if q is not None and n > q:
+                    return _fails(prop, [chooser.set_of(m)], note=note_of(problem, key))
+        return _holds(prop)
+
+    return check
 
 
-def _check_district_ceilings(chooser, masks, problem, _):
-    rule = chooser.rule
-    for m in masks:
-        X = chooser.set_of(chooser.choose_mask(m))
-        counts = {}
-        for y in X:
-            t = problem.student_type[y.student]
-            counts[t] = counts.get(t, 0) + 1
-        for t, n in counts.items():
-            q = rule.district_ceiling(t)
-            if q is not None and n > q:
-                return _fails(
-                    RuleProperty.DISTRICT_CEILINGS,
-                    [chooser.set_of(m)],
-                    note=f"district-level ceiling for type {problem.type_ids[t]} exceeded",
-                )
-    return _holds(RuleProperty.DISTRICT_CEILINGS)
+_check_school_ceilings = _ceilings_check(
+    RuleProperty.SCHOOL_CEILINGS,
+    lambda rule: rule.ceilings,
+    lambda problem, y: (y.school, problem.student_type[y.student]),
+    lambda problem, key: f"type ceiling exceeded at school {problem.school_ids[key[0]]}",
+)
+_check_district_ceilings = _ceilings_check(
+    RuleProperty.DISTRICT_CEILINGS,
+    lambda rule: rule.district_ceilings,
+    lambda problem, y: problem.student_type[y.student],
+    lambda problem, t: f"district-level ceiling for type {problem.type_ids[t]} exceeded",
+)
 
 
 def _check_substitutable(chooser, masks, problem, _, prop=RuleProperty.SUBSTITUTABLE):

@@ -3,6 +3,11 @@
 Proposals are simultaneous within a step; districts keep their tentative
 set from the previous step plus the new proposals and choose from the
 union.  The run terminates at the first step with no rejection.
+
+A district with a spec rule that gets no new proposal in a step keeps what
+it holds without re-choosing: those rules are idempotent (IRC implies
+C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
+tables promise nothing of the kind and are re-evaluated every step.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import RuleViolation
-from .model import Contract, Matching, Problem, distribution_of
-from .rules import choose
+from .model import Contract, Matching, Problem, distribution_of, outcome_schools
+from .rules import RuleKind, choose
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,10 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
     next_choice = [0] * problem.num_students  # pointer into preference lists
     proposing = set(range(problem.num_students))
     held = {d: frozenset() for d in range(problem.num_districts)}
+    every_step = {
+        d for d in range(problem.num_districts)
+        if rules[d].kind is RuleKind.EXPLICIT_TABLE
+    }
     steps = []
     guard = problem.num_students * problem.num_schools + 1
 
@@ -62,6 +71,9 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
         tentative = {}
         rejected = set()
         for d in range(problem.num_districts):
+            if not new_proposals[d] and d not in every_step:
+                tentative[d] = held[d]
+                continue
             pool = held[d] | new_proposals[d]
             chosen = choose(rules[d], pool, problem)
             if not chosen <= pool:
@@ -150,14 +162,16 @@ class StabilityVerdict:
 def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
     """Stability: districts keep what they hold and no student-district
     pair blocks through an unchosen contract."""
-    by_district = {d: frozenset() for d in range(problem.num_districts)}
+    by_district = {d: [] for d in range(problem.num_districts)}
     for x in X:
-        by_district[x.district] |= {x}
+        by_district[x.district].append(x)
+    by_district = {d: frozenset(xs) for d, xs in by_district.items()}
     for d in range(problem.num_districts):
         if choose(rules[d], by_district[d], problem) != by_district[d]:
             return StabilityVerdict(False, shrinking_district=d)
+    school_of = outcome_schools(X)
     for s in range(problem.num_students):
-        current = problem.outcome_school(X, s)
+        current = school_of.get(s)
         for c in problem.preferences[s]:
             if current is not None and problem.rank[s][c] >= problem.rank[s][current]:
                 break  # schools below the current outcome cannot block
@@ -183,8 +197,9 @@ def check_individual_rationality(X: Matching, problem: Problem) -> Verdict:
     """Every student weakly prefers her outcome to her initial school."""
     worst = None
     worst_drop = 0
+    school_of = outcome_schools(X)
     for s in range(problem.num_students):
-        drop = problem.rank_of(s, problem.outcome_school(X, s)) - problem.rank_of(
+        drop = problem.rank_of(s, school_of.get(s)) - problem.rank_of(
             s, problem.initial_school[s]
         )
         if drop > worst_drop:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from districtmatch.cli import main
-from districtmatch.fixtures import fixture_path
+from districtmatch.fixtures import FIXTURE_NAMES, fixture_path
 
 
 def fpath(name):
@@ -147,6 +147,35 @@ def test_malformed_instance_exits_2(capsys, tmp_path):
 def test_missing_rules_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", fpath("impossibility"), "--mechanism", "spda")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fixture,mechanism,missing",
+    [
+        ("ttc_diversity", "spda", "rule for every district"),
+        ("impossibility", "spda", "rule for every district"),
+        ("spda_basic", "ttc", "policy section"),
+        ("spda_basic", "efficient-selector", "policy section"),
+    ],
+)
+def test_audit_without_its_section_exits_2(capsys, fixture, mechanism, missing):
+    code, out, err = run_cli(capsys, "audit", fpath(fixture), "--mechanism", mechanism)
+    assert (code, out) == (2, "")
+    assert "validation error" in err and f"{mechanism} needs a {missing}" in err
+
+
+def test_run_master_unknown_student_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "run", fpath("ttc_diversity"), "--mechanism", "ttc", "--master", "s1", "nobody"
+    )
+    assert (code, out) == (2, "")
+    assert "validation error" in err and "unknown student 'nobody'" in err
+
+
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", fpath("spda_basic"), "--mechanism", "spda", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_stuck_exits_3(capsys):
@@ -307,3 +336,78 @@ def test_nonexistence_unsat(capsys):
     )
     assert code == 0
     assert "satisfiable,false" in out
+
+
+def _trace_docs(problem, inst):
+    import districtmatch as dm
+    from districtmatch.cli import _spda_trace_doc, _ttc_trace_doc
+
+    docs = []
+    if inst.rules and len(inst.rules) == problem.num_districts:
+        docs.append(_spda_trace_doc(problem, dm.run_spda(problem, inst.rules)))
+    if inst.policy is not None:
+        try:
+            docs.append(_ttc_trace_doc(problem, dm.run_ttc(problem, inst.policy, inst.master)))
+        except dm.DistrictMatchError as exc:
+            if getattr(exc, "trace", None) is not None:
+                docs.append(_ttc_trace_doc(problem, exc.trace))
+    return docs
+
+
+def _assert_trace_bytes(doc, tmp_path):
+    from districtmatch.cli import _write_trace
+
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    _write_trace(str(got), doc)
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_trace_writer_matches_json_dump_on_fixtures(name, tmp_path):
+    import districtmatch as dm
+
+    inst = dm.load_fixture(name)
+    for doc in _trace_docs(inst.problem, inst):
+        _assert_trace_bytes(doc, tmp_path)
+
+
+def test_trace_writer_matches_json_dump_on_random_markets(tmp_path):
+    import random
+
+    import districtmatch as dm
+    from conftest import random_problem, sequential_rules
+    from districtmatch.instances import Instance
+
+    rng = random.Random(11)
+    for _ in range(40):
+        problem = random_problem(rng)
+        inst = Instance(
+            problem=problem,
+            rules=sequential_rules(rng, problem),
+            policy=dm.balanced_exchange_goal(),
+            master=None,
+            alpha=None,
+            meta={},
+        )
+        for doc in _trace_docs(problem, inst):
+            _assert_trace_bytes(doc, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"b": [], "a": {}, "c": [[]], "d": [["x"], ["y", "z", "w"]]},
+        {"\u00e9\n\"": ["\u2603", "tab\t"], "k": [["a", "b"], ["\u00e9", "q\"\\"]]},
+        {1: [1, 2.5, True, False, None], 10: ["mixed", 3, ["p", "q"]], 2: [-0.0]},
+        ["only", "strings"],
+        [["pair", "x"], ["pair", "y"], ["not", "a", "pair"]],
+        [["pair", "x"], [["nested"], "y"]],
+    ],
+)
+def test_trace_writer_matches_json_dump_on_edge_documents(doc, tmp_path):
+    _assert_trace_bytes(doc, tmp_path)
