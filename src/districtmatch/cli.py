@@ -284,11 +284,17 @@ def _render_json(value, nl, out):
 
 
 def _spda_trace_doc(problem, trace):
+    pair_of = {}  # contract -> its [student id, school id], built once per trace
+
     def pairs(X):
-        return [
-            [problem.student_ids[x.student], problem.school_ids[x.school]]
-            for x in sort_matching(X)
-        ]
+        out = []
+        for x in sort_matching(X):
+            pair = pair_of.get(x)
+            if pair is None:
+                pair = [problem.student_ids[x.student], problem.school_ids[x.school]]
+                pair_of[x] = pair
+            out.append(pair)
+        return out
 
     return {
         "mechanism": "spda",
@@ -439,7 +445,7 @@ def cmd_audit(inst, args):
     print(f"mechanism,{report.mechanism}")
     print(f"runs,{report.runs}")
     print(f"exhaustive,{str(report.exhaustive).lower()}")
-    agreement = _oracle_agreement(inst, args.mechanism)
+    agreement = _oracle_agreement(inst, args.mechanism, report.honest)
     if agreement is not None:
         print(f"oracle_agreement,{str(agreement).lower()}")
     print("student,misreport,honest_school,deviant_school")
@@ -454,8 +460,8 @@ def cmd_audit(inst, args):
     return EXIT_FINDING if failed else EXIT_OK
 
 
-def _oracle_agreement(inst, mechanism):
-    """Cross-check the honest run against the brute-force ground truth:
+def _oracle_agreement(inst, mechanism, outcome):
+    """Cross-check the honest outcome against the brute-force ground truth:
     stability for deferred acceptance, membership in the constrained
     efficient set for trading."""
     from .oracle import constrained_efficient_ir_matchings
@@ -463,10 +469,8 @@ def _oracle_agreement(inst, mechanism):
 
     problem = inst.problem
     if mechanism == "spda" and inst.rules:
-        outcome = run_spda(problem, inst.rules).outcome
         return bool(is_stable(outcome, problem, inst.rules))
     if mechanism == "ttc" and inst.policy is not None:
-        outcome = run_ttc(problem, inst.policy, inst.master).outcome
         return outcome in constrained_efficient_ir_matchings(problem, inst.policy)
     return None
 

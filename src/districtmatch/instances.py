@@ -63,6 +63,24 @@ def _pair_map(section, cidx, tidx):
     return out
 
 
+def _rule_issues(r, sidx):
+    """Why a rule section cannot be evaluated: priorities naming unknown
+    students, an unknown kind, a district cap that is not an integer."""
+    where = f"rule for district {r['district']}"
+    issues = [
+        ("DanglingReference", f"{where}: priority at school {c} names unknown student {s!r}")
+        for c, order in r.get("priorities", {}).items()
+        for s in order
+        if s not in sidx
+    ]
+    if r["kind"] not in [k.value for k in RuleKind]:
+        issues.append(("InvalidRule", f"{where} has unknown kind {r['kind']!r}"))
+    cap = r.get("district_cap")
+    if cap is not None and type(cap) is not int:
+        issues.append(("InvalidRule", f"{where} has non-integer district_cap {cap!r}"))
+    return issues
+
+
 def instance_from_dict(doc: dict) -> Instance:
     for section in ("types", "districts", "schools", "students", "initial_matching"):
         if section not in doc:
@@ -88,6 +106,9 @@ def instance_from_dict(doc: dict) -> Instance:
     didx = {v: i for i, v in enumerate(problem.district_ids)}
     tidx = {v: i for i, v in enumerate(problem.type_ids)}
 
+    issues = [issue for r in doc.get("rules", []) for issue in _rule_issues(r, sidx)]
+    if issues:
+        raise ValidationError(issues)
     rules = {}
     for r in doc.get("rules", []):
         d = didx[r["district"]]

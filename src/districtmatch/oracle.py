@@ -166,6 +166,7 @@ class AuditReport:
     findings: tuple
     exhaustive: bool
     runs: int
+    honest: Matching  # the outcome under the true preferences
 
     @property
     def clean(self):
@@ -209,7 +210,7 @@ def audit_strategy_proofness(
         honest_school = problem.outcome_school(honest, s)
         for perm in itertools.permutations(range(problem.num_schools)):
             if budget is not None and runs >= budget:
-                return AuditReport(mechanism, tuple(findings), False, runs)
+                return AuditReport(mechanism, tuple(findings), False, runs, honest)
             deviated = with_preferences(problem, s, perm)
             outcome = _mechanism_outcome(
                 mechanism, deviated, rules=rules, goal=goal, master=master
@@ -220,7 +221,7 @@ def audit_strategy_proofness(
                 findings.append(
                     AuditFinding(s, true_order, perm, honest_school, deviant_school)
                 )
-    return AuditReport(mechanism, tuple(findings), True, runs)
+    return AuditReport(mechanism, tuple(findings), True, runs, honest)
 
 
 # -- the two-efficient-matchings impossibility replay ------------------------------

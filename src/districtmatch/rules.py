@@ -9,8 +9,11 @@ broken lexicographically by sorted contract indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -191,12 +194,14 @@ def completion_of(rule: RuleSpec) -> RuleSpec:
 
 
 def _basis(problem: Problem) -> tuple:
-    """The fields of a problem a compiled rule depends on.  Preferences are
-    not among them, so misreport variants share one compiled rule."""
+    """The fields of a problem a compiled rule and its choice memo depend on.
+    Preferences are not among them, so misreport variants share one compiled
+    rule."""
     return (
         problem.student_type,
         problem.initial_school,
         problem.school_district,
+        problem.district_schools,
         problem.capacities,
         problem.k_district,
     )
@@ -211,10 +216,16 @@ class CompiledRule:
     rules).  Sorting a pool's keys therefore orders it school by school, and
     each school by priority.  ``key_of`` holds only well-formed contracts of
     the rule's district, so a hit there also validates the contract.
+
+    ``memo`` maps a bitmask over the district's contracts (the student-major
+    universe of ``Chooser``) to the mask the rule chooses from it.  The
+    universe and the choice depend only on the basis, so every ``Chooser``
+    of the rule shares it until the rule meets a differently shaped problem.
     """
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.basis = _basis(problem)
+        self.memo = {}
         self.table = {}
         self.key_of = {}
         self.missing = None
@@ -308,6 +319,12 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
         raise UnknownContract(comp.missing)
     if unranked:
         raise UnknownContract(f"contract {unranked[0]} is outside the rule's priorities")
+    return frozenset(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
+
+
+def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys):
+    """The keys a spec rule chooses from ``keys``, which are sorted and
+    distinct."""
     if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
         return _choose_reserves(comp, keys, rule.completed)
     return _choose_sequential(comp, keys, rule.completed)
@@ -324,7 +341,7 @@ def _school_pools(comp: CompiledRule, keys):
     return pools
 
 
-def _choose_sequential(comp: CompiledRule, keys, completed) -> Matching:
+def _choose_sequential(comp: CompiledRule, keys, completed) -> list:
     """Schools pick responsively in order; chosen students drop out downstream.
 
     ``keys`` are sorted and distinct.  When no student has two contracts
@@ -348,10 +365,10 @@ def _choose_sequential(comp: CompiledRule, keys, completed) -> Matching:
                 taken.add(student_at[key])
                 chosen.append(key)
                 room -= 1
-    return frozenset(map(comp.contract_at.__getitem__, chosen))
+    return chosen
 
 
-def _choose_reserves(comp: CompiledRule, keys, completed) -> Matching:
+def _choose_reserves(comp: CompiledRule, keys, completed) -> set:
     """Reserve seats fill first (school-major, type-minor), then open seats.
 
     ``keys`` are sorted and distinct.  Loads only grow, so once a type
@@ -394,22 +411,40 @@ def _choose_reserves(comp: CompiledRule, keys, completed) -> Matching:
         picks = open_pool[:room]
         chosen.update(picks)
         chosen_students.update(map(student_at.__getitem__, picks))
-    return frozenset(map(comp.contract_at.__getitem__, chosen))
+    return chosen
 
 
 class Chooser:
     """Memoized evaluator of one rule over its district's contract universe.
 
     Sets of contracts are encoded as bitmasks over the universe (student-major
-    order), which keeps exhaustive property checks cheap.
+    order), which keeps exhaustive property checks cheap.  The memo is the
+    ``CompiledRule``'s, shared by every check of the rule.  Spec rules choose
+    on the keys of a mask's contracts; explicit tables, and masks holding a
+    contract the rule cannot rank, go through ``choose`` on the set.
     """
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.rule = rule
         self.problem = problem
+        self._comp = comp = compiled(rule, problem)
+        self._cache = comp.memo
         self.universe = tuple(problem.district_contracts(rule.district))
         self.index = {x: i for i, x in enumerate(self.universe)}
-        self._cache = {}
+        self._bit_key = None
+        if rule.kind is not RuleKind.EXPLICIT_TABLE and comp.missing is None:
+            self._bit_key = [comp.key_of.get(x) for x in self.universe]
+            self._key_bit = {k: 1 << i for i, k in enumerate(self._bit_key)}
+        self.student_bits = self.bits_by(lambda problem, x: x.student)
+
+    def bits_by(self, key_of) -> dict:
+        """``key_of(problem, x)`` -> the mask of the universe's contracts
+        with that key, keys in universe order."""
+        bits = {}
+        for i, x in enumerate(self.universe):
+            key = key_of(self.problem, x)
+            bits[key] = bits.get(key, 0) | 1 << i
+        return bits
 
     def mask_of(self, X) -> int:
         m = 0
@@ -425,32 +460,59 @@ class Chooser:
     def choose_mask(self, mask: int) -> int:
         got = self._cache.get(mask)
         if got is None:
-            got = self.mask_of(choose(self.rule, self.set_of(mask), self.problem))
+            bit_key = self._bit_key
+            keys = [] if bit_key is None else [
+                bit_key[i] for i in range(len(bit_key)) if mask >> i & 1
+            ]
+            if bit_key is None or None in keys:
+                got = self.mask_of(choose(self.rule, self.set_of(mask), self.problem))
+            else:
+                keys.sort()
+                got = 0
+                for k in _chosen_keys(self.rule, self._comp, keys):
+                    got |= self._key_bit[k]
             self._cache[mask] = got
         return got
 
     def choose(self, X) -> Matching:
         return self.set_of(self.choose_mask(self.mask_of(X)))
 
+    def repeats_student(self, mask: int) -> bool:
+        """Whether the set holds two contracts of one student."""
+        for bits in self.student_bits.values():
+            mine = mask & bits
+            if mine & (mine - 1):
+                return True
+        return False
+
     def feasible_for_students_masks(self):
         """Masks of every subset with at most one contract per student,
         in (size, lexicographic) order."""
-        per_student = {}
-        for i, x in enumerate(self.universe):
-            per_student.setdefault(x.student, []).append(i)
-        groups = [v for _, v in sorted(per_student.items())]
-        masks = [0]
-        for g in groups:
-            masks = [m | b for m in masks for b in [0] + [1 << i for i in g]]
-        masks.sort(key=lambda m: (bin(m).count("1"), self._lex_key(m)))
-        return masks
+        # Sorted as one integer: size, then the complement of the bit-reversed
+        # mask (of two sets of one size, the one holding the smallest index
+        # they differ in comes first), then the mask.  Adding bit i adds a
+        # fixed delta to each part without a carry.
+        n = len(self.universe)
+        full = (1 << n) - 1
+        entries = [full << n]
+        for bits in self.student_bits.values():
+            deltas = [0] + [
+                (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
+                for i in range(n)
+                if bits >> i & 1
+            ]
+            entries = [e + d for e in entries for d in deltas]
+        entries.sort()
+        return [e & full for e in entries]
 
     def all_masks(self):
-        n = len(self.universe)
-        return sorted(range(1 << n), key=lambda m: (bin(m).count("1"), self._lex_key(m)))
-
-    def _lex_key(self, mask: int):
-        return tuple(i for i in range(len(self.universe)) if mask >> i & 1)
+        """Masks of every subset, in (size, lexicographic) order."""
+        bits = [1 << i for i in range(len(self.universe))]
+        return [
+            sum(combo)
+            for k in range(len(bits) + 1)
+            for combo in itertools.combinations(bits, k)
+        ]
 
 
 @dataclass(frozen=True)
@@ -501,12 +563,7 @@ def check_property(
     else:
         # explicit tables are total only over feasible-for-students sets,
         # so every quantifier restricts to that universe for them
-        size = 1
-        opts = {}
-        for x in chooser.universe:
-            opts[x.student] = opts.get(x.student, 0) + 1
-        for v in opts.values():
-            size *= v + 1
+        size = math.prod(bits.bit_count() + 1 for bits in chooser.student_bits.values())
         if size > feasible_bound:
             raise UniverseTooLarge(size, feasible_bound)
         masks = chooser.feasible_for_students_masks()
@@ -515,105 +572,101 @@ def check_property(
     return checker(chooser, masks, problem, base_rule)
 
 
-def _school_loads(chooser, mask):
-    loads = {}
-    for i in range(len(chooser.universe)):
-        if mask >> i & 1:
-            c = chooser.universe[i].school
-            loads[c] = loads.get(c, 0) + 1
-    return loads
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _school(problem, x):
+    return x.school
+
+
+def _school_type(problem, x):
+    return (x.school, problem.student_type[x.student])
+
+
+def _student_type(problem, x):
+    return problem.student_type[x.student]
 
 
 def _check_feasible(chooser, masks, problem, _):
+    school_bits = chooser.bits_by(_school)
+    passed = set()  # chosen masks already found feasible
     for m in masks:
         ch = chooser.choose_mask(m)
-        X = chooser.set_of(ch)
-        students = [x.student for x in X]
-        if len(students) != len(set(students)):
+        if ch in passed:
+            continue
+        if chooser.repeats_student(ch):
             return _fails(
                 RuleProperty.FEASIBLE,
                 [chooser.set_of(m)],
                 note="chosen set repeats a student",
             )
-        loads = _school_loads(chooser, ch)
-        for c, load in loads.items():
-            if load > problem.capacities[c]:
-                return _fails(
-                    RuleProperty.FEASIBLE,
-                    [chooser.set_of(m)],
-                    note=f"school {problem.school_ids[c]} over capacity",
-                )
+        # of the schools over capacity, the one a chosen contract meets first
+        over = [
+            (_lowest(ch & bits), c)
+            for c, bits in school_bits.items()
+            if (ch & bits).bit_count() > problem.capacities[c]
+        ]
+        if over:
+            return _fails(
+                RuleProperty.FEASIBLE,
+                [chooser.set_of(m)],
+                note=f"school {problem.school_ids[min(over)[1]]} over capacity",
+            )
+        passed.add(ch)
     return _holds(RuleProperty.FEASIBLE)
 
 
-def _rejections_check(prop, slack_of, note):
+def _rejections_check(prop, note, ceilings_of=None, key_of=None):
     """A checker that fails on the first rejected contract with no licensed
     reason: its school has a free seat, the district is below its home
-    count, and ``slack_of(rule)(problem, X, x)`` says no type ceiling
-    binds either."""
+    count, and the rule's ceiling for the contract's ``key_of`` (if
+    ``ceilings_of(rule)`` has one) does not bind either."""
 
     def check(chooser, masks, problem, _):
         k_d = problem.k_district[chooser.rule.district]
-        slack = slack_of(chooser.rule)
+        school_bits = chooser.bits_by(_school)
+        ceilings = _lookup(ceilings_of(chooser.rule)) if ceilings_of else {}
+        counted = chooser.bits_by(key_of) if key_of else {}
+        # per contract: (mask, bound) pairs, each slack while the chosen
+        # contracts in the mask number fewer than the bound
+        limits = []
+        for x in chooser.universe:
+            limit = [(school_bits[x.school], problem.capacities[x.school])]
+            key = key_of and key_of(problem, x)
+            if key in ceilings:
+                limit.append((counted[key], ceilings[key]))
+            limits.append(limit)
         for m in masks:
             ch = chooser.choose_mask(m)
-            X = chooser.set_of(ch)
+            if ch.bit_count() >= k_d:
+                continue
             rejected = m & ~ch
-            for i in range(len(chooser.universe)):
-                if rejected >> i & 1:
-                    x = chooser.universe[i]
-                    c_load = sum(1 for y in X if y.school == x.school)
-                    if (
-                        c_load < problem.capacities[x.school]
-                        and len(X) < k_d
-                        and slack(problem, X, x)
-                    ):
-                        return _fails(prop, [chooser.set_of(m)], x, note=note)
+            while rejected:
+                i = _lowest(rejected)
+                if all((ch & bits).bit_count() < q for bits, q in limits[i]):
+                    return _fails(prop, [chooser.set_of(m)], chooser.universe[i], note=note)
+                rejected &= rejected - 1
         return _holds(prop)
 
     return check
 
 
-def _no_ceiling(rule):
-    return lambda problem, X, x: True
-
-
-def _school_type_slack(rule):
-    ceilings = _lookup(rule.ceilings)
-
-    def slack(problem, X, x):
-        t = problem.student_type[x.student]
-        q = ceilings.get((x.school, t))
-        return q is None or q > sum(
-            1 for y in X if y.school == x.school and problem.student_type[y.student] == t
-        )
-
-    return slack
-
-
-def _district_type_slack(rule):
-    district_ceilings = _lookup(rule.district_ceilings)
-
-    def slack(problem, X, x):
-        t = problem.student_type[x.student]
-        q = district_ceilings.get(t)
-        return q is None or q > sum(1 for y in X if problem.student_type[y.student] == t)
-
-    return slack
-
-
 _check_acceptant = _rejections_check(
-    RuleProperty.ACCEPTANT, _no_ceiling, "rejected with school and district both slack"
+    RuleProperty.ACCEPTANT, "rejected with school and district both slack"
 )
 _check_weakly_acceptant = _rejections_check(
     RuleProperty.WEAKLY_ACCEPTANT,
-    _school_type_slack,
     "rejected with school, district, and type ceiling slack",
+    lambda rule: rule.ceilings,
+    _school_type,
 )
 _check_d_weakly_acceptant = _rejections_check(
     RuleProperty.D_WEAKLY_ACCEPTANT,
-    _district_type_slack,
     "rejected with school, district, and district-type ceiling slack",
+    lambda rule: rule.district_ceilings,
+    _student_type,
 )
 
 
@@ -621,33 +674,30 @@ def _check_rationed(chooser, masks, problem, _):
     k_d = problem.k_district[chooser.rule.district]
     for m in masks:
         ch = chooser.choose_mask(m)
-        if bin(ch).count("1") > k_d:
+        if ch.bit_count() > k_d:
             return _fails(
                 RuleProperty.RATIONED,
                 [chooser.set_of(m)],
-                note=f"chose {bin(ch).count('1')} contracts, home count is {k_d}",
+                note=f"chose {ch.bit_count()} contracts, home count is {k_d}",
             )
     return _holds(RuleProperty.RATIONED)
 
 
 def _check_respects_initial(chooser, masks, problem, _):
-    initial_bits = []
+    initial = 0
     for i, x in enumerate(chooser.universe):
         if problem.initial_school[x.student] == x.school:
-            initial_bits.append(i)
+            initial |= 1 << i
     for m in masks:
-        ch = None
-        for i in initial_bits:
-            if m >> i & 1:
-                if ch is None:
-                    ch = chooser.choose_mask(m)
-                if not (ch >> i & 1):
-                    return _fails(
-                        RuleProperty.RESPECTS_INITIAL_MATCHING,
-                        [chooser.set_of(m)],
-                        chooser.universe[i],
-                        note="initial-school contract rejected",
-                    )
+        if m & initial:
+            dropped = m & initial & ~chooser.choose_mask(m)
+            if dropped:
+                return _fails(
+                    RuleProperty.RESPECTS_INITIAL_MATCHING,
+                    [chooser.set_of(m)],
+                    chooser.universe[_lowest(dropped)],
+                    note="initial-school contract rejected",
+                )
     return _holds(RuleProperty.RESPECTS_INITIAL_MATCHING)
 
 
@@ -663,11 +713,10 @@ def _check_favors_own(chooser, masks, problem, _):
         ch = chooser.choose_mask(m)
         missing = ch_sub & ~ch
         if missing:
-            i = (missing & -missing).bit_length() - 1
             return _fails(
                 RuleProperty.FAVORS_OWN_STUDENTS,
                 [chooser.set_of(m), chooser.set_of(sub)],
-                chooser.universe[i],
+                chooser.universe[_lowest(missing)],
                 note="own student chosen alone but dropped with outsiders present",
             )
     return _holds(RuleProperty.FAVORS_OWN_STUDENTS)
@@ -679,15 +728,18 @@ def _ceilings_check(prop, ceilings_of, key_of, note_of):
 
     def check(chooser, masks, problem, _):
         ceilings = _lookup(ceilings_of(chooser.rule))
+        limits = [
+            (bits, max(ceilings[key], 0))
+            for key, bits in chooser.bits_by(key_of).items()
+            if key in ceilings
+        ]
         for m in masks:
-            counts = {}
-            for y in chooser.set_of(chooser.choose_mask(m)):
-                key = key_of(problem, y)
-                counts[key] = counts.get(key, 0) + 1
-            for key, n in counts.items():
-                q = ceilings.get(key)
-                if q is not None and n > q:
-                    return _fails(prop, [chooser.set_of(m)], note=note_of(problem, key))
+            ch = chooser.choose_mask(m)
+            if any((ch & bits).bit_count() > q for bits, q in limits):
+                # name the key the chosen set's own iteration counts first
+                counts = Counter(key_of(problem, y) for y in chooser.set_of(ch))
+                key = next(k for k, n in counts.items() if n > ceilings.get(k, n))
+                return _fails(prop, [chooser.set_of(m)], note=note_of(problem, key))
         return _holds(prop)
 
     return check
@@ -696,13 +748,13 @@ def _ceilings_check(prop, ceilings_of, key_of, note_of):
 _check_school_ceilings = _ceilings_check(
     RuleProperty.SCHOOL_CEILINGS,
     lambda rule: rule.ceilings,
-    lambda problem, y: (y.school, problem.student_type[y.student]),
+    _school_type,
     lambda problem, key: f"type ceiling exceeded at school {problem.school_ids[key[0]]}",
 )
 _check_district_ceilings = _ceilings_check(
     RuleProperty.DISTRICT_CEILINGS,
     lambda rule: rule.district_ceilings,
-    lambda problem, y: problem.student_type[y.student],
+    _student_type,
     lambda problem, t: f"district-level ceiling for type {problem.type_ids[t]} exceeded",
 )
 
@@ -718,30 +770,27 @@ def _check_substitutable(chooser, masks, problem, _, prop=RuleProperty.SUBSTITUT
                 ch_small = chooser.choose_mask(smaller)
                 lost = (ch & ~(1 << i)) & ~ch_small
                 if lost:
-                    j = (lost & -lost).bit_length() - 1
                     return _fails(
                         prop,
                         [chooser.set_of(smaller), chooser.set_of(m)],
-                        chooser.universe[j],
+                        chooser.universe[_lowest(lost)],
                         note="chosen from the larger set, dropped from the smaller",
                     )
     return _holds(prop)
 
 
-def _check_weakly_substitutable(chooser, masks, problem, _):
-    return _check_substitutable(
-        chooser, masks, problem, None, prop=RuleProperty.WEAKLY_SUBSTITUTABLE
-    )
+_check_weakly_substitutable = functools.partial(
+    _check_substitutable, prop=RuleProperty.WEAKLY_SUBSTITUTABLE
+)
 
 
 def _check_lad(chooser, masks, problem, _):
     for m in masks:
-        ch = chooser.choose_mask(m)
-        n_ch = bin(ch).count("1")
+        n_ch = chooser.choose_mask(m).bit_count()
         for i in range(len(chooser.universe)):
             if m >> i & 1:
                 smaller = m & ~(1 << i)
-                if bin(chooser.choose_mask(smaller)).count("1") > n_ch:
+                if chooser.choose_mask(smaller).bit_count() > n_ch:
                     return _fails(
                         RuleProperty.LAD,
                         [chooser.set_of(smaller), chooser.set_of(m)],
@@ -769,16 +818,12 @@ def _check_irc(chooser, masks, problem, _):
 
 def _check_path_independent(chooser, masks, problem, _):
     # Path independence is equivalent to substitutability plus IRC.
-    v = _check_substitutable(chooser, masks, problem, None)
-    if not v.holds:
-        return _fails(
-            RuleProperty.PATH_INDEPENDENT, v.witness_sets, v.witness_contract, v.note
-        )
-    v = _check_irc(chooser, masks, problem, None)
-    if not v.holds:
-        return _fails(
-            RuleProperty.PATH_INDEPENDENT, v.witness_sets, v.witness_contract, v.note
-        )
+    for check in (_check_substitutable, _check_irc):
+        v = check(chooser, masks, problem, None)
+        if not v.holds:
+            return _fails(
+                RuleProperty.PATH_INDEPENDENT, v.witness_sets, v.witness_contract, v.note
+            )
     return _holds(RuleProperty.PATH_INDEPENDENT)
 
 
@@ -786,9 +831,7 @@ def _check_is_completion_of(chooser, masks, problem, base_rule):
     base = Chooser(base_rule, problem)
     for m in masks:
         ch = chooser.choose_mask(m)
-        X = chooser.set_of(ch)
-        students = [x.student for x in X]
-        if len(students) == len(set(students)):  # feasible for students
+        if not chooser.repeats_student(ch):  # feasible for students
             if ch != base.choose_mask(m):
                 return _fails(
                     RuleProperty.IS_COMPLETION_OF,
@@ -808,38 +851,31 @@ def _check_accommodates(rules, problem: Problem, feasible_bound):
     if size > feasible_bound:
         raise UniverseTooLarge(size, feasible_bound)
     choosers = {d: Chooser(r, problem) for d, r in rules.items()}
-
-    def admissible(X, s):
-        for c in range(problem.num_schools):
-            d = problem.school_district[c]
-            x = problem.contract(s, c)
-            ch = choosers[d]
-            mask = ch.mask_of([y for y in X if y.district == d]) | (
-                1 << ch.index[x]
-            )
-            if ch.choose_mask(mask) >> ch.index[x] & 1:
-                return True
-        return False
-
-    students = list(range(problem.num_students))
-    for s in students:
-        others = [t for t in students if t != s]
-        options = [list(range(problem.num_schools)) + [None] for _ in others]
-        for combo in itertools.product(*options):
+    schools = range(problem.num_schools)
+    district = problem.school_district
+    # bit[t][c]: the bit of contract (t, c) in its district's universe
+    bit = [
+        [1 << choosers[district[c]].index[problem.contract(t, c)] for c in schools]
+        for t in range(problem.num_students)
+    ]
+    for s in range(problem.num_students):
+        others = [t for t in range(problem.num_students) if t != s]
+        for combo in itertools.product([*schools, None], repeat=len(others)):
             load = [0] * problem.num_schools
-            ok = True
-            for c in combo:
+            held = [0] * problem.num_districts  # the others' contracts, per district
+            for t, c in zip(others, combo):
                 if c is not None:
                     load[c] += 1
-                    if load[c] > problem.capacities[c]:
-                        ok = False
-                        break
-            if not ok:
+                    held[district[c]] |= bit[t][c]
+            if any(load[c] > problem.capacities[c] for c in schools):
                 continue
-            X = frozenset(
-                problem.contract(t, c) for t, c in zip(others, combo) if c is not None
-            )
-            if not admissible(X, s):
+            if not any(
+                choosers[district[c]].choose_mask(held[district[c]] | bit[s][c]) & bit[s][c]
+                for c in schools
+            ):
+                X = frozenset(
+                    problem.contract(t, c) for t, c in zip(others, combo) if c is not None
+                )
                 return _fails(
                     RuleProperty.ACCOMMODATES_UNMATCHED,
                     [X],

@@ -172,6 +172,67 @@ def test_run_master_unknown_student_exits_2(capsys):
     assert "validation error" in err and "unknown student 'nobody'" in err
 
 
+def _broken_rule(edit):
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    edit(doc["rules"][0])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda r: r.update(kind="lottery"), "unknown kind 'lottery'"),
+        (lambda r: r.update(district_cap="2"), "non-integer district_cap '2'"),
+        (lambda r: r["priorities"]["c1"].append("s9"), "names unknown student 's9'"),
+    ],
+    ids=["unknown-kind", "string-district-cap", "unknown-priority-student"],
+)
+def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_broken_rule(edit)))
+    for argv in (
+        ("run", str(bad), "--mechanism", "spda"),
+        ("check-rule", str(bad), "--district", "d1", "--properties", "feasible"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "validation error" in err and message in err
+
+
+def test_every_rule_issue_is_listed(capsys, tmp_path):
+    def edit(rule):
+        rule.update(kind="lottery", district_cap=1.5)
+        rule["priorities"]["c2"].append("s9")
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_broken_rule(edit)))
+    code, _, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
+    assert code == 2
+    for message in ("unknown kind", "non-integer district_cap 1.5", "unknown student 's9'"):
+        assert message in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import districtmatch
+
+    src_root = str(Path(districtmatch.__file__).resolve().parent.parent)
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root}
+    argv = ["run", fpath("spda_basic"), "--mechanism", "spda"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "districtmatch", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:5] == ["s1,c2,d1", "s2,c3,d2", "s3,c1,d1", "s4,c2,d1"]
+
+
 def test_threads_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", fpath("spda_basic"), "--mechanism", "spda", "--threads", "2"])
