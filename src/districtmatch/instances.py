@@ -63,21 +63,46 @@ def _pair_map(section, cidx, tidx):
     return out
 
 
-def _rule_issues(r, sidx):
-    """Why a rule section cannot be evaluated: priorities naming unknown
-    students, an unknown kind, a district cap that is not an integer."""
-    where = f"rule for district {r['district']}"
+def _rule_issues(i, r, sidx, schools_of):
+    """Why a rule section cannot be evaluated: it is not an object; it names
+    an unknown district, kind or student; its district cap is not an
+    integer; or, for a spec kind, its school order does not cover its
+    district's schools exactly, or a priority list is missing or does not
+    rank every student exactly once."""
+    if not isinstance(r, dict):
+        return [("InvalidRule", f"rule {i + 1} is not an object")]
+    where = f"rule for district {r.get('district')}"
+    priorities = r.get("priorities", {})
     issues = [
         ("DanglingReference", f"{where}: priority at school {c} names unknown student {s!r}")
-        for c, order in r.get("priorities", {}).items()
+        for c, order in priorities.items()
         for s in order
         if s not in sidx
     ]
-    if r["kind"] not in [k.value for k in RuleKind]:
-        issues.append(("InvalidRule", f"{where} has unknown kind {r['kind']!r}"))
+    kinds = [k.value for k in RuleKind]
+    if r.get("kind") not in kinds:
+        issues.append(("InvalidRule", f"{where} has unknown kind {r.get('kind')!r}"))
     cap = r.get("district_cap")
     if cap is not None and type(cap) is not int:
         issues.append(("InvalidRule", f"{where} has non-integer district_cap {cap!r}"))
+    if r.get("district") not in schools_of:
+        issues.append(("DanglingReference", f"{where}: unknown district"))
+    elif r.get("kind") in kinds and r["kind"] != RuleKind.EXPLICIT_TABLE.value:
+        order = r.get("school_order", [])
+        if sorted(order) != schools_of[r["district"]]:
+            issues.append(
+                ("InvalidRule", f"{where}: school_order must cover exactly its district's schools")
+            )
+        issues += [
+            ("InvalidRule", f"{where}: no priority list for school {c}")
+            for c in order
+            if c not in priorities
+        ]
+        for c, ranked in priorities.items():
+            names = set(ranked)
+            if names <= sidx.keys() and not len(ranked) == len(names) == len(sidx):
+                message = f"{where}: priority at school {c} does not rank every student once"
+                issues.append(("InvalidRule", message))
     return issues
 
 
@@ -106,7 +131,15 @@ def instance_from_dict(doc: dict) -> Instance:
     didx = {v: i for i, v in enumerate(problem.district_ids)}
     tidx = {v: i for i, v in enumerate(problem.type_ids)}
 
-    issues = [issue for r in doc.get("rules", []) for issue in _rule_issues(r, sidx)]
+    schools_of = {
+        d: sorted(problem.school_ids[c] for c in problem.district_schools[i])
+        for i, d in enumerate(problem.district_ids)
+    }
+    issues = [
+        issue
+        for i, r in enumerate(doc.get("rules", []))
+        for issue in _rule_issues(i, r, sidx, schools_of)
+    ]
     if issues:
         raise ValidationError(issues)
     rules = {}

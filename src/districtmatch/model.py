@@ -80,14 +80,6 @@ class Problem:
     def contract(self, student: int, school: int) -> Contract:
         return Contract(student, self.school_district[school], school)
 
-    def all_contracts(self):
-        """The full contract universe, student-major then school order."""
-        return [
-            self.contract(s, c)
-            for s in range(self.num_students)
-            for c in range(self.num_schools)
-        ]
-
     def district_contracts(self, district: int):
         """Contracts associated with one district, student-major order."""
         return [
@@ -100,9 +92,6 @@ class Problem:
         return frozenset(
             self.contract(s, self.initial_school[s]) for s in range(self.num_students)
         )
-
-    def initial_contract(self, student: int) -> Contract:
-        return self.contract(student, self.initial_school[student])
 
     def outcome_school(self, X: Matching, student: int) -> Optional[int]:
         """The school of ``student`` in ``X``, or None if unmatched."""

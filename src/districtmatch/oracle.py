@@ -239,12 +239,6 @@ class ImpossibilityCertificate:
     efficient_pair: tuple  # the two candidate matchings, lexicographic order
     deviations: tuple  # one Deviation against each element
 
-    def deviation_against(self, X: Matching) -> Deviation:
-        for target, dev in zip(self.efficient_pair, self.deviations):
-            if target == X:
-                return dev
-        raise KeyError("matching is not part of the certificate")
-
 
 def replay_impossibility(problem: Problem, goal: PolicyGoal) -> ImpossibilityCertificate:
     """Certify that no mechanism can pick from a two-element constrained

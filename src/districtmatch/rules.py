@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -412,6 +412,106 @@ def _choose_reserves(comp: CompiledRule, keys, completed) -> set:
         chosen.update(picks)
         chosen_students.update(map(student_at.__getitem__, picks))
     return chosen
+
+
+def _cutoff(taken, room):
+    """The key a new contract must beat to join ``taken``, sorted keys that
+    all got one of ``room`` seats: any key while a seat is free, none when
+    there is no seat."""
+    if len(taken) < room:
+        return math.inf
+    return taken[-1] if taken else -1
+
+
+class Cutoffs:
+    """Whether a rule that chooses all of ``X`` would also choose one more
+    contract of its district: the blocking tests of ``is_stable``.
+
+    ``holds`` tells whether the rule chooses all of ``X``.  If a spec rule
+    that is not a completion does, ``X`` repeats no student, and a candidate
+    x changes nothing before its turn: phase 1 up to its type's reserve at
+    its school, and phase 2 before its school (sequential kinds are phase 2
+    alone).  So x is chosen exactly when its key beats the cut-off
+    (``_cutoff``) of that reserve, or else those of an open seat and of its
+    type's ceiling at its school; unless its student's contract y in ``X``
+    is taken first: in phase 1 at an earlier school or, once x misses the
+    reserve, anywhere but in phase 2 at a later school.
+
+    Completions insert x's key into the sorted keys and choose again;
+    explicit tables and contracts the rule cannot rank go through ``choose``.
+    """
+
+    def __init__(self, rule: RuleSpec, X: Matching, problem: Problem):
+        self.rule, self.X, self.problem = rule, X, problem
+        self.comp = comp = compiled(rule, problem)
+        self.keys = keys = None
+        if rule.kind is not RuleKind.EXPLICIT_TABLE and comp.missing is None:
+            keys = list(map(comp.key_of.get, X))
+        if keys is None or None in keys:
+            self.holds = choose(rule, X, problem) == X
+            return
+        keys.sort()
+        self.keys = keys
+        self.holds = len(_chosen_keys(rule, comp, keys)) == len(keys)
+        if self.holds and not rule.completed:
+            self._replay(_school_pools(comp, keys))
+
+    def _replay(self, pools):
+        """Record the cut-offs of the choice from ``pools``, which takes
+        every pool in full."""
+        comp, type_at, capacity = self.comp, self.comp.type_at, self.comp.capacity
+        two_phase = self.rule.kind is RuleKind.RESERVES_AND_CEILINGS
+        self.held = {comp.student_at[k]: k for pool in pools for k in pool}
+        self.reserve_cut = {}  # (position, type) -> cut-off of the reserve
+        self.reserved = set()  # keys that took a reserve seat
+        loads = []  # per position: reserve seats taken, per type
+        for pos, pool in enumerate(pools):
+            load = Counter()
+            for t, target in comp.reserves[pos] if two_phase else ():
+                of_type = [k for k in pool if type_at[k] == t]
+                room = min(target, capacity[pos] - sum(load.values()))
+                picks = of_type[load[t] : load[t] + max(room, 0)]
+                # a type named twice in the type order picks again, later keys
+                cut = self.reserve_cut.get((pos, t), -1)
+                self.reserve_cut[pos, t] = max(cut, _cutoff(picks, room))
+                load[t] += len(picks)
+                self.reserved.update(picks)
+            loads.append(load)
+        self.open_cut = []  # per position: cut-off of an open seat
+        self.ceiling_cut = {}  # (position, type) -> cut-off under the ceiling
+        admitted = len(self.reserved)
+        for pos, pool in enumerate(pools):
+            open_keys = [k for k in pool if k not in self.reserved]
+            room = capacity[pos] - sum(loads[pos].values())
+            if comp.cap is not None:
+                room = min(room, comp.cap - admitted)
+            self.open_cut.append(_cutoff(open_keys, room))
+            admitted += len(open_keys)
+            for t, q in comp.ceilings[pos].items() if two_phase else ():
+                of_type = [k for k in open_keys if type_at[k] == t]
+                self.ceiling_cut[pos, t] = _cutoff(of_type, q - loads[pos][t])
+
+    def chooses(self, x: Contract) -> bool:
+        """Whether the rule chooses ``x``, a contract of its district not in
+        ``X``, from ``X | {x}``.  Only asked when ``holds``."""
+        comp = self.comp
+        key = comp.key_of.get(x)
+        if self.keys is None or key is None:
+            return x in choose(self.rule, self.X | {x}, self.problem)
+        if self.rule.completed:
+            keys = self.keys.copy()
+            insort(keys, key)
+            return key in _chosen_keys(self.rule, comp, keys)
+        pos, t = key // comp.stride, comp.type_at[key]
+        y = self.held.get(comp.student_at[key])
+        before = y is not None and y // comp.stride < pos
+        if before and y in self.reserved:
+            return False
+        if key < self.reserve_cut.get((pos, t), -1):
+            return True
+        if y is not None and (before or y in self.reserved):
+            return False
+        return key < self.open_cut[pos] and key < self.ceiling_cut.get((pos, t), math.inf)
 
 
 class Chooser:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import RuleViolation
 from .model import Contract, Matching, Problem, distribution_of, outcome_schools
-from .rules import RuleKind, choose
+from .rules import Cutoffs, RuleKind, choose
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,21 @@ class StabilityVerdict:
 
 def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
     """Stability: districts keep what they hold and no student-district
-    pair blocks through an unchosen contract."""
+    pair blocks through an unchosen contract.
+
+    Each district's rule chooses once, on what it holds; each blocking test
+    is then answered from that choice's per-school cut-offs
+    (``rules.Cutoffs``).
+    """
     by_district = {d: [] for d in range(problem.num_districts)}
     for x in X:
         by_district[x.district].append(x)
-    by_district = {d: frozenset(xs) for d, xs in by_district.items()}
+    cutoffs = []
     for d in range(problem.num_districts):
-        if choose(rules[d], by_district[d], problem) != by_district[d]:
+        state = Cutoffs(rules[d], frozenset(by_district[d]), problem)
+        if not state.holds:
             return StabilityVerdict(False, shrinking_district=d)
+        cutoffs.append(state)
     school_of = outcome_schools(X)
     for s in range(problem.num_students):
         current = school_of.get(s)
@@ -178,8 +185,7 @@ def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
             x = problem.contract(s, c)
             if x in X:
                 continue
-            d = x.district
-            if x in choose(rules[d], by_district[d] | {x}, problem):
+            if cutoffs[x.district].chooses(x):
                 return StabilityVerdict(False, blocking_contract=x)
     return StabilityVerdict(True)
 

@@ -18,6 +18,20 @@ def ids_of(problem, X):
     )
 
 
+def all_contracts(problem):
+    """The full contract universe, student-major then school order."""
+    return [
+        problem.contract(s, c)
+        for s in range(problem.num_students)
+        for c in range(problem.num_schools)
+    ]
+
+
+def initial_contract(problem, student):
+    """The student's contract with her initial school."""
+    return problem.contract(student, problem.initial_school[student])
+
+
 def matching_of(problem, pairs):
     """Build a matching from (student id, school id) pairs."""
     sidx = {v: i for i, v in enumerate(problem.student_ids)}

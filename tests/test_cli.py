@@ -184,8 +184,30 @@ def _broken_rule(edit):
         (lambda r: r.update(kind="lottery"), "unknown kind 'lottery'"),
         (lambda r: r.update(district_cap="2"), "non-integer district_cap '2'"),
         (lambda r: r["priorities"]["c1"].append("s9"), "names unknown student 's9'"),
+        (lambda r: r.update(district="d9"), "rule for district d9: unknown district"),
+        (lambda r: r["school_order"].append("c3"), "school_order must cover exactly"),
+        (lambda r: r["school_order"].pop(), "school_order must cover exactly"),
+        (lambda r: r["priorities"].pop("c2"), "no priority list for school c2"),
+        (
+            lambda r: r["priorities"]["c1"].remove("s2"),
+            "priority at school c1 does not rank every student once",
+        ),
+        (
+            lambda r: r["priorities"]["c2"].append("s1"),
+            "priority at school c2 does not rank every student once",
+        ),
     ],
-    ids=["unknown-kind", "string-district-cap", "unknown-priority-student"],
+    ids=[
+        "unknown-kind",
+        "string-district-cap",
+        "unknown-priority-student",
+        "unknown-district",
+        "school-of-another-district",
+        "school-order-misses-a-school",
+        "school-without-priorities",
+        "priority-omits-a-student",
+        "priority-repeats-a-student",
+    ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
     bad = tmp_path / "bad.json"
@@ -197,6 +219,16 @@ def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "validation error" in err and message in err
+
+
+def test_rule_that_is_not_an_object_exits_2(capsys, tmp_path):
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    doc["rules"][1] = "d2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
+    assert (code, out) == (2, "")
+    assert "validation error" in err and "rule 2 is not an object" in err
 
 
 def test_every_rule_issue_is_listed(capsys, tmp_path):

@@ -19,7 +19,7 @@ from districtmatch.rules import (
     favor_own_students,
 )
 
-from conftest import ids_of, matching_of
+from conftest import all_contracts, ids_of, matching_of
 
 
 def test_choose_printed_rejection(basic):
@@ -224,7 +224,7 @@ def test_choose_output_inside_own_district_pool(basic, reserves_diversity, data)
     inst = data.draw(st.sampled_from([None, True]), label="which")
     inst = basic if inst is None else reserves_diversity
     p = inst.problem
-    contracts = p.all_contracts()
+    contracts = all_contracts(p)
     X = frozenset(
         x for x in contracts if data.draw(st.booleans(), label=f"{x.student}-{x.school}")
     )

@@ -1,4 +1,4 @@
-"""The compiled ``choose``, the incremental ``run_spda`` and the indexed
+"""The compiled ``choose``, the incremental ``run_spda`` and the cut-off
 ``is_stable`` against the direct implementations they replace."""
 
 import itertools
@@ -10,9 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import districtmatch as dm
+import districtmatch.rules as rules_module
+import districtmatch.spda as spda_module
+import spda_reference
 from districtmatch.errors import DistrictMatchError
-from districtmatch.model import Contract, outcome_schools, with_preferences
+from districtmatch.model import (
+    Contract,
+    ProblemSpec,
+    outcome_schools,
+    validate_problem,
+    with_preferences,
+)
 from districtmatch.rules import (
+    Cutoffs,
     RuleKind,
     choose,
     compiled,
@@ -22,7 +32,7 @@ from districtmatch.rules import (
 )
 from districtmatch.spda import check_individual_rationality, is_stable, run_spda
 
-from conftest import random_problem
+from conftest import all_contracts, random_problem
 from spda_reference import choose_reference, is_stable_reference, run_spda_reference
 
 SPEC_KINDS = [k for k in RuleKind if k is not RuleKind.EXPLICIT_TABLE]
@@ -103,7 +113,7 @@ def random_rules(rng: random.Random, problem, tables=0.0):
 def random_sets(rng: random.Random, problem, count):
     """Random contract sets: arbitrary subsets, sets feasible for students,
     and now and then one with a malformed contract."""
-    contracts = problem.all_contracts()
+    contracts = all_contracts(problem)
     for _ in range(count):
         if rng.random() < 0.5:
             X = {x for x in contracts if rng.random() < 0.4}
@@ -226,8 +236,6 @@ def test_choose_rejects_malformed_and_unranked_contracts(basic):
 
 def test_skipped_districts_do_not_change_the_step_record(basic, monkeypatch):
     # the incremental run re-chooses only districts with new proposals
-    import districtmatch.spda as spda_module
-
     calls = []
 
     def counting(rule, X, problem):
@@ -270,3 +278,218 @@ def test_indexed_welfare_checks_match_scans(seed):
     ]
     dominates = all(a <= b for a, b in ranks) and any(a < b for a, b in ranks)
     assert dm.pareto_dominates(X, Y, problem) == dominates
+
+
+# -- the cut-off stability check ----------------------------------------------------
+
+
+def omitting(rng: random.Random, rule):
+    """Now and then the rule with a priority list that omits a student."""
+    if rule.kind is RuleKind.EXPLICIT_TABLE or rng.random() >= 0.1:
+        return rule
+    c, order = rule.priorities[0]
+    return replace(rule, priorities=((c, order[1:]),) + rule.priorities[1:])
+
+
+def cutoff_profile(rng: random.Random, problem, kind=None):
+    """A rule per district, of ``kind`` or a random spec kind, in a random
+    variant, now and then omitting a student from a priority list."""
+    rules = {}
+    for d in range(problem.num_districts):
+        rule = random_rule(rng, problem, d, kind or rng.choice(SPEC_KINDS))
+        rules[d] = omitting(rng, variant(rng, rule, problem))
+    return rules
+
+
+def with_choose(monkeypatch):
+    """Make the reference stability check use today's ``choose``, whose
+    ``UnknownContract`` for an unranked contract is the one to keep."""
+    monkeypatch.setattr(spda_reference, "choose_reference", choose)
+
+
+def assert_cutoffs_exact(problem, rules, X):
+    """Same verdict as the reference; for every district that holds its
+    part of ``X``, the cut-off answer for every other contract of the
+    district is whether ``choose`` takes it from the part plus it."""
+    assert _outcome(is_stable, X, problem, rules) == _outcome(
+        is_stable_reference, X, problem, rules
+    )
+    for d, rule in rules.items():
+        X_d = frozenset(x for x in X if x.district == d)
+        state = _outcome(Cutoffs, rule, X_d, problem)
+        assert state[0] == "ok" or state == _outcome(choose, rule, X_d, problem)
+        if state[0] != "ok":
+            continue
+        state = state[1]
+        assert state.holds == (_outcome(choose, rule, X_d, problem) == ("ok", X_d))
+        if not state.holds:
+            continue
+        for x in problem.district_contracts(d):
+            if x not in X_d:
+                expected = _outcome(lambda: x in choose(rule, X_d | {x}, problem))
+                assert _outcome(state.chooses, x) == expected
+
+
+def perturbed(problem, X):
+    """``X`` with one matched student moved to another school of the
+    district that serves them, for every such move."""
+    for x in X:
+        for c in problem.district_schools[x.district]:
+            if c != x.school:
+                yield X - {x} | {problem.contract(x.student, c)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cutoffs_match_choose_on_outcomes_and_moves(seed):
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    rules = cutoff_profile(rng, problem)
+    with pytest.MonkeyPatch.context() as mp:
+        with_choose(mp)
+        run = _outcome(run_spda, problem, rules)
+        matchings = [problem.initial_matching(), frozenset()]
+        if run[0] == "ok":
+            matchings += [run[1].outcome, *perturbed(problem, run[1].outcome)]
+        for X in matchings:
+            assert_cutoffs_exact(problem, rules, X)
+
+
+def test_cutoffs_match_choose_on_every_matching_of_small_markets(monkeypatch):
+    # every set with at most one contract per student: stable, shrinking and
+    # blocked alike, for every spec kind
+    with_choose(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(12):
+        problem = random_problem(rng)
+        while (problem.num_schools + 1) ** problem.num_students > 400:
+            problem = random_problem(rng)
+        for kind in SPEC_KINDS:
+            rules = cutoff_profile(rng, problem, kind)
+            for combo in itertools.product(
+                [None, *range(problem.num_schools)], repeat=problem.num_students
+            ):
+                X = frozenset(
+                    problem.contract(s, c) for s, c in enumerate(combo) if c is not None
+                )
+                assert_cutoffs_exact(problem, rules, X)
+
+
+@pytest.mark.parametrize("name", dm.FIXTURE_NAMES)
+def test_cutoffs_match_choose_on_fixtures(name, monkeypatch):
+    with_choose(monkeypatch)
+    inst = dm.load_fixture(name)
+    problem = inst.problem
+    rng = random.Random(name)
+    profiles = [inst.rules] if inst.rules else []
+    profiles += [cutoff_profile(rng, problem) for _ in range(8)]
+    for rules in profiles:
+        run = _outcome(run_spda, problem, rules)
+        matchings = [problem.initial_matching(), frozenset()]
+        if run[0] == "ok":
+            matchings += [run[1].outcome, *perturbed(problem, run[1].outcome)]
+        for X in matchings:
+            assert_cutoffs_exact(problem, rules, X)
+
+
+def large_market(rng: random.Random, students=300, schools=12, types=2):
+    """A market with one district per spec kind, sized like the benchmark's:
+    preferences from a shared school quality, own taste and a home-district
+    bonus, capacities with a little slack, reserves and ceilings in the
+    reserves district."""
+    districts = len(SPEC_KINDS)
+    district_of = [i % districts for i in range(schools)]
+    home = [s % districts for s in range(students)]
+    cap = students // schools + 1
+    quality = [rng.random() for _ in range(schools)]
+    prefs = [
+        sorted(
+            range(schools),
+            key=lambda c: -quality[c] - rng.random() - 0.5 * (district_of[c] == home[s]),
+        )
+        for s in range(students)
+    ]
+    load = [0] * schools
+    initial = {}
+    for s in range(students):
+        c = next(c for c in prefs[s] if district_of[c] == home[s] and load[c] < cap)
+        initial[f"s{s}"] = f"c{c}"
+        load[c] += 1
+    problem = validate_problem(
+        ProblemSpec(
+            types=tuple(f"t{t}" for t in range(types)),
+            districts=tuple(f"d{d}" for d in range(districts)),
+            schools=tuple((f"c{c}", f"d{district_of[c]}", cap) for c in range(schools)),
+            students=tuple(
+                (f"s{s}", f"d{home[s]}", f"t{rng.randrange(types)}", tuple(f"c{c}" for c in order))
+                for s, order in enumerate(prefs)
+            ),
+            initial_matching=initial,
+        )
+    )
+    rules = {}
+    for d, kind in enumerate(SPEC_KINDS):
+        own = list(problem.district_schools[d])
+        rng.shuffle(own)
+        coords = [(c, t) for c in own for t in range(types)]
+        two_phase = kind is RuleKind.RESERVES_AND_CEILINGS
+        rules[d] = make_rule(
+            district=d,
+            kind=kind,
+            school_order=own,
+            priorities={c: rng.sample(range(students), students) for c in own},
+            reserves={k: 3 for k in coords} if two_phase else None,
+            ceilings={k: cap // 2 + 2 for k in coords} if two_phase else None,
+            problem=problem,
+        )
+    return problem, rules
+
+
+def test_is_stable_chooses_at_most_once_per_district(monkeypatch):
+    rng = random.Random(2024)
+    problem, rules = large_market(rng)
+    calls = []
+
+    def counting(rule, X, problem):
+        calls.append(rule.district)
+        return choose(rule, X, problem)
+
+    outcome = run_spda(problem, rules).outcome
+    monkeypatch.setattr(rules_module, "choose", counting)
+    monkeypatch.setattr(spda_module, "choose", counting)
+    verdict = is_stable(outcome, problem, rules)
+    assert verdict.holds
+    assert len(calls) <= problem.num_districts
+    monkeypatch.undo()
+    assert verdict == is_stable_reference(outcome, problem, rules)
+    # a blocked matching: the same witness as the reference
+    moved = next(X for X in perturbed(problem, outcome) if not is_stable(X, problem, rules))
+    assert is_stable(moved, problem, rules) == is_stable_reference(moved, problem, rules)
+
+
+def test_reserve_named_twice_keeps_its_first_cutoff():
+    # the type's second turn finds the school full; the first turn's cut-off
+    # still admits a student ranked above its last pick
+    problem = validate_problem(
+        ProblemSpec(
+            types=("t1",),
+            districts=("d1", "d2"),
+            schools=(("c1", "d1", 3), ("c2", "d2", 1)),
+            students=tuple((f"s{i}", "d1", "t1", ("c1", "c2")) for i in (1, 2, 3))
+            + (("s4", "d2", "t1", ("c2", "c1")),),
+            initial_matching={"s1": "c1", "s2": "c1", "s3": "c1", "s4": "c2"},
+        )
+    )
+    rule = make_rule(
+        district=0,
+        kind=RuleKind.RESERVES_AND_CEILINGS,
+        school_order=(0,),
+        priorities={0: (3, 0, 1, 2)},
+        reserves={(0, 0): 3},
+        type_order=(0, 0),
+    )
+    X = frozenset(problem.contract(s, 0) for s in (0, 1, 2))
+    state = Cutoffs(rule, X, problem)
+    x = problem.contract(3, 0)
+    assert state.holds and state.chooses(x)
+    assert x in choose(rule, X | {x}, problem)

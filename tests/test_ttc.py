@@ -13,7 +13,7 @@ from districtmatch.policy import (
 )
 from districtmatch.ttc import build_hypothetical, is_permissible, run_ttc
 
-from conftest import ids_of, matching_of
+from conftest import ids_of, initial_contract, matching_of
 
 GOLDEN_TTC = [
     ("s1", "c3"),
@@ -77,7 +77,7 @@ def test_permissibility_worked_cases(ttc_diversity):
     market = build_hypothetical(p, ttc_diversity.master)
     after_step1 = matching_of(p, [("s7", "c2"), ("s3", "c4")])
     X2 = after_step1 | frozenset(
-        p.initial_contract(s) for s in (0, 1, 3, 4, 5)
+        initial_contract(p, s) for s in (0, 1, 3, 4, 5)
     )
     for s in (0, 1, 3, 4, 5):
         assert not is_permissible(
