@@ -63,12 +63,11 @@ def _pair_map(section, cidx, tidx):
     return out
 
 
-def _rule_issues(i, r, sidx, schools_of):
+def _rule_issues(i, r, sidx, schools_of, capacity, tidx):
     """Why a rule section cannot be evaluated: it is not an object; it names
-    an unknown district, kind or student; its district cap is not an
-    integer; or, for a spec kind, its school order does not cover its
-    district's schools exactly, or a priority list is missing or does not
-    rank every student exactly once."""
+    an unknown district, kind, student, school or type; a count in it is not
+    an integer; its school order or a priority list does not fit its district
+    and the students; or its reserves exceed a school's capacity or a ceiling."""
     if not isinstance(r, dict):
         return [("InvalidRule", f"rule {i + 1} is not an object")]
     where = f"rule for district {r.get('district')}"
@@ -85,6 +84,25 @@ def _rule_issues(i, r, sidx, schools_of):
     cap = r.get("district_cap")
     if cap is not None and type(cap) is not int:
         issues.append(("InvalidRule", f"{where} has non-integer district_cap {cap!r}"))
+    counts = {name: r.get(name) or {} for name in ("reserves", "ceilings")}
+    malformed = [
+        ("InvalidRule", f"{where}: {name} at {c!r} need a known school and integer type counts")
+        for name, section in counts.items()
+        for c, per_type in section.items()
+        if c not in capacity or not isinstance(per_type, dict)
+        or not all(t in tidx and type(v) is int for t, v in per_type.items())
+    ]
+    issues += malformed
+    if r.get("kind") == RuleKind.RESERVES_AND_CEILINGS.value and not malformed:
+        for c, per_type in counts["reserves"].items():
+            if sum(per_type.values()) > capacity[c]:
+                issues.append(("InvalidRule", f"{where}: reserves at school {c} exceed capacity"))
+            ceiling = counts["ceilings"].get(c, {})
+            issues += [
+                ("InvalidRule", f"{where}: reserve for type {t} exceeds its ceiling at school {c}")
+                for t, v in per_type.items()
+                if v > ceiling.get(t, v)
+            ]
     if r.get("district") not in schools_of:
         issues.append(("DanglingReference", f"{where}: unknown district"))
     elif r.get("kind") in kinds and r["kind"] != RuleKind.EXPLICIT_TABLE.value:
@@ -112,6 +130,16 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValidationError(
                 [("DanglingReference", f"missing section {section!r}")]
             )
+    given = [(c.get("id"), c.get("capacity")) for c in doc["schools"]]
+    issues = [
+        ("DanglingReference", f"school {c} has non-integer capacity {q!r}")
+        for c, q in given
+        if type(q) is not int
+    ]
+    if not isinstance(doc["initial_matching"], dict):
+        issues.append(("InfeasibleInitialMatching", "initial_matching is not an object"))
+    if issues:
+        raise ValidationError(issues)
     spec = ProblemSpec(
         types=tuple(doc["types"]),
         districts=tuple(doc["districts"]),
@@ -131,6 +159,7 @@ def instance_from_dict(doc: dict) -> Instance:
     didx = {v: i for i, v in enumerate(problem.district_ids)}
     tidx = {v: i for i, v in enumerate(problem.type_ids)}
 
+    capacity = dict(zip(problem.school_ids, problem.capacities))
     schools_of = {
         d: sorted(problem.school_ids[c] for c in problem.district_schools[i])
         for i, d in enumerate(problem.district_ids)
@@ -138,7 +167,7 @@ def instance_from_dict(doc: dict) -> Instance:
     issues = [
         issue
         for i, r in enumerate(doc.get("rules", []))
-        for issue in _rule_issues(i, r, sidx, schools_of)
+        for issue in _rule_issues(i, r, sidx, schools_of, capacity, tidx)
     ]
     if issues:
         raise ValidationError(issues)

@@ -1,9 +1,9 @@
 """Distributional policy goals, discrete-convexity checkers, and implied bounds.
 
 The exchange checks treat a distribution as a flat integer vector indexed
-school-major by (school, type).  For speed, members of a candidate set are
-also packed into single integers (one bit field per coordinate) so that a
-single exchange is one addition and membership is one set lookup.
+school-major by (school, type).  For speed, the members of a candidate set
+are bit positions of integer bitsets, so one exchange test covers every
+member at once.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from .errors import InfeasibleConstraints, UniverseTooLarge
 from .model import Distribution, Problem
@@ -387,99 +385,71 @@ class MConvexVerdict:
         return self.holds
 
 
-class _PackedSet:
-    """Distributions packed into bit-field integers for O(1) exchange tests."""
-
-    def __init__(self, members: Iterable[Distribution]):
-        self.members = list(members)
-        if not self.members:
-            self.coords = 0
-            return
-        first = self.members[0]
-        self.num_schools = len(first.counts)
-        self.num_types = len(first.counts[0])
-        self.coords = self.num_schools * self.num_types
-        max_entry = max(v for xi in self.members for row in xi.counts for v in row)
-        self.shift = max(2, (max_entry + 2).bit_length())
-        self.place = [1 << (self.shift * k) for k in range(self.coords)]
-        self.flats = [xi.flat() for xi in self.members]
-        self.codes = [self._pack(f) for f in self.flats]
-        self.codeset = set(self.codes)
-
-    def _pack(self, flat):
-        code = 0
-        for k, v in enumerate(flat):
-            code |= v << (self.shift * k)
-        return code
-
-    def coord(self, k):
-        return divmod(k, self.num_types)  # (school, type)
-
-
 def is_mconvex(
     members, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> MConvexVerdict:
     """Exhaustive exchange-property check of a finite set of distributions.
 
-    Fails with the first witness in scan order: first distribution pair in
-    member order, then surplus coordinates type-major (all schools for one
-    type before the next type).
+    Every member is one bit of an integer bitset, so a member a and a surplus
+    coordinate i are tested against every b at once: b violates when
+    b_i < a_i and no j with b_j > a_j has both a − e_i + e_j and b + e_i − e_j
+    in the set.  Fails with the first witness in scan order: member a in
+    member order, then its surplus coordinate i type-major (all schools for
+    one type before the next type), then the first violating b in member
+    order.
     """
     members = list(members)
     n = len(members)
     if n <= 1:
         return MConvexVerdict(True)
-    packed = _PackedSet(members)
-    k = packed.coords
+    flats = [xi.flat() for xi in members]
+    num_types = len(members[0].counts[0])
+    k = len(flats[0])
     if n * n * k > pair_budget:
         raise UniverseTooLarge(n * n * k, pair_budget)
 
-    D = np.array(packed.flats, dtype=np.int64)
-    pow2 = (1 << np.arange(k, dtype=np.int64)).astype(np.int64)
+    memberset = set(flats)
+    top = max(max(flat) for flat in flats)
+    # below[i][v]: the members with flat[i] < v, so ~below[i][v + 1] holds those above v
+    below = [[0] * (top + 2) for _ in range(k)]
+    for m, flat in enumerate(flats):
+        for i, v in enumerate(flat):
+            below[i][v + 1] |= 1 << m
+    for row in below:
+        for v in range(1, top + 2):
+            row[v] |= row[v - 1]
 
-    # Single-exchange feasibility bitmasks:
-    #   R[m, i] has bit j set when member m minus coord i plus coord j stays in.
-    #   T[m, i] has bit j set when member m plus coord i minus coord j stays in.
-    codes = packed.codes
-    codeset = packed.codeset
-    place = packed.place
-    R = np.zeros((n, k), dtype=np.int64)
-    T = np.zeros((n, k), dtype=np.int64)
-    for m in range(n):
-        flat = packed.flats[m]
-        code = codes[m]
+    # R[a][i]: the j with a − e_i + e_j in the set.  TB[i][j]: the members b
+    # with b + e_i − e_j in the set, so a − e_i + e_j in the set puts a in TB[j][i]
+    R = [[[] for _ in range(k)] for _ in range(n)]
+    TB = [[0] * k for _ in range(k)]
+    for a, flat in enumerate(flats):
         for i in range(k):
-            r_bits = 0
-            t_bits = 0
-            ci = code + place[i]
-            for j in range(k):
-                if j == i:
-                    continue
-                if flat[i] > 0 and (code - place[i] + place[j]) in codeset:
-                    r_bits |= 1 << j
-                if flat[j] > 0 and (ci - place[j]) in codeset:
-                    t_bits |= 1 << j
-            R[m, i] = r_bits
-            T[m, i] = t_bits
-
-    # type-major coordinate scan: coordinate k = school * num_types + type
-    scan = sorted(range(k), key=lambda kk: (kk % packed.num_types, kk // packed.num_types))
-
-    for a in range(n):
-        diffs = D - D[a]  # diffs[b, j] = member_b[j] - member_a[j]
-        defm = ((diffs > 0).astype(np.int64) * pow2).sum(axis=1)
-        surplus = diffs < 0  # coords where member_a exceeds member_b
-        for i in scan:
-            rows = surplus[:, i]
-            if not rows.any():
+            if not flat[i]:
                 continue
-            ok = (int(R[a, i]) & T[:, i] & defm) != 0
-            viol = rows & ~ok
-            if viol.any():
-                b = int(np.argmax(viol))
+            moved = list(flat)
+            moved[i] -= 1
+            for j in range(k):
+                moved[j] += 1
+                if j != i and tuple(moved) in memberset:
+                    R[a][i].append(j)
+                    TB[j][i] |= 1 << a
+                moved[j] -= 1
+
+    scan = sorted(range(k), key=lambda i: (i % num_types, i // num_types))
+    for a, flat in enumerate(flats):
+        for i in scan:
+            surplus = below[i][flat[i]]
+            if not surplus:
+                continue
+            ok = 0
+            for j in R[a][i]:
+                ok |= TB[i][j] & ~below[j][flat[j] + 1]
+            violators = surplus & ~ok
+            if violators:
+                b = (violators & -violators).bit_length() - 1
                 return MConvexVerdict(
-                    False,
-                    witness=(members[a], members[b], packed.coord(i)),
+                    False, witness=(members[a], members[b], divmod(i, num_types))
                 )
     return MConvexVerdict(True)
 
@@ -514,19 +484,6 @@ def find_exchange_violation(members, xi: Distribution, xi_tilde: Distribution):
         if not found:
             return divmod(i, num_types)
     return None
-
-
-def is_mconvex_reference(members) -> MConvexVerdict:
-    """Direct quadratic implementation used to cross-check the fast path."""
-    members = list(members)
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            coord = find_exchange_violation(members, a, b)
-            if coord is not None:
-                return MConvexVerdict(False, witness=(a, b, coord))
-    return MConvexVerdict(True)
 
 
 # -- pseudo M-concavity ------------------------------------------------------------

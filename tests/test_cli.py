@@ -196,6 +196,26 @@ def _broken_rule(edit):
             lambda r: r["priorities"]["c2"].append("s1"),
             "priority at school c2 does not rank every student once",
         ),
+        (
+            lambda r: r.update(kind="reserves_and_ceilings", reserves={"c2": {"t1": 99}}),
+            "reserves at school c2 exceed capacity",
+        ),
+        (
+            lambda r: r.update(
+                kind="reserves_and_ceilings",
+                reserves={"c2": {"t1": 2}},
+                ceilings={"c2": {"t1": 1}},
+            ),
+            "reserve for type t1 exceeds its ceiling at school c2",
+        ),
+        (
+            lambda r: r.update(reserves={"c9": {"t1": 1}}),
+            "reserves at 'c9' need a known school and integer type counts",
+        ),
+        (
+            lambda r: r.update(ceilings={"c1": {"t1": "1"}}),
+            "ceilings at 'c1' need a known school and integer type counts",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -207,6 +227,10 @@ def _broken_rule(edit):
         "school-without-priorities",
         "priority-omits-a-student",
         "priority-repeats-a-student",
+        "reserves-exceed-capacity",
+        "reserve-exceeds-ceiling",
+        "reserve-at-unknown-school",
+        "non-integer-ceiling",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -242,6 +266,82 @@ def test_every_rule_issue_is_listed(capsys, tmp_path):
     assert code == 2
     for message in ("unknown kind", "non-integer district_cap 1.5", "unknown student 's9'"):
         assert message in err
+
+
+def _capacity_edit(value):
+    return lambda doc: doc["schools"][0].update(capacity=value)
+
+
+@pytest.mark.parametrize(
+    "edit,messages",
+    [
+        (lambda doc: doc["schools"][0].pop("capacity"), ["school c1 has non-integer capacity None"]),
+        (_capacity_edit("x"), ["school c1 has non-integer capacity 'x'"]),
+        (_capacity_edit(1.5), ["school c1 has non-integer capacity 1.5"]),
+        (_capacity_edit(True), ["school c1 has non-integer capacity True"]),
+        (lambda doc: doc.update(initial_matching=[]), ["initial_matching is not an object"]),
+        (
+            lambda doc: (
+                doc["schools"][1].update(capacity=False),
+                doc["schools"][2].pop("capacity"),
+                doc.update(initial_matching=[["s1", "c1"]]),
+            ),
+            [
+                "school c2 has non-integer capacity False",
+                "school c3 has non-integer capacity None",
+                "initial_matching is not an object",
+            ],
+        ),
+    ],
+    ids=["no-capacity", "string-capacity", "float-capacity", "bool-capacity",
+         "list-initial-matching", "every-issue-listed"],
+)
+def test_malformed_school_section_exits_2(capsys, tmp_path, edit, messages):
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
+    assert (code, out) == (2, "")
+    assert "validation error" in err
+    for message in messages:
+        assert message in err
+
+
+@pytest.mark.parametrize("fixture,verdict", [("impossibility", "fails"), ("ttc_diversity", "holds")])
+def test_policy_check_never_imports_numpy(tmp_path, fixture, verdict):
+    # the package needs nothing outside the standard library
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import districtmatch
+
+    src_root = str(Path(districtmatch.__file__).resolve().parent.parent)
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root}
+    script = (
+        "import sys\n"
+        "from districtmatch.cli import main\n"
+        f"code = main(['policy-check', {fpath(fixture)!r}])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert f"exchange_property,{verdict}" in lines
+    assert lines[-1] == "False"
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project.get("dependencies", []) == []
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
