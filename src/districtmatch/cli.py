@@ -6,8 +6,6 @@ Exit codes are part of the stable interface:
   fails at the given bound, 6 an audit found a profitable misreport.
 
 Reports are deterministic: identical inputs produce byte-identical output.
-The environment variable MATCH_SEED is reserved for future randomized
-generators; nothing in the deterministic core reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import (
     Stuck,
     ValidationError,
 )
-from .instances import load_instance, parse_fraction
+from .instances import load_instance, master_order, parse_fraction
 from .model import distribution_of, sort_matching
 from .oracle import audit_strategy_proofness, search_rule_nonexistence
 from .policy import (
@@ -170,15 +168,7 @@ def _require_inputs(inst, mechanism):
 def cmd_run(inst, args):
     problem = inst.problem
     mechanism = args.mechanism
-    master = inst.master
-    if args.master:
-        sidx = {v: i for i, v in enumerate(problem.student_ids)}
-        unknown = [s for s in args.master if s not in sidx]
-        if unknown:
-            raise ValidationError(
-                [("DanglingReference", f"--master names unknown student {s!r}") for s in unknown]
-            )
-        master = tuple(sidx[s] for s in args.master)
+    master = master_order(args.master, problem, "--master") if args.master else inst.master
     _require_inputs(inst, mechanism)
 
     trace_doc = None

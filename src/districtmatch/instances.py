@@ -1,8 +1,9 @@
 """Instance file schema: JSON in, validated objects out, and back.
 
-Rationals are "p/q" strings; the schema contains no floats.  Serialization
-is deterministic (sorted keys, fixed field order) so reports built from a
-round-tripped instance are byte-identical.
+Rationals are "p/q" strings; the schema contains no floats.  Loading checks
+every section in one pass and raises one ValidationError listing every
+issue found.  Serialization is deterministic (sorted keys, fixed field
+order) so reports built from a round-tripped instance are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from .errors import ValidationError
 from .model import Distribution, Problem, ProblemSpec, validate_problem
 from .policy import GoalForm, PolicyFunction, PolicyGoal
-from .rules import RuleKind, RuleSpec, make_rule
+from .rules import RuleKind, RuleSpec, make_rule, rule_issues
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class Instance:
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str) or "." in text:
         raise ValidationError([("DanglingReference", f"rationals are p/q strings: {text!r}")])
@@ -54,232 +55,258 @@ def load_instance(path) -> Instance:
     return instance_from_dict(doc)
 
 
-def _pair_map(section, cidx, tidx):
-    """A school -> type -> count section as a (school, type) -> int dict."""
-    out = {}
-    for school, per_type in (section or {}).items():
-        for type_, value in per_type.items():
-            out[(cidx[school], tidx[type_])] = int(value)
-    return out
+class _Reader:
+    """Reads the sections of an instance document, noting every issue it
+    meets instead of stopping at the first.  ``index`` maps each kind of id
+    (type, district, school, student) to its {id: position} in file order."""
+
+    JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
+
+    def __init__(self, index, code="DanglingReference"):
+        self.index = index
+        self.code = code
+        self.issues = []
+
+    def note(self, message, code=None):
+        self.issues.append((code or self.code, message))
+
+    def get(self, doc, field, kind, owner, default=None):
+        """``doc[field]`` if it has the JSON type ``kind`` (booleans are not
+        integers), else ``default``; an absent or null field is no issue."""
+        value = doc.get(field)
+        if value is None:
+            return default
+        if type(value) is kind or kind not in (int, bool) and isinstance(value, kind):
+            return value
+        self.note(f"{owner} has non-{self.JSON_TYPES[kind]} {field} {value!r}")
+        return default
+
+    def need(self, doc, field, kind, owner):
+        """``get`` for a field that must be present."""
+        if doc.get(field) is None:
+            self.note(f"{owner} has no {field}")
+        return self.get(doc, field, kind, owner)
+
+    def strings(self, doc, fields, owner):
+        """The string fields ``fields`` of ``doc``, each of which must be present."""
+        values = tuple(map(doc.get, fields))
+        if set(map(type, values)) <= {str}:
+            return values
+        return tuple(self.need(doc, field, str, owner) for field in fields)
+
+    def names(self, doc, field, owner):
+        """The list of strings ``doc[field]`` as a tuple, None for any other entry."""
+        values = tuple(self.get(doc, field, list, owner, ()))
+        if not set(map(type, values)) <= {str}:
+            bad = next(v for v in values if type(v) is not str)
+            self.note(f"{owner} has non-string {field} entry {bad!r}")
+            values = tuple(v if type(v) is str else None for v in values)
+        return values
+
+    def objects(self, doc, field, owner, label):
+        """The object entries of the list ``doc[field]``, each named by ``label``
+        and its id or else its position; any other entry is an issue."""
+        for i, entry in enumerate(self.get(doc, field, list, owner, [])):
+            if isinstance(entry, dict):
+                name = entry.get("id")
+                yield f"{label} {name if isinstance(name, str) else i + 1}", entry
+            else:
+                self.note(f"{label} {i + 1} is not an object")
+
+    def find(self, what, key):
+        return self.index[what].get(key) if isinstance(key, str) else None
+
+    def ref(self, what, key, where):
+        return self.ids((key,), what, where)[0]
+
+    def ids(self, values, what, where):
+        """The positions of the ``what`` ids ``values``; None, and an issue,
+        for each id the file does not define."""
+        try:
+            positions = tuple(map(self.index[what].get, values))
+        except TypeError:  # an unhashable value
+            positions = tuple(self.find(what, v) for v in values)
+        if None in positions:
+            for v, position in zip(values, positions):
+                if position is None:
+                    self.note(f"{where} names unknown {what} {v!r}", "DanglingReference")
+        return positions
+
+    def id_list(self, doc, field, what, owner):
+        """The positions of the ``what`` ids in the list ``doc[field]``."""
+        return self.ids(self.get(doc, field, list, owner, []), what, f"{owner}: {field}")
+
+    def counts(self, section, rows, where):
+        """A ``rows`` id -> type id -> integer section as a {(row, type):
+        count} dict; each row that does not resolve is one issue."""
+        if section is not None and not isinstance(section, dict):
+            self.note(f"{where} is not an object")
+        out = {}
+        for row, per_type in (section if isinstance(section, dict) else {}).items():
+            r, ok = self.find(rows, row), isinstance(per_type, dict)
+            got = {(r, self.find("type", t)): v for t, v in per_type.items()} if ok else {}
+            if not ok or r is None or any(None in k or type(v) is not int for k, v in got.items()):
+                self.note(f"{where} at {row!r} need a known {rows} and integer type counts")
+            else:
+                out.update(got)
+        return out
+
+    def distribution(self, section, where):
+        counts = self.counts(section, "school", where)
+        schools, types = (range(len(self.index[k])) for k in ("school", "type"))
+        return Distribution(tuple(tuple(counts.get((c, t), 0) for t in types) for c in schools))
+
+    def fraction(self, value, where):
+        try:
+            return parse_fraction(value)
+        except ValidationError as exc:
+            self.issues += [(code, f"{where}: {message}") for code, message in exc.issues]
 
 
-def _rule_issues(i, r, sidx, schools_of, capacity, tidx):
-    """Why a rule section cannot be evaluated: it is not an object; it names
-    an unknown district, kind, student, school or type; a count in it is not
-    an integer; its school order or a priority list does not fit its district
-    and the students; or its reserves exceed a school's capacity or a ceiling."""
-    if not isinstance(r, dict):
-        return [("InvalidRule", f"rule {i + 1} is not an object")]
-    where = f"rule for district {r.get('district')}"
-    priorities = r.get("priorities", {})
-    issues = [
-        ("DanglingReference", f"{where}: priority at school {c} names unknown student {s!r}")
-        for c, order in priorities.items()
-        for s in order
-        if s not in sidx
-    ]
-    kinds = [k.value for k in RuleKind]
-    if r.get("kind") not in kinds:
-        issues.append(("InvalidRule", f"{where} has unknown kind {r.get('kind')!r}"))
-    cap = r.get("district_cap")
-    if cap is not None and type(cap) is not int:
-        issues.append(("InvalidRule", f"{where} has non-integer district_cap {cap!r}"))
-    counts = {name: r.get(name) or {} for name in ("reserves", "ceilings")}
-    malformed = [
-        ("InvalidRule", f"{where}: {name} at {c!r} need a known school and integer type counts")
-        for name, section in counts.items()
-        for c, per_type in section.items()
-        if c not in capacity or not isinstance(per_type, dict)
-        or not all(t in tidx and type(v) is int for t, v in per_type.items())
-    ]
-    issues += malformed
-    if r.get("kind") == RuleKind.RESERVES_AND_CEILINGS.value and not malformed:
-        for c, per_type in counts["reserves"].items():
-            if sum(per_type.values()) > capacity[c]:
-                issues.append(("InvalidRule", f"{where}: reserves at school {c} exceed capacity"))
-            ceiling = counts["ceilings"].get(c, {})
-            issues += [
-                ("InvalidRule", f"{where}: reserve for type {t} exceeds its ceiling at school {c}")
-                for t, v in per_type.items()
-                if v > ceiling.get(t, v)
-            ]
-    if r.get("district") not in schools_of:
-        issues.append(("DanglingReference", f"{where}: unknown district"))
-    elif r.get("kind") in kinds and r["kind"] != RuleKind.EXPLICIT_TABLE.value:
-        order = r.get("school_order", [])
-        if sorted(order) != schools_of[r["district"]]:
-            issues.append(
-                ("InvalidRule", f"{where}: school_order must cover exactly its district's schools")
-            )
-        issues += [
-            ("InvalidRule", f"{where}: no priority list for school {c}")
-            for c in order
-            if c not in priorities
-        ]
-        for c, ranked in priorities.items():
-            names = set(ranked)
-            if names <= sidx.keys() and not len(ranked) == len(names) == len(sidx):
-                message = f"{where}: priority at school {c} does not rank every student once"
-                issues.append(("InvalidRule", message))
-    return issues
+def master_order(names, problem: Problem, where: str) -> tuple:
+    """The student indices of a master list of student ids; a ValidationError
+    names each unknown student, as for the instance's ``master_list``."""
+    read = _Reader({"student": {v: i for i, v in enumerate(problem.student_ids)}})
+    order = read.ids(names, "student", where)
+    if read.issues:
+        raise ValidationError(read.issues)
+    return order
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """Check every section of ``doc`` and build the instance.  The problem's
+    own structure is ``validate_problem``'s to check, a rule's invariants
+    ``rule_issues``'s; one ValidationError lists every issue found."""
+    if not isinstance(doc, dict):
+        raise ValidationError([("DanglingReference", "an instance is a JSON object")])
+    read = _Reader({})
     for section in ("types", "districts", "schools", "students", "initial_matching"):
         if section not in doc:
-            raise ValidationError(
-                [("DanglingReference", f"missing section {section!r}")]
-            )
-    given = [(c.get("id"), c.get("capacity")) for c in doc["schools"]]
-    issues = [
-        ("DanglingReference", f"school {c} has non-integer capacity {q!r}")
-        for c, q in given
-        if type(q) is not int
-    ]
-    if not isinstance(doc["initial_matching"], dict):
-        issues.append(("InfeasibleInitialMatching", "initial_matching is not an object"))
-    if issues:
-        raise ValidationError(issues)
-    spec = ProblemSpec(
-        types=tuple(doc["types"]),
-        districts=tuple(doc["districts"]),
-        schools=tuple(
-            (c["id"], c["district"], int(c["capacity"])) for c in doc["schools"]
-        ),
-        students=tuple(
-            (s["id"], s["district"], s["type"], tuple(s["preferences"]))
-            for s in doc["students"]
-        ),
-        initial_matching=dict(doc["initial_matching"]),
+            read.note(f"missing section {section!r}")
+    types = read.names(doc, "types", "instance")
+    districts = read.names(doc, "districts", "instance")
+    schools = tuple(
+        (*read.strings(c, ("id", "district"), owner), c.get("capacity"))
+        for owner, c in read.objects(doc, "schools", "instance", "school")
     )
-    problem = validate_problem(spec)
-
-    sidx = {v: i for i, v in enumerate(problem.student_ids)}
-    cidx = {v: i for i, v in enumerate(problem.school_ids)}
-    didx = {v: i for i, v in enumerate(problem.district_ids)}
-    tidx = {v: i for i, v in enumerate(problem.type_ids)}
-
-    capacity = dict(zip(problem.school_ids, problem.capacities))
-    schools_of = {
-        d: sorted(problem.school_ids[c] for c in problem.district_schools[i])
-        for i, d in enumerate(problem.district_ids)
+    students = tuple(
+        (*read.strings(s, ("id", "district", "type"), owner), read.names(s, "preferences", owner))
+        for owner, s in read.objects(doc, "students", "instance", "student")
+    )
+    read.index = {  # a malformed id reads as None, which is no key
+        "type": {t: i for i, t in enumerate(types) if t is not None},
+        "district": {d: i for i, d in enumerate(districts) if d is not None},
+        "school": {c[0]: i for i, c in enumerate(schools) if c[0] is not None},
+        "student": {s[0]: i for i, s in enumerate(students) if s[0] is not None},
     }
-    issues = [
-        issue
-        for i, r in enumerate(doc.get("rules", []))
-        for issue in _rule_issues(i, r, sidx, schools_of, capacity, tidx)
-    ]
-    if issues:
-        raise ValidationError(issues)
-    rules = {}
-    for r in doc.get("rules", []):
-        d = didx[r["district"]]
-        kind = RuleKind(r["kind"])
-        table = []
-        for entry in r.get("table", []):
-            key = frozenset(
-                problem.contract(sidx[s], cidx[c]) for s, c in entry["set"]
-            )
-            value = frozenset(
-                problem.contract(sidx[s], cidx[c]) for s, c in entry["chosen"]
-            )
-            table.append((key, value))
-        rules[d] = make_rule(
-            district=d,
-            kind=kind,
-            school_order=tuple(cidx[c] for c in r.get("school_order", [])),
-            priorities={
-                cidx[c]: tuple(sidx[s] for s in order)
-                for c, order in r.get("priorities", {}).items()
-            },
-            reserves=_pair_map(r.get("reserves"), cidx, tidx),
-            ceilings=_pair_map(r.get("ceilings"), cidx, tidx),
-            type_order=tuple(tidx[t] for t in r.get("type_order", [])),
-            district_cap=r.get("district_cap"),
-            table=tuple(table),
-            district_ceilings={
-                tidx[t]: int(q) for t, q in r.get("district_ceilings", {}).items()
-            },
-            problem=problem,
-        )
+    problem = None
+    if not read.issues:
+        spec = ProblemSpec(types, districts, schools, students, doc["initial_matching"])
+        try:
+            problem = validate_problem(spec)
+        except ValidationError as exc:
+            read.issues += exc.issues
 
-    policy = None
-    if "policy" in doc and doc["policy"] is not None:
-        policy = _policy_from_dict(doc["policy"], problem, cidx, tidx, didx)
-
-    master = None
-    if doc.get("master_list"):
-        master = tuple(sidx[s] for s in doc["master_list"])
-
-    alpha = parse_fraction(doc["alpha"]) if doc.get("alpha") else None
-
-    return Instance(
-        problem=problem,
-        rules=rules,
-        policy=policy,
-        master=master,
-        alpha=alpha,
-        meta=dict(doc.get("meta", {})),
-    )
+    rules, ruled = {}, set()
+    for _, r in read.objects(doc, "rules", "instance", "rule"):
+        rule = _rule_from_dict(read, r, ruled, problem)
+        if rule is not None:
+            rules[rule.district] = rule
+    policy = read.get(doc, "policy", dict, "instance")
+    if policy is not None:
+        policy = _policy_from_dict(read, policy)
+    master = read.get(doc, "master_list", list, "instance")
+    master = read.ids(master, "student", "master_list") if master else None
+    alpha = None if doc.get("alpha") in (None, 0) else read.fraction(doc["alpha"], "alpha")
+    meta = read.get(doc, "meta", dict, "instance", {})
+    if read.issues:
+        raise ValidationError(read.issues)
+    return Instance(problem, rules, policy, master, alpha, dict(meta))
 
 
-def _policy_from_dict(doc, problem, cidx, tidx, didx) -> PolicyGoal:
-    form = GoalForm(doc["form"])
-
-    if form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
-        return PolicyGoal(
-            form=form,
-            floors=tuple(sorted(_pair_map(doc.get("floors"), cidx, tidx).items())),
-            ceilings=tuple(sorted(_pair_map(doc.get("ceilings"), cidx, tidx).items())),
-            intersect_xi0=bool(doc.get("intersect_xi0", False)),
-        )
-    if form is GoalForm.BALANCED_EXCHANGE:
-        return PolicyGoal(form=form, intersect_xi0=bool(doc.get("intersect_xi0", False)))
-    if form is GoalForm.DISTRICT_CEILINGS:
-        out = {}
-        for district, per_type in (doc.get("ceilings") or {}).items():
-            for type_, value in per_type.items():
-                out[(didx[district], tidx[type_])] = int(value)
-        return PolicyGoal(
-            form=form,
-            district_ceilings=tuple(sorted(out.items())),
-            intersect_xi0=bool(doc.get("intersect_xi0", False)),
-        )
-    if form is GoalForm.EXPLICIT_SET:
-        members = []
-        for entry in doc.get("distributions", []):
-            rows = [[0] * problem.num_types for _ in range(problem.num_schools)]
-            for school, per_type in entry.items():
-                for type_, value in per_type.items():
-                    rows[cidx[school]][tidx[type_]] = int(value)
-            members.append(Distribution(tuple(tuple(r) for r in rows)))
-        return PolicyGoal(
-            form=form,
-            explicit=frozenset(members),
-            intersect_xi0=bool(doc.get("intersect_xi0", False)),
-        )
-    if form is GoalForm.F_LAMBDA:
-        fdoc = doc["f"]
-        if fdoc["kind"] == "manhattan_ideal":
-            rows = [[0] * problem.num_types for _ in range(problem.num_schools)]
-            for school, per_type in fdoc["ideal"].items():
-                for type_, value in per_type.items():
-                    rows[cidx[school]][tidx[type_]] = int(value)
-            fn = PolicyFunction(
-                kind="manhattan_ideal",
-                ideal=Distribution(tuple(tuple(r) for r in rows)),
-            )
+def _rule_from_dict(read, r, ruled, problem) -> Optional[RuleSpec]:
+    """The rule of one rules entry, checked against the problem if the entry
+    reads without issue; None if anything is amiss.  ``ruled`` holds the
+    districts of the entries read so far: a second rule for one is an issue."""
+    where = f"rule for district {r.get('district')}"
+    sub = _Reader(read.index, "InvalidRule")
+    district = sub.find("district", r.get("district"))
+    if district is None:
+        sub.note(f"{where}: unknown district", "DanglingReference")
+    elif district in ruled:
+        sub.note(f"{where}: the district already has a rule")
+    ruled.add(district)
+    kind = next((k for k in RuleKind if k.value == r.get("kind")), None)
+    if kind is None:
+        sub.note(f"{where} has unknown kind {r.get('kind')!r}")
+    priorities = {}
+    for c, order in sub.get(r, "priorities", dict, where, {}).items():
+        owner = f"{where}: priority at school {c}"
+        if isinstance(order, list):
+            priorities[sub.ref("school", c, owner)] = sub.ids(order, "student", owner)
         else:
-            raise ValidationError(
-                [("DanglingReference", f"unsupported policy function {fdoc['kind']!r}")]
-            )
-        return PolicyGoal(
-            form=form,
-            fn=fn,
-            threshold=parse_fraction(doc["lambda"]),
-            intersect_xi0=bool(doc.get("intersect_xi0", False)),
+            sub.note(f"{owner} is not a list")
+    table = []  # a malformed pair is noted and stands as None: the rule is then dropped
+    for owner, entry in sub.objects(r, "table", where, f"{where}: table entry"):
+        table.append([
+            [
+                (sub.ref("student", p[0], owner), sub.ref("school", p[1], owner))
+                if isinstance(p, list) and len(p) == 2
+                else sub.note(f"{owner} has {side} entry {p!r}, not a [student, school] pair")
+                for p in sub.need(entry, side, list, owner) or ()
+            ]
+            for side in ("set", "chosen")
+        ])
+    ceilings = sub.get(r, "district_ceilings", dict, where, {})
+    owner = f"{where}: district_ceilings"
+    fields = dict(
+        school_order=sub.id_list(r, "school_order", "school", where),
+        reserves=sub.counts(r.get("reserves"), "school", f"{where}: reserves"),
+        ceilings=sub.counts(r.get("ceilings"), "school", f"{where}: ceilings"),
+        type_order=sub.id_list(r, "type_order", "type", where),
+        district_cap=sub.get(r, "district_cap", int, where),
+        district_ceilings={
+            sub.ref("type", t, owner): sub.need(ceilings, t, int, owner) for t in ceilings
+        },
+    )
+    read.issues += sub.issues
+    if sub.issues or problem is None:
+        return None
+    table = [
+        tuple(frozenset(problem.contract(s, c) for s, c in pairs) for pairs in entry)
+        for entry in table
+    ]
+    rule = make_rule(district, kind, priorities=priorities, table=table, **fields)
+    read.issues += rule_issues(rule, problem)
+    return rule
+
+
+def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
+    form = next((f for f in GoalForm if f.value == doc.get("form")), None)
+    if form is None:
+        read.note(f"policy has unknown form {doc.get('form')!r}")
+        return None
+    goal = {"intersect_xi0": read.get(doc, "intersect_xi0", bool, "policy", False)}
+    if form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
+        for field in ("floors", "ceilings"):
+            counts = read.counts(doc.get(field), "school", f"policy: {field}")
+            goal[field] = tuple(sorted(counts.items()))
+    elif form is GoalForm.DISTRICT_CEILINGS:
+        counts = read.counts(doc.get("ceilings"), "district", "policy: ceilings")
+        goal["district_ceilings"] = tuple(sorted(counts.items()))
+    elif form is GoalForm.EXPLICIT_SET:
+        goal["explicit"] = frozenset(
+            read.distribution(entry, f"policy: distribution {i + 1}")
+            for i, entry in enumerate(read.get(doc, "distributions", list, "policy", []))
         )
-    raise ValidationError([("DanglingReference", f"unknown policy form {doc['form']!r}")])
+    elif form is GoalForm.F_LAMBDA:
+        fdoc = read.need(doc, "f", dict, "policy") or {"kind": "manhattan_ideal", "ideal": {}}
+        if fdoc.get("kind") != "manhattan_ideal":
+            read.note(f"unsupported policy function {fdoc.get('kind')!r}")
+        ideal = read.distribution(read.need(fdoc, "ideal", dict, "policy f"), "policy f: ideal")
+        goal["fn"] = PolicyFunction(kind="manhattan_ideal", ideal=ideal)
+        goal["threshold"] = read.fraction(doc.get("lambda"), "policy lambda")
+    return PolicyGoal(form=form, **goal)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -323,13 +350,25 @@ def instance_to_dict(inst: Instance) -> dict:
     return doc
 
 
-def _rule_to_dict(rule: RuleSpec, problem: Problem) -> dict:
-    def pair_section(pairs):
-        out = {}
-        for (c, t), v in pairs:
-            out.setdefault(problem.school_ids[c], {})[problem.type_ids[t]] = v
-        return out
+def _pair_section(pairs, row_ids, problem) -> dict:
+    """((row, type), count) pairs as a row id -> type id -> count section."""
+    out = {}
+    for (r, t), v in pairs:
+        out.setdefault(row_ids[r], {})[problem.type_ids[t]] = v
+    return out
 
+
+def _distribution_section(xi: Distribution, problem: Problem) -> dict:
+    """The nonzero counts of ``xi`` as a school id -> type id -> count section."""
+    pairs = [((c, t), v) for c, row in enumerate(xi.counts) for t, v in enumerate(row) if v]
+    return _pair_section(pairs, problem.school_ids, problem)
+
+
+def _contract_pairs(X, problem: Problem) -> list:
+    return [[problem.student_ids[x.student], problem.school_ids[x.school]] for x in sorted(X)]
+
+
+def _rule_to_dict(rule: RuleSpec, problem: Problem) -> dict:
     doc = {
         "district": problem.district_ids[rule.district],
         "kind": rule.kind.value,
@@ -342,25 +381,16 @@ def _rule_to_dict(rule: RuleSpec, problem: Problem) -> dict:
             for c, order in rule.priorities
         }
     if rule.reserves:
-        doc["reserves"] = pair_section(rule.reserves)
+        doc["reserves"] = _pair_section(rule.reserves, problem.school_ids, problem)
     if rule.ceilings:
-        doc["ceilings"] = pair_section(rule.ceilings)
+        doc["ceilings"] = _pair_section(rule.ceilings, problem.school_ids, problem)
     if rule.type_order:
         doc["type_order"] = [problem.type_ids[t] for t in rule.type_order]
     if rule.district_cap is not None:
         doc["district_cap"] = rule.district_cap
     if rule.table:
         doc["table"] = [
-            {
-                "set": [
-                    [problem.student_ids[x.student], problem.school_ids[x.school]]
-                    for x in sorted(key)
-                ],
-                "chosen": [
-                    [problem.student_ids[x.student], problem.school_ids[x.school]]
-                    for x in sorted(value)
-                ],
-            }
+            {"set": _contract_pairs(key, problem), "chosen": _contract_pairs(value, problem)}
             for key, value in rule.table
         ]
     if rule.district_ceilings:
@@ -374,49 +404,22 @@ def _policy_to_dict(goal: PolicyGoal, problem: Problem) -> dict:
     doc = {"form": goal.form.value}
     if goal.intersect_xi0:
         doc["intersect_xi0"] = True
-
-    def pair_section(pairs):
-        out = {}
-        for (c, t), v in pairs:
-            out.setdefault(problem.school_ids[c], {})[problem.type_ids[t]] = v
-        return out
-
     if goal.form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
         if goal.floors:
-            doc["floors"] = pair_section(goal.floors)
+            doc["floors"] = _pair_section(goal.floors, problem.school_ids, problem)
         if goal.ceilings:
-            doc["ceilings"] = pair_section(goal.ceilings)
+            doc["ceilings"] = _pair_section(goal.ceilings, problem.school_ids, problem)
     elif goal.form is GoalForm.DISTRICT_CEILINGS:
-        out = {}
-        for (d, t), v in goal.district_ceilings:
-            out.setdefault(problem.district_ids[d], {})[problem.type_ids[t]] = v
-        doc["ceilings"] = out
+        doc["ceilings"] = _pair_section(goal.district_ceilings, problem.district_ids, problem)
     elif goal.form is GoalForm.EXPLICIT_SET:
         doc["distributions"] = [
-            {
-                problem.school_ids[c]: {
-                    problem.type_ids[t]: xi.counts[c][t]
-                    for t in range(problem.num_types)
-                    if xi.counts[c][t]
-                }
-                for c in range(problem.num_schools)
-                if any(xi.counts[c])
-            }
+            _distribution_section(xi, problem)
             for xi in sorted(goal.explicit, key=lambda x: x.flat())
         ]
     elif goal.form is GoalForm.F_LAMBDA:
-        ideal = goal.fn.ideal
         doc["f"] = {
             "kind": "manhattan_ideal",
-            "ideal": {
-                problem.school_ids[c]: {
-                    problem.type_ids[t]: ideal.counts[c][t]
-                    for t in range(problem.num_types)
-                    if ideal.counts[c][t]
-                }
-                for c in range(problem.num_schools)
-                if any(ideal.counts[c])
-            },
+            "ideal": _distribution_section(goal.fn.ideal, problem),
         }
         doc["lambda"] = format_fraction(goal.threshold)
     return doc

@@ -7,6 +7,7 @@ package works on those indices, so runs are byte-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -177,7 +178,8 @@ def validate_problem(raw: ProblemSpec) -> Problem:
 
     Raises ValidationError listing all violations; the error codes are
     MissingDistrict, CapacityShortfall, InfeasibleInitialMatching,
-    IncompletePreference and DanglingReference.
+    IncompletePreference and DanglingReference.  Capacities must be integers
+    (booleans are not) and the initial matching a dict.
     """
     issues = []
 
@@ -206,25 +208,19 @@ def validate_problem(raw: ProblemSpec) -> Problem:
                 ("DanglingReference", f"school {sid} references unknown district {did}")
             )
             continue
+        if type(cap) is not int:
+            issues.append(("DanglingReference", f"school {sid} has non-integer capacity {cap!r}"))
         school_index[sid] = len(school_index)
         school_district.append(district_index[did])
-        capacities.append(int(cap))
+        capacities.append(cap)
 
-    districts_with_schools = {d for d in school_district}
-    if len(raw.districts) < 2 or any(
-        i not in districts_with_schools for i in range(len(raw.districts))
-    ):
-        missing = [
-            raw.districts[i]
-            for i in range(len(raw.districts))
-            if i not in districts_with_schools
-        ]
-        if len(raw.districts) < 2:
-            issues.append(
-                ("MissingDistrict", "need at least two districts with schools")
-            )
-        for d in missing:
-            issues.append(("MissingDistrict", f"district {d} has no schools"))
+    if len(raw.districts) < 2:
+        issues.append(("MissingDistrict", "need at least two districts with schools"))
+    issues += [
+        ("MissingDistrict", f"district {d} has no schools")
+        for i, d in enumerate(raw.districts)
+        if i not in school_district
+    ]
 
     student_index = {}
     student_district = []
@@ -241,18 +237,13 @@ def validate_problem(raw: ProblemSpec) -> Problem:
                 ("DanglingReference", f"student {stid} references unknown type {tid}")
             )
             continue
-        pref_idx = []
-        ok = True
-        for cid in prefs:
-            if cid not in school_index:
-                issues.append(
-                    ("DanglingReference", f"student {stid} ranks unknown school {cid}")
-                )
-                ok = False
-                break
-            pref_idx.append(school_index[cid])
-        if not ok:
+        unknown = [cid for cid in prefs if cid not in school_index]
+        if unknown:
+            issues.append(
+                ("DanglingReference", f"student {stid} ranks unknown school {unknown[0]}")
+            )
             continue
+        pref_idx = [school_index[cid] for cid in prefs]
         if sorted(pref_idx) != list(range(len(school_index))):
             issues.append(
                 (
@@ -267,21 +258,18 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         preferences.append(tuple(pref_idx))
 
     structural = bool(issues)
+    k_district = [0] * len(raw.districts)
+    for d in student_district:
+        k_district[d] += 1
 
-    for c, cap in enumerate(capacities):
-        if cap < 1:
-            issues.append(
-                (
-                    "CapacityShortfall",
-                    f"school {list(school_index)[c]} has capacity {cap} < 1",
-                )
-            )
+    issues += [
+        ("CapacityShortfall", f"school {sid} has capacity {cap} < 1")
+        for sid, cap in zip(school_index, capacities)
+        if type(cap) is int and cap < 1
+    ]
 
     # per-district capacity must cover the district's own students
     if not structural:
-        k_district = [0] * len(raw.districts)
-        for d in student_district:
-            k_district[d] += 1
         cap_by_district = [0] * len(raw.districts)
         for c, d in enumerate(school_district):
             cap_by_district[d] += capacities[c]
@@ -297,7 +285,9 @@ def validate_problem(raw: ProblemSpec) -> Problem:
 
     # initial matching: every student exactly one school, capacities respected
     initial_school = [None] * len(student_index)
-    if not structural:
+    if not isinstance(raw.initial_matching, dict):
+        issues.append(("InfeasibleInitialMatching", "initial_matching is not an object"))
+    elif not structural:
         load = [0] * len(school_index)
         for stid, cid in raw.initial_matching.items():
             if stid not in student_index:
@@ -305,7 +295,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
                     ("DanglingReference", f"initial matching names unknown student {stid}")
                 )
                 continue
-            if cid not in school_index:
+            if not isinstance(cid, Hashable) or cid not in school_index:
                 issues.append(
                     ("DanglingReference", f"initial matching names unknown school {cid}")
                 )
@@ -330,9 +320,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
     if issues:
         raise ValidationError(issues)
 
-    k_district = [0] * len(raw.districts)
-    for d in student_district:
-        k_district[d] += 1
     k_type = [0] * len(raw.types)
     for t in student_type:
         k_type[t] += 1

@@ -22,6 +22,7 @@ from .errors import (
     NoCompletionConstruction,
     UniverseTooLarge,
     UnknownContract,
+    ValidationError,
 )
 from .model import Contract, Matching, Problem
 
@@ -76,10 +77,9 @@ class RuleSpec:
     switches on the companion construction in which schools draw from the
     full pool without removing already-chosen students.
 
-    ``compiled`` builds the spec's ``CompiledRule`` once (when ``make_rule``
-    checks it against a problem, or at the first ``choose``) and keeps it in
-    the instance ``__dict__``, outside the fields, so it is freed with the
-    spec and ``dataclasses.replace`` starts afresh.
+    ``compiled`` builds the spec's ``CompiledRule`` once, at the first
+    ``choose``, and keeps it in the instance ``__dict__``, outside the fields,
+    so it is freed with the spec and ``dataclasses.replace`` starts afresh.
     """
 
     district: int
@@ -113,7 +113,8 @@ def make_rule(
     district_ceilings=None,
     problem: Optional[Problem] = None,
 ) -> RuleSpec:
-    """Build a RuleSpec from plain mappings, checking its invariants."""
+    """Build a RuleSpec from plain mappings.  Given the problem, it raises a
+    ``ValidationError`` listing every breach of ``rule_issues``."""
     priorities = priorities or {}
     reserves = reserves or {}
     ceilings = ceilings or {}
@@ -130,36 +131,51 @@ def make_rule(
         district_ceilings=tuple(sorted((district_ceilings or {}).items())),
     )
     if problem is not None:
-        _check_rule_invariants(spec, problem)
+        issues = rule_issues(spec, problem)
+        if issues:
+            raise ValidationError(issues)
     return spec
 
 
-def _check_rule_invariants(rule: RuleSpec, problem: Problem):
+def rule_issues(rule: RuleSpec, problem: Problem) -> list:
+    """The rule's breaches of the invariants that need the problem, as
+    ``ValidationError`` issues: a spec kind's ``school_order`` covers its
+    district exactly, each of its schools has a priority list, each list
+    ranks every student once, and reserves fit capacities and ceilings."""
     if rule.kind is RuleKind.EXPLICIT_TABLE:
-        return
-    expected = tuple(sorted(problem.district_schools[rule.district]))
-    if tuple(sorted(rule.school_order)) != expected:
-        raise UnknownContract(
-            f"school_order must cover exactly district "
-            f"{problem.district_ids[rule.district]}'s schools"
-        )
-    missing = compiled(rule, problem).missing
-    if missing is not None:
-        raise UnknownContract(missing)
+        return []
+    where = f"rule for district {problem.district_ids[rule.district]}"
+    school, type_ = problem.school_ids, problem.type_ids
+    issues = []
+    if sorted(rule.school_order) != list(problem.district_schools[rule.district]):
+        issues.append("school_order must cover exactly its district's schools")
+    issues += [f"no priority list for school {school[c]}" for c in _unranked(rule)]
+    everyone = list(range(problem.num_students))
+    issues += [
+        f"priority at school {school[c]} does not rank every student once"
+        for c, order in rule.priorities
+        if sorted(order) != everyone
+    ]
     if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
-        reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
-        for c in rule.school_order:
-            total = sum(reserves.get((c, t), 0) for t in range(problem.num_types))
-            if total > problem.capacities[c]:
-                raise UnknownContract(
-                    f"reserves at school {problem.school_ids[c]} exceed capacity"
+        reserved, ceilings = Counter(), _lookup(rule.ceilings)
+        for (c, t), v in rule.reserves:
+            reserved[c] += v
+            if v > ceilings.get((c, t), v):
+                issues.append(
+                    f"reserve for type {type_[t]} exceeds its ceiling at school {school[c]}"
                 )
-            for t in range(problem.num_types):
-                q = ceilings.get((c, t))
-                if q is not None and reserves.get((c, t), 0) > q:
-                    raise UnknownContract(
-                        f"reserve exceeds ceiling at school {problem.school_ids[c]}"
-                    )
+        issues += [
+            f"reserves at school {school[c]} exceed capacity"
+            for c, v in reserved.items()
+            if v > problem.capacities[c]
+        ]
+    return [("InvalidRule", f"{where}: {issue}") for issue in issues]
+
+
+def _unranked(rule: RuleSpec) -> list:
+    """The schools of the rule's ``school_order`` without a priority list."""
+    ranked = {c for c, _ in rule.priorities}
+    return [c for c in rule.school_order if c not in ranked]
 
 
 def favor_own_students(rule: RuleSpec, problem: Problem) -> RuleSpec:
@@ -233,7 +249,7 @@ class CompiledRule:
             self.table = _lookup(rule.table)
             return
         priorities = _lookup(rule.priorities)
-        unranked = [c for c in rule.school_order if c not in priorities]
+        unranked = _unranked(rule)
         if unranked:
             self.missing = f"no priority order for school index {unranked[0]}"
             return

@@ -178,6 +178,10 @@ def _broken_rule(edit):
     return doc
 
 
+def _table(table):
+    return lambda r: r.update(kind="explicit_table", table=table)
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -216,6 +220,23 @@ def _broken_rule(edit):
             lambda r: r.update(ceilings={"c1": {"t1": "1"}}),
             "ceilings at 'c1' need a known school and integer type counts",
         ),
+        (
+            lambda r: r.update(priorities=[["s1", "s2"]]),
+            "rule for district d1 has non-object priorities [['s1', 's2']]",
+        ),
+        (lambda r: r.update(type_order=["t9"]), "type_order names unknown type 't9'"),
+        (
+            lambda r: r.update(district_ceilings={"t1": "x"}),
+            "district_ceilings has non-integer t1 'x'",
+        ),
+        (
+            _table([{"set": [["s9", "c1"]], "chosen": []}]),
+            "table entry 1 names unknown student 's9'",
+        ),
+        (
+            _table([{"set": [["s1"]], "chosen": []}]),
+            "table entry 1 has set entry ['s1'], not a [student, school] pair",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -231,6 +252,11 @@ def _broken_rule(edit):
         "reserve-exceeds-ceiling",
         "reserve-at-unknown-school",
         "non-integer-ceiling",
+        "priorities-a-list",
+        "type-order-unknown-type",
+        "string-district-ceiling",
+        "table-unknown-student",
+        "table-one-element-pair",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -292,9 +318,11 @@ def _capacity_edit(value):
                 "initial_matching is not an object",
             ],
         ),
+        (lambda doc: doc["schools"][0].pop("district"), ["school c1 has no district"]),
+        (lambda doc: doc["schools"][0].pop("id"), ["school 1 has no id"]),
     ],
     ids=["no-capacity", "string-capacity", "float-capacity", "bool-capacity",
-         "list-initial-matching", "every-issue-listed"],
+         "list-initial-matching", "every-issue-listed", "no-district", "no-id"],
 )
 def test_malformed_school_section_exits_2(capsys, tmp_path, edit, messages):
     doc = json.loads(fixture_path("spda_basic").read_text())
@@ -306,6 +334,102 @@ def test_malformed_school_section_exits_2(capsys, tmp_path, edit, messages):
     assert "validation error" in err
     for message in messages:
         assert message in err
+
+
+def _policy(**section):
+    return lambda doc: doc.update(policy=section)
+
+
+IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
+
+
+@pytest.mark.parametrize(
+    "edit,messages",
+    [
+        (
+            lambda doc: doc["students"][0].update(preferences=5),
+            ["student s1 has non-list preferences 5"],
+        ),
+        (
+            lambda doc: doc["students"][0]["preferences"].insert(1, 5),
+            ["student s1 has non-string preferences entry 5"],
+        ),
+        (lambda doc: doc["students"][0].pop("type"), ["student s1 has no type"]),
+        (
+            lambda doc: doc["students"][0].update(district=["d1"]),
+            ["student s1 has non-string district ['d1']"],
+        ),
+        (
+            lambda doc: doc.update(policy=["school_diversity"]),
+            ["instance has non-object policy ['school_diversity']"],
+        ),
+        (_policy(form="nope"), ["policy has unknown form 'nope'"]),
+        (
+            _policy(form="school_diversity", ceilings={"c9": {"t1": 1}}),
+            ["policy: ceilings at 'c9' need a known school and integer type counts"],
+        ),
+        (
+            _policy(form="explicit_set", distributions=[{"c9": {"t1": 1}}]),
+            ["policy: distribution 1 at 'c9' need a known school and integer type counts"],
+        ),
+        (_policy(form="f_lambda", f=IDEAL), ["policy lambda: rationals are p/q strings: None"]),
+        (
+            lambda doc: doc.update(meta=["spda_basic"]),
+            ["instance has non-object meta ['spda_basic']"],
+        ),
+        (
+            lambda doc: doc["rules"].append(dict(doc["rules"][0])),
+            ["rule for district d1: the district already has a rule"],
+        ),
+        (
+            _policy(form="balanced_exchange", intersect_xi0="no"),
+            ["policy has non-boolean intersect_xi0 'no'"],
+        ),
+        (
+            lambda doc: doc.update(master_list=["s1", "x", "s2"]),
+            ["master_list names unknown student 'x'"],
+        ),
+        (
+            lambda doc: (
+                doc["schools"].insert(0, dict(doc["schools"][0])),
+                _policy(form="explicit_set", distributions=[{"c3": {"t1": 1}}])(doc),
+            ),
+            ["duplicate school id 'c1'"],
+        ),
+        (
+            lambda doc: (
+                doc["students"][1].pop("type"),
+                doc["rules"][1].update(district_cap=True),
+                doc.update(policy={"form": "nope"}, meta=[]),
+            ),
+            [
+                "student s2 has no type",
+                "rule for district d2 has non-integer district_cap True",
+                "policy has unknown form 'nope'",
+                "instance has non-object meta []",
+            ],
+        ),
+    ],
+    ids=[
+        "preferences-not-a-list", "non-string-preference", "student-without-type",
+        "student-district-a-list",
+        "policy-not-an-object", "unknown-policy-form", "policy-ceiling-at-unknown-school",
+        "distribution-at-unknown-school", "f-lambda-without-lambda", "meta-a-list",
+        "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
+        "repeated-school-id", "every-section-listed",
+    ],
+)
+def test_malformed_section_exits_2(capsys, tmp_path, edit, messages):
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (("run", str(bad), "--mechanism", "spda"), ("policy-check", str(bad))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: ")
+        for message in messages:
+            assert message in err
 
 
 @pytest.mark.parametrize("fixture,verdict", [("impossibility", "fails"), ("ttc_diversity", "holds")])

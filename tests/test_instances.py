@@ -1,16 +1,27 @@
 """Instance file round trips and schema errors."""
 
+import json
+import random
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 import districtmatch as dm
 from districtmatch.errors import ValidationError
 from districtmatch.instances import (
+    Instance,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     parse_fraction,
 )
+from districtmatch.model import Distribution
+from districtmatch.policy import GoalForm
+from districtmatch.rules import RuleKind, make_rule
+
+from conftest import random_problem
 
 
 @pytest.mark.parametrize("name", dm.FIXTURE_NAMES)
@@ -54,3 +65,131 @@ def test_fixture_catalog_loads():
     for name in dm.FIXTURE_NAMES:
         inst = dm.load_fixture(name)
         assert inst.problem.num_students >= 1
+
+
+# -- round trips of generated instances ---------------------------------------------
+
+
+def _generated_rule(rng, problem, district, kind):
+    """A well-formed rule of ``kind`` with every optional field set."""
+    types = list(range(problem.num_types))
+    rng.shuffle(types)
+    district_ceilings = {t: rng.randint(0, 3) for t in types}
+    if kind is RuleKind.EXPLICIT_TABLE:
+        universe = problem.district_contracts(district)
+        table = []
+        for _ in range(rng.randint(1, 4)):
+            key = frozenset(x for x in universe if rng.random() < 0.4)
+            table.append((key, frozenset(x for x in key if rng.random() < 0.5)))
+        return make_rule(
+            district=district, kind=kind, table=table, district_ceilings=district_ceilings
+        )
+    schools = list(problem.district_schools[district])
+    rng.shuffle(schools)
+    reserves, ceilings = {}, {}
+    if kind is RuleKind.RESERVES_AND_CEILINGS:
+        for c in schools:
+            room = problem.capacities[c]
+            for t in range(problem.num_types):
+                reserves[(c, t)] = v = rng.randint(0, room)
+                room -= v
+                ceilings[(c, t)] = v + rng.randint(0, 2)
+    n = problem.num_students
+    return make_rule(
+        district=district,
+        kind=kind,
+        school_order=schools,
+        priorities={c: rng.sample(range(n), n) for c in schools},
+        reserves=reserves,
+        ceilings=ceilings,
+        type_order=types,
+        district_cap=rng.randint(0, problem.k_district[district] + 1),
+        district_ceilings=district_ceilings,
+        problem=problem,
+    )
+
+
+def _counts(rng, problem):
+    return {
+        (c, t): rng.randint(0, 2)
+        for c in range(problem.num_schools)
+        for t in range(problem.num_types)
+        if rng.random() < 0.6
+    }
+
+
+def _distribution(rng, problem):
+    return Distribution(
+        tuple(
+            tuple(rng.randint(0, 2) for _ in range(problem.num_types))
+            for _ in range(problem.num_schools)
+        )
+    )
+
+
+def _generated_goal(rng, problem, form):
+    if form is GoalForm.EXPLICIT_SET:
+        goal = dm.explicit_goal(_distribution(rng, problem) for _ in range(rng.randint(0, 3)))
+    elif form is GoalForm.BALANCED_EXCHANGE:
+        goal = dm.balanced_exchange_goal()
+    elif form is GoalForm.F_LAMBDA:
+        fn = dm.PolicyFunction(kind="manhattan_ideal", ideal=_distribution(rng, problem))
+        goal = dm.f_lambda_goal(fn, Fraction(-rng.randint(0, 9), rng.randint(1, 4)))
+    elif form is GoalForm.DISTRICT_CEILINGS:
+        goal = dm.district_ceilings_goal(
+            {
+                (d, t): rng.randint(0, 3)
+                for d in range(problem.num_districts)
+                for t in range(problem.num_types)
+            }
+        )
+    else:
+        floors = _counts(rng, problem)
+        ceilings = {k: v + rng.randint(0, 2) for k, v in _counts(rng, problem).items()}
+        ceilings.update({k: max(v, ceilings.get(k, v)) for k, v in floors.items()})
+        diverse = form is GoalForm.SCHOOL_DIVERSITY
+        goal = (dm.school_diversity_goal if diverse else dm.combination_goal)(floors, ceilings)
+    return replace(goal, intersect_xi0=rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_round_trip_of_generated_instances(seed):
+    # every goal form and every rule kind, with every optional field written
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    kinds = list(RuleKind)
+    rules = {
+        d: _generated_rule(rng, problem, d, kinds[(seed + 2 * d) % len(kinds)])
+        for d in range(problem.num_districts)
+    }
+    master = tuple(rng.sample(range(problem.num_students), problem.num_students))
+    inst = Instance(
+        problem=problem,
+        rules=rules,
+        policy=_generated_goal(rng, problem, list(GoalForm)[seed % len(GoalForm)]),
+        master=master,
+        alpha=Fraction(rng.randint(1, 5), rng.randint(1, 5)),
+        meta={"name": f"generated-{seed}", "seed": seed},
+    )
+    doc = instance_to_dict(inst)
+    again = instance_from_dict(json.loads(json.dumps(doc)))
+    assert again == inst
+    assert instance_to_dict(again) == doc
+
+
+def test_loading_compiles_no_rule(monkeypatch):
+    # the compiled form of a rule is built at its first choose, not at load
+    from districtmatch import rules as rules_module
+
+    def refuse(self, rule, problem):
+        raise AssertionError("instance_from_dict built a CompiledRule")
+
+    docs = [json.loads(dm.fixtures.fixture_path(name).read_text()) for name in dm.FIXTURE_NAMES]
+    rng = random.Random(7)
+    for kind in RuleKind:
+        problem = random_problem(rng)
+        rules = {d: _generated_rule(rng, problem, d, kind) for d in range(problem.num_districts)}
+        docs.append(instance_to_dict(Instance(problem, rules, None, None, None, {})))
+    monkeypatch.setattr(rules_module.CompiledRule, "__init__", refuse)
+    for doc in docs:
+        instance_from_dict(doc)

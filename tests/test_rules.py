@@ -56,6 +56,31 @@ def test_choose_unknown_contract(basic):
         choose(basic.rules[0], {dm.Contract(99, 0, 0)}, p)
 
 
+def test_make_rule_reports_the_loaders_issue(basic):
+    import json
+
+    from districtmatch.errors import ValidationError
+    from districtmatch.fixtures import fixture_path
+    from districtmatch.instances import instance_from_dict
+    from districtmatch.rules import make_rule
+
+    rule = basic.rules[0]
+    with pytest.raises(ValidationError) as made:
+        make_rule(
+            district=0,
+            kind=rule.kind,
+            school_order=rule.school_order[:1],
+            priorities=dict(rule.priorities),
+            problem=basic.problem,
+        )
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    doc["rules"][0]["school_order"].pop()
+    with pytest.raises(ValidationError) as loaded:
+        instance_from_dict(doc)
+    message = "rule for district d1: school_order must cover exactly its district's schools"
+    assert made.value.issues == loaded.value.issues == [("InvalidRule", message)]
+
+
 # -- completions -------------------------------------------------------------------
 
 
