@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ValidationError
 from .model import Distribution, Problem, ProblemSpec, validate_problem
-from .policy import GoalForm, PolicyFunction, PolicyGoal
+from .policy import GoalForm, PolicyFunction, PolicyGoal, misordered_floors
 from .rules import RuleKind, RuleSpec, make_rule, rule_issues
 
 
@@ -132,6 +132,14 @@ class _Reader:
                     self.note(f"{where} names unknown {what} {v!r}", "DanglingReference")
         return positions
 
+    def master(self, names, where):
+        """The student positions of a master list, which must order every
+        student exactly once."""
+        order = self.ids(names, "student", where)
+        if None not in order and sorted(order) != sorted(self.index["student"].values()):
+            self.note(f"{where} must order every student exactly once")
+        return order
+
     def id_list(self, doc, field, what, owner):
         """The positions of the ``what`` ids in the list ``doc[field]``."""
         return self.ids(self.get(doc, field, list, owner, []), what, f"{owner}: {field}")
@@ -165,9 +173,10 @@ class _Reader:
 
 def master_order(names, problem: Problem, where: str) -> tuple:
     """The student indices of a master list of student ids; a ValidationError
-    names each unknown student, as for the instance's ``master_list``."""
+    names each unknown student, or a list that does not order every student
+    exactly once, as for the instance's ``master_list``."""
     read = _Reader({"student": {v: i for i, v in enumerate(problem.student_ids)}})
-    order = read.ids(names, "student", where)
+    order = read.master(names, where)
     if read.issues:
         raise ValidationError(read.issues)
     return order
@@ -216,7 +225,7 @@ def instance_from_dict(doc: dict) -> Instance:
     if policy is not None:
         policy = _policy_from_dict(read, policy)
     master = read.get(doc, "master_list", list, "instance")
-    master = read.ids(master, "student", "master_list") if master else None
+    master = read.master(master, "master_list") if master else None
     alpha = None if doc.get("alpha") in (None, 0) else read.fraction(doc["alpha"], "alpha")
     meta = read.get(doc, "meta", dict, "instance", {})
     if read.issues:
@@ -291,6 +300,10 @@ def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
         for field in ("floors", "ceilings"):
             counts = read.counts(doc.get(field), "school", f"policy: {field}")
             goal[field] = tuple(sorted(counts.items()))
+        ids = {k: {i: v for v, i in read.index[k].items()} for k in ("school", "type")}
+        for c, t in misordered_floors(goal["floors"], goal["ceilings"]):
+            c, t = ids["school"][c], ids["type"][t]
+            read.note(f"policy: floor at school {c!r}, type {t!r} is negative or above its ceiling")
     elif form is GoalForm.DISTRICT_CEILINGS:
         counts = read.counts(doc.get("ceilings"), "district", "policy: ceilings")
         goal["district_ceilings"] = tuple(sorted(counts.items()))

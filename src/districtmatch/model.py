@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import ValidationError
@@ -117,6 +118,18 @@ class Problem:
         ]
 
 
+def built_once(spec, problem: Problem, build):
+    """``build(spec, problem)``, kept on the frozen ``spec`` and built again
+    only when the spec meets a problem with another ``build.basis_of``."""
+    basis = build.basis_of(problem)
+    got = spec.__dict__.get("_built")
+    if got is None or got.basis != basis:
+        got = build(spec, problem)
+        got.basis = basis
+        object.__setattr__(spec, "_built", got)
+    return got
+
+
 @dataclass(frozen=True)
 class Distribution:
     """School-by-type head counts; district counts are always derived."""
@@ -148,7 +161,7 @@ class Distribution:
         return Distribution(tuple(tuple(row) for row in rows))
 
     def flat(self):
-        return tuple(v for row in self.counts for v in row)
+        return tuple(chain.from_iterable(self.counts))
 
 
 def unit_distribution(problem: Problem, school: int, type_: int) -> Distribution:

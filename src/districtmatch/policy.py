@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter, le
 from typing import Callable, Optional
 
 from .errors import InfeasibleConstraints, UniverseTooLarge
-from .model import Distribution, Problem
+from .model import Distribution, Problem, built_once
 
 DEFAULT_XI0_BUDGET = 10**7
 DEFAULT_PAIR_BUDGET = 10**8
@@ -76,30 +77,24 @@ class PolicyGoal:
     def warning(self) -> bool:
         return self.form is GoalForm.DISTRICT_CEILINGS
 
-    def floor(self, school, type_):
-        for (c, t), p in self.floors:
-            if c == school and t == type_:
-                return p
-        return 0
-
-    def ceiling(self, school, type_):
-        for (c, t), q in self.ceilings:
-            if c == school and t == type_:
-                return q
-        return None
-
 
 def balanced_exchange_goal() -> PolicyGoal:
     return PolicyGoal(form=GoalForm.BALANCED_EXCHANGE)
 
 
+def misordered_floors(floors, ceilings) -> list:
+    """The (school, type) keys of the ((school, type), count) pairs
+    ``floors`` whose floor is negative or above its ceiling."""
+    ceilings = dict(reversed(ceilings))  # the first pair of a key counts
+    return [key for key, p in floors if p < 0 or p > ceilings.get(key, p)]
+
+
 def school_diversity_goal(floors=None, ceilings=None) -> PolicyGoal:
     floors = tuple(sorted((floors or {}).items()))
     ceilings = tuple(sorted((ceilings or {}).items()))
-    for (c, t), p in floors:
-        q = dict(ceilings).get((c, t))
-        if p < 0 or (q is not None and p > q):
-            raise ValueError(f"floor/ceiling order violated at school {c}, type {t}")
+    bad = misordered_floors(floors, ceilings)
+    if bad:
+        raise ValueError("floor/ceiling order violated at school {}, type {}".format(*bad[0]))
     return PolicyGoal(form=GoalForm.SCHOOL_DIVERSITY, floors=floors, ceilings=ceilings)
 
 
@@ -142,40 +137,13 @@ def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
         return False
     if goal.form is GoalForm.EXPLICIT_SET:
         return xi in goal.explicit
-    if goal.form is GoalForm.BALANCED_EXCHANGE:
-        return all(
-            xi.district_total(problem, d) == problem.k_district[d]
-            for d in range(problem.num_districts)
-        )
-    if goal.form is GoalForm.SCHOOL_DIVERSITY:
-        return _within_box(goal, xi, problem)
-    if goal.form is GoalForm.COMBINATION:
-        return _within_box(goal, xi, problem) and all(
-            xi.district_total(problem, d) == problem.k_district[d]
-            for d in range(problem.num_districts)
-        )
     if goal.form is GoalForm.F_LAMBDA:
         return goal.fn(xi) >= goal.threshold
-    if goal.form is GoalForm.DISTRICT_CEILINGS:
-        for (d, t), q in goal.district_ceilings:
-            if xi.district_type(problem, d, t) > q:
-                return False
-        return all(
-            xi.school_total(c) <= problem.capacities[c]
-            for c in range(problem.num_schools)
-        )
-    raise ValueError(goal.form)
-
-
-def _within_box(goal, xi, problem):
-    for c in range(problem.num_schools):
-        for t in range(problem.num_types):
-            v = xi.school_type(c, t)
-            if v < goal.floor(c, t):
-                return False
-            q = goal.ceiling(c, t)
-            if q is not None and v > q:
-                return False
+    flat = xi.flat()
+    for entry, lo, hi in built_once(goal, problem, GoalBounds).families:
+        sums = _sums(entry, len(lo), flat)
+        if not (all(map(le, lo, sums)) and all(map(le, sums, hi))):
+            return False
     return True
 
 
@@ -188,72 +156,88 @@ def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> b
     return in_xi0(xi, problem) and contains(goal, xi, problem)
 
 
-class GoalTally:
-    """One distribution's school-by-type counts, kept mutable, with a running
-    count of the constraints of ``goal`` ∩ Ξ₀ it currently violates.
+class GoalBounds:
+    """The linear constraints of a goal on one problem shape (``basis_of``,
+    which leaves out preferences), as families of (entry per school-major
+    coordinate, lower bounds, upper bounds): a distribution meets a family
+    when each entry's sum of the coordinates mapped to it lies within that
+    entry's bounds.
 
-    The constraints come in families, each a vector of counters with per-entry
-    bounds: school totals under capacity; for box goals each (school, type)
-    count within its floor and ceiling; for balanced goals each district total
-    equal to k_d; for district-ceiling goals each (district, type) count under
-    its ceiling.  A move xi − e(origin) + e(target) changes at most two entries
-    of each family, so ``permits`` answers membership of the moved
-    distribution exactly in O(1), whether or not xi itself is a member.  When
-    origin and target share an entry (same school, same district, or same
-    district and type) that entry does not change.  Explicit and score goals
-    have no such structure; they are answered by ``satisfies_with_feasibility``
-    on the materialised distribution.
+    Box goals bound each (school, type) count by the first floor and ceiling
+    listed for it; balanced goals hold each district total at k_d;
+    combinations do both.  District-ceiling goals cap each (district, type)
+    count by every ceiling listed for it, and each school total by its
+    capacity, the family ``capacity`` that Ξ₀ adds to every goal.  Explicit
+    and score goals have no families.
     """
 
-    def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
-        self.goal = goal
-        self.problem = problem
+    basis_of = attrgetter("num_types", "school_district", "capacities", "k_district")
+
+    def __init__(self, goal: PolicyGoal, problem: Problem):
         T = problem.num_types
         coords = range(problem.num_schools * T)
         school = [k // T for k in coords]
         district = [problem.school_district[c] for c in school]
         inf = float("inf")
-
-        self.num_types = T
-        self.counts = list(xi.flat())
-        floors = dict(goal.floors)
-        ceilings = dict(goal.ceilings)
-        box = goal.form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION)
-        # (entry per coordinate, counter values, lower bounds, upper bounds)
-        self._families = [
-            (
+        self.capacity = (school, [-inf] * problem.num_schools, list(problem.capacities))
+        self.families = []
+        if goal.form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
+            floors, ceilings = dict(reversed(goal.floors)), dict(reversed(goal.ceilings))
+            self.families.append((
                 list(coords),
-                self.counts,
-                [floors.get(divmod(k, T), 0) if box else -inf for k in coords],
-                [ceilings.get(divmod(k, T), inf) if box else inf for k in coords],
-            ),
-            (
-                school,
-                [sum(row) for row in xi.counts],
-                [-inf] * problem.num_schools,
-                list(problem.capacities),
-            ),
-        ]
+                [floors.get(divmod(k, T), 0) for k in coords],
+                [ceilings.get(divmod(k, T), inf) for k in coords],
+            ))
         if goal.form in (GoalForm.BALANCED_EXCHANGE, GoalForm.COMBINATION):
-            self._families.append(
-                (
-                    district,
-                    [xi.district_total(problem, d) for d in range(problem.num_districts)],
-                    list(problem.k_district),
-                    list(problem.k_district),
-                )
-            )
+            self.families.append((district, list(problem.k_district), list(problem.k_district)))
         if goal.form is GoalForm.DISTRICT_CEILINGS:
-            caps = dict(goal.district_ceilings)
+            # in descending order the least ceiling of a repeated key comes last
+            caps = dict(sorted(goal.district_ceilings, reverse=True))
             pairs = [divmod(j, T) for j in range(problem.num_districts * T)]
-            self._families.append(
+            self.families += [
                 (
                     [district[k] * T + k % T for k in coords],
-                    [xi.district_type(problem, d, t) for d, t in pairs],
                     [-inf] * len(pairs),
                     [caps.get(p, inf) for p in pairs],
-                )
-            )
+                ),
+                self.capacity,
+            ]
+
+
+def _sums(entry, size, flat) -> list:
+    """For each of a family's ``size`` entries, the sum of the counts mapped to it."""
+    sums = [0] * size
+    for i, v in zip(entry, flat):
+        sums[i] += v
+    return sums
+
+
+class GoalTally:
+    """One distribution's school-by-type counts, kept mutable, with a running
+    count of the constraints of ``goal`` ∩ Ξ₀ it currently violates.
+
+    The constraints are the goal's ``GoalBounds`` families with the capacity
+    family added, each held as a vector of counters.  A move xi − e(origin) +
+    e(target) changes at most two entries of each family, so ``permits``
+    answers membership of the moved distribution exactly in O(1), whether or
+    not xi itself is a member.  When origin and target share an entry (same
+    school, same district, or same district and type) that entry does not
+    change.  Explicit and score goals have no such structure; they are
+    answered by ``satisfies_with_feasibility`` on the materialised
+    distribution.
+    """
+
+    def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
+        self.goal = goal
+        self.problem = problem
+        self.num_types = problem.num_types
+        self.counts = list(xi.flat())
+        bounds = built_once(goal, problem, GoalBounds)
+        families = bounds.families + [bounds.capacity] * (bounds.capacity not in bounds.families)
+        # (entry per coordinate, counter values, lower bounds, upper bounds)
+        self._families = [
+            (entry, _sums(entry, len(lo), self.counts), lo, hi) for entry, lo, hi in families
+        ]
         self._exact = goal.form not in (GoalForm.EXPLICIT_SET, GoalForm.F_LAMBDA)
         # moves keep the total, so the everyone-matched part never changes
         self._violated = int(xi.total() != problem.num_students) + sum(
@@ -291,6 +275,8 @@ class GoalTally:
         T = self.num_types
         k0 = origin[0] * T + origin[1]
         k1 = target[0] * T + target[1]
+        self.counts[k0] -= 1
+        self.counts[k1] += 1
         for entry, values, _, _ in self._families:
             values[entry[k0]] -= 1
             values[entry[k1]] += 1
@@ -772,24 +758,13 @@ def legitimate_distributions(
 ):
     """Brute-force ground truth for the flow bounds: everyone matched,
     district totals met, type totals met, school-type ceilings respected."""
-    out = []
-    for xi in enumerate_xi0(problem, budget):
-        if any(
-            xi.district_total(problem, d) != problem.k_district[d]
-            for d in range(problem.num_districts)
-        ):
-            continue
-        if any(
-            sum(xi.school_type(c, t) for c in range(problem.num_schools))
-            != problem.k_type[t]
+    goal = combination_goal(ceilings=ceilings)
+    return [
+        xi
+        for xi in enumerate_xi0(problem, budget)
+        if contains(goal, xi, problem)
+        and all(
+            sum(row[t] for row in xi.counts) == problem.k_type[t]
             for t in range(problem.num_types)
-        ):
-            continue
-        ok = True
-        for (c, t), q in ceilings.items():
-            if xi.school_type(c, t) > q:
-                ok = False
-                break
-        if ok:
-            out.append(xi)
-    return out
+        )
+    ]

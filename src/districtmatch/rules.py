@@ -16,6 +16,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     UnknownContract,
     ValidationError,
 )
-from .model import Contract, Matching, Problem
+from .model import Contract, Matching, Problem, built_once
 
 
 class RuleKind(Enum):
@@ -209,20 +210,6 @@ def completion_of(rule: RuleSpec) -> RuleSpec:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _basis(problem: Problem) -> tuple:
-    """The fields of a problem a compiled rule and its choice memo depend on.
-    Preferences are not among them, so misreport variants share one compiled
-    rule."""
-    return (
-        problem.student_type,
-        problem.initial_school,
-        problem.school_district,
-        problem.district_schools,
-        problem.capacities,
-        problem.k_district,
-    )
-
-
 class CompiledRule:
     """A rule spec indexed for evaluation on one problem structure.
 
@@ -239,8 +226,14 @@ class CompiledRule:
     of the rule shares it until the rule meets a differently shaped problem.
     """
 
+    # the problem fields a compiled rule and its choice memo depend on; they
+    # leave out preferences, so misreport variants share one compiled rule
+    basis_of = attrgetter(
+        "student_type", "initial_school", "school_district", "district_schools",
+        "capacities", "k_district",
+    )
+
     def __init__(self, rule: RuleSpec, problem: Problem):
-        self.basis = _basis(problem)
         self.memo = {}
         self.table = {}
         self.key_of = {}
@@ -299,11 +292,7 @@ class CompiledRule:
 def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
     """The rule's compiled form for the problem's structure, built once and
     kept on the rule until it is used with a differently shaped problem."""
-    comp = rule.__dict__.get("_compiled")
-    if comp is None or comp.basis != _basis(problem):
-        comp = CompiledRule(rule, problem)
-        object.__setattr__(rule, "_compiled", comp)
-    return comp
+    return built_once(rule, problem, CompiledRule)
 
 
 def choose(rule: RuleSpec, X, problem: Problem) -> Matching:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
 from .model import Matching, Problem, distribution_of
@@ -99,7 +98,6 @@ def is_permissible(
     goal: PolicyGoal,
     problem: Problem,
     *,
-    market: Optional[HypotheticalMarket] = None,
     audit: bool = False,
 ) -> bool:
     """Whether moving ``student`` from her initial slot to ``target`` keeps
@@ -113,11 +111,7 @@ def is_permissible(
             f"slot type {target[1]} differs from the student's type; "
             "pass audit=True to evaluate anyway"
         )
-    origin = (
-        market.initial_slot[student]
-        if market is not None
-        else (problem.initial_school[student], problem.student_type[student])
-    )
+    origin = (problem.initial_school[student], problem.student_type[student])
     return GoalTally(goal, problem, distribution_of(X, problem)).permits(origin, target)
 
 

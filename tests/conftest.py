@@ -1,133 +1,8 @@
-"""Shared helpers: fixture access and the seeded random-instance generator."""
-
-from __future__ import annotations
-
-import random
+"""Session fixtures: the shipped instances, loaded once."""
 
 import pytest
 
 import districtmatch as dm
-from districtmatch.model import ProblemSpec, validate_problem
-from districtmatch.rules import RuleKind, make_rule
-
-
-def ids_of(problem, X):
-    """Readable (student, school) id pairs, sorted."""
-    return sorted(
-        (problem.student_ids[x.student], problem.school_ids[x.school]) for x in X
-    )
-
-
-def all_contracts(problem):
-    """The full contract universe, student-major then school order."""
-    return [
-        problem.contract(s, c)
-        for s in range(problem.num_students)
-        for c in range(problem.num_schools)
-    ]
-
-
-def initial_contract(problem, student):
-    """The student's contract with her initial school."""
-    return problem.contract(student, problem.initial_school[student])
-
-
-def matching_of(problem, pairs):
-    """Build a matching from (student id, school id) pairs."""
-    sidx = {v: i for i, v in enumerate(problem.student_ids)}
-    cidx = {v: i for i, v in enumerate(problem.school_ids)}
-    return frozenset(problem.contract(sidx[s], cidx[c]) for s, c in pairs)
-
-
-def random_problem(rng: random.Random, *, num_types=None, slack=None):
-    """A small random market: 2 districts, <=4 students, <=4 schools,
-    <=2 types, home-district initial matching, per-district capacity cover.
-
-    Preference and structure draws use independent streams derived from the
-    caller's rng so adding draws to one part does not shift the other.
-    """
-    struct = random.Random(rng.randrange(2**60))
-    prefs_rng = random.Random(rng.randrange(2**60))
-
-    num_students = struct.randint(2, 4)
-    num_schools = struct.randint(2, 4)
-    nt = num_types if num_types is not None else struct.randint(1, 2)
-    districts = ("d1", "d2")
-    school_district = ["d1", "d2"] + [
-        struct.choice(districts) for _ in range(num_schools - 2)
-    ]
-    student_district = [struct.choice(districts) for _ in range(num_students)]
-    types = tuple(f"t{i + 1}" for i in range(nt))
-
-    caps = [1] * num_schools
-    for d in districts:
-        idxs = [i for i, a in enumerate(school_district) if a == d]
-        need = student_district.count(d)
-        while sum(caps[i] for i in idxs) < need:
-            caps[struct.choice(idxs)] += 1
-    extra = slack if slack is not None else struct.randint(0, 2)
-    for _ in range(extra):
-        caps[struct.randrange(num_schools)] += 1
-
-    school_ids = [f"c{i + 1}" for i in range(num_schools)]
-    schools = tuple(
-        (school_ids[i], school_district[i], caps[i]) for i in range(num_schools)
-    )
-    students = []
-    for i in range(num_students):
-        order = school_ids[:]
-        prefs_rng.shuffle(order)
-        students.append(
-            (f"s{i + 1}", student_district[i], struct.choice(types), tuple(order))
-        )
-
-    load = {c: 0 for c in school_ids}
-    initial = {}
-    for sid, d, _, _ in students:
-        for cid, cd, cap in schools:
-            if cd == d and load[cid] < cap:
-                initial[sid] = cid
-                load[cid] += 1
-                break
-
-    spec = ProblemSpec(
-        types=types,
-        districts=districts,
-        schools=schools,
-        students=tuple(students),
-        initial_matching=initial,
-    )
-    return validate_problem(spec)
-
-
-def random_priorities(rng: random.Random, problem):
-    """Independent random strict priority per school over all students."""
-    out = {}
-    for c in range(problem.num_schools):
-        order = list(range(problem.num_students))
-        rng.shuffle(order)
-        out[c] = tuple(order)
-    return out
-
-
-def sequential_rules(rng: random.Random, problem, kind=RuleKind.SEQUENTIAL_RESPONSIVE):
-    """One school-order rule per district with random priorities."""
-    prios = random_priorities(rng, problem)
-    rules = {}
-    for d in range(problem.num_districts):
-        schools = list(problem.district_schools[d])
-        rng.shuffle(schools)
-        rules[d] = make_rule(
-            district=d,
-            kind=kind,
-            school_order=tuple(schools),
-            priorities={c: prios[c] for c in schools},
-            district_cap=(
-                problem.k_district[d] if kind is RuleKind.RATIONED_SEQUENTIAL else None
-            ),
-            problem=problem,
-        )
-    return rules
 
 
 @pytest.fixture(scope="session")

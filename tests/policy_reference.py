@@ -1,9 +1,15 @@
-"""Test-only references for ``districtmatch.policy.is_mconvex``.
+"""Test-only references for ``districtmatch.policy``.
 
 ``is_mconvex_reference`` is the direct quadratic check: every ordered pair
 of members through ``find_exchange_violation``.  ``is_mconvex_numpy`` is
 the vectorised check the package used before its pure-Python bitset check,
 kept verbatim; it needs numpy, so its tests skip when numpy is missing.
+
+``contains`` and ``satisfies_with_feasibility`` are the membership tests the
+package used before it built each goal's linear constraints once
+(``GoalBounds``), kept verbatim with the ``PolicyGoal.floor`` and
+``PolicyGoal.ceiling`` scans as functions: they re-derive every constraint
+on each call, the first pair of a repeated floor or ceiling key counting.
 """
 
 from __future__ import annotations
@@ -11,11 +17,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from districtmatch.errors import UniverseTooLarge
-from districtmatch.model import Distribution
+from districtmatch.model import Distribution, Problem
 from districtmatch.policy import (
     DEFAULT_PAIR_BUDGET,
+    GoalForm,
     MConvexVerdict,
+    PolicyGoal,
     find_exchange_violation,
+    in_xi0,
 )
 
 try:
@@ -132,3 +141,72 @@ def is_mconvex_numpy(
                     witness=(members[a], members[b], packed.coord(i)),
                 )
     return MConvexVerdict(True)
+
+
+# -- goal membership ---------------------------------------------------------------
+
+
+def floor(goal, school, type_):
+    for (c, t), p in goal.floors:
+        if c == school and t == type_:
+            return p
+    return 0
+
+
+def ceiling(goal, school, type_):
+    for (c, t), q in goal.ceilings:
+        if c == school and t == type_:
+            return q
+    return None
+
+
+def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
+    """Membership of a distribution in the goal's set."""
+    if goal.intersect_xi0 and not in_xi0(xi, problem):
+        return False
+    if goal.form is GoalForm.EXPLICIT_SET:
+        return xi in goal.explicit
+    if goal.form is GoalForm.BALANCED_EXCHANGE:
+        return all(
+            xi.district_total(problem, d) == problem.k_district[d]
+            for d in range(problem.num_districts)
+        )
+    if goal.form is GoalForm.SCHOOL_DIVERSITY:
+        return _within_box(goal, xi, problem)
+    if goal.form is GoalForm.COMBINATION:
+        return _within_box(goal, xi, problem) and all(
+            xi.district_total(problem, d) == problem.k_district[d]
+            for d in range(problem.num_districts)
+        )
+    if goal.form is GoalForm.F_LAMBDA:
+        return goal.fn(xi) >= goal.threshold
+    if goal.form is GoalForm.DISTRICT_CEILINGS:
+        for (d, t), q in goal.district_ceilings:
+            if xi.district_type(problem, d, t) > q:
+                return False
+        return all(
+            xi.school_total(c) <= problem.capacities[c]
+            for c in range(problem.num_schools)
+        )
+    raise ValueError(goal.form)
+
+
+def _within_box(goal, xi, problem):
+    for c in range(problem.num_schools):
+        for t in range(problem.num_types):
+            v = xi.school_type(c, t)
+            if v < floor(goal, c, t):
+                return False
+            q = ceiling(goal, c, t)
+            if q is not None and v > q:
+                return False
+    return True
+
+
+def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> bool:
+    """Goal membership together with the everyone-matched capacity set.
+
+    Trading mechanics keep the total constant, so intersecting adds exactly
+    the school-capacity requirement.
+    """
+    return in_xi0(xi, problem) and contains(goal, xi, problem)

@@ -56,7 +56,7 @@ from districtmatch.spda import (
 )
 from districtmatch.ttc import run_ttc
 
-from conftest import ids_of, random_problem, sequential_rules
+from helpers import ids_of, random_problem, sequential_rules
 
 
 def report(n, label):

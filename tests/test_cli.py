@@ -172,6 +172,17 @@ def test_run_master_unknown_student_exits_2(capsys):
     assert "validation error" in err and "unknown student 'nobody'" in err
 
 
+@pytest.mark.parametrize("master", [["s1", "s2"], ["s1", "s1", "s2", "s3", "s4", "s5", "s6"]])
+def test_run_master_not_ordering_every_student_once_exits_2(capsys, master):
+    code, out, err = run_cli(
+        capsys, "run", fpath("ttc_diversity"), "--mechanism", "ttc", "--master", *master
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "validation error: DanglingReference: --master must order every student exactly once\n"
+    )
+
+
 def _broken_rule(edit):
     doc = json.loads(fixture_path("spda_basic").read_text())
     edit(doc["rules"][0])
@@ -390,6 +401,18 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
             ["master_list names unknown student 'x'"],
         ),
         (
+            _policy(form="school_diversity", floors={"c2": {"t1": 2}}, ceilings={"c2": {"t1": 1}}),
+            ["policy: floor at school 'c2', type 't1' is negative or above its ceiling"],
+        ),
+        (
+            _policy(form="combination", floors={"c1": {"t1": -1}}),
+            ["policy: floor at school 'c1', type 't1' is negative or above its ceiling"],
+        ),
+        (
+            lambda doc: doc.update(master_list=["s1", "s1", "s2", "s3"]),
+            ["master_list must order every student exactly once"],
+        ),
+        (
             lambda doc: (
                 doc["schools"].insert(0, dict(doc["schools"][0])),
                 _policy(form="explicit_set", distributions=[{"c3": {"t1": 1}}])(doc),
@@ -416,6 +439,7 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         "policy-not-an-object", "unknown-policy-form", "policy-ceiling-at-unknown-school",
         "distribution-at-unknown-school", "f-lambda-without-lambda", "meta-a-list",
         "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
+        "floor-above-ceiling", "negative-floor", "master-list-repeats-a-student",
         "repeated-school-id", "every-section-listed",
     ],
 )
@@ -424,7 +448,11 @@ def test_malformed_section_exits_2(capsys, tmp_path, edit, messages):
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    for argv in (("run", str(bad), "--mechanism", "spda"), ("policy-check", str(bad))):
+    for argv in (
+        ("run", str(bad), "--mechanism", "spda"),
+        ("run", str(bad), "--mechanism", "ttc"),
+        ("policy-check", str(bad)),
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("validation error: ")
@@ -695,7 +723,7 @@ def test_trace_writer_matches_json_dump_on_random_markets(tmp_path):
     import random
 
     import districtmatch as dm
-    from conftest import random_problem, sequential_rules
+    from helpers import random_problem, sequential_rules
     from districtmatch.instances import Instance
 
     rng = random.Random(11)

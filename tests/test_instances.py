@@ -21,7 +21,7 @@ from districtmatch.model import Distribution
 from districtmatch.policy import GoalForm
 from districtmatch.rules import RuleKind, make_rule
 
-from conftest import random_problem
+from helpers import random_problem
 
 
 @pytest.mark.parametrize("name", dm.FIXTURE_NAMES)

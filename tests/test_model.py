@@ -14,7 +14,7 @@ from districtmatch.model import (
     validate_problem,
 )
 
-from conftest import matching_of
+from helpers import matching_of
 
 
 def test_basic_fixture_validates(basic):

@@ -19,7 +19,7 @@ from districtmatch.policy import district_ceilings_goal, explicit_goal
 from districtmatch.rules import RuleProperty, check_property, favor_own_students
 from districtmatch.spda import run_spda
 
-from conftest import matching_of
+from helpers import matching_of
 
 
 def _tiny_problem():

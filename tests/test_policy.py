@@ -1,6 +1,7 @@
 """Policy goals, exchange-property checkers, flow bounds."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import districtmatch as dm
+import districtmatch.policy as policy_module
+from districtmatch.cli import main
 from districtmatch.errors import InfeasibleConstraints, UniverseTooLarge
+from districtmatch.fixtures import fixture_path
 from districtmatch.model import Distribution, distribution_of
 from districtmatch.policy import (
     FlowNetwork,
+    GoalForm,
+    GoalTally,
+    PolicyGoal,
     balanced_exchange_goal,
     combination_goal,
     contains,
@@ -28,7 +35,8 @@ from districtmatch.policy import (
     upper_contour,
 )
 
-from conftest import matching_of, random_problem
+import policy_reference
+from helpers import matching_of, random_goal, random_problem
 from policy_reference import is_mconvex_numpy, is_mconvex_reference
 
 
@@ -103,6 +111,99 @@ def test_contains_balanced_initial(basic):
     p = basic.problem
     xi = distribution_of(p.initial_matching(), p)
     assert contains(balanced_exchange_goal(), xi, p)
+
+
+def _with_repeats(rng, pairs):
+    """``pairs`` with a second pair, of another count, for each of its keys,
+    inserted before or after the first."""
+    out = list(pairs)
+    for key, v in pairs:
+        out.insert(rng.randint(0, len(out)), (key, max(0, v + rng.choice((-2, -1, 1, 2)))))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(list(GoalForm)),
+    intersect_xi0=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_contains_matches_reference(seed, form, intersect_xi0, repeat):
+    # membership, and the tally's membership in goal ∩ Ξ₀, on members of Ξ₀,
+    # on the same distributions with a student unmatched, and with a school
+    # over capacity; a repeated floor or ceiling key counts its first pair, a
+    # repeated district ceiling every pair
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    goal = replace(random_goal(rng, problem, form), intersect_xi0=intersect_xi0)
+    if repeat:
+        goal = replace(
+            goal,
+            floors=_with_repeats(rng, goal.floors),
+            ceilings=_with_repeats(rng, goal.ceilings),
+            district_ceilings=_with_repeats(rng, goal.district_ceilings),
+        )
+    members = enumerate_xi0(problem)
+    for xi in members[:: max(1, len(members) // 40)]:
+        c, t = rng.choice([divmod(k, problem.num_types) for k, v in enumerate(xi.flat()) if v])
+        over = problem.capacities[c] - xi.school_total(c) + 1
+        for got in (xi, xi.add(c, t, -1), xi.add(c, t, over)):
+            assert contains(goal, got, problem) == policy_reference.contains(goal, got, problem)
+            want = policy_reference.satisfies_with_feasibility(goal, got, problem)
+            assert GoalTally(goal, problem, got).holds() == want
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [
+        PolicyGoal(
+            GoalForm.SCHOOL_DIVERSITY,
+            floors=(((0, 1), 1), ((0, 1), 0), ((2, 0), 0), ((2, 0), 1)),
+            ceilings=(((0, 0), 1), ((0, 0), 2), ((1, 0), 2), ((1, 0), 1)),
+        ),
+        PolicyGoal(
+            GoalForm.COMBINATION,
+            floors=(((3, 0), 0), ((3, 0), 1)),
+            ceilings=(((1, 1), 2), ((1, 1), 0)),
+        ),
+        PolicyGoal(
+            GoalForm.DISTRICT_CEILINGS,
+            district_ceilings=(((0, 0), 3), ((0, 0), 2), ((1, 0), 1), ((1, 0), 2)),
+        ),
+    ],
+    ids=["school", "combination", "district_ceilings"],
+)
+def test_repeated_keys_match_reference(ttc_diversity, goal):
+    # a repeated floor or ceiling key counts its first pair, a repeated
+    # district ceiling every pair, in membership and in the tally alike
+    p = ttc_diversity.problem
+    for xi in enumerate_xi0(p):
+        assert contains(goal, xi, p) == policy_reference.contains(goal, xi, p)
+        want = policy_reference.satisfies_with_feasibility(goal, xi, p)
+        assert GoalTally(goal, p, xi).holds() == want
+
+
+def test_goal_bounds_are_built_once_per_problem_shape(capsys, monkeypatch):
+    # the audit runs every misreport, which changes preferences only
+    builds = []
+    build = policy_module.GoalBounds.__init__
+
+    def counted(self, goal, problem):
+        builds.append(problem)
+        build(self, goal, problem)
+
+    monkeypatch.setattr(policy_module.GoalBounds, "__init__", counted)
+    assert main(["audit", str(fixture_path("ttc_diversity")), "--mechanism", "ttc"]) == 0
+    assert "runs" in capsys.readouterr().out
+    assert len(builds) == 1
+    inst = dm.load_fixture("ttc_diversity")
+    problem = inst.problem
+    xi = distribution_of(problem.initial_matching(), problem)
+    wider = replace(problem, capacities=tuple(q + 1 for q in problem.capacities))
+    for p, total in ((problem, 2), (problem, 2), (wider, 3), (problem, 4)):
+        contains(inst.policy, xi, p)
+        assert len(builds) == total
 
 
 # -- M-convexity -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from districtmatch.rules import (
     favor_own_students,
 )
 
-from conftest import all_contracts, ids_of, matching_of
+from helpers import all_contracts, ids_of, matching_of
 
 
 def test_choose_printed_rejection(basic):

@@ -22,7 +22,7 @@ from districtmatch.rules import (
     favor_own_students,
 )
 
-from conftest import random_problem
+from helpers import random_problem
 from rules_reference import Chooser as ReferenceChooser
 from rules_reference import check_property_reference
 from test_spda_differential import SPEC_KINDS, random_rule, random_table_rule, variant

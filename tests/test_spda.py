@@ -14,7 +14,7 @@ from districtmatch.spda import (
     type_ratio_gaps,
 )
 
-from conftest import ids_of, matching_of
+from helpers import ids_of, matching_of
 
 
 GOLDEN_BASIC = [("s1", "c2"), ("s2", "c3"), ("s3", "c1"), ("s4", "c2")]

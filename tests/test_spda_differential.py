@@ -32,7 +32,7 @@ from districtmatch.rules import (
 )
 from districtmatch.spda import check_individual_rationality, is_stable, run_spda
 
-from conftest import all_contracts, random_problem
+from helpers import all_contracts, random_problem
 from spda_reference import choose_reference, is_stable_reference, run_spda_reference
 
 SPEC_KINDS = [k for k in RuleKind if k is not RuleKind.EXPLICIT_TABLE]

@@ -13,7 +13,7 @@ from districtmatch.policy import (
 )
 from districtmatch.ttc import build_hypothetical, is_permissible, run_ttc
 
-from conftest import ids_of, initial_contract, matching_of
+from helpers import ids_of, initial_contract, matching_of
 
 GOLDEN_TTC = [
     ("s1", "c3"),

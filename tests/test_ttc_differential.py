@@ -14,67 +14,17 @@ from districtmatch.model import distribution_of
 from districtmatch.policy import (
     GoalForm,
     GoalTally,
-    PolicyGoal,
     balanced_exchange_goal,
     combination_goal,
     district_ceilings_goal,
     enumerate_xi0,
-    explicit_goal,
-    f_lambda_goal,
-    indicator_of,
-    manhattan_ideal,
-    satisfies_with_feasibility,
     school_diversity_goal,
 )
 from districtmatch.ttc import run_ttc
 
-from conftest import random_problem
+from helpers import random_goal, random_problem
+from policy_reference import satisfies_with_feasibility
 from ttc_reference import run_ttc_reference
-
-
-def _near(rng, value):
-    return max(0, value + rng.randint(-1, 2))
-
-
-def random_goal(rng: random.Random, problem, form: GoalForm) -> PolicyGoal:
-    """A goal of ``form`` drawn around the initial distribution, so that it
-    usually, but not always, holds at the start."""
-    xi = distribution_of(problem.initial_matching(), problem)
-    coords = [
-        (c, t) for c in range(problem.num_schools) for t in range(problem.num_types)
-    ]
-    if form is GoalForm.BALANCED_EXCHANGE:
-        return balanced_exchange_goal()
-    if form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
-        ceilings, floors = {}, {}
-        for c, t in coords:
-            v = xi.school_type(c, t)
-            if rng.random() < 0.5:
-                ceilings[(c, t)] = _near(rng, v)
-            if rng.random() < 0.3:
-                floors[(c, t)] = min(
-                    max(0, v - rng.randint(0, 2)), ceilings.get((c, t), v)
-                )
-        make = school_diversity_goal if form is GoalForm.SCHOOL_DIVERSITY else combination_goal
-        return make(floors, ceilings)
-    if form is GoalForm.DISTRICT_CEILINGS:
-        return district_ceilings_goal(
-            {
-                (d, t): _near(rng, xi.district_type(problem, d, t))
-                for d in range(problem.num_districts)
-                for t in range(problem.num_types)
-                if rng.random() < 0.6
-            }
-        )
-    members = enumerate_xi0(problem)
-    chosen = [m for m in members if rng.random() < 0.4]
-    if rng.random() < 0.9:
-        chosen.append(xi)
-    if form is GoalForm.EXPLICIT_SET:
-        return explicit_goal(chosen)
-    if rng.random() < 0.5:
-        return f_lambda_goal(indicator_of(chosen, problem), 1)
-    return f_lambda_goal(manhattan_ideal(rng.choice(members), problem), -rng.randint(0, 4))
 
 
 def _outcome(run, problem, goal, master):

@@ -2,15 +2,18 @@
 the incremental ``districtmatch.ttc.run_ttc`` is tested against.
 
 Each step rebuilds the distribution and, for every slot, tests every
-unassigned student by materialising the moved distribution.
+unassigned student by materialising the moved distribution and testing its
+membership with the reference ``policy_reference.satisfies_with_feasibility``.
 """
 
 from __future__ import annotations
 
 from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck
 from districtmatch.model import Distribution, Problem, distribution_of
-from districtmatch.policy import PolicyGoal, satisfies_with_feasibility
+from districtmatch.policy import PolicyGoal
 from districtmatch.ttc import TtcStep, TtcTrace, _find_cycles, build_hypothetical
+
+from policy_reference import satisfies_with_feasibility
 
 
 def _slot_distribution(problem, assignment):
