@@ -300,13 +300,11 @@ def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
         for field in ("floors", "ceilings"):
             counts = read.counts(doc.get(field), "school", f"policy: {field}")
             goal[field] = tuple(sorted(counts.items()))
-        ids = {k: {i: v for v, i in read.index[k].items()} for k in ("school", "type")}
-        for c, t in misordered_floors(goal["floors"], goal["ceilings"]):
-            c, t = ids["school"][c], ids["type"][t]
-            read.note(f"policy: floor at school {c!r}, type {t!r} is negative or above its ceiling")
+        _note_misordered(read, "school", goal["floors"], goal["ceilings"])
     elif form is GoalForm.DISTRICT_CEILINGS:
         counts = read.counts(doc.get("ceilings"), "district", "policy: ceilings")
         goal["district_ceilings"] = tuple(sorted(counts.items()))
+        _note_misordered(read, "district", (), goal["district_ceilings"])
     elif form is GoalForm.EXPLICIT_SET:
         goal["explicit"] = frozenset(
             read.distribution(entry, f"policy: distribution {i + 1}")
@@ -320,6 +318,17 @@ def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
         goal["fn"] = PolicyFunction(kind="manhattan_ideal", ideal=ideal)
         goal["threshold"] = read.fraction(doc.get("lambda"), "policy lambda")
     return PolicyGoal(form=form, **goal)
+
+
+def _note_misordered(read, rows, floors, ceilings):
+    """Notes each floor that is negative or above its ceiling, and each
+    negative ceiling, of the ((row, type), count) pairs, by their ids."""
+    ids = {k: {i: v for v, i in read.index[k].items()} for k in (rows, "type")}
+    misordered = misordered_floors(floors, ceilings)
+    bad = [("floor", k, "is negative or above its ceiling") for k in misordered]
+    bad += [("ceiling", k, "is negative") for k in misordered_floors(ceilings, ())]
+    for what, (r, t), why in bad:
+        read.note(f"policy: {what} at {rows} {ids[rows][r]!r}, type {ids['type'][t]!r} {why}")
 
 
 def instance_to_dict(inst: Instance) -> dict:

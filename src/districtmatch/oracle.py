@@ -9,6 +9,7 @@ walks the whole space of choice functions with constraint propagation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -27,6 +28,8 @@ from .spda import is_stable, run_spda
 from .ttc import run_ttc
 
 DEFAULT_MATCHING_BUDGET = 10**7
+# the most sets of contracts the nonexistence search lists (729 at desk scale)
+NONEXISTENCE_SET_BOUND = 2 * 10**4
 
 
 def enumerate_feasible_matchings(
@@ -368,187 +371,199 @@ def search_rule_nonexistence(
     fewest-candidates-first branching.  With ``symmetry`` the all-at-one-
     school root set keeps one value per orbit of the instance's type and
     student symmetries, mirroring a without-loss-of-generality case split.
+
+    A domain is a bitmask over the set's values, and each arc holds one
+    support mask per parent value.  Raises ``UniverseTooLarge`` past
+    ``NONEXISTENCE_SET_BOUND`` sets.
     """
     universe = tuple(problem.district_contracts(district))
     index = {x: i for i, x in enumerate(universe)}
+    width = len(universe)
     k_d = problem.k_district[district]
     ceilings = dict(district_ceilings)
 
     per_student = {}
     for i, x in enumerate(universe):
-        per_student.setdefault(x.student, []).append(i)
+        per_student.setdefault(x.student, []).append(1 << i)
+    size = math.prod(1 + len(bits) for bits in per_student.values())
+    if size > NONEXISTENCE_SET_BOUND:
+        raise UniverseTooLarge(size, NONEXISTENCE_SET_BOUND)
     masks = [0]
-    for g in sorted(per_student):
-        masks = [m | b for m in masks for b in [0] + [1 << i for i in per_student[g]]]
-    masks.sort(key=lambda m: (-bin(m).count("1"), m))
-    mask_set = set(masks)
+    for bits in per_student.values():  # students in index order
+        masks = [m | b for m in masks for b in [0] + bits]
+    masks.sort(key=lambda m: (-m.bit_count(), m))
+    pos = {m: p for p, m in enumerate(masks)}
 
-    def local_values(m):
-        bits = [i for i in range(len(universe)) if m >> i & 1]
-        out = []
-        for r in range(len(bits), -1, -1):
-            for combo in itertools.combinations(bits, r):
-                v = 0
-                loads = {}
-                types = {}
-                ok = True
-                for i in combo:
-                    x = universe[i]
-                    t = problem.student_type[x.student]
-                    loads[x.school] = loads.get(x.school, 0) + 1
-                    types[t] = types.get(t, 0) + 1
-                    if loads[x.school] > problem.capacities[x.school] or (
-                        ceilings.get(t) is not None and types[t] > ceilings[t]
-                    ):
-                        ok = False
-                        break
-                    v |= 1 << i
-                if not ok:
-                    continue
-                # d-weak acceptance: every rejection needs a binding reason
-                licensed = True
-                rej = m & ~v
-                while rej:
-                    low = rej & -rej
-                    i = low.bit_length() - 1
-                    rej ^= low
-                    x = universe[i]
-                    t = problem.student_type[x.student]
-                    if loads.get(x.school, 0) >= problem.capacities[x.school]:
-                        continue
-                    if len(combo) >= k_d:
-                        continue
-                    q = ceilings.get(t)
-                    if q is not None and types.get(t, 0) >= q:
-                        continue
-                    licensed = False
-                    break
-                if licensed:
-                    out.append(v)
-        return out
+    # feasibility and the licensed rejections depend only on the chosen set:
+    # a school at capacity, a type at its ceiling (a negative one admits
+    # none, as zero does) or k_d contracts chosen license rejecting a contract
+    def mask_of(keep):
+        return sum(1 << i for i, x in enumerate(universe) if keep(x))
 
-    cand = {m: local_values(m) for m in masks}
+    school_bits = {c: mask_of(lambda x: x.school == c) for c in problem.district_schools[district]}
+    limits = [(problem.capacities[c], bits) for c, bits in school_bits.items()] + [
+        (max(q, 0), mask_of(lambda x: problem.student_type[x.student] == t))
+        for t, q in ceilings.items()
+        if q is not None
+    ]
+    vals = [[] for _ in masks]
+    # each set lists its values largest first, then in itertools.combinations
+    # order, which is the descending order of the bit-reversed masks
+    for v in sorted(masks, key=lambda v: (-v.bit_count(), -int(f"{v:0{width}b}"[::-1], 2))):
+        blocked = -1 if v.bit_count() >= k_d else 0
+        for limit, bits in limits:
+            n = (v & bits).bit_count()
+            if n > limit:
+                break
+            if n == limit:
+                blocked |= bits
+        else:
+            # v is a value of every superset m in which blocked covers m - v
+            supersets = [v]
+            for bits in per_student.values():
+                if not any(v & b for b in bits):
+                    supersets += [m | b for m in supersets for b in bits if b & blocked]
+            for m in supersets:
+                vals[pos[m]].append(v)
 
-    root = None
-    for c in sorted(set(x.school for x in universe)):
-        m = 0
-        for i, x in enumerate(universe):
-            if x.school == c:
-                m |= 1 << i
-        if m in mask_set:
-            root = m
-            break
-    if symmetry and root is not None and cand.get(root):
-        cand[root] = _symmetry_root_values(
-            problem, universe, index, cand[root], ceilings
-        )
+    # the root: everyone at the district's first school
+    root = pos[school_bits[min(school_bits)]] if universe else None
+    if symmetry and root is not None and vals[root]:
+        vals[root] = _symmetry_root_values(problem, universe, index, vals[root], ceilings)
 
-    # arcs: (child, parent, bit); arc relation between values (w_c, w_p):
+    # arcs (child, parent, bit) with child = parent - bit; the relation on
+    # values (w_c, w_p):
     #   weak substitutability: w_p minus the bit must be inside w_c
     #   irc: if the bit is rejected in w_p, then w_c equals w_p
     # dropping weak substitutability turns the search into a generator of
-    # tables satisfying only the other three properties
-    def compatible_cp(w_c, w_p, bit):
-        if require_weak_substitutability and (w_p & ~bit) & ~w_c:
-            return False
-        if not (w_p & bit) and w_c != w_p:
-            return False
-        return True
+    # tables satisfying only the other three properties.  sup[j] is the mask
+    # of child values compatible with parent value j; both directions read it.
+    slot = [{w: j for j, w in enumerate(ws)} for ws in vals]  # value -> its index
+    holding = [{} for _ in vals]  # per set: contract bit -> its values holding it
+    for h, ws in zip(holding, vals):
+        for j, w in enumerate(ws):
+            while w:
+                low = w & -w
+                w ^= low
+                h[low] = h.get(low, 0) | 1 << j
+    full = [(1 << len(ws)) - 1 for ws in vals]
 
-    neighbors = {m: [] for m in masks}
-    for m in masks:
-        for i in range(len(universe)):
-            if m >> i & 1:
-                child = m & ~(1 << i)
-                if child in mask_set:
-                    neighbors[m].append((child, 1 << i, True))  # m is parent
-                    neighbors[child].append((m, 1 << i, False))  # m is child
+    def supporters(c, w):
+        # the child values holding every contract of w
+        s = full[c]
+        while w and s:
+            low = w & -w
+            w ^= low
+            s &= holding[c].get(low, 0)
+        return s
 
+    neighbors = [[] for _ in masks]
+    for p, m in enumerate(masks):
+        for bit in (1 << i for i in range(width) if m >> i & 1):
+            c = pos[m ^ bit]
+            sup = tuple(
+                (supporters(c, w ^ bit) if require_weak_substitutability else full[c])
+                if w & bit
+                else 1 << slot[c][w] if w in slot[c] else 0
+                for w in vals[p]
+            )
+            neighbors[p].append((c, sup, True))  # p is parent
+            neighbors[c].append((p, sup, False))  # c is child
+
+    dom = full[:]
     nodes = 0
     conflict_log = []
-    trail = []
-
-    def snapshot():
-        return len(trail)
-
-    def record(m):
-        trail.append((m, cand[m]))
+    trail = []  # (set, its domain before the change)
 
     def undo(mark):
         while len(trail) > mark:
-            m, vals = trail.pop()
-            cand[m] = vals
+            p, d = trail.pop()
+            dom[p] = d
 
-    def propagate(m):
-        """AC after cand[m] shrank; records every change for undo."""
-        stack = [m]
+    def propagate(p):
+        """AC after dom[p] shrank; records every change for undo."""
+        stack = [p]
         while stack:
-            mm = stack.pop()
-            for other, bit, mm_is_parent in neighbors[mm]:
-                vals = cand[other]
-                support = cand[mm]
-                kept = []
-                for w in vals:
-                    if mm_is_parent:
-                        ok = any(compatible_cp(w, u, bit) for u in support)
-                    else:
-                        ok = any(compatible_cp(u, w, bit) for u in support)
-                    if ok:
-                        kept.append(w)
-                if len(kept) != len(vals):
+            q = stack.pop()
+            dq = dom[q]
+            for other, sup, q_is_parent in neighbors[q]:
+                d = dom[other]
+                kept = 0
+                if q_is_parent:
+                    rest = dq
+                    while rest and d & ~kept:
+                        low = rest & -rest
+                        rest ^= low
+                        kept |= sup[low.bit_length() - 1]
+                    kept &= d
+                else:
+                    rest = d
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if sup[low.bit_length() - 1] & dq:
+                            kept |= low
+                if kept != d:
                     if not kept:
                         return False
-                    record(other)
-                    cand[other] = kept
+                    trail.append((other, d))
+                    dom[other] = kept
                     stack.append(other)
         return True
 
+    def fix(p, low):
+        """Fix p to the value ``low`` and propagate; False on a wipe-out."""
+        trail.append((p, dom[p]))
+        dom[p] = low
+        return propagate(p)
+
     def search():
         nonlocal nodes
-        best = None
-        for m in masks:
-            n = len(cand[m])
-            if n > 1 and (best is None or n < len(cand[best])):
-                best = m
-        if best is None:
+        counts = list(map(int.bit_count, dom))
+        fewest = min((n for n in counts if n > 1), default=None)
+        if fewest is None:
             return True
-        for v in list(cand[best]):
+        best = counts.index(fewest)
+        rest = dom[best]
+        while rest:
+            low = rest & -rest
+            rest ^= low
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)
-            mark = snapshot()
-            record(best)
-            cand[best] = [v]
-            if propagate(best) and search():
+            mark = len(trail)
+            if fix(best, low) and search():
                 return True
             undo(mark)
         return False
 
     def frozenset_of(v):
-        return frozenset(universe[i] for i in range(len(universe)) if v >> i & 1)
+        return frozenset(universe[i] for i in range(width) if v >> i & 1)
 
-    ok = all(cand[m] for m in masks) and all(propagate(m) for m in masks)
+    def first(p):
+        return vals[p][(dom[p] & -dom[p]).bit_length() - 1]
+
+    ok = all(dom) and all(propagate(p) for p in range(len(masks)))
     if ok:
         found = False
-        if root is not None and len(cand[root]) > 1:
-            for v in list(cand[root]):
+        if root is not None and dom[root].bit_count() > 1:
+            rest = dom[root]
+            while rest:
+                low = rest & -rest
+                rest ^= low
                 nodes += 1
-                mark = snapshot()
-                record(root)
-                cand[root] = [v]
-                if propagate(root) and search():
+                mark = len(trail)
+                if fix(root, low) and search():
                     found = True
                     break
                 conflict_log.append(
-                    (frozenset_of(v), "all extensions contradict")
+                    (frozenset_of(vals[root][low.bit_length() - 1]), "all extensions contradict")
                 )
                 undo(mark)
         else:
             found = search()
             if not found and root is not None:
-                conflict_log.append(
-                    (frozenset_of(cand[root][0]), "all extensions contradict")
-                )
+                conflict_log.append((frozenset_of(first(root)), "all extensions contradict"))
     else:
         found = False
         conflict_log.append((frozenset(), "arc consistency wiped out a domain"))
@@ -558,7 +573,7 @@ def search_rule_nonexistence(
             satisfiable=False, conflict_log=tuple(conflict_log), nodes=nodes
         )
     table = tuple(
-        (frozenset_of(m), frozenset_of(cand[m][0])) for m in sorted(masks)
+        (frozenset_of(m), frozenset_of(first(pos[m]))) for m in sorted(masks)
     )
     witness = make_rule(
         district=district,

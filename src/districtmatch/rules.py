@@ -142,12 +142,20 @@ def rule_issues(rule: RuleSpec, problem: Problem) -> list:
     """The rule's breaches of the invariants that need the problem, as
     ``ValidationError`` issues: a spec kind's ``school_order`` covers its
     district exactly, each of its schools has a priority list, each list
-    ranks every student once, and reserves fit capacities and ceilings."""
-    if rule.kind is RuleKind.EXPLICIT_TABLE:
-        return []
+    ranks every student once, reserves fit capacities and ceilings, and no
+    count (reserve, ceiling, district ceiling, district cap) is negative."""
     where = f"rule for district {problem.district_ids[rule.district]}"
     school, type_ = problem.school_ids, problem.type_ids
-    issues = []
+    counts = [
+        (f"{name} for type {type_[t]} at school {school[c]}", v)
+        for name, pairs in (("reserve", rule.reserves), ("ceiling", rule.ceilings))
+        for (c, t), v in pairs
+    ]
+    counts += [(f"district ceiling for type {type_[t]}", v) for t, v in rule.district_ceilings]
+    counts.append(("district_cap", rule.district_cap or 0))
+    issues = [f"{label} is negative" for label, v in counts if v < 0]
+    if rule.kind is RuleKind.EXPLICIT_TABLE:
+        return [("InvalidRule", f"{where}: {issue}") for issue in issues]
     if sorted(rule.school_order) != list(problem.district_schools[rule.district]):
         issues.append("school_order must cover exactly its district's schools")
     issues += [f"no priority list for school {school[c]}" for c in _unranked(rule)]

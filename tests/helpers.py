@@ -55,9 +55,10 @@ def matching_of(problem, pairs):
     return frozenset(problem.contract(sidx[s], cidx[c]) for s, c in pairs)
 
 
-def random_problem(rng: random.Random, *, num_types=None, slack=None):
-    """A small random market: 2 districts, <=4 students, <=4 schools,
-    <=2 types, home-district initial matching, per-district capacity cover.
+def random_problem(rng: random.Random, *, num_types=None, slack=None, students=(2, 4)):
+    """A small random market: 2 districts, 2-4 students (or the inclusive
+    range ``students``), <=4 schools, <=2 types, home-district initial
+    matching, per-district capacity cover.
 
     Preference and structure draws use independent streams derived from the
     caller's rng so adding draws to one part does not shift the other.
@@ -65,7 +66,7 @@ def random_problem(rng: random.Random, *, num_types=None, slack=None):
     struct = random.Random(rng.randrange(2**60))
     prefs_rng = random.Random(rng.randrange(2**60))
 
-    num_students = struct.randint(2, 4)
+    num_students = struct.randint(*students)
     num_schools = struct.randint(2, 4)
     nt = num_types if num_types is not None else struct.randint(1, 2)
     districts = ("d1", "d2")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from districtmatch import oracle
 from districtmatch.cli import main
 from districtmatch.fixtures import FIXTURE_NAMES, fixture_path
 
@@ -248,6 +249,22 @@ def _table(table):
             _table([{"set": [["s1"]], "chosen": []}]),
             "table entry 1 has set entry ['s1'], not a [student, school] pair",
         ),
+        (
+            lambda r: r.update(kind="reserves_and_ceilings", reserves={"c1": {"t1": -2}}),
+            "rule for district d1: reserve for type t1 at school c1 is negative",
+        ),
+        (
+            lambda r: r.update(ceilings={"c2": {"t1": -1}}),
+            "rule for district d1: ceiling for type t1 at school c2 is negative",
+        ),
+        (
+            lambda r: r.update(district_ceilings={"t1": -1}),
+            "rule for district d1: district ceiling for type t1 is negative",
+        ),
+        (
+            lambda r: r.update(kind="rationed_sequential", district_cap=-1),
+            "rule for district d1: district_cap is negative",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -268,6 +285,10 @@ def _table(table):
         "string-district-ceiling",
         "table-unknown-student",
         "table-one-element-pair",
+        "negative-reserve",
+        "negative-ceiling",
+        "negative-district-ceiling",
+        "negative-district-cap",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -413,6 +434,14 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
             ["master_list must order every student exactly once"],
         ),
         (
+            _policy(form="school_diversity", ceilings={"c1": {"t1": -1}}),
+            ["policy: ceiling at school 'c1', type 't1' is negative"],
+        ),
+        (
+            _policy(form="district_ceilings", ceilings={"d2": {"t1": -1}}),
+            ["policy: ceiling at district 'd2', type 't1' is negative"],
+        ),
+        (
             lambda doc: (
                 doc["schools"].insert(0, dict(doc["schools"][0])),
                 _policy(form="explicit_set", distributions=[{"c3": {"t1": 1}}])(doc),
@@ -440,6 +469,7 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         "distribution-at-unknown-school", "f-lambda-without-lambda", "meta-a-list",
         "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
         "floor-above-ceiling", "negative-floor", "master-list-repeats-a-student",
+        "negative-box-ceiling", "negative-district-ceiling",
         "repeated-school-id", "every-section-listed",
     ],
 )
@@ -681,6 +711,32 @@ def test_nonexistence_unsat(capsys):
     )
     assert code == 0
     assert "satisfiable,false" in out
+
+
+def test_nonexistence_without_symmetry(capsys):
+    code, out, _ = run_cli(
+        capsys, "nonexistence", fpath("nonexistence"), "--district", "d1", "--no-symmetry"
+    )
+    assert code == 0
+    assert out == (
+        "satisfiable,false\n"
+        "nodes,4\n"
+        "branch,outcome\n"
+        "{(s1,c1)},all extensions contradict\n"
+        "{(s2,c1)},all extensions contradict\n"
+        "{(s3,c1)},all extensions contradict\n"
+        "{(s4,c1)},all extensions contradict\n"
+    )
+
+
+def test_nonexistence_past_its_size_bound_exits_3(capsys, monkeypatch):
+    # the fixture's district lists 4**4 = 256 sets
+    monkeypatch.setattr(oracle, "NONEXISTENCE_SET_BOUND", 255)
+    code, out, err = run_cli(
+        capsys, "nonexistence", fpath("nonexistence"), "--district", "d1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: enumeration universe has size 256, budget is 255\n"
 
 
 def _trace_docs(problem, inst):

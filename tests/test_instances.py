@@ -9,6 +9,7 @@ import pytest
 
 import districtmatch as dm
 from districtmatch.errors import ValidationError
+from districtmatch.fixtures import fixture_path
 from districtmatch.instances import (
     Instance,
     dump_instance,
@@ -193,3 +194,41 @@ def test_loading_compiles_no_rule(monkeypatch):
     monkeypatch.setattr(rules_module.CompiledRule, "__init__", refuse)
     for doc in docs:
         instance_from_dict(doc)
+
+
+def _first(section):
+    return next(iter(section.values()))
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        (
+            "nonexistence",
+            lambda doc: doc["policy"]["ceilings"]["d1"].update(t1=-1),
+            "policy: ceiling at district 'd1', type 't1' is negative",
+        ),
+        (
+            "ttc_diversity",
+            lambda doc: doc["policy"]["ceilings"]["c1"].update(t2=-1),
+            "policy: ceiling at school 'c1', type 't2' is negative",
+        ),
+        (
+            "spda_rationed",
+            lambda doc: doc["rules"][0].update(district_cap=-1),
+            "rule for district d1: district_cap is negative",
+        ),
+        (
+            "reserves_diversity",
+            lambda doc: _first(doc["rules"][0]["reserves"]).update(t1=-2),
+            "rule for district d1: reserve for type t1 at school c1 is negative",
+        ),
+    ],
+    ids=["district-ceiling", "box-ceiling", "district-cap", "reserve"],
+)
+def test_negative_count_is_one_issue(name, edit, message):
+    doc = json.loads(fixture_path(name).read_text())
+    edit(doc)
+    with pytest.raises(ValidationError) as exc:
+        instance_from_dict(doc)
+    assert [m for _, m in exc.value.issues] == [message]

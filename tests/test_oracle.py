@@ -3,6 +3,7 @@
 import pytest
 
 import districtmatch as dm
+from districtmatch import oracle
 from districtmatch.errors import NotApplicable, SearchBudgetExceeded, UniverseTooLarge
 from districtmatch.model import ProblemSpec, distribution_of, validate_problem
 from districtmatch.oracle import (
@@ -396,6 +397,18 @@ def test_search_budget(nonexistence):
     p = nonexistence.problem
     with pytest.raises(SearchBudgetExceeded):
         search_rule_nonexistence(p, 0, {0: 2, 1: 2}, budget=1)
+
+
+def test_search_size_bound(nonexistence, monkeypatch):
+    p = nonexistence.problem
+    ceilings = {t: q for (d, t), q in nonexistence.policy.district_ceilings if d == 0}
+    # the fixture's district lists 4**4 = 256 sets
+    monkeypatch.setattr(oracle, "NONEXISTENCE_SET_BOUND", 256)
+    assert not search_rule_nonexistence(p, 0, ceilings).satisfiable
+    monkeypatch.setattr(oracle, "NONEXISTENCE_SET_BOUND", 255)
+    with pytest.raises(UniverseTooLarge) as exc:
+        search_rule_nonexistence(p, 0, ceilings)
+    assert (exc.value.size, exc.value.budget) == (256, 255)
 
 
 # -- welfare comparison ------------------------------------------------------------
