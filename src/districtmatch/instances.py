@@ -61,6 +61,23 @@ class _Reader:
     (type, district, school, student) to its {id: position} in file order."""
 
     JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
+    # the keys each object allows, by section (a list's objects by the list's
+    # field); ``meta`` is free-form and id-keyed sections are checked by id
+    KEYS = {
+        "instance": {
+            "types", "districts", "schools", "students", "initial_matching",
+            "rules", "policy", "master_list", "alpha", "meta",
+        },
+        "schools": {"id", "district", "capacity"},
+        "students": {"id", "district", "type", "preferences"},
+        "rules": {
+            "district", "kind", "priorities", "table", "school_order", "reserves",
+            "ceilings", "type_order", "district_cap", "district_ceilings",
+        },
+        "table": {"set", "chosen"},
+        "policy": {"form", "intersect_xi0", "floors", "ceilings", "distributions", "f", "lambda"},
+        "f": {"kind", "ideal"},
+    }
 
     def __init__(self, index, code="DanglingReference"):
         self.index = index
@@ -69,6 +86,12 @@ class _Reader:
 
     def note(self, message, code=None):
         self.issues.append((code or self.code, message))
+
+    def keys(self, doc, section, owner):
+        """Notes each key of the object ``doc`` that ``section`` does not allow."""
+        for key in doc:
+            if key not in self.KEYS[section]:
+                self.note(f"{owner} has unknown key {key!r}", "UnknownKey")
 
     def get(self, doc, field, kind, owner, default=None):
         """``doc[field]`` if it has the JSON type ``kind`` (booleans are not
@@ -109,7 +132,9 @@ class _Reader:
         for i, entry in enumerate(self.get(doc, field, list, owner, [])):
             if isinstance(entry, dict):
                 name = entry.get("id")
-                yield f"{label} {name if isinstance(name, str) else i + 1}", entry
+                name = f"{label} {name if isinstance(name, str) else i + 1}"
+                self.keys(entry, field, name)
+                yield name, entry
             else:
                 self.note(f"{label} {i + 1} is not an object")
 
@@ -189,6 +214,7 @@ def instance_from_dict(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError([("DanglingReference", "an instance is a JSON object")])
     read = _Reader({})
+    read.keys(doc, "instance", "instance")
     for section in ("types", "districts", "schools", "students", "initial_matching"):
         if section not in doc:
             read.note(f"missing section {section!r}")
@@ -291,6 +317,7 @@ def _rule_from_dict(read, r, ruled, problem) -> Optional[RuleSpec]:
 
 
 def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
+    read.keys(doc, "policy", "policy")
     form = next((f for f in GoalForm if f.value == doc.get("form")), None)
     if form is None:
         read.note(f"policy has unknown form {doc.get('form')!r}")
@@ -312,6 +339,7 @@ def _policy_from_dict(read, doc) -> Optional[PolicyGoal]:
         )
     elif form is GoalForm.F_LAMBDA:
         fdoc = read.need(doc, "f", dict, "policy") or {"kind": "manhattan_ideal", "ideal": {}}
+        read.keys(fdoc, "f", "policy f")
         if fdoc.get("kind") != "manhattan_ideal":
             read.note(f"unsupported policy function {fdoc.get('kind')!r}")
         ideal = read.distribution(read.need(fdoc, "ideal", dict, "policy f"), "policy f: ideal")

@@ -147,11 +147,6 @@ class Distribution:
             self.counts[c][type_] for c in problem.district_schools[district]
         )
 
-    def district_total(self, problem: Problem, district: int) -> int:
-        return sum(
-            sum(self.counts[c]) for c in problem.district_schools[district]
-        )
-
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
@@ -340,10 +335,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         tuple(c for c, d in enumerate(school_district) if d == i)
         for i in range(len(raw.districts))
     )
-    # rank[s][c]: position of school c in student s's preference list
-    rank = tuple(
-        tuple(p.index(c) for c in range(len(school_index))) for p in preferences
-    )
+    rank = tuple(map(_positions, preferences))
 
     return Problem(
         student_ids=tuple(student_index),
@@ -363,14 +355,21 @@ def validate_problem(raw: ProblemSpec) -> Problem:
     )
 
 
+def _positions(order) -> tuple:
+    """The position of each school in ``order``, a permutation of the
+    schools: the permutation inverted."""
+    rank = [0] * len(order)
+    for i, c in enumerate(order):
+        rank[c] = i
+    return tuple(rank)
+
+
 def with_preferences(problem: Problem, student: int, prefs) -> Problem:
     """A copy of ``problem`` where one student reports a different order."""
     new_prefs = list(problem.preferences)
     new_prefs[student] = tuple(prefs)
     new_rank = list(problem.rank)
-    new_rank[student] = tuple(
-        new_prefs[student].index(c) for c in range(problem.num_schools)
-    )
+    new_rank[student] = _positions(new_prefs[student])
     return Problem(
         student_ids=problem.student_ids,
         district_ids=problem.district_ids,

@@ -176,16 +176,22 @@ class AuditReport:
         return not self.findings
 
 
-def _mechanism_outcome(mechanism, problem, *, rules=None, goal=None, master=None):
+def _mechanism_run(mechanism, problem, *, rules=None, goal=None, master=None):
+    """The mechanism's outcome, and per student how many entries of her
+    school list the run read (the whole list for the selector, whose
+    efficiency test compares whole lists)."""
     if mechanism == "spda":
-        return run_spda(problem, rules).outcome
+        trace = run_spda(problem, rules)
+        return trace.outcome, trace.read
     if mechanism == "ttc":
-        return run_ttc(problem, goal, master).outcome
+        trace = run_ttc(problem, goal, master)
+        return trace.outcome, trace.read
     if mechanism == "efficient-selector":
         candidates = constrained_efficient_ir_matchings(problem, goal)
+        whole = (problem.num_schools,) * problem.num_students
         if not candidates:
-            return frozenset()
-        return min(candidates, key=lambda X: tuple(sort_matching(X)))
+            return frozenset(), whole
+        return min(candidates, key=lambda X: tuple(sort_matching(X))), whole
     raise ValueError(f"unknown mechanism {mechanism}")
 
 
@@ -201,9 +207,13 @@ def audit_strategy_proofness(
     """Rerun the mechanism under every unilateral preference misreport.
 
     A finding records a student whose misreport yields a school she
-    strictly prefers under her true preferences.
+    strictly prefers under her true preferences.  ``runs`` counts reports.
+    A run reads the student's report only up to some prefix, and every
+    report sharing it reruns identically; ``itertools.permutations`` lists
+    those reports next to each other, so each takes the school of the last
+    run made instead of running again.
     """
-    honest = _mechanism_outcome(
+    honest, _ = _mechanism_run(
         mechanism, problem, rules=rules, goal=goal, master=master
     )
     findings = []
@@ -211,15 +221,18 @@ def audit_strategy_proofness(
     for s in range(problem.num_students):
         true_order = problem.preferences[s]
         honest_school = problem.outcome_school(honest, s)
+        prefix = None  # the part of her report the last run read
         for perm in itertools.permutations(range(problem.num_schools)):
             if budget is not None and runs >= budget:
                 return AuditReport(mechanism, tuple(findings), False, runs, honest)
-            deviated = with_preferences(problem, s, perm)
-            outcome = _mechanism_outcome(
-                mechanism, deviated, rules=rules, goal=goal, master=master
-            )
+            if prefix is None or perm[: len(prefix)] != prefix:
+                deviated = with_preferences(problem, s, perm)
+                outcome, read = _mechanism_run(
+                    mechanism, deviated, rules=rules, goal=goal, master=master
+                )
+                prefix = perm[: read[s]]
+                deviant_school = deviated.outcome_school(outcome, s)
             runs += 1
-            deviant_school = deviated.outcome_school(outcome, s)
             if problem.prefers(s, deviant_school, honest_school):
                 findings.append(
                     AuditFinding(s, true_order, perm, honest_school, deviant_school)

@@ -12,7 +12,7 @@ tables promise nothing of the kind and are re-evaluated every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +32,9 @@ class SpdaStep:
 class SpdaTrace:
     steps: tuple
     outcome: Matching
+    # per student: how many entries of her school list the run consulted; a
+    # report sharing that prefix reruns identically
+    read: tuple = field(default=(), compare=False)
 
     @property
     def num_steps(self):
@@ -103,7 +106,8 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
             proposing.add(x.student)
 
     outcome = frozenset().union(*held.values())
-    return SpdaTrace(tuple(steps), outcome)
+    read = tuple(min(i + 1, problem.num_schools) for i in next_choice)
+    return SpdaTrace(tuple(steps), outcome, read)
 
 
 def run_intradistrict_spda(problem: Problem, rules) -> Matching:

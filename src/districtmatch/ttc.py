@@ -32,10 +32,6 @@ class HypotheticalMarket:
             rank[s] = i
         object.__setattr__(self, "master_rank", tuple(rank))
 
-    def priority_key(self, slot, student):
-        first_class = 0 if self.initial_slot[student] == slot else 1
-        return (first_class, self.master_rank[student])
-
 
 @dataclass(frozen=True)
 class TtcStep:
@@ -50,6 +46,9 @@ class TtcStep:
 class TtcTrace:
     steps: tuple
     outcome: Matching
+    # per student: how many entries of her school list the run consulted; a
+    # report sharing that prefix reruns identically
+    read: tuple = field(default=(), compare=False)
 
     @property
     def num_steps(self):
@@ -213,7 +212,10 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     outcome = frozenset(
         problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
     )
-    return TtcTrace(tuple(steps), outcome)
+    # the own-type slots follow the school list; a pointer past them has
+    # read the whole list, since the other types' slots repeat it
+    read = tuple(min(i + 1, problem.num_schools) for i in next_pref)
+    return TtcTrace(tuple(steps), outcome, read)
 
 
 def _find_cycles(student_pointer, slot_pointer):

@@ -55,6 +55,21 @@ def matching_of(problem, pairs):
     return frozenset(problem.contract(sidx[s], cidx[c]) for s, c in pairs)
 
 
+def count_calls(monkeypatch, module, *names):
+    """Patches each function ``names`` of ``module`` to log its calls into
+    the returned list."""
+    calls = []
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_problem(rng: random.Random, *, num_types=None, slack=None, students=(2, 4)):
     """A small random market: 2 districts, 2-4 students (or the inclusive
     range ``students``), <=4 schools, <=2 types, home-district initial

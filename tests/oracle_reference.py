@@ -1,4 +1,8 @@
-"""Test-only reference for ``districtmatch.oracle.search_rule_nonexistence``.
+"""Test-only references for ``districtmatch.oracle``.
+
+``audit_strategy_proofness_reference`` is the audit loop the package used
+before misreports shared runs by read prefix, kept verbatim: it reruns the
+mechanism, on a fresh ``with_preferences`` copy, for every report.
 
 ``search_rule_nonexistence_reference`` is the search the package used before
 it held domains as bitmasks, kept verbatim: domains are lists of values,
@@ -10,11 +14,72 @@ loads, and each arc revision tests every value against every support with
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from districtmatch.errors import SearchBudgetExceeded
-from districtmatch.model import Problem
-from districtmatch.oracle import SearchResult, _symmetry_root_values
+from districtmatch.model import Problem, sort_matching, with_preferences
+from districtmatch.oracle import (
+    AuditFinding,
+    AuditReport,
+    SearchResult,
+    _symmetry_root_values,
+    constrained_efficient_ir_matchings,
+)
+from districtmatch.policy import PolicyGoal
 from districtmatch.rules import RuleKind, make_rule
+from districtmatch.spda import run_spda
+from districtmatch.ttc import run_ttc
+
+
+def _mechanism_outcome(mechanism, problem, *, rules=None, goal=None, master=None):
+    if mechanism == "spda":
+        return run_spda(problem, rules).outcome
+    if mechanism == "ttc":
+        return run_ttc(problem, goal, master).outcome
+    if mechanism == "efficient-selector":
+        candidates = constrained_efficient_ir_matchings(problem, goal)
+        if not candidates:
+            return frozenset()
+        return min(candidates, key=lambda X: tuple(sort_matching(X)))
+    raise ValueError(f"unknown mechanism {mechanism}")
+
+
+def audit_strategy_proofness_reference(
+    mechanism: str,
+    problem: Problem,
+    *,
+    rules=None,
+    goal: Optional[PolicyGoal] = None,
+    master=None,
+    budget: Optional[int] = None,
+) -> AuditReport:
+    """Rerun the mechanism under every unilateral preference misreport.
+
+    A finding records a student whose misreport yields a school she
+    strictly prefers under her true preferences.
+    """
+    honest = _mechanism_outcome(
+        mechanism, problem, rules=rules, goal=goal, master=master
+    )
+    findings = []
+    runs = 0
+    for s in range(problem.num_students):
+        true_order = problem.preferences[s]
+        honest_school = problem.outcome_school(honest, s)
+        for perm in itertools.permutations(range(problem.num_schools)):
+            if budget is not None and runs >= budget:
+                return AuditReport(mechanism, tuple(findings), False, runs, honest)
+            deviated = with_preferences(problem, s, perm)
+            outcome = _mechanism_outcome(
+                mechanism, deviated, rules=rules, goal=goal, master=master
+            )
+            runs += 1
+            deviant_school = deviated.outcome_school(outcome, s)
+            if problem.prefers(s, deviant_school, honest_school):
+                findings.append(
+                    AuditFinding(s, true_order, perm, honest_school, deviant_school)
+                )
+    return AuditReport(mechanism, tuple(findings), True, runs, honest)
 
 
 def search_rule_nonexistence_reference(

@@ -160,6 +160,10 @@ def ceiling(goal, school, type_):
     return None
 
 
+def district_total(xi: Distribution, problem: Problem, district: int) -> int:
+    return sum(sum(xi.counts[c]) for c in problem.district_schools[district])
+
+
 def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
     """Membership of a distribution in the goal's set."""
     if goal.intersect_xi0 and not in_xi0(xi, problem):
@@ -168,14 +172,14 @@ def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
         return xi in goal.explicit
     if goal.form is GoalForm.BALANCED_EXCHANGE:
         return all(
-            xi.district_total(problem, d) == problem.k_district[d]
+            district_total(xi, problem, d) == problem.k_district[d]
             for d in range(problem.num_districts)
         )
     if goal.form is GoalForm.SCHOOL_DIVERSITY:
         return _within_box(goal, xi, problem)
     if goal.form is GoalForm.COMBINATION:
         return _within_box(goal, xi, problem) and all(
-            xi.district_total(problem, d) == problem.k_district[d]
+            district_total(xi, problem, d) == problem.k_district[d]
             for d in range(problem.num_districts)
         )
     if goal.form is GoalForm.F_LAMBDA:

@@ -265,6 +265,14 @@ def _table(table):
             lambda r: r.update(kind="rationed_sequential", district_cap=-1),
             "rule for district d1: district_cap is negative",
         ),
+        (
+            lambda r: r.update(kind="rationed_sequential", district_capp=1),
+            "UnknownKey: rule 1 has unknown key 'district_capp'",
+        ),
+        (
+            _table([{"set": [], "chose": []}]),
+            "rule for district d1: table entry 1 has unknown key 'chose'",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -289,6 +297,8 @@ def _table(table):
         "negative-ceiling",
         "negative-district-ceiling",
         "negative-district-cap",
+        "misspelled-district-cap",
+        "misspelled-table-key",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -461,6 +471,23 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
                 "instance has non-object meta []",
             ],
         ),
+        (
+            lambda doc: (
+                doc.update(master=["s1"]),
+                doc["schools"][0].update(capacityy=2),
+                doc["students"][3].update(type_="t1"),
+                _policy(
+                    form="f_lambda", f=dict(IDEAL, idea={}), **{"lambda": "1/1", "floor": {}}
+                )(doc),
+            ),
+            [
+                "UnknownKey: instance has unknown key 'master'",
+                "UnknownKey: school c1 has unknown key 'capacityy'",
+                "UnknownKey: student s4 has unknown key 'type_'",
+                "UnknownKey: policy has unknown key 'floor'",
+                "UnknownKey: policy f has unknown key 'idea'",
+            ],
+        ),
     ],
     ids=[
         "preferences-not-a-list", "non-string-preference", "student-without-type",
@@ -470,7 +497,7 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
         "floor-above-ceiling", "negative-floor", "master-list-repeats-a-student",
         "negative-box-ceiling", "negative-district-ceiling",
-        "repeated-school-id", "every-section-listed",
+        "repeated-school-id", "every-section-listed", "every-unknown-key-listed",
     ],
 )
 def test_malformed_section_exits_2(capsys, tmp_path, edit, messages):

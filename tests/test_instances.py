@@ -232,3 +232,12 @@ def test_negative_count_is_one_issue(name, edit, message):
     with pytest.raises(ValidationError) as exc:
         instance_from_dict(doc)
     assert [m for _, m in exc.value.issues] == [message]
+
+
+def test_misspelled_key_is_one_issue():
+    # a misspelled optional key would otherwise load as the key left out
+    doc = json.loads(fixture_path("spda_rationed").read_text())
+    doc["rules"][0]["district_capp"] = doc["rules"][0].pop("district_cap")
+    with pytest.raises(ValidationError) as exc:
+        instance_from_dict(doc)
+    assert exc.value.issues == [("UnknownKey", "rule 1 has unknown key 'district_capp'")]

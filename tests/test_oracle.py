@@ -20,7 +20,7 @@ from districtmatch.policy import district_ceilings_goal, explicit_goal
 from districtmatch.rules import RuleProperty, check_property, favor_own_students
 from districtmatch.spda import run_spda
 
-from helpers import matching_of
+from helpers import count_calls, matching_of
 
 
 def _tiny_problem():
@@ -179,6 +179,31 @@ def test_ttc_audit_clean(ttc_diversity):
     assert report.clean
     assert report.exhaustive
     assert report.runs == 7 * 24  # 7 students x 4! orders
+
+
+def test_spda_audit_shares_runs_by_read_prefix(monkeypatch, basic):
+    calls = count_calls(monkeypatch, oracle, "run_spda")
+    report = audit_strategy_proofness("spda", basic.problem, rules=basic.rules)
+    # the honest run, then 15 runs for the 24 reports
+    assert (len(calls), report.runs) == (16, 24)
+
+
+def test_ttc_audit_shares_runs_by_read_prefix(monkeypatch, ttc_diversity):
+    calls = count_calls(monkeypatch, oracle, "run_ttc")
+    report = audit_strategy_proofness(
+        "ttc", ttc_diversity.problem, goal=ttc_diversity.policy, master=ttc_diversity.master
+    )
+    # the honest run, then 66 runs for the 168 reports
+    assert (len(calls), report.runs) == (67, 168)
+
+
+def test_selector_audit_runs_every_report(monkeypatch, impossibility):
+    # its efficiency test compares whole lists, so no two reports share a run
+    calls = count_calls(monkeypatch, oracle, "constrained_efficient_ir_matchings")
+    report = audit_strategy_proofness(
+        "efficient-selector", impossibility.problem, goal=impossibility.policy, budget=30
+    )
+    assert (len(calls), report.runs) == (31, 30)
 
 
 def test_selector_mechanism_manipulable(impossibility):

@@ -1,6 +1,9 @@
-"""The bitmask nonexistence search against the list-domain search it
-replaced (``oracle_reference``): same verdict, node count, conflict log and
-witness, or the same budget overrun."""
+"""The oracle against the code it replaced (``oracle_reference``).
+
+The prefix-sharing misreport audit gives the same ``AuditReport``, or the
+same error, as the audit that reran every report.  The bitmask nonexistence
+search gives the same verdict, node count, conflict log and witness, or the
+same budget overrun, as the list-domain search."""
 
 import random
 import sys
@@ -9,11 +12,113 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from districtmatch.errors import SearchBudgetExceeded
-from districtmatch.oracle import search_rule_nonexistence
+import oracle_reference
+from districtmatch import oracle
+from districtmatch.errors import (
+    DistrictMatchError,
+    RuleViolation,
+    SearchBudgetExceeded,
+    Stuck,
+)
+from districtmatch.model import with_preferences
+from districtmatch.oracle import (
+    AuditReport,
+    audit_strategy_proofness,
+    search_rule_nonexistence,
+)
+from districtmatch.policy import GoalForm
+from districtmatch.spda import run_spda
+from districtmatch.ttc import run_ttc
 
-from helpers import random_problem
-from oracle_reference import search_rule_nonexistence_reference
+from helpers import count_calls, random_goal, random_problem
+from oracle_reference import (
+    audit_strategy_proofness_reference,
+    search_rule_nonexistence_reference,
+)
+from test_spda_differential import random_rules
+
+
+def _audit(audit, mechanism, problem, budget, inputs):
+    try:
+        return audit(mechanism, problem, budget=budget, **inputs)
+    except DistrictMatchError as exc:
+        return (type(exc), str(exc))
+
+
+def _random_mechanism(rng, problem):
+    """SPDA under spec rules or explicit tables (which may misbehave under
+    some reports), or TTC under a random goal and master list."""
+    if rng.random() < 0.5:
+        return "spda", {"rules": random_rules(rng, problem, tables=0.5)}
+    master = list(range(problem.num_students))
+    rng.shuffle(master)
+    goal = random_goal(rng, problem, rng.choice(list(GoalForm)))
+    return "ttc", {"goal": goal, "master": master}
+
+
+def assert_same_audit(seed, budget):
+    """Audit one random market both ways."""
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    mechanism, inputs = _random_mechanism(rng, problem)
+    got = _audit(audit_strategy_proofness, mechanism, problem, budget, inputs)
+    want = _audit(audit_strategy_proofness_reference, mechanism, problem, budget, inputs)
+    assert got == want
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_audit_matches_reference_on_random_markets(seed, budget):
+    assert_same_audit(seed, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reports_sharing_the_read_prefix_rerun_identically(seed):
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    mechanism, inputs = _random_mechanism(rng, problem)
+
+    def run(p):
+        if mechanism == "spda":
+            return run_spda(p, inputs["rules"])
+        return run_ttc(p, inputs["goal"], inputs["master"])
+
+    try:
+        trace = run(problem)
+    except DistrictMatchError:
+        return
+    s = rng.randrange(problem.num_students)
+    read = trace.read[s]
+    assert 1 <= read <= problem.num_schools
+    order = list(problem.preferences[s])
+    rest = order[read:]
+    rng.shuffle(rest)
+    again = run(with_preferences(problem, s, order[:read] + rest))
+    assert (again, again.read) == (trace, trace.read)
+
+
+def test_drawn_audits_reuse_runs_with_findings_and_raises(monkeypatch):
+    # the drawn audits reach both ends while reusing runs: a finding, and an
+    # error a misreport raises after earlier reports shared a run
+    runs = count_calls(monkeypatch, oracle, "run_spda", "run_ttc")
+    reference_runs = count_calls(monkeypatch, oracle_reference, "run_spda", "run_ttc")
+    seen = set()
+    for seed in range(60):
+        runs.clear()
+        reference_runs.clear()
+        got = assert_same_audit(seed, None)
+        if len(runs) == len(reference_runs):
+            continue
+        if not isinstance(got, AuditReport):
+            seen.add(got[0])
+        elif got.findings:
+            seen.add("finding")
+    assert "finding" in seen and seen & {RuleViolation, Stuck}
 
 
 def _result(search, problem, district, ceilings, **kwargs):

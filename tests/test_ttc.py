@@ -14,6 +14,7 @@ from districtmatch.policy import (
 from districtmatch.ttc import build_hypothetical, is_permissible, run_ttc
 
 from helpers import ids_of, initial_contract, matching_of
+from ttc_reference import priority_key
 
 GOLDEN_TTC = [
     ("s1", "c3"),
@@ -59,7 +60,7 @@ def test_slot_priority_classes(ttc_diversity):
     p = ttc_diversity.problem
     market = build_hypothetical(p, ttc_diversity.master)
     # both initial occupants of (c1, t1) precede everyone else, master order
-    key = lambda s: market.priority_key((0, 0), s)
+    key = lambda s: priority_key(market, (0, 0), s)
     assert key(0) < key(1) < key(2)
     assert key(1)[0] == 0 and key(2)[0] == 1
 

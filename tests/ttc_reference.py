@@ -24,6 +24,13 @@ def _slot_distribution(problem, assignment):
     return Distribution(tuple(tuple(r) for r in rows))
 
 
+def priority_key(market, slot, student):
+    """A slot's priority over ``student``: her initial slot's holders first,
+    then everyone else, each class in master order."""
+    first_class = 0 if market.initial_slot[student] == slot else 1
+    return (first_class, market.master_rank[student])
+
+
 def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     """Run the trading algorithm; every cycle found in a step executes."""
     market = build_hypothetical(problem, master)
@@ -54,7 +61,7 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTra
                 c0, t0 = market.initial_slot[s]
                 moved = xi.add(c0, t0, -1).add(slot[0], slot[1], +1)
                 if satisfies_with_feasibility(goal, moved, problem):
-                    key = market.priority_key(slot, s)
+                    key = priority_key(market, slot, s)
                     if best_key is None or key < best_key:
                         best, best_key = s, key
             if best is None:
