@@ -24,7 +24,6 @@ from .model import (
     distribution_of,
     is_feasible,
     pareto_dominates,
-    unit_distribution,
     validate_problem,
     with_preferences,
 )

@@ -11,6 +11,7 @@ Reports are deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -77,6 +78,7 @@ def main(argv=None):
         return EXIT_MECHANISM
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="districtmatch",
@@ -171,10 +173,9 @@ def cmd_run(inst, args):
     master = master_order(args.master, problem, "--master") if args.master else inst.master
     _require_inputs(inst, mechanism)
 
-    trace_doc = None
+    trace = None
     if mechanism == "spda-intra":
         outcome = run_intradistrict_spda(problem, inst.rules)
-        steps = None
     else:
         if mechanism == "spda":
             run, run_args, render = run_spda, (problem, inst.rules), _spda_trace_doc
@@ -188,8 +189,6 @@ def cmd_run(inst, args):
                 _write_trace(args.trace, render(problem, exc.trace))
             raise
         outcome = trace.outcome
-        steps = trace.num_steps
-        trace_doc = render(problem, trace)
 
     _print_outcome(problem, outcome)
     print("metric,value")
@@ -205,12 +204,11 @@ def cmd_run(inst, args):
         )
     else:
         print("policy_goal,n/a")
-    if steps is not None:
-        print(f"steps,{steps}")
-
-    if args.trace and trace_doc is not None:
-        _write_trace(args.trace, trace_doc)
-        print(f"trace,{args.trace}")
+    if trace is not None:
+        print(f"steps,{trace.num_steps}")
+        if args.trace:
+            _write_trace(args.trace, render(problem, trace))
+            print(f"trace,{args.trace}")
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ package works on those indices, so runs are byte-reproducible.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -157,13 +157,6 @@ class Distribution:
 
     def flat(self):
         return tuple(chain.from_iterable(self.counts))
-
-
-def unit_distribution(problem: Problem, school: int, type_: int) -> Distribution:
-    """One student of ``type_`` at ``school`` and nobody else."""
-    rows = [[0] * problem.num_types for _ in range(problem.num_schools)]
-    rows[school][type_] = 1
-    return Distribution(tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -366,26 +359,10 @@ def _positions(order) -> tuple:
 
 def with_preferences(problem: Problem, student: int, prefs) -> Problem:
     """A copy of ``problem`` where one student reports a different order."""
-    new_prefs = list(problem.preferences)
-    new_prefs[student] = tuple(prefs)
-    new_rank = list(problem.rank)
-    new_rank[student] = _positions(new_prefs[student])
-    return Problem(
-        student_ids=problem.student_ids,
-        district_ids=problem.district_ids,
-        school_ids=problem.school_ids,
-        type_ids=problem.type_ids,
-        student_district=problem.student_district,
-        student_type=problem.student_type,
-        preferences=tuple(new_prefs),
-        school_district=problem.school_district,
-        capacities=problem.capacities,
-        initial_school=problem.initial_school,
-        k_district=problem.k_district,
-        k_type=problem.k_type,
-        district_schools=problem.district_schools,
-        rank=tuple(new_rank),
-    )
+    preferences, rank = list(problem.preferences), list(problem.rank)
+    preferences[student] = tuple(prefs)
+    rank[student] = _positions(preferences[student])
+    return replace(problem, preferences=tuple(preferences), rank=tuple(rank))
 
 
 # -- operations on matchings ------------------------------------------------------

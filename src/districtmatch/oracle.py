@@ -531,24 +531,32 @@ def search_rule_nonexistence(
         return propagate(p)
 
     def search():
+        """Depth-first: fix the set with the fewest values (more than one)
+        to each of them in turn, until every set has one value."""
         nonlocal nodes
-        counts = list(map(int.bit_count, dom))
-        fewest = min((n for n in counts if n > 1), default=None)
-        if fewest is None:
-            return True
-        best = counts.index(fewest)
-        rest = dom[best]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            mark = len(trail)
-            if fix(best, low) and search():
+        frames = []  # per open level: [set, values not yet tried, trail mark]
+        while True:
+            counts = list(map(int.bit_count, dom))
+            fewest = min((n for n in counts if n > 1), default=None)
+            if fewest is None:
                 return True
-            undo(mark)
-        return False
+            best = counts.index(fewest)
+            frames.append([best, dom[best], len(trail)])
+            while True:  # the next value to fix, backtracking past tried-out levels
+                if not frames:
+                    return False
+                p, rest, mark = frames[-1]
+                undo(mark)
+                if not rest:
+                    frames.pop()
+                    continue
+                low = rest & -rest
+                frames[-1][1] = rest ^ low
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(nodes)
+                if fix(p, low):
+                    break
 
     def frozenset_of(v):
         return frozenset(universe[i] for i in range(width) if v >> i & 1)

@@ -34,10 +34,9 @@ class GoalForm(Enum):
 class PolicyFunction:
     """A total score on distributions; higher means more acceptable."""
 
-    kind: str  # manhattan_ideal | indicator | table
+    kind: str  # manhattan_ideal | indicator
     ideal: Optional[Distribution] = None
     members: Optional[frozenset] = None
-    table: tuple = ()
 
     def __call__(self, xi: Distribution) -> Fraction:
         if self.kind == "manhattan_ideal":
@@ -48,12 +47,7 @@ class PolicyFunction:
                     for a, b in zip(ra, rb)
                 )
             )
-        if self.kind == "indicator":
-            return Fraction(1 if xi in self.members else 0)
-        for key, value in self.table:
-            if key == xi:
-                return value
-        raise KeyError(f"policy function table has no value for {xi}")
+        return Fraction(1 if xi in self.members else 0)
 
 
 @dataclass(frozen=True)

@@ -285,16 +285,20 @@ class CompiledRule:
             RuleKind.RESERVES_AND_CEILINGS,
         ):
             self.cap = problem.k_district[rule.district]
-        reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
-        type_order = rule.type_order or tuple(range(problem.num_types))
-        self.reserves = [
-            [(t, reserves[(c, t)]) for t in type_order if reserves.get((c, t), 0)]
-            for c in rule.school_order
-        ]
-        self.ceilings = [
-            {t: ceilings[(c, t)] for t in range(problem.num_types) if (c, t) in ceilings}
-            for c in rule.school_order
-        ]
+        # per position; a sequential kind has none, though ``favor_own_students``
+        # keeps a reserves rule's maps in its spec
+        self.reserves, self.ceilings = [], [{}] * len(orders)
+        if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
+            reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
+            type_order = rule.type_order or tuple(range(problem.num_types))
+            self.reserves = [
+                [(t, reserves[(c, t)]) for t in type_order if reserves.get((c, t), 0)]
+                for c in rule.school_order
+            ]
+            self.ceilings = [
+                {t: ceilings[(c, t)] for t in range(problem.num_types) if (c, t) in ceilings}
+                for c in rule.school_order
+            ]
 
 
 def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
@@ -335,12 +339,75 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     return frozenset(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
 
 
-def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys):
+def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
     """The keys a spec rule chooses from ``keys``, which are sorted and
-    distinct."""
-    if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
-        return _choose_reserves(comp, keys, rule.completed)
-    return _choose_sequential(comp, keys, rule.completed)
+    distinct.
+
+    Reserve seats fill first, school by school and type by type.  Then each
+    school's open seats, under the district cap, go to the first free keys
+    of its pool within their type's remaining ceiling (loads only grow, so a
+    type at its ceiling gets no later open seat there).  Only the reserves
+    kind compiles reserves and ceilings.  A key is free while its student
+    holds no chosen key (for a completion, while the key is not chosen).
+    ``cuts``, a ``Cutoffs``, records each seat group's ``_cutoff`` as it
+    fills.
+    """
+    student_at, type_at, capacity, cap = comp.student_at, comp.type_at, comp.capacity, comp.cap
+    repeats = not rule.completed and len(set(map(student_at.__getitem__, keys))) < len(keys)
+    pools = _school_pools(comp, keys)
+    chosen = []
+    taken = set()  # chosen students, tracked only when some repeat
+    reserved = [()] * len(pools)  # per position: keys that took a reserve seat
+    loads = [{}] * len(pools)  # per position: reserve seats taken, per type
+    for pos, targets in enumerate(comp.reserves):
+        if not targets:
+            continue
+        pool = pools[pos]
+        if repeats:
+            pool = [k for k in pool if student_at[k] not in taken]
+        picked, load = [], {}
+        for t, target in targets:
+            room = min(target, capacity[pos] - len(picked))
+            # a type named twice in the type order picks again, later keys
+            got = load.get(t, 0)
+            picks = [k for k in pool if type_at[k] == t][got : got + max(room, 0)]
+            if cuts is not None:
+                cut = cuts.reserve_cut.get((pos, t), -1)
+                cuts.reserve_cut[pos, t] = max(cut, _cutoff(picks, room))
+            load[t] = got + len(picks)
+            picked += picks
+        reserved[pos], loads[pos] = set(picked), load
+        chosen += picked
+        if repeats:
+            taken.update(map(student_at.__getitem__, picked))
+    if cuts is not None:
+        cuts.reserved.update(chosen)
+    for pos, pool in enumerate(pools):
+        room = capacity[pos] - len(reserved[pos])
+        if cap is not None:
+            room = min(room, cap - len(chosen))
+        if room <= 0 and cuts is None:
+            continue
+        if repeats:
+            pool = [k for k in pool if student_at[k] not in taken]
+        elif reserved[pos]:
+            pool = [k for k in pool if k not in reserved[pos]]
+        if cuts is not None:
+            cuts.open_cut.append(_cutoff(pool, room))
+        over = set()  # keys beyond their type's remaining ceiling
+        for t, q in comp.ceilings[pos].items():
+            of_type = [k for k in pool if type_at[k] == t]
+            q -= loads[pos].get(t, 0)
+            if cuts is not None:
+                cuts.ceiling_cut[pos, t] = _cutoff(of_type, q)
+            over.update(of_type[max(q, 0) :])
+        if over:
+            pool = [k for k in pool if k not in over]
+        picks = pool[: max(room, 0)]
+        chosen += picks
+        if repeats:
+            taken.update(map(student_at.__getitem__, picks))
+    return chosen
 
 
 def _school_pools(comp: CompiledRule, keys):
@@ -352,79 +419,6 @@ def _school_pools(comp: CompiledRule, keys):
         pools.append(keys[lo:hi])
         lo = hi
     return pools
-
-
-def _choose_sequential(comp: CompiledRule, keys, completed) -> list:
-    """Schools pick responsively in order; chosen students drop out downstream.
-
-    ``keys`` are sorted and distinct.  When no student has two contracts
-    among them (or chosen students stay in, for a completion), each school
-    takes a prefix of its pool.
-    """
-    student_at, cap = comp.student_at, comp.cap
-    repeats = not completed and len(set(map(student_at.__getitem__, keys))) < len(keys)
-    chosen = []
-    taken = set()  # chosen students, tracked only when some repeat
-    for room, pool in zip(comp.capacity, _school_pools(comp, keys)):
-        if cap is not None:
-            room = min(room, cap - len(chosen))
-        if not repeats:
-            chosen += pool[: max(room, 0)]
-            continue
-        for key in pool:
-            if room <= 0:
-                break
-            if student_at[key] not in taken:
-                taken.add(student_at[key])
-                chosen.append(key)
-                room -= 1
-    return chosen
-
-
-def _choose_reserves(comp: CompiledRule, keys, completed) -> set:
-    """Reserve seats fill first (school-major, type-minor), then open seats.
-
-    ``keys`` are sorted and distinct.  Loads only grow, so once a type
-    reaches its ceiling at a school, no later contract of that type gets an
-    open seat there: the open seats go to the first contracts of the pool
-    that are within their type's remaining ceiling.
-    """
-    student_at, type_at, capacity = comp.student_at, comp.type_at, comp.capacity
-    pools = _school_pools(comp, keys)
-    chosen = set()  # of keys
-    chosen_students = set()
-    school_load = [0] * len(capacity)
-    type_load = {}  # (school position, type) -> chosen count
-
-    def free(pool):
-        if completed:
-            return [k for k in pool if k not in chosen]
-        return [k for k in pool if student_at[k] not in chosen_students]
-
-    for pos, pool in enumerate(pools):
-        for t, target in comp.reserves[pos]:
-            room = min(target, capacity[pos] - school_load[pos])
-            picks = [k for k in free(pool) if type_at[k] == t][: max(room, 0)]
-            chosen.update(picks)
-            chosen_students.update(map(student_at.__getitem__, picks))
-            school_load[pos] += len(picks)
-            type_load[(pos, t)] = type_load.get((pos, t), 0) + len(picks)
-
-    for pos, pool in enumerate(pools):
-        room = min(capacity[pos] - school_load[pos], comp.cap - len(chosen))
-        if room <= 0:
-            continue
-        open_pool = free(pool)
-        over = set()  # contracts beyond their type's remaining ceiling
-        for t, q in comp.ceilings[pos].items():
-            of_type = [k for k in open_pool if type_at[k] == t]
-            over.update(of_type[max(q - type_load.get((pos, t), 0), 0) :])
-        if over:
-            open_pool = [k for k in open_pool if k not in over]
-        picks = open_pool[:room]
-        chosen.update(picks)
-        chosen_students.update(map(student_at.__getitem__, picks))
-    return chosen
 
 
 def _cutoff(taken, room):
@@ -442,13 +436,14 @@ class Cutoffs:
 
     ``holds`` tells whether the rule chooses all of ``X``.  If a spec rule
     that is not a completion does, ``X`` repeats no student, and a candidate
-    x changes nothing before its turn: phase 1 up to its type's reserve at
-    its school, and phase 2 before its school (sequential kinds are phase 2
-    alone).  So x is chosen exactly when its key beats the cut-off
-    (``_cutoff``) of that reserve, or else those of an open seat and of its
-    type's ceiling at its school; unless its student's contract y in ``X``
-    is taken first: in phase 1 at an earlier school or, once x misses the
-    reserve, anywhere but in phase 2 at a later school.
+    x changes nothing before its turn: the reserve seats up to its type's
+    reserve at its school, and the open seats before its school.  So x is
+    chosen exactly when its key beats the cut-off (``_cutoff``) of that
+    reserve, or else those of an open seat and of its type's ceiling at its
+    school; unless its student's contract y in ``X`` is taken first: in a
+    reserve seat at an earlier school or, once x misses the reserve,
+    anywhere but in an open seat at a later school.  ``_chosen_keys``
+    records the cut-offs as it chooses ``X``.
 
     Completions insert x's key into the sorted keys and choose again;
     explicit tables and contracts the rule cannot rank go through ``choose``.
@@ -465,44 +460,13 @@ class Cutoffs:
             return
         keys.sort()
         self.keys = keys
-        self.holds = len(_chosen_keys(rule, comp, keys)) == len(keys)
-        if self.holds and not rule.completed:
-            self._replay(_school_pools(comp, keys))
-
-    def _replay(self, pools):
-        """Record the cut-offs of the choice from ``pools``, which takes
-        every pool in full."""
-        comp, type_at, capacity = self.comp, self.comp.type_at, self.comp.capacity
-        two_phase = self.rule.kind is RuleKind.RESERVES_AND_CEILINGS
-        self.held = {comp.student_at[k]: k for pool in pools for k in pool}
+        self.held = {comp.student_at[k]: k for k in keys}
         self.reserve_cut = {}  # (position, type) -> cut-off of the reserve
         self.reserved = set()  # keys that took a reserve seat
-        loads = []  # per position: reserve seats taken, per type
-        for pos, pool in enumerate(pools):
-            load = Counter()
-            for t, target in comp.reserves[pos] if two_phase else ():
-                of_type = [k for k in pool if type_at[k] == t]
-                room = min(target, capacity[pos] - sum(load.values()))
-                picks = of_type[load[t] : load[t] + max(room, 0)]
-                # a type named twice in the type order picks again, later keys
-                cut = self.reserve_cut.get((pos, t), -1)
-                self.reserve_cut[pos, t] = max(cut, _cutoff(picks, room))
-                load[t] += len(picks)
-                self.reserved.update(picks)
-            loads.append(load)
         self.open_cut = []  # per position: cut-off of an open seat
         self.ceiling_cut = {}  # (position, type) -> cut-off under the ceiling
-        admitted = len(self.reserved)
-        for pos, pool in enumerate(pools):
-            open_keys = [k for k in pool if k not in self.reserved]
-            room = capacity[pos] - sum(loads[pos].values())
-            if comp.cap is not None:
-                room = min(room, comp.cap - admitted)
-            self.open_cut.append(_cutoff(open_keys, room))
-            admitted += len(open_keys)
-            for t, q in comp.ceilings[pos].items() if two_phase else ():
-                of_type = [k for k in open_keys if type_at[k] == t]
-                self.ceiling_cut[pos, t] = _cutoff(of_type, q - loads[pos][t])
+        cuts = None if rule.completed else self
+        self.holds = len(_chosen_keys(rule, comp, keys, cuts)) == len(keys)
 
     def chooses(self, x: Contract) -> bool:
         """Whether the rule chooses ``x``, a contract of its district not in

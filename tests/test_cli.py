@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from districtmatch import oracle
-from districtmatch.cli import main
+from districtmatch import cli, oracle
+from districtmatch.cli import _build_parser, main
 from districtmatch.fixtures import FIXTURE_NAMES, fixture_path
+
+from helpers import count_calls
 
 
 def fpath(name):
@@ -135,6 +137,29 @@ def test_run_spda_intra(capsys):
     code, out, _ = run_cli(capsys, "run", fpath("spda_basic"), "--mechanism", "spda-intra")
     assert code == 0
     assert "s3,c3,d2" in out
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize(
+    "fixture, mechanism",
+    [("spda_basic", "spda"), ("ttc_diversity", "ttc"), ("ttc_stuck", "ttc")],
+)
+def test_run_renders_the_trace_only_when_asked(
+    capsys, monkeypatch, tmp_path, fixture, mechanism
+):
+    rendered = count_calls(monkeypatch, cli, "_spda_trace_doc", "_ttc_trace_doc")
+    code, out, err = run_cli(capsys, "run", fpath(fixture), "--mechanism", mechanism)
+    assert rendered == []
+    trace_path = tmp_path / "trace.json"
+    got = run_cli(
+        capsys, "run", fpath(fixture), "--mechanism", mechanism, "--trace", str(trace_path)
+    )
+    assert len(rendered) == 1 and trace_path.exists()
+    # the trace adds its own line to a finished run's report, and nothing else
+    assert got == (code, out + (f"trace,{trace_path}\n" if code == 0 else ""), err)
 
 
 def test_malformed_instance_exits_2(capsys, tmp_path):

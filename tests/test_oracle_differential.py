@@ -131,12 +131,12 @@ def _result(search, problem, district, ceilings, **kwargs):
 
 
 def assert_same_search(problem, district, ceilings, **kwargs):
-    # both searches recurse once per branching level; without weak
+    got = _result(search_rule_nonexistence, problem, district, ceilings, **kwargs)
+    # the reference recurses once per branching level; without weak
     # substitutability a 6-student search can go 2,000 levels deep
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10_000))
     try:
-        got = _result(search_rule_nonexistence, problem, district, ceilings, **kwargs)
         want = _result(
             search_rule_nonexistence_reference, problem, district, ceilings, **kwargs
         )
@@ -176,6 +176,29 @@ def test_search_matches_reference_on_random_markets(
         symmetry=symmetry,
         budget=budget,
         require_weak_substitutability=weak_substitutability,
+    )
+
+
+@pytest.mark.parametrize("seed", [94, 204, 218])
+def test_deep_search_needs_no_raised_recursion_limit(seed):
+    # without weak substitutability these districts branch 1,500-2,100
+    # levels deep, past the default recursion limit of 1,000
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(3, 6))
+    district = rng.randrange(problem.num_districts)
+    ceilings = _random_ceilings(rng, problem)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)  # Python's default
+    try:
+        got = _result(
+            search_rule_nonexistence, problem, district, ceilings,
+            require_weak_substitutability=False,
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got[:2] == (True, {94: 1896, 204: 1521, 218: 2139}[seed])
+    assert got == assert_same_search(
+        problem, district, ceilings, require_weak_substitutability=False
     )
 
 

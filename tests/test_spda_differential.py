@@ -203,6 +203,26 @@ def test_choose_every_kind_on_every_subset():
                             assert choose(r, X, problem) == choose_reference(r, X, problem)
 
 
+def test_favored_reserves_rule_reads_no_reserves(reserves_diversity, monkeypatch):
+    # favor_own_students makes a sequential rule but keeps the reserves and
+    # ceilings in its spec, where neither choose nor the cut-offs may read them
+    with_choose(monkeypatch)
+    problem = reserves_diversity.problem
+    rules = {d: favor_own_students(r, problem) for d, r in reserves_diversity.rules.items()}
+    for d, rule in rules.items():
+        assert rule.kind is RuleKind.SEQUENTIAL_RESPONSIVE and rule.reserves and rule.ceilings
+        universe = problem.district_contracts(d)
+        for n in range(len(universe) + 1):
+            for X in itertools.combinations(universe, n):
+                X = frozenset(X)
+                assert choose(rule, X, problem) == choose_reference(rule, X, problem)
+    for profile in (reserves_diversity.rules, rules):
+        outcome = run_spda(problem, profile).outcome
+        for d, rule in rules.items():  # so every cut-off answer is checked
+            assert Cutoffs(rule, frozenset(x for x in outcome if x.district == d), problem).holds
+        assert_cutoffs_exact(problem, rules, outcome)
+
+
 def test_compiled_rule_follows_the_problem_structure():
     rng = random.Random(3)
     problem = random_problem(rng)
