@@ -170,6 +170,9 @@ def _require_inputs(inst, mechanism):
 def cmd_run(inst, args):
     problem = inst.problem
     mechanism = args.mechanism
+    if mechanism == "spda-intra" and args.trace:
+        print("error: --mechanism spda-intra keeps no step trace; drop --trace", file=sys.stderr)
+        return EXIT_VALIDATION
     master = master_order(args.master, problem, "--master") if args.master else inst.master
     _require_inputs(inst, mechanism)
 

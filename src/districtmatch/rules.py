@@ -229,9 +229,11 @@ class CompiledRule:
     the rule's district, so a hit there also validates the contract.
 
     ``memo`` maps a bitmask over the district's contracts (the student-major
-    universe of ``Chooser``) to the mask the rule chooses from it.  The
-    universe and the choice depend only on the basis, so every ``Chooser``
-    of the rule shares it until the rule meets a differently shaped problem.
+    universe of ``Chooser``) to the mask the rule chooses from it, and
+    ``space`` is that universe's ``MaskSpace``, built by the first
+    ``Chooser``.  The universe and the choice depend only on the basis, so
+    every ``Chooser`` of the rule shares both until the rule meets a
+    differently shaped problem.
     """
 
     # the problem fields a compiled rule and its choice memo depend on; they
@@ -243,6 +245,7 @@ class CompiledRule:
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.memo = {}
+        self.space = None
         self.table = {}
         self.key_of = {}
         self.missing = None
@@ -491,28 +494,190 @@ class Cutoffs:
         return key < self.open_cut[pos] and key < self.ceiling_cut.get((pos, t), math.inf)
 
 
+class MaskSpace:
+    """A compiled rule's district universe as bitmasks, with the tables of
+    its integer seat-filling walk, ``_chosen_bits``.
+
+    Universe bits are student-major.  Key bits are the rule's keys, so each
+    school's keys fill one ``windows`` mask in priority order, and taking the
+    first ``room`` contracts of a pool takes its lowest bits.  ``to_keys``
+    and ``to_universe`` translate masks eight bits at a time.  ``unranked``
+    holds the universe bits the rule has no key for.  ``to_keys`` is None
+    for explicit tables and rules missing a priority list, which choose
+    through ``choose`` on the set.
+    """
+
+    def __init__(self, rule: RuleSpec, comp: CompiledRule, problem: Problem):
+        self.universe = universe = tuple(problem.district_contracts(rule.district))
+        self.index = {x: i for i, x in enumerate(universe)}
+        self.student_bits = {}
+        for i, x in enumerate(universe):
+            self.student_bits[x.student] = self.student_bits.get(x.student, 0) | 1 << i
+        self.to_keys = None
+        if rule.kind is RuleKind.EXPLICIT_TABLE or comp.missing is not None:
+            return
+        keys = [comp.key_of.get(x) for x in universe]
+        self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
+        self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
+        bit_at = [0] * len(comp.student_at)
+        for i, k in enumerate(keys):
+            if k is not None:
+                bit_at[k] = 1 << i
+        self.to_universe = _chunk_tables(bit_at)
+        stride = comp.stride
+        self.windows = [((1 << stride) - 1) << pos * stride for pos in range(len(comp.capacity))]
+        self.of_type = [{} for _ in self.windows]  # per position: type -> its keys
+        student_keys = {}
+        for k, s in enumerate(comp.student_at):
+            if s is not None:
+                student_keys[s] = student_keys.get(s, 0) | 1 << k
+                of_type = self.of_type[k // stride]
+                of_type[comp.type_at[k]] = of_type.get(comp.type_at[k], 0) | 1 << k
+        # per key: the free keys left once it is chosen, without its
+        # student's keys (for a completion, without the key alone)
+        self.keep = [
+            ~(1 << k if rule.completed or s is None else student_keys[s])
+            for k, s in enumerate(comp.student_at)
+        ]
+        self.capacity, self.cap = comp.capacity, comp.cap
+        self.reserves, self.ceilings = comp.reserves, comp.ceilings
+
+    @functools.cached_property
+    def all_masks(self) -> list:
+        bits = [1 << i for i in range(len(self.universe))]
+        return [
+            sum(combo)
+            for k in range(len(bits) + 1)
+            for combo in itertools.combinations(bits, k)
+        ]
+
+    @functools.cached_property
+    def feasible_masks(self) -> list:
+        # Sorted as one integer: size, then the complement of the bit-reversed
+        # mask (of two sets of one size, the one holding the smallest index
+        # they differ in comes first), then the mask.  Adding bit i adds a
+        # fixed delta to each part without a carry.
+        n = len(self.universe)
+        full = (1 << n) - 1
+        entries = [full << n]
+        for bits in self.student_bits.values():
+            deltas = [0] + [
+                (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
+                for i in range(n)
+                if bits >> i & 1
+            ]
+            entries = [e + d for e in entries for d in deltas]
+        entries.sort()
+        return [e & full for e in entries]
+
+
+def _chunk_tables(bit_of: list) -> list:
+    """Per 8-bit chunk of a mask over ``len(bit_of)`` bits, the table from
+    the chunk's value to the OR of ``bit_of[i]`` over its set bits."""
+    tables = []
+    for lo in range(0, len(bit_of), 8):
+        table = [0]
+        for b in bit_of[lo : lo + 8]:
+            table += [t | b for t in table]
+        tables.append(table)
+    return tables
+
+
+def _translate(tables: list, mask: int) -> int:
+    got = 0
+    for table in tables:
+        got |= table[mask & 255]
+        mask >>= 8
+    return got
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask`` (none if ``count`` <= 0)."""
+    if mask.bit_count() <= count:
+        return mask
+    low = 0
+    for _ in range(count):
+        low |= mask & -mask
+        mask &= mask - 1
+    return low
+
+
+def _fill(pool: int, room: int, free: int, keep: list):
+    """The lowest ``room`` bits of ``pool``, and ``free`` without the keys
+    each of them takes out."""
+    picks = 0
+    while room > 0 and pool:
+        b = pool & -pool
+        pool ^= b
+        picks |= b
+        free &= keep[b.bit_length() - 1]
+        room -= 1
+    return picks, free
+
+
+def _chosen_bits(space: MaskSpace, keys: int) -> int:
+    """``_chosen_keys`` on a mask of key bits: the key bits the spec rule
+    chooses.
+
+    Reserve seats take the lowest free bits of their school's type mask,
+    school by school and type by type; open seats take the lowest free bits
+    of their school's window once the keys beyond each type's remaining
+    ceiling are cut.  Each pick clears ``keep`` from the free keys.
+    """
+    capacity, cap, keep = space.capacity, space.cap, space.keep
+    free, chosen, count = keys, 0, 0
+    reserved = [0] * len(capacity)  # per position: reserve seats taken
+    loads = [{}] * len(capacity)  # per position: reserve seats taken, per type
+    for pos, targets in enumerate(space.reserves):
+        if not targets:
+            continue
+        of_type, load, taken = space.of_type[pos], {}, 0
+        for t, target in targets:
+            room = min(target, capacity[pos] - taken)
+            picks, free = _fill(free & of_type.get(t, 0), room, free, keep)
+            got = picks.bit_count()
+            load[t] = load.get(t, 0) + got
+            taken += got
+            chosen |= picks
+        reserved[pos], loads[pos] = taken, load
+        count += taken
+    for pos, window in enumerate(space.windows):
+        room = capacity[pos] - reserved[pos]
+        if cap is not None:
+            room = min(room, cap - count)
+        if room <= 0:
+            continue
+        pool = free & window
+        for t, q in space.ceilings[pos].items():
+            mine = pool & space.of_type[pos].get(t, 0)
+            pool ^= mine ^ _lowest_bits(mine, q - loads[pos].get(t, 0))
+        picks, free = _fill(pool, room, free, keep)
+        chosen |= picks
+        count += picks.bit_count()
+    return chosen
+
+
 class Chooser:
     """Memoized evaluator of one rule over its district's contract universe.
 
     Sets of contracts are encoded as bitmasks over the universe (student-major
-    order), which keeps exhaustive property checks cheap.  The memo is the
-    ``CompiledRule``'s, shared by every check of the rule.  Spec rules choose
-    on the keys of a mask's contracts; explicit tables, and masks holding a
-    contract the rule cannot rank, go through ``choose`` on the set.
+    order), which keeps exhaustive property checks cheap.  The memo and the
+    ``MaskSpace`` are the ``CompiledRule``'s, shared by every check of the
+    rule.  Spec rules choose a mask's key bits through ``_chosen_bits``;
+    explicit tables, and masks holding a contract the rule cannot rank, go
+    through ``choose`` on the set.
     """
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.rule = rule
         self.problem = problem
-        self._comp = comp = compiled(rule, problem)
+        comp = compiled(rule, problem)
         self._cache = comp.memo
-        self.universe = tuple(problem.district_contracts(rule.district))
-        self.index = {x: i for i, x in enumerate(self.universe)}
-        self._bit_key = None
-        if rule.kind is not RuleKind.EXPLICIT_TABLE and comp.missing is None:
-            self._bit_key = [comp.key_of.get(x) for x in self.universe]
-            self._key_bit = {k: 1 << i for i, k in enumerate(self._bit_key)}
-        self.student_bits = self.bits_by(lambda problem, x: x.student)
+        if comp.space is None:
+            comp.space = MaskSpace(rule, comp, problem)
+        self._space = space = comp.space
+        self.universe, self.index = space.universe, space.index
+        self.student_bits = space.student_bits
 
     def bits_by(self, key_of) -> dict:
         """``key_of(problem, x)`` -> the mask of the universe's contracts
@@ -537,17 +702,12 @@ class Chooser:
     def choose_mask(self, mask: int) -> int:
         got = self._cache.get(mask)
         if got is None:
-            bit_key = self._bit_key
-            keys = [] if bit_key is None else [
-                bit_key[i] for i in range(len(bit_key)) if mask >> i & 1
-            ]
-            if bit_key is None or None in keys:
+            space = self._space
+            if space.to_keys is None or mask & space.unranked:
                 got = self.mask_of(choose(self.rule, self.set_of(mask), self.problem))
             else:
-                keys.sort()
-                got = 0
-                for k in _chosen_keys(self.rule, self._comp, keys):
-                    got |= self._key_bit[k]
+                keys = _translate(space.to_keys, mask)
+                got = _translate(space.to_universe, _chosen_bits(space, keys))
             self._cache[mask] = got
         return got
 
@@ -562,34 +722,15 @@ class Chooser:
                 return True
         return False
 
-    def feasible_for_students_masks(self):
+    def feasible_for_students_masks(self) -> list:
         """Masks of every subset with at most one contract per student,
-        in (size, lexicographic) order."""
-        # Sorted as one integer: size, then the complement of the bit-reversed
-        # mask (of two sets of one size, the one holding the smallest index
-        # they differ in comes first), then the mask.  Adding bit i adds a
-        # fixed delta to each part without a carry.
-        n = len(self.universe)
-        full = (1 << n) - 1
-        entries = [full << n]
-        for bits in self.student_bits.values():
-            deltas = [0] + [
-                (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
-                for i in range(n)
-                if bits >> i & 1
-            ]
-            entries = [e + d for e in entries for d in deltas]
-        entries.sort()
-        return [e & full for e in entries]
+        in (size, lexicographic) order; one list per ``MaskSpace``."""
+        return self._space.feasible_masks
 
-    def all_masks(self):
-        """Masks of every subset, in (size, lexicographic) order."""
-        bits = [1 << i for i in range(len(self.universe))]
-        return [
-            sum(combo)
-            for k in range(len(bits) + 1)
-            for combo in itertools.combinations(bits, k)
-        ]
+    def all_masks(self) -> list:
+        """Masks of every subset, in (size, lexicographic) order; one list
+        per ``MaskSpace``."""
+        return self._space.all_masks
 
 
 @dataclass(frozen=True)

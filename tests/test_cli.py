@@ -139,6 +139,16 @@ def test_run_spda_intra(capsys):
     assert "s3,c3,d2" in out
 
 
+@pytest.mark.parametrize("fixture", ["spda_basic", "reserves_diversity"])
+def test_run_spda_intra_refuses_a_trace(capsys, tmp_path, fixture):
+    trace_path = tmp_path / "trace.json"
+    code, out, err = run_cli(
+        capsys, "run", fpath(fixture), "--mechanism", "spda-intra", "--trace", str(trace_path)
+    )
+    assert code == 2 and out == "" and not trace_path.exists()
+    assert err == "error: --mechanism spda-intra keeps no step trace; drop --trace\n"
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 

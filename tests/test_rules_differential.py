@@ -180,9 +180,9 @@ def test_one_memo_per_compiled_rule(basic, monkeypatch):
     import districtmatch.rules as rules_module
 
     evaluated = []
-    chosen_keys = rules_module._chosen_keys
+    chosen_bits = rules_module._chosen_bits
     monkeypatch.setattr(
-        rules_module, "_chosen_keys", lambda *args: evaluated.append(1) or chosen_keys(*args)
+        rules_module, "_chosen_bits", lambda *args: evaluated.append(1) or chosen_bits(*args)
     )
     problem, rule = basic.problem, basic.rules[0]
     rule = replace(rule)  # a fresh spec, so the memo starts empty

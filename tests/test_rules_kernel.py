@@ -1,0 +1,174 @@
+"""The integer seat-filling walk of ``Chooser.choose_mask``
+(``rules._chosen_bits``) against the sorted-key walk ``choose`` and
+``Cutoffs`` keep (``rules._chosen_keys``), on every subset of the district's
+contracts."""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import districtmatch.rules as rules_module
+from districtmatch.model import with_preferences
+from districtmatch.rules import (
+    Chooser,
+    RuleKind,
+    RuleProperty,
+    _chosen_bits,
+    _chosen_keys,
+    _translate,
+    check_property,
+    choose,
+    compiled,
+    completion_of,
+    favor_own_students,
+)
+
+from helpers import random_problem
+from test_rules_differential import RULE_PROPS, _outcome
+from test_spda_differential import SPEC_KINDS, random_rule
+
+VARIANTS = ("rule", "completion", "favor_own")
+CAPS = (None, 0, 1, "home")
+
+
+def kernel_rule(
+    rng, problem, d, kind, variant, *, omit, twice, full, cap, zero_ceiling, reserved_ceiling
+):
+    """A random spec rule of ``kind`` with the walk's edge cases switched on:
+    a student missing from a priority list (a contract with no key), a
+    reserved type named twice in ``type_order``, reserves that fill a
+    school's capacity, a district cap (0 leaves no room anywhere), a ceiling
+    of 0, and ceilings at or one above each reserve, so that reserve seats
+    count against them."""
+    rule = random_rule(rng, problem, d, kind)
+    first = rule.school_order[0]
+    if omit:
+        (c, order), *rest = rule.priorities
+        rule = replace(rule, priorities=((c, order[1:]), *rest))
+    reserves, ceilings = dict(rule.reserves), dict(rule.ceilings)
+    if full:
+        for c, t in list(reserves):
+            if c == first:
+                del reserves[c, t]
+        reserves[first, rng.randrange(problem.num_types)] = problem.capacities[first]
+    if twice:
+        types = tuple(range(problem.num_types))
+        reserved = sorted({t for (_, t), v in reserves.items() if v}) or types
+        rule = replace(rule, type_order=types + (rng.choice(reserved),))
+    if reserved_ceiling:
+        ceilings.update({k: v + rng.randint(0, 1) for k, v in reserves.items()})
+    if zero_ceiling:
+        ceilings[first, rng.randrange(problem.num_types)] = 0
+    rule = replace(
+        rule, reserves=tuple(sorted(reserves.items())), ceilings=tuple(sorted(ceilings.items()))
+    )
+    rule = replace(rule, district_cap=problem.k_district[d] if cap == "home" else cap)
+    if variant == "completion":
+        return completion_of(rule)
+    if variant == "favor_own":
+        return favor_own_students(rule, problem)
+    return rule
+
+
+def assert_kernel_matches_walk(rule, problem):
+    """Every subset: the kernel's choice against ``_chosen_keys`` on the
+    sorted keys, and a mask holding an unranked contract through ``choose``."""
+    chooser = Chooser(rule, problem)
+    space, comp = chooser._space, compiled(rule, problem)
+    assert space.to_keys is not None
+    for mask in range(1 << len(chooser.universe)):
+        got = _outcome(chooser.choose_mask, mask)
+        if mask & space.unranked:
+            want = _outcome(choose, rule, chooser.set_of(mask), problem)
+            assert got[0] != "ok" and got == want, (mask, rule)
+            continue
+        keys = sorted(comp.key_of[x] for x in chooser.set_of(mask))
+        want = chooser.mask_of(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
+        keys_chosen = _chosen_bits(space, _translate(space.to_keys, mask))
+        kernel = _translate(space.to_universe, keys_chosen)
+        assert kernel == want and got == ("ok", want), (mask, rule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(SPEC_KINDS),
+    variant=st.sampled_from(VARIANTS),
+    omit=st.booleans(),
+    twice=st.booleans(),
+    full=st.booleans(),
+    cap=st.sampled_from(CAPS),
+    zero_ceiling=st.booleans(),
+    reserved_ceiling=st.booleans(),
+)
+def test_kernel_matches_sorted_key_walk(seed, kind, variant, **edges):
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    for d in range(problem.num_districts):
+        assert_kernel_matches_walk(kernel_rule(rng, problem, d, kind, variant, **edges), problem)
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_edge_at_once(kind, variant):
+    rng = random.Random(f"{kind.value}-{variant}")
+    problem = random_problem(rng, num_types=2, students=(4, 4))
+    for cap in CAPS:
+        rule = kernel_rule(
+            rng, problem, 0, kind, variant,
+            omit=True, twice=True, full=True, cap=cap, zero_ceiling=True, reserved_ceiling=True,
+        )
+        assert_kernel_matches_walk(rule, problem)
+
+
+@pytest.mark.parametrize("completed", [False, True])
+def test_both_passes_of_a_type_named_twice_count_against_its_ceiling(completed):
+    # one type, reserved once but named twice: the reserves take two seats,
+    # which fill the ceiling of 2 though two more seats are open
+    problem = random_problem(random.Random(3), num_types=1, students=(4, 4))
+    first = problem.district_schools[0][0]
+    problem = replace(
+        problem, capacities=tuple(4 if c == first else q for c, q in enumerate(problem.capacities))
+    )
+    rule = replace(
+        random_rule(random.Random(4), problem, 0, RuleKind.RESERVES_AND_CEILINGS),
+        reserves=(((first, 0), 1),),
+        ceilings=(((first, 0), 2),),
+        type_order=(0, 0),
+        district_cap=5,
+        completed=completed,
+    )
+    assert_kernel_matches_walk(rule, problem)
+    chooser = Chooser(rule, problem)
+    at_first = chooser.bits_by(lambda problem, x: x.school)[first]
+    assert (chooser.choose_mask(at_first) & at_first).bit_count() == 2
+
+
+def test_mask_space_built_once_per_compiled_rule(basic, monkeypatch):
+    built = []
+    mask_space = rules_module.MaskSpace
+    monkeypatch.setattr(
+        rules_module, "MaskSpace", lambda *args: built.append(1) or mask_space(*args)
+    )
+    problem, rule = basic.problem, replace(basic.rules[0])  # a fresh spec
+    assert rule.kind is not RuleKind.EXPLICIT_TABLE
+    first = Chooser(rule, problem)
+    all_masks, feasible = first.all_masks(), first.feasible_for_students_masks()
+    for prop in RULE_PROPS:
+        check_property(rule, prop, problem)
+    check_property(rule, RuleProperty.IS_COMPLETION_OF, problem, base_rule=rule)
+    # a misreport variant shares the space and both mask domains
+    deviated = with_preferences(problem, 0, tuple(reversed(problem.preferences[0])))
+    again = Chooser(rule, deviated)
+    assert len(built) == 1 and again._space is first._space
+    assert again.all_masks() is all_masks
+    assert again.feasible_for_students_masks() is feasible
+    # a differently shaped problem builds them again
+    moved = replace(problem, capacities=tuple(c + 1 for c in problem.capacities))
+    other = Chooser(rule, moved)
+    assert len(built) == 2 and other._space is not first._space
+    assert other.all_masks() is not all_masks and other.all_masks() == all_masks
+    assert other.feasible_for_students_masks() is not feasible
