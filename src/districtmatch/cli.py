@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -181,15 +180,15 @@ def cmd_run(inst, args):
         outcome = run_intradistrict_spda(problem, inst.rules)
     else:
         if mechanism == "spda":
-            run, run_args, render = run_spda, (problem, inst.rules), _spda_trace_doc
+            run, run_args, write = run_spda, (problem, inst.rules), _write_spda_trace
         else:
-            run, run_args, render = run_ttc, (problem, inst.policy, master), _ttc_trace_doc
+            run, run_args, write = run_ttc, (problem, inst.policy, master), _write_ttc_trace
         try:
             trace = run(*run_args)
         except (Stuck, RuleViolation) as exc:
             # a failed run leaves the steps it took behind
             if args.trace and exc.trace is not None:
-                _write_trace(args.trace, render(problem, exc.trace))
+                _write_trace(args.trace, write, problem, exc.trace)
             raise
         outcome = trace.outcome
 
@@ -210,127 +209,127 @@ def cmd_run(inst, args):
     if trace is not None:
         print(f"steps,{trace.num_steps}")
         if args.trace:
-            _write_trace(args.trace, render(problem, trace))
+            if not _write_trace(args.trace, write, problem, trace):
+                return EXIT_VALIDATION
             print(f"trace,{args.trace}")
     return EXIT_OK
 
 
-def _write_trace(path, doc):
-    parts = []
-    _render_json(doc, "\n", parts)
-    parts.append("\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
+def _write_trace(path, write, problem, trace):
+    """Write ``trace`` to ``path`` with ``write``; on failure, one stderr line and False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh, problem, trace)
+    except OSError as exc:
+        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
-def _render_json(value, nl, out):
-    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out``,
-    with ``nl`` the newline and indent of the enclosing level.
-
-    The standard encoder is pure Python once ``indent`` is set; this one
-    renders lists of strings and of (id, id) pairs, which make up most of
-    a trace, with one join each.
-    """
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if all(type(v) is str for v in value):
-            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + nl + "]")
-            return
-        if all(
-            type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
-            for v in value
-        ):
-            deeper = inner + "  "
-            pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
-            items = [pair % (_quote(a), _quote(b)) for a, b in value]
-            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
-            return
-        sep = "[" + inner
-        for v in value:
-            out.append(sep)
-            _render_json(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep)
-            # json writes non-string keys as their JSON text, quoted
-            out.append(_quote(key if isinstance(key, str) else json.dumps(key)))
-            out.append(": ")
-            _render_json(value[key], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    else:
-        out.append(json.dumps(value))
+# The writers below emit ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for a trace
+# document step by step, rendering each repeated piece once per nesting depth.
+_NL = tuple("\n" + "  " * depth for depth in range(8))
+_SEP = tuple("," + nl for nl in _NL)
 
 
-def _spda_trace_doc(problem, trace):
-    pair_of = {}  # contract -> its [student id, school id], built once per trace
-
-    def pairs(X):
-        out = []
-        for x in sort_matching(X):
-            pair = pair_of.get(x)
-            if pair is None:
-                pair = [problem.student_ids[x.student], problem.school_ids[x.school]]
-                pair_of[x] = pair
-            out.append(pair)
-        return out
-
-    return {
-        "mechanism": "spda",
-        "steps": [
-            {
-                "proposals": {
-                    problem.district_ids[d]: pairs(p) for d, p in step.proposals
-                },
-                "tentative": pairs(step.tentative),
-                "rejected": pairs(step.rejected),
-            }
-            for step in trace.steps
-        ],
-        "outcome": pairs(trace.outcome),
-    }
+def _block(items, depth, brackets="[]"):
+    """A JSON list (or object) of rendered ``items``, each ``depth`` deep."""
+    if not items:
+        return brackets
+    return brackets[0] + _NL[depth] + _SEP[depth].join(items) + _NL[depth - 1] + brackets[1]
 
 
-def _ttc_trace_doc(problem, trace):
-    def slot(p):
-        return [problem.school_ids[p[0]], problem.type_ids[p[1]]]
+class _Texts(dict):
+    """The text of each key, rendered by ``render(key)`` on first lookup."""
 
-    return {
-        "mechanism": "ttc",
-        "steps": [
-            {
-                "active": [slot(p) for p in step.active],
-                "slot_pointer": [
-                    [slot(p), problem.student_ids[s]] for p, s in step.slot_pointer
-                ],
-                "student_pointer": [
-                    [problem.student_ids[s], slot(p)] for s, p in step.student_pointer
-                ],
-                "cycles": [
-                    [[problem.student_ids[s], slot(p)] for s, p in cycle]
-                    for cycle in step.cycles
-                ],
-                "removed": [slot(p) for p in step.removed],
-            }
-            for step in trace.steps
-        ],
-        "outcome": [
-            [problem.student_ids[x.student], problem.school_ids[x.school]]
-            for x in sort_matching(trace.outcome)
-        ],
-    }
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _write_doc(fh, mechanism, outcome, steps):
+    """The document around the rendered ``outcome`` and each of ``steps``."""
+    fh.write(f'{{\n  "mechanism": "{mechanism}",\n  "outcome": {outcome},\n  "steps": ')
+    sep = "["
+    for step in steps:
+        fh.write(sep + _NL[2] + step)
+        sep = ","
+    fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
+
+
+def _contract_lists(students, schools):
+    """A function rendering a set of contracts, items ``depth`` deep, as its
+    [student, school] id pairs in (student, school) order; ``students`` and
+    ``schools`` are the quoted ids."""
+    C = len(schools)
+    by_depth = {}  # depth -> {student * C + school: the pair's text}
+
+    def render(X, depth):
+        pairs = by_depth.get(depth)
+        if pairs is None:
+            head, sep, tail = "[" + _NL[depth + 1], _SEP[depth + 1], _NL[depth] + "]"
+            pairs = by_depth[depth] = _Texts(
+                lambda k: head + students[k // C] + sep + schools[k % C] + tail
+            )
+        keys = sorted([x.student * C + x.school for x in X])
+        return _block(list(map(pairs.__getitem__, keys)), depth)
+
+    return render
+
+
+def _write_spda_trace(fh, problem, trace):
+    contracts = _contract_lists(
+        list(map(_quote, problem.student_ids)), list(map(_quote, problem.school_ids))
+    )
+    names = [_quote(v) + ": " for v in problem.district_ids]
+
+    def by_id(proposal):
+        return problem.district_ids[proposal[0]]
+
+    _write_doc(fh, "spda", contracts(trace.outcome, 2), (
+        _block([
+            '"proposals": ' + _block(
+                [names[d] + contracts(X, 5) for d, X in sorted(step.proposals, key=by_id)],
+                4, "{}",
+            ),
+            '"rejected": ' + contracts(step.rejected, 4),
+            '"tentative": ' + contracts(step.tentative, 4),
+        ], 3, "{}")
+        for step in trace.steps
+    ))
+
+
+def _write_ttc_trace(fh, problem, trace):
+    students = list(map(_quote, problem.student_ids))
+    schools = list(map(_quote, problem.school_ids))
+    types = list(map(_quote, problem.type_ids))
+    slot4, slot5, slot6 = (
+        {
+            (c, t): _block([school, type_], depth + 1)
+            for c, school in enumerate(schools)
+            for t, type_ in enumerate(types)
+        }
+        for depth in (4, 5, 6)
+    )
+    by_slot = _Texts(lambda e: _block([slot5[e[0]], students[e[1]]], 5))
+    by_student = _Texts(lambda e: _block([students[e[0]], slot5[e[1]]], 5))
+    _write_doc(fh, "ttc", _contract_lists(students, schools)(trace.outcome, 2), (
+        _block([
+            '"active": ' + _block(list(map(slot4.__getitem__, step.active)), 4),
+            '"cycles": ' + _block([
+                _block([_block([students[s], slot6[p]], 6) for s, p in cycle], 5)
+                for cycle in step.cycles
+            ], 4),
+            '"removed": ' + _block(list(map(slot4.__getitem__, step.removed)), 4),
+            '"slot_pointer": ' + _block(list(map(by_slot.__getitem__, step.slot_pointer)), 4),
+            '"student_pointer": '
+            + _block(list(map(by_student.__getitem__, step.student_pointer)), 4),
+        ], 3, "{}")
+        for step in trace.steps
+    ))
 
 
 def cmd_check_rule(inst, args):

@@ -982,18 +982,19 @@ def _check_substitutable(chooser, masks, problem, _, prop=RuleProperty.SUBSTITUT
     # chains of removals connect any X subset of Y.
     for m in masks:
         ch = chooser.choose_mask(m)
-        for i in range(len(chooser.universe)):
-            if m >> i & 1:
-                smaller = m & ~(1 << i)
-                ch_small = chooser.choose_mask(smaller)
-                lost = (ch & ~(1 << i)) & ~ch_small
-                if lost:
-                    return _fails(
-                        prop,
-                        [chooser.set_of(smaller), chooser.set_of(m)],
-                        chooser.universe[_lowest(lost)],
-                        note="chosen from the larger set, dropped from the smaller",
-                    )
+        r = m
+        while r:  # the set bits of m, lowest first
+            low = r & -r
+            r ^= low
+            smaller = m ^ low
+            lost = (ch & ~low) & ~chooser.choose_mask(smaller)
+            if lost:
+                return _fails(
+                    prop,
+                    [chooser.set_of(smaller), chooser.set_of(m)],
+                    chooser.universe[_lowest(lost)],
+                    note="chosen from the larger set, dropped from the smaller",
+                )
     return _holds(prop)
 
 
@@ -1005,32 +1006,35 @@ _check_weakly_substitutable = functools.partial(
 def _check_lad(chooser, masks, problem, _):
     for m in masks:
         n_ch = chooser.choose_mask(m).bit_count()
-        for i in range(len(chooser.universe)):
-            if m >> i & 1:
-                smaller = m & ~(1 << i)
-                if chooser.choose_mask(smaller).bit_count() > n_ch:
-                    return _fails(
-                        RuleProperty.LAD,
-                        [chooser.set_of(smaller), chooser.set_of(m)],
-                        note="smaller set yields strictly more contracts",
-                    )
+        r = m
+        while r:
+            low = r & -r
+            r ^= low
+            smaller = m ^ low
+            if chooser.choose_mask(smaller).bit_count() > n_ch:
+                return _fails(
+                    RuleProperty.LAD,
+                    [chooser.set_of(smaller), chooser.set_of(m)],
+                    note="smaller set yields strictly more contracts",
+                )
     return _holds(RuleProperty.LAD)
 
 
 def _check_irc(chooser, masks, problem, _):
     for m in masks:
         ch = chooser.choose_mask(m)
-        rejected = m & ~ch
-        for i in range(len(chooser.universe)):
-            if rejected >> i & 1:
-                smaller = m & ~(1 << i)
-                if chooser.choose_mask(smaller) != ch:
-                    return _fails(
-                        RuleProperty.IRC,
-                        [chooser.set_of(m), chooser.set_of(smaller)],
-                        chooser.universe[i],
-                        note="removing a rejected contract changes the choice",
-                    )
+        r = m & ~ch  # the rejected contracts
+        while r:
+            low = r & -r
+            r ^= low
+            smaller = m ^ low
+            if chooser.choose_mask(smaller) != ch:
+                return _fails(
+                    RuleProperty.IRC,
+                    [chooser.set_of(m), chooser.set_of(smaller)],
+                    chooser.universe[_lowest(low)],
+                    note="removing a rejected contract changes the choice",
+                )
     return _holds(RuleProperty.IRC)
 
 

@@ -160,7 +160,7 @@ def test_parser_is_built_once():
 def test_run_renders_the_trace_only_when_asked(
     capsys, monkeypatch, tmp_path, fixture, mechanism
 ):
-    rendered = count_calls(monkeypatch, cli, "_spda_trace_doc", "_ttc_trace_doc")
+    rendered = count_calls(monkeypatch, cli, "_write_spda_trace", "_write_ttc_trace")
     code, out, err = run_cli(capsys, "run", fpath(fixture), "--mechanism", mechanism)
     assert rendered == []
     trace_path = tmp_path / "trace.json"
@@ -623,7 +623,7 @@ def test_stuck_exits_3(capsys):
 
 def test_stuck_leaves_partial_trace(capsys, tmp_path):
     import districtmatch as dm
-    from districtmatch.cli import _ttc_trace_doc
+    from trace_reference import _ttc_trace_doc
 
     inst = dm.load_fixture("ttc_stuck")
     with pytest.raises(dm.Stuck) as stuck:
@@ -801,31 +801,32 @@ def test_nonexistence_past_its_size_bound_exits_3(capsys, monkeypatch):
     assert err == "error: enumeration universe has size 256, budget is 255\n"
 
 
-def _trace_docs(problem, inst):
+def _traces(problem, inst):
+    """(writer, reference document, trace) for each trace the instance's runs leave."""
     import districtmatch as dm
-    from districtmatch.cli import _spda_trace_doc, _ttc_trace_doc
+    from trace_reference import _spda_trace_doc, _ttc_trace_doc
 
-    docs = []
+    traces = []
     if inst.rules and len(inst.rules) == problem.num_districts:
-        docs.append(_spda_trace_doc(problem, dm.run_spda(problem, inst.rules)))
+        traces.append(
+            (cli._write_spda_trace, _spda_trace_doc, dm.run_spda(problem, inst.rules))
+        )
     if inst.policy is not None:
         try:
-            docs.append(_ttc_trace_doc(problem, dm.run_ttc(problem, inst.policy, inst.master)))
+            trace = dm.run_ttc(problem, inst.policy, inst.master)
         except dm.DistrictMatchError as exc:
-            if getattr(exc, "trace", None) is not None:
-                docs.append(_ttc_trace_doc(problem, exc.trace))
-    return docs
+            trace = getattr(exc, "trace", None)
+        if trace is not None:
+            traces.append((cli._write_ttc_trace, _ttc_trace_doc, trace))
+    return traces
 
 
-def _assert_trace_bytes(doc, tmp_path):
-    from districtmatch.cli import _write_trace
+def _assert_trace_bytes(problem, write, reference, trace, tmp_path):
+    from trace_reference import trace_text
 
-    got, want = tmp_path / "got.json", tmp_path / "want.json"
-    _write_trace(str(got), doc)
-    with open(want, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    assert got.read_bytes() == want.read_bytes()
+    got = tmp_path / "got.json"
+    assert cli._write_trace(str(got), write, problem, trace)
+    assert got.read_bytes() == trace_text(reference(problem, trace)).encode()
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -833,8 +834,8 @@ def test_trace_writer_matches_json_dump_on_fixtures(name, tmp_path):
     import districtmatch as dm
 
     inst = dm.load_fixture(name)
-    for doc in _trace_docs(inst.problem, inst):
-        _assert_trace_bytes(doc, tmp_path)
+    for write, reference, trace in _traces(inst.problem, inst):
+        _assert_trace_bytes(inst.problem, write, reference, trace, tmp_path)
 
 
 def test_trace_writer_matches_json_dump_on_random_markets(tmp_path):
@@ -855,22 +856,151 @@ def test_trace_writer_matches_json_dump_on_random_markets(tmp_path):
             alpha=None,
             meta={},
         )
-        for doc in _trace_docs(problem, inst):
-            _assert_trace_bytes(doc, tmp_path)
+        for write, reference, trace in _traces(problem, inst):
+            _assert_trace_bytes(problem, write, reference, trace, tmp_path)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        [],
-        {"b": [], "a": {}, "c": [[]], "d": [["x"], ["y", "z", "w"]]},
-        {"\u00e9\n\"": ["\u2603", "tab\t"], "k": [["a", "b"], ["\u00e9", "q\"\\"]]},
-        {1: [1, 2.5, True, False, None], 10: ["mixed", 3, ["p", "q"]], 2: [-0.0]},
-        ["only", "strings"],
-        [["pair", "x"], ["pair", "y"], ["not", "a", "pair"]],
-        [["pair", "x"], [["nested"], "y"]],
-    ],
-)
+def _edge_problem(districts=("d1", "d2")):
+    """Three students and three schools, under ids that need escaping."""
+    from districtmatch.model import ProblemSpec, validate_problem
+
+    a, b = districts
+    return validate_problem(
+        ProblemSpec(
+            types=("t\\1", "\u00e9"),
+            districts=districts,
+            schools=(('c"1', a, 2), ("c\u2603", b, 1), ("c\n3", b, 1)),
+            students=(
+                ('s"1', a, "t\\1", ('c"1', "c\u2603", "c\n3")),
+                ("s\\2", b, "\u00e9", ("c\u2603", 'c"1', "c\n3")),
+                ("s\u00e93", a, "\u00e9", ("c\n3", "c\u2603", 'c"1')),
+            ),
+            initial_matching={'s"1': 'c"1', "s\\2": "c\u2603", "s\u00e93": 'c"1'},
+        )
+    )
+
+
+def _edge_traces():
+    """Hand-built traces at the edges of the format: no steps, empty steps,
+    proposals and outcomes, escaped ids, district ids whose string order is
+    not their index order, and a cycle with no edge."""
+    import dataclasses
+
+    import districtmatch as dm
+    from districtmatch.spda import SpdaStep, SpdaTrace
+    from districtmatch.ttc import TtcStep, TtcTrace
+    from trace_reference import _spda_trace_doc, _ttc_trace_doc
+
+    def spda(problem, *steps, outcome=()):
+        trace = SpdaTrace(tuple(steps), frozenset(outcome))
+        return (problem, cli._write_spda_trace, _spda_trace_doc, trace)
+
+    def ttc(problem, *steps, outcome=()):
+        trace = TtcTrace(tuple(steps), frozenset(outcome))
+        return (problem, cli._write_ttc_trace, _ttc_trace_doc, trace)
+
+    p = _edge_problem()
+    q = _edge_problem(("d2", "d10"))
+    x = {(s, c): p.contract(s, c) for s in range(3) for c in range(3)}
+    held = frozenset([x[0, 0], x[1, 1], x[2, 0]])
+    stuck = dm.load_fixture("ttc_stuck")
+    with pytest.raises(dm.Stuck) as exc:
+        dm.run_ttc(stuck.problem, stuck.policy, stuck.master)
+    escaped = dataclasses.replace(
+        stuck.problem,
+        student_ids=tuple(f'"{v}\\\u00e9' for v in stuck.problem.student_ids),
+        school_ids=tuple(f"{v}\u2603\t" for v in stuck.problem.school_ids),
+        type_ids=tuple(f"\\{v}" for v in stuck.problem.type_ids),
+    )
+    return [
+        spda(p),
+        ttc(p),
+        spda(p, SpdaStep((), frozenset(), frozenset())),
+        spda(
+            q,
+            SpdaStep(
+                ((0, frozenset([x[0, 0], x[2, 0]])), (1, frozenset([x[1, 1]]))),
+                held,
+                frozenset(),
+            ),
+            SpdaStep(((0, frozenset()), (1, frozenset())), held, frozenset()),
+            outcome=held,
+        ),
+        spda(
+            p,
+            SpdaStep(
+                ((0, frozenset([x[0, 0]])), (1, frozenset([x[1, 2], x[2, 2]]))),
+                frozenset([x[0, 0], x[2, 2]]),
+                frozenset([x[1, 2]]),
+            ),
+        ),
+        ttc(p, TtcStep((), (), (), (), ())),
+        ttc(
+            p,
+            TtcStep(
+                active=((0, 0), (0, 1), (1, 1)),
+                slot_pointer=(((0, 0), 0), ((0, 1), 2), ((1, 1), 1)),
+                student_pointer=((0, (0, 0)), (1, (0, 1)), (2, (1, 1))),
+                cycles=(((0, (0, 0)),), (), ((1, (0, 1)), (2, (1, 1)))),
+                removed=((2, 0), (2, 1)),
+            ),
+            outcome=[x[0, 0], x[1, 0], x[2, 1]],
+        ),
+        ttc(escaped, *exc.value.trace.steps),
+    ]
+
+
+@pytest.mark.parametrize("doc", _edge_traces())
 def test_trace_writer_matches_json_dump_on_edge_documents(doc, tmp_path):
-    _assert_trace_bytes(doc, tmp_path)
+    _assert_trace_bytes(*doc, tmp_path)
+
+
+def test_run_spda_failure_leaves_partial_trace(capsys, monkeypatch, tmp_path):
+    # deferred acceptance that does not settle raises with the steps it took
+    import districtmatch as dm
+    from trace_reference import _spda_trace_doc, trace_text
+
+    inst = dm.load_fixture("spda_basic")
+    partial = dm.run_spda(inst.problem, inst.rules)
+    partial = type(partial)(partial.steps, frozenset())
+
+    def no_convergence(problem, rules):
+        raise dm.RuleViolation("no convergence", trace=partial)
+
+    monkeypatch.setattr(cli, "run_spda", no_convergence)
+    trace_path = tmp_path / "trace.json"
+    code, out, err = run_cli(
+        capsys, "run", fpath("spda_basic"), "--mechanism", "spda", "--trace", str(trace_path)
+    )
+    assert (code, out, err) == (3, "", "mechanism error: no convergence\n")
+    assert trace_path.read_text() == trace_text(_spda_trace_doc(inst.problem, partial))
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+@pytest.mark.parametrize(
+    "fixture, mechanism", [("spda_basic", "spda"), ("ttc_diversity", "ttc")]
+)
+def test_unwritable_trace_path_exits_2(capsys, tmp_path, where, fixture, mechanism):
+    path = tmp_path / "no" / "t.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(capsys, "run", fpath(fixture), "--mechanism", mechanism)
+    assert code == 0
+    got = run_cli(
+        capsys, "run", fpath(fixture), "--mechanism", mechanism, "--trace", str(path)
+    )
+    # the full report, no trace line, and one line on stderr naming the path
+    assert got[:2] == (2, out)
+    assert got[2].startswith("error: cannot write trace: [Errno ")
+    assert got[2].endswith(f"{str(path)!r}\n") and got[2].count("\n") == 1
+
+
+def test_stuck_with_unwritable_trace_path_exits_3(capsys, tmp_path):
+    path = tmp_path / "no" / "t.json"
+    code, out, err = run_cli(
+        capsys, "run", fpath("ttc_stuck"), "--mechanism", "ttc", "--trace", str(path)
+    )
+    assert (code, out) == (3, "")
+    cannot, mechanism, rest = err.split("\n")
+    assert cannot == (
+        f"error: cannot write trace: [Errno 2] No such file or directory: {str(path)!r}"
+    )
+    assert mechanism.startswith("mechanism error: ") and rest == ""
