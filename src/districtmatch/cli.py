@@ -26,7 +26,11 @@ from .errors import (
 )
 from .instances import load_instance, master_order, parse_fraction
 from .model import distribution_of, sort_matching
-from .oracle import audit_strategy_proofness, search_rule_nonexistence
+from .oracle import (
+    audit_strategy_proofness,
+    constrained_efficient_ir_matchings,
+    search_rule_nonexistence,
+)
 from .policy import (
     GoalForm,
     contains,
@@ -40,6 +44,7 @@ from .spda import (
     alpha_diversity_gap,
     check_balanced_exchange,
     check_individual_rationality,
+    is_stable,
     run_intradistrict_spda,
     run_spda,
 )
@@ -146,6 +151,15 @@ def _print_outcome(problem, outcome):
             f"{problem.school_ids[x.school]},"
             f"{problem.district_ids[x.district]}"
         )
+
+
+def _pair(problem, x):
+    return f"({problem.student_ids[x.student]},{problem.school_ids[x.school]})"
+
+
+def _contract_set(problem, X):
+    """``X`` as ``{(student,school) ...}`` in (student, school) order."""
+    return "{" + " ".join(_pair(problem, x) for x in sort_matching(X)) + "}"
 
 
 def _verdict(v):
@@ -361,21 +375,9 @@ def cmd_check_rule(inst, args):
         witness = ""
         if not verdict.holds:
             any_failed = True
-            parts = []
-            for X in verdict.witness_sets:
-                parts.append(
-                    "{"
-                    + " ".join(
-                        f"({problem.student_ids[x.student]},{problem.school_ids[x.school]})"
-                        for x in sort_matching(X)
-                    )
-                    + "}"
-                )
+            parts = [_contract_set(problem, X) for X in verdict.witness_sets]
             if verdict.witness_contract is not None:
-                x = verdict.witness_contract
-                parts.append(
-                    f"contract ({problem.student_ids[x.student]},{problem.school_ids[x.school]})"
-                )
+                parts.append("contract " + _pair(problem, verdict.witness_contract))
             witness = "; ".join(parts)
         print(f"{name},{_verdict(verdict)},{witness}")
     return EXIT_PROPERTY if any_failed else EXIT_OK
@@ -454,9 +456,6 @@ def _oracle_agreement(inst, mechanism, outcome):
     """Cross-check the honest outcome against the brute-force ground truth:
     stability for deferred acceptance, membership in the constrained
     efficient set for trading."""
-    from .oracle import constrained_efficient_ir_matchings
-    from .spda import is_stable
-
     problem = inst.problem
     if mechanism == "spda" and inst.rules:
         return bool(is_stable(outcome, problem, inst.rules))
@@ -508,11 +507,7 @@ def cmd_nonexistence(inst, args):
     else:
         print("branch,outcome")
         for value, reason in result.conflict_log:
-            label = " ".join(
-                f"({problem.student_ids[x.student]},{problem.school_ids[x.school]})"
-                for x in sort_matching(value)
-            )
-            print(f"{{{label}}},{reason}")
+            print(f"{_contract_set(problem, value)},{reason}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ValidationError
 
@@ -111,11 +111,6 @@ class Problem:
     def prefers(self, student: int, a: Optional[int], b: Optional[int]) -> bool:
         """Strict preference of school ``a`` over ``b`` for ``student``."""
         return self.rank_of(student, a) < self.rank_of(student, b)
-
-    def students_by_district(self, district: int):
-        return [
-            s for s in range(self.num_students) if self.student_district[s] == district
-        ]
 
 
 def built_once(spec, problem: Problem, build):
@@ -366,6 +361,30 @@ def with_preferences(problem: Problem, student: int, prefs) -> Problem:
 
 
 # -- operations on matchings ------------------------------------------------------
+
+
+def enumerate_matchings(problem: Problem, options) -> Iterator[Matching]:
+    """Every matching that gives each student ``s`` one entry of
+    ``options[s]`` (a school, or None for unmatched) within school
+    capacities, exactly once, in lexicographic order of those entries."""
+    load = [0] * problem.num_schools
+    picked = []  # the contracts of the students before ``s``
+
+    def walk(s):
+        if s == len(options):
+            yield frozenset(picked)
+            return
+        for c in options[s]:
+            if c is None:
+                yield from walk(s + 1)
+            elif load[c] < problem.capacities[c]:
+                load[c] += 1
+                picked.append(problem.contract(s, c))
+                yield from walk(s + 1)
+                picked.pop()
+                load[c] -= 1
+
+    return walk(0)
 
 
 def distribution_of(X: Matching, problem: Problem) -> Distribution:

@@ -18,13 +18,14 @@ from .model import (
     Matching,
     Problem,
     distribution_of,
+    enumerate_matchings,
     pareto_dominates,
     sort_matching,
     with_preferences,
 )
 from .policy import PolicyGoal, contains
 from .rules import RuleKind, RuleSpec, make_rule
-from .spda import is_stable, run_spda
+from .spda import is_stable, run_intradistrict_spda, run_spda
 from .ttc import run_ttc
 
 DEFAULT_MATCHING_BUDGET = 10**7
@@ -41,29 +42,8 @@ def enumerate_feasible_matchings(
     size = (problem.num_schools + 1) ** problem.num_students
     if size > budget:
         raise UniverseTooLarge(size, budget)
-
-    n = problem.num_students
-    load = [0] * problem.num_schools
-    picks = []
-
-    def rec(s):
-        if s == n:
-            yield frozenset(
-                problem.contract(i, c) for i, c in enumerate(picks) if c is not None
-            )
-            return
-        for c in list(range(problem.num_schools)) + [None]:
-            if c is not None:
-                if load[c] + 1 > problem.capacities[c]:
-                    continue
-                load[c] += 1
-            picks.append(c)
-            yield from rec(s + 1)
-            picks.pop()
-            if c is not None:
-                load[c] -= 1
-
-    yield from rec(0)
+    every = [*range(problem.num_schools), None]
+    yield from enumerate_matchings(problem, [every] * problem.num_students)
 
 
 def count_feasible_matchings(problem: Problem) -> int:
@@ -96,36 +76,13 @@ def enumerate_ir_matchings(problem: Problem, budget: int = DEFAULT_MATCHING_BUDG
     school.  The outside option ranks last, so these match everyone; each
     student's options shrink to the schools she ranks at or above it."""
     options = [
-        [c for c in problem.preferences[s] if problem.rank[s][c] <= problem.rank[s][problem.initial_school[s]]]
+        sorted(problem.preferences[s][: problem.rank[s][problem.initial_school[s]] + 1])
         for s in range(problem.num_students)
     ]
-    size = 1
-    for opts in options:
-        size *= len(opts)
+    size = math.prod(map(len, options))
     if size > budget:
         raise UniverseTooLarge(size, budget)
-
-    out = []
-    load = [0] * problem.num_schools
-    picks = []
-
-    def rec(s):
-        if s == problem.num_students:
-            out.append(
-                frozenset(problem.contract(i, c) for i, c in enumerate(picks))
-            )
-            return
-        for c in sorted(options[s]):
-            if load[c] + 1 > problem.capacities[c]:
-                continue
-            load[c] += 1
-            picks.append(c)
-            rec(s + 1)
-            picks.pop()
-            load[c] -= 1
-
-    rec(0)
-    return out
+    return list(enumerate_matchings(problem, options))
 
 
 def constrained_efficient_ir_matchings(
@@ -659,8 +616,6 @@ def find_welfare_regression(problem: Problem, rules, budget: int = 5000):
     Returns (profile, student) or None.  Used to exercise the converse of
     the own-student-favoring welfare guarantee.
     """
-    from .spda import run_intradistrict_spda
-
     orders = list(itertools.permutations(range(problem.num_schools)))
     tried = 0
     for profile in itertools.product(orders, repeat=problem.num_students):

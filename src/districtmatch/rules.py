@@ -25,7 +25,7 @@ from .errors import (
     UnknownContract,
     ValidationError,
 )
-from .model import Contract, Matching, Problem, built_once
+from .model import Contract, Matching, Problem, built_once, enumerate_matchings
 
 
 class RuleKind(Enum):
@@ -142,8 +142,9 @@ def rule_issues(rule: RuleSpec, problem: Problem) -> list:
     """The rule's breaches of the invariants that need the problem, as
     ``ValidationError`` issues: a spec kind's ``school_order`` covers its
     district exactly, each of its schools has a priority list, each list
-    ranks every student once, reserves fit capacities and ceilings, and no
-    count (reserve, ceiling, district ceiling, district cap) is negative."""
+    ranks every student once, reserves fit capacities and ceilings, no
+    count (reserve, ceiling, district ceiling, district cap) is negative,
+    and each table entry chooses within its set."""
     where = f"rule for district {problem.district_ids[rule.district]}"
     school, type_ = problem.school_ids, problem.type_ids
     counts = [
@@ -155,6 +156,11 @@ def rule_issues(rule: RuleSpec, problem: Problem) -> list:
     counts.append(("district_cap", rule.district_cap or 0))
     issues = [f"{label} is negative" for label, v in counts if v < 0]
     if rule.kind is RuleKind.EXPLICIT_TABLE:
+        issues += [
+            f"table entry {i} chooses outside its set"
+            for i, (key, value) in enumerate(rule.table, 1)
+            if not value <= key
+        ]
         return [("InvalidRule", f"{where}: {issue}") for issue in issues]
     if sorted(rule.school_order) != list(problem.district_schools[rule.district]):
         issues.append("school_order must cover exactly its district's schools")
@@ -1081,23 +1087,15 @@ def _check_accommodates(rules, problem: Problem, feasible_bound):
         for t in range(problem.num_students)
     ]
     for s in range(problem.num_students):
-        others = [t for t in range(problem.num_students) if t != s]
-        for combo in itertools.product([*schools, None], repeat=len(others)):
-            load = [0] * problem.num_schools
+        options = [[None] if t == s else [*schools, None] for t in range(problem.num_students)]
+        for X in enumerate_matchings(problem, options):
             held = [0] * problem.num_districts  # the others' contracts, per district
-            for t, c in zip(others, combo):
-                if c is not None:
-                    load[c] += 1
-                    held[district[c]] |= bit[t][c]
-            if any(load[c] > problem.capacities[c] for c in schools):
-                continue
+            for x in X:
+                held[x.district] |= bit[x.student][x.school]
             if not any(
                 choosers[district[c]].choose_mask(held[district[c]] | bit[s][c]) & bit[s][c]
                 for c in schools
             ):
-                X = frozenset(
-                    problem.contract(t, c) for t, c in zip(others, combo) if c is not None
-                )
                 return _fails(
                     RuleProperty.ACCOMMODATES_UNMATCHED,
                     [X],

@@ -8,6 +8,9 @@ A district with a spec rule that gets no new proposal in a step keeps what
 it holds without re-choosing: those rules are idempotent (IRC implies
 C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
+
+The intradistrict benchmark is the same loop with each student's list cut
+to the schools of her home district.
 """
 
 from __future__ import annotations
@@ -43,11 +46,28 @@ class SpdaTrace:
 
 def run_spda(problem: Problem, rules) -> SpdaTrace:
     """Run deferred acceptance; ``rules`` maps district index -> RuleSpec."""
+    return _deferred_acceptance(problem, rules, problem.preferences)
+
+
+def run_intradistrict_spda(problem: Problem, rules) -> Matching:
+    """Run deferred acceptance with each student proposing only to her home
+    district's schools, in the relative order of her full preference list.
+    No proposal crosses districts, so each district runs on its own."""
+    home, district = problem.student_district, problem.school_district
+    lists = [
+        tuple(c for c in problem.preferences[s] if district[c] == home[s])
+        for s in range(problem.num_students)
+    ]
+    return _deferred_acceptance(problem, rules, lists).outcome
+
+
+def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
+    """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
     for d in range(problem.num_districts):
         if d not in rules:
             raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
 
-    next_choice = [0] * problem.num_students  # pointer into preference lists
+    next_choice = [0] * problem.num_students  # pointer into the lists
     proposing = set(range(problem.num_students))
     held = {d: frozenset() for d in range(problem.num_districts)}
     every_step = {
@@ -55,7 +75,7 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
         if rules[d].kind is RuleKind.EXPLICIT_TABLE
     }
     steps = []
-    guard = problem.num_students * problem.num_schools + 1
+    guard = sum(map(len, lists)) + 1
 
     while True:
         if len(steps) > guard:
@@ -65,10 +85,9 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
             )
         new_proposals = {d: set() for d in range(problem.num_districts)}
         for s in sorted(proposing):
-            if next_choice[s] >= problem.num_schools:
-                continue  # preference list exhausted; student stays unmatched
-            c = problem.preferences[s][next_choice[s]]
-            x = problem.contract(s, c)
+            if next_choice[s] >= len(lists[s]):
+                continue  # list exhausted; student stays unmatched
+            x = problem.contract(s, lists[s][next_choice[s]])
             new_proposals[x.district].add(x)
 
         tentative = {}
@@ -106,51 +125,8 @@ def run_spda(problem: Problem, rules) -> SpdaTrace:
             proposing.add(x.student)
 
     outcome = frozenset().union(*held.values())
-    read = tuple(min(i + 1, problem.num_schools) for i in next_choice)
+    read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
     return SpdaTrace(tuple(steps), outcome, read)
-
-
-def run_intradistrict_spda(problem: Problem, rules) -> Matching:
-    """Run deferred acceptance separately inside each district.
-
-    Each student proposes only to her home district's schools, in the
-    relative order of her full preference list.
-    """
-    outcome = set()
-    for d in range(problem.num_districts):
-        students = problem.students_by_district(d)
-        schools = set(problem.district_schools[d])
-        next_idx = {s: 0 for s in students}
-        restricted = {
-            s: [c for c in problem.preferences[s] if c in schools] for s in students
-        }
-        proposing = set(students)
-        held = frozenset()
-        guard = len(students) * len(schools) + 2
-        step = 0
-        while True:
-            step += 1
-            if step > guard:
-                raise RuleViolation(
-                    f"intra-district run for {problem.district_ids[d]} did not settle"
-                )
-            proposals = set()
-            for s in sorted(proposing):
-                if next_idx[s] >= len(restricted[s]):
-                    continue
-                proposals.add(problem.contract(s, restricted[s][next_idx[s]]))
-            pool = held | proposals
-            chosen = choose(rules[d], pool, problem)
-            rejected = pool - chosen
-            held = chosen
-            if not rejected:
-                break
-            proposing = set()
-            for x in rejected:
-                next_idx[x.student] += 1
-                proposing.add(x.student)
-        outcome |= held
-    return frozenset(outcome)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,22 @@ it held domains as bitmasks, kept verbatim: domains are lists of values,
 ``local_values`` enumerates every sub-combination of a set with dict-based
 loads, and each arc revision tests every value against every support with
 ``compatible_cp``.  The root symmetry split is shared, since it is unchanged.
+
+``enumerate_feasible_matchings_reference`` and
+``enumerate_ir_matchings_reference`` are the two capacity-pruned walks the
+package kept before every walk over matchings shared
+``districtmatch.model.enumerate_matchings``, kept verbatim.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
-from districtmatch.errors import SearchBudgetExceeded
-from districtmatch.model import Problem, sort_matching, with_preferences
+from districtmatch.errors import SearchBudgetExceeded, UniverseTooLarge
+from districtmatch.model import Matching, Problem, sort_matching, with_preferences
 from districtmatch.oracle import (
+    DEFAULT_MATCHING_BUDGET,
     AuditFinding,
     AuditReport,
     SearchResult,
@@ -301,3 +307,74 @@ def search_rule_nonexistence_reference(
         district_ceilings=ceilings,
     )
     return SearchResult(satisfiable=True, witness=witness, nodes=nodes)
+
+
+def enumerate_feasible_matchings_reference(
+    problem: Problem, budget: int = DEFAULT_MATCHING_BUDGET
+) -> Iterator[Matching]:
+    """Every matching feasible for students and capacities, exactly once,
+    in lexicographic order (per student: schools in index order, then
+    unmatched)."""
+    size = (problem.num_schools + 1) ** problem.num_students
+    if size > budget:
+        raise UniverseTooLarge(size, budget)
+
+    n = problem.num_students
+    load = [0] * problem.num_schools
+    picks = []
+
+    def rec(s):
+        if s == n:
+            yield frozenset(
+                problem.contract(i, c) for i, c in enumerate(picks) if c is not None
+            )
+            return
+        for c in list(range(problem.num_schools)) + [None]:
+            if c is not None:
+                if load[c] + 1 > problem.capacities[c]:
+                    continue
+                load[c] += 1
+            picks.append(c)
+            yield from rec(s + 1)
+            picks.pop()
+            if c is not None:
+                load[c] -= 1
+
+    yield from rec(0)
+
+
+def enumerate_ir_matchings_reference(problem: Problem, budget: int = DEFAULT_MATCHING_BUDGET):
+    """Feasible matchings where every student sits weakly above her initial
+    school.  The outside option ranks last, so these match everyone; each
+    student's options shrink to the schools she ranks at or above it."""
+    options = [
+        [c for c in problem.preferences[s] if problem.rank[s][c] <= problem.rank[s][problem.initial_school[s]]]
+        for s in range(problem.num_students)
+    ]
+    size = 1
+    for opts in options:
+        size *= len(opts)
+    if size > budget:
+        raise UniverseTooLarge(size, budget)
+
+    out = []
+    load = [0] * problem.num_schools
+    picks = []
+
+    def rec(s):
+        if s == problem.num_students:
+            out.append(
+                frozenset(problem.contract(i, c) for i, c in enumerate(picks))
+            )
+            return
+        for c in sorted(options[s]):
+            if load[c] + 1 > problem.capacities[c]:
+                continue
+            load[c] += 1
+            picks.append(c)
+            rec(s + 1)
+            picks.pop()
+            load[c] -= 1
+
+    rec(0)
+    return out

@@ -7,13 +7,17 @@ the stability check, kept as the reference the compiled
 Every ``choose`` call rebuilds each school's priority positions and scans
 the spec's tuples; every district chooses again at every step; the
 stability check finds each student's school by scanning the matching.
+
+``single_district_da_reference`` is the classic proposal loop inside one
+district that ``districtmatch.spda.run_intradistrict_spda`` replaced with
+the market-wide loop run on home-district lists.
 """
 
 from __future__ import annotations
 
 from districtmatch.errors import RuleViolation, UnknownContract
 from districtmatch.model import Matching, Problem
-from districtmatch.rules import RuleKind, RuleSpec
+from districtmatch.rules import RuleKind, RuleSpec, choose
 from districtmatch.spda import SpdaStep, SpdaTrace, StabilityVerdict
 
 
@@ -247,3 +251,36 @@ def is_stable_reference(X: Matching, problem: Problem, rules) -> StabilityVerdic
             if x in choose_reference(rules[d], by_district[d] | {x}, problem):
                 return StabilityVerdict(False, blocking_contract=x)
     return StabilityVerdict(True)
+
+
+def single_district_da_reference(problem: Problem, district: int, rule: RuleSpec) -> Matching:
+    """The classic proposal loop inside one district: its own students
+    propose to its schools in the order of their full lists.  A rule that
+    chooses outside its input raises ``RuleViolation``."""
+    students = [
+        s for s in range(problem.num_students) if problem.student_district[s] == district
+    ]
+    schools = set(problem.district_schools[district])
+    prefs = {s: [c for c in problem.preferences[s] if c in schools] for s in students}
+    ptr = {s: 0 for s in students}
+    held = frozenset()
+    active = set(students)
+    while True:
+        proposals = set()
+        for s in sorted(active):
+            if ptr[s] < len(prefs[s]):
+                proposals.add(problem.contract(s, prefs[s][ptr[s]]))
+        pool = held | proposals
+        chosen = choose(rule, pool, problem)
+        if not chosen <= pool:
+            raise RuleViolation(
+                f"rule for {problem.district_ids[district]} chose outside its input"
+            )
+        rejected = pool - chosen
+        held = chosen
+        if not rejected:
+            return held
+        active = set()
+        for x in rejected:
+            ptr[x.student] += 1
+            active.add(x.student)

@@ -308,6 +308,13 @@ def _table(table):
             _table([{"set": [], "chose": []}]),
             "rule for district d1: table entry 1 has unknown key 'chose'",
         ),
+        (
+            _table([
+                {"set": [], "chosen": []},
+                {"set": [["s1", "c1"]], "chosen": [["s2", "c1"]]},
+            ]),
+            "InvalidRule: rule for district d1: table entry 2 chooses outside its set",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -334,6 +341,7 @@ def _table(table):
         "negative-district-cap",
         "misspelled-district-cap",
         "misspelled-table-key",
+        "table-chooses-outside-its-set",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -341,11 +349,65 @@ def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
     bad.write_text(json.dumps(_broken_rule(edit)))
     for argv in (
         ("run", str(bad), "--mechanism", "spda"),
+        ("run", str(bad), "--mechanism", "spda-intra"),
         ("check-rule", str(bad), "--district", "d1", "--properties", "feasible"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "validation error" in err and message in err
+
+
+def test_table_choosing_outside_its_set_exits_2_at_load(capsys, tmp_path):
+    # run once failed mid-step here, and spda-intra printed a matching in
+    # which s2 held both schools
+    doc = {
+        "types": ["t1"],
+        "districts": ["d1", "d2"],
+        "schools": [
+            {"id": "c1", "district": "d1", "capacity": 1},
+            {"id": "c2", "district": "d2", "capacity": 1},
+        ],
+        "students": [
+            {"id": "s1", "district": "d1", "type": "t1", "preferences": ["c1", "c2"]},
+            {"id": "s2", "district": "d2", "type": "t1", "preferences": ["c2", "c1"]},
+        ],
+        "initial_matching": {"s1": "c1", "s2": "c2"},
+        "rules": [
+            {
+                "district": "d1",
+                "kind": "explicit_table",
+                "table": [
+                    {"set": [], "chosen": []},
+                    {"set": [["s1", "c1"]], "chosen": [["s2", "c1"]]},
+                    {"set": [["s2", "c1"]], "chosen": [["s2", "c1"]]},
+                    {"set": [["s1", "c1"], ["s2", "c1"]], "chosen": [["s2", "c1"]]},
+                ],
+            },
+            {
+                "district": "d2",
+                "kind": "sequential_responsive",
+                "school_order": ["c2"],
+                "priorities": {"c2": ["s1", "s2"]},
+            },
+        ],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (
+        ("run", str(bad), "--mechanism", "spda"),
+        ("run", str(bad), "--mechanism", "spda-intra"),
+        ("check-rule", str(bad), "--district", "d1", "--properties", "feasible"),
+        ("audit", str(bad), "--mechanism", "spda"),
+        ("bounds", str(bad)),
+        ("policy-check", str(bad)),
+        ("nonexistence", str(bad), "--district", "d1"),
+    ):
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "validation error: InvalidRule: rule for district d1: "
+            "table entry 2 chooses outside its set\n",
+        )
 
 
 def test_rule_that_is_not_an_object_exits_2(capsys, tmp_path):

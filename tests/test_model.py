@@ -1,5 +1,8 @@
 """Model validation, distributions, feasibility, and dominance."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,13 @@ from districtmatch.errors import ValidationError
 from districtmatch.model import (
     ProblemSpec,
     distribution_of,
+    enumerate_matchings,
     is_feasible,
     pareto_dominates,
     validate_problem,
 )
 
-from helpers import matching_of
+from helpers import matching_of, random_problem
 
 
 def test_basic_fixture_validates(basic):
@@ -293,3 +297,19 @@ def test_dominance_transitivity_property(basic, data):
     X, Y, Z = draw_matching("x"), draw_matching("y"), draw_matching("z")
     if pareto_dominates(X, Y, p) and pareto_dominates(Y, Z, p):
         assert pareto_dominates(X, Z, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_enumerate_matchings_is_the_capacity_filtered_product(seed):
+    # options in any order, with or without the unmatched entry
+    rng = random.Random(seed)
+    p = random_problem(rng, students=(2, 4), slack=0)
+    entries = [*range(p.num_schools), None]
+    options = [rng.sample(entries, rng.randint(1, len(entries))) for _ in range(p.num_students)]
+    want = []
+    for combo in itertools.product(*options):
+        X = frozenset(p.contract(s, c) for s, c in enumerate(combo) if c is not None)
+        if is_feasible(X, p).within_capacity:
+            want.append(X)
+    assert list(enumerate_matchings(p, options)) == want

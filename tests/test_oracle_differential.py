@@ -3,7 +3,9 @@
 The prefix-sharing misreport audit gives the same ``AuditReport``, or the
 same error, as the audit that reran every report.  The bitmask nonexistence
 search gives the same verdict, node count, conflict log and witness, or the
-same budget overrun, as the list-domain search."""
+same budget overrun, as the list-domain search.  The feasible and
+individually-rational enumerators list the same matchings, in the same
+order, as the walks they replaced."""
 
 import random
 import sys
@@ -19,11 +21,15 @@ from districtmatch.errors import (
     RuleViolation,
     SearchBudgetExceeded,
     Stuck,
+    UniverseTooLarge,
 )
 from districtmatch.model import with_preferences
 from districtmatch.oracle import (
+    DEFAULT_MATCHING_BUDGET,
     AuditReport,
     audit_strategy_proofness,
+    enumerate_feasible_matchings,
+    enumerate_ir_matchings,
     search_rule_nonexistence,
 )
 from districtmatch.policy import GoalForm
@@ -33,6 +39,8 @@ from districtmatch.ttc import run_ttc
 from helpers import count_calls, random_goal, random_problem
 from oracle_reference import (
     audit_strategy_proofness_reference,
+    enumerate_feasible_matchings_reference,
+    enumerate_ir_matchings_reference,
     search_rule_nonexistence_reference,
 )
 from test_spda_differential import random_rules
@@ -225,3 +233,25 @@ def test_fixture_is_unsatisfiable_both_ways(nonexistence):
     ceilings = {t: q for (d, t), q in nonexistence.policy.district_ceilings if d == 0}
     assert assert_same_search(p, 0, ceilings, symmetry=True)[:2] == (False, 2)
     assert assert_same_search(p, 0, ceilings, symmetry=False)[:2] == (False, 4)
+
+
+def _listed(enumerate_, problem, budget):
+    try:
+        return list(enumerate_(problem, budget))
+    except UniverseTooLarge as exc:
+        return ("too large", exc.size, exc.budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([1, 100, DEFAULT_MATCHING_BUDGET]),
+)
+def test_enumerators_match_reference_in_order(seed, budget):
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5), slack=rng.randint(0, 1))
+    for enumerate_, reference in (
+        (enumerate_feasible_matchings, enumerate_feasible_matchings_reference),
+        (enumerate_ir_matchings, enumerate_ir_matchings_reference),
+    ):
+        assert _listed(enumerate_, problem, budget) == _listed(reference, problem, budget)

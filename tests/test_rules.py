@@ -81,6 +81,26 @@ def test_make_rule_reports_the_loaders_issue(basic):
     assert made.value.issues == loaded.value.issues == [("InvalidRule", message)]
 
 
+def test_make_rule_lists_each_table_entry_choosing_outside_its_set(basic):
+    from districtmatch.errors import ValidationError
+    from districtmatch.rules import RuleKind, make_rule
+
+    p = basic.problem
+    x, y = p.contract(0, 0), p.contract(1, 0)
+    table = [
+        (frozenset(), frozenset()),
+        (frozenset({x}), frozenset({y})),
+        (frozenset({y}), frozenset({y})),
+        (frozenset({x, y}), frozenset({x, p.contract(2, 0)})),
+    ]
+    with pytest.raises(ValidationError) as made:
+        make_rule(district=0, kind=RuleKind.EXPLICIT_TABLE, table=table, problem=p)
+    assert made.value.issues == [
+        ("InvalidRule", f"rule for district d1: table entry {i} chooses outside its set")
+        for i in (2, 4)
+    ]
+
+
 # -- completions -------------------------------------------------------------------
 
 

@@ -128,6 +128,22 @@ def test_explicit_table_checks_match_reference(seed):
     assert_same_checks(problem, rules, bases)
 
 
+def test_accommodates_matches_reference_on_random_markets():
+    # 2-5 students with little slack, so that many draws fail and the
+    # witnesses are compared too
+    failing = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        problem = random_problem(rng, students=(2, 5), slack=rng.randint(0, 1))
+        rules = random_profile(rng, problem, tables=0.3)[0]
+        assert_same_verdict(None, RuleProperty.ACCOMMODATES_UNMATCHED, problem, rules=rules)
+        got = _outcome(
+            check_property, None, RuleProperty.ACCOMMODATES_UNMATCHED, problem, rules=rules
+        )
+        failing += got[0] == "ok" and not got[1].holds
+    assert failing >= 10
+
+
 @pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
 def test_every_kind_and_variant_matches_reference(kind):
     rng = random.Random(kind.value)

@@ -15,6 +15,7 @@ from districtmatch.spda import (
 )
 
 from helpers import ids_of, matching_of
+from spda_reference import single_district_da_reference
 
 
 GOLDEN_BASIC = [("s1", "c2"), ("s2", "c3"), ("s3", "c1"), ("s4", "c2")]
@@ -89,38 +90,13 @@ def test_reserves_golden(reserves_diversity):
 # -- intradistrict runs ------------------------------------------------------------
 
 
-def _reference_single_district_da(problem, district, rule):
-    """Independent implementation: classic proposal loop inside one district."""
-    students = problem.students_by_district(district)
-    schools = set(problem.district_schools[district])
-    prefs = {s: [c for c in problem.preferences[s] if c in schools] for s in students}
-    ptr = {s: 0 for s in students}
-    held = frozenset()
-    active = set(students)
-    while True:
-        proposals = set()
-        for s in sorted(active):
-            if ptr[s] < len(prefs[s]):
-                proposals.add(problem.contract(s, prefs[s][ptr[s]]))
-        pool = held | proposals
-        chosen = dm.choose(rule, pool, problem)
-        rejected = pool - chosen
-        held = chosen
-        if not rejected:
-            return held
-        active = set()
-        for x in rejected:
-            ptr[x.student] += 1
-            active.add(x.student)
-
-
 def test_intradistrict_matches_reference(basic, respecting, rationed, reserves_diversity):
     for inst in (basic, respecting, rationed, reserves_diversity):
         p = inst.problem
         got = run_intradistrict_spda(p, inst.rules)
         want = frozenset()
         for d in range(p.num_districts):
-            want |= _reference_single_district_da(p, d, inst.rules[d])
+            want |= single_district_da_reference(p, d, inst.rules[d])
         assert got == want
 
 

@@ -1,5 +1,6 @@
-"""The compiled ``choose``, the incremental ``run_spda`` and the cut-off
-``is_stable`` against the direct implementations they replace."""
+"""The compiled ``choose``, the incremental ``run_spda``, the cut-off
+``is_stable`` and the intradistrict run on home-district lists against the
+direct implementations they replace."""
 
 import itertools
 import random
@@ -13,7 +14,7 @@ import districtmatch as dm
 import districtmatch.rules as rules_module
 import districtmatch.spda as spda_module
 import spda_reference
-from districtmatch.errors import DistrictMatchError
+from districtmatch.errors import DistrictMatchError, RuleViolation
 from districtmatch.model import (
     Contract,
     ProblemSpec,
@@ -30,10 +31,20 @@ from districtmatch.rules import (
     favor_own_students,
     make_rule,
 )
-from districtmatch.spda import check_individual_rationality, is_stable, run_spda
+from districtmatch.spda import (
+    check_individual_rationality,
+    is_stable,
+    run_intradistrict_spda,
+    run_spda,
+)
 
 from helpers import all_contracts, random_problem
-from spda_reference import choose_reference, is_stable_reference, run_spda_reference
+from spda_reference import (
+    choose_reference,
+    is_stable_reference,
+    run_spda_reference,
+    single_district_da_reference,
+)
 
 SPEC_KINDS = [k for k in RuleKind if k is not RuleKind.EXPLICIT_TABLE]
 
@@ -266,6 +277,42 @@ def test_skipped_districts_do_not_change_the_step_record(basic, monkeypatch):
     trace = run_spda(basic.problem, basic.rules)
     assert trace == run_spda_reference(basic.problem, basic.rules)
     assert len(calls) < trace.num_steps * basic.problem.num_districts
+
+
+def assert_intradistrict_matches_reference(problem, rules):
+    """The intradistrict run gives the union of the per-district reference
+    runs; when some district's run fails, it fails with one of their errors."""
+    runs = [
+        _outcome(single_district_da_reference, problem, d, rules[d])
+        for d in range(problem.num_districts)
+    ]
+    got = _outcome(run_intradistrict_spda, problem, rules)
+    if all(run[0] == "ok" for run in runs):
+        assert got == ("ok", frozenset().union(*(run[1] for run in runs)))
+    else:
+        assert got[0] in {run[0] for run in runs}
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_intradistrict_run_matches_per_district_reference(seed):
+    # every spec kind, completions, own-favoring variants and tables
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    assert_intradistrict_matches_reference(problem, random_rules(rng, problem, tables=0.5))
+
+
+@pytest.mark.parametrize("seed", [12, 125, 154, 170])
+def test_intradistrict_table_choosing_outside_its_input_raises(seed):
+    # the per-district loop once returned these outcomes with a student
+    # holding two schools
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    got = assert_intradistrict_matches_reference(
+        problem, random_rules(rng, problem, tables=0.5)
+    )
+    assert got[0] is RuleViolation and "chose outside its input" in got[1]
 
 
 @settings(max_examples=100, deadline=None)
