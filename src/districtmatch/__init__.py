@@ -75,11 +75,8 @@ from .oracle import (
     AuditReport,
     ImpossibilityCertificate,
     SearchResult,
-    audit_report_to_dict,
     audit_strategy_proofness,
-    certificate_to_dict,
     constrained_efficient_ir_matchings,
-    count_feasible_matchings,
     enumerate_feasible_matchings,
     enumerate_ir_matchings,
     enumerate_stable_matchings,
@@ -89,7 +86,6 @@ from .oracle import (
 )
 from .instances import (
     Instance,
-    distribution_csv,
     instance_from_dict,
     instance_to_dict,
     load_instance,

@@ -49,10 +49,14 @@ def load_instance(path) -> Instance:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValidationError(
-                [("DanglingReference", f"malformed JSON at line {exc.lineno}: {exc.msg}")]
-            )
-    return instance_from_dict(doc)
+            issue = f"malformed JSON at line {exc.lineno}: {exc.msg}"
+        except UnicodeDecodeError as exc:
+            issue = f"instance is not UTF-8: {exc.reason} at byte {exc.start}"
+        except RecursionError:
+            issue = "malformed JSON: nested too deeply"
+        else:
+            return instance_from_dict(doc)
+    raise ValidationError([("DanglingReference", issue)])
 
 
 class _Reader:
@@ -479,13 +483,3 @@ def dump_instance(inst: Instance, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def distribution_csv(xi: Distribution, problem: Problem) -> str:
-    """School-by-type count matrix as CSV, one row per school."""
-    header = "school," + ",".join(problem.type_ids)
-    rows = [
-        problem.school_ids[c] + "," + ",".join(str(v) for v in xi.counts[c])
-        for c in range(problem.num_schools)
-    ]
-    return "\n".join([header] + rows) + "\n"

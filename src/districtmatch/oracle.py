@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .errors import NotApplicable, SearchBudgetExceeded, UniverseTooLarge
@@ -24,7 +25,7 @@ from .model import (
     with_preferences,
 )
 from .policy import PolicyGoal, contains
-from .rules import RuleKind, RuleSpec, make_rule
+from .rules import DistrictSpace, RuleKind, RuleSpec, make_rule
 from .spda import is_stable, run_intradistrict_spda, run_spda
 from .ttc import run_ttc
 
@@ -44,23 +45,6 @@ def enumerate_feasible_matchings(
         raise UniverseTooLarge(size, budget)
     every = [*range(problem.num_schools), None]
     yield from enumerate_matchings(problem, [every] * problem.num_students)
-
-
-def count_feasible_matchings(problem: Problem) -> int:
-    """Independent count by capacity-pruned recursion over school loads."""
-
-    def rec(s, loads):
-        if s == problem.num_students:
-            return 1
-        total = rec(s + 1, loads)  # unmatched branch
-        for c in range(problem.num_schools):
-            if loads[c] < problem.capacities[c]:
-                new = list(loads)
-                new[c] += 1
-                total += rec(s + 1, tuple(new))
-        return total
-
-    return rec(0, tuple([0] * problem.num_schools))
 
 
 def enumerate_stable_matchings(problem: Problem, rules, budget=DEFAULT_MATCHING_BUDGET):
@@ -127,10 +111,6 @@ class AuditReport:
     exhaustive: bool
     runs: int
     honest: Matching  # the outcome under the true preferences
-
-    @property
-    def clean(self):
-        return not self.findings
 
 
 def _mechanism_run(mechanism, problem, *, rules=None, goal=None, master=None):
@@ -262,54 +242,6 @@ def _target_first_initial_second(problem, student, target):
     return tuple(order + rest)
 
 
-def audit_report_to_dict(report: AuditReport, problem: Problem) -> dict:
-    """Id-based JSON form of an audit report."""
-    return {
-        "mechanism": report.mechanism,
-        "exhaustive": report.exhaustive,
-        "runs": report.runs,
-        "findings": [
-            {
-                "student": problem.student_ids[f.student],
-                "misreport": [problem.school_ids[c] for c in f.misreport],
-                "honest_school": (
-                    problem.school_ids[f.honest_school]
-                    if f.honest_school is not None
-                    else None
-                ),
-                "deviant_school": (
-                    problem.school_ids[f.deviant_school]
-                    if f.deviant_school is not None
-                    else None
-                ),
-            }
-            for f in report.findings
-        ],
-    }
-
-
-def certificate_to_dict(cert: "ImpossibilityCertificate", problem: Problem) -> dict:
-    """Id-based JSON form of an impossibility certificate."""
-
-    def pairs(X):
-        return [
-            [problem.student_ids[x.student], problem.school_ids[x.school]]
-            for x in sort_matching(X)
-        ]
-
-    return {
-        "efficient_pair": [pairs(X) for X in cert.efficient_pair],
-        "deviations": [
-            {
-                "student": problem.student_ids[dev.student],
-                "misreport": [problem.school_ids[c] for c in dev.misreport],
-                "resulting": pairs(dev.resulting),
-            }
-            for dev in cert.deviations
-        ],
-    }
-
-
 # -- nonexistence search over choice functions -------------------------------------
 
 
@@ -346,40 +278,26 @@ def search_rule_nonexistence(
     support mask per parent value.  Raises ``UniverseTooLarge`` past
     ``NONEXISTENCE_SET_BOUND`` sets.
     """
-    universe = tuple(problem.district_contracts(district))
-    index = {x: i for i, x in enumerate(universe)}
-    width = len(universe)
+    space = DistrictSpace(problem, district)
     k_d = problem.k_district[district]
     ceilings = dict(district_ceilings)
-
-    per_student = {}
-    for i, x in enumerate(universe):
-        per_student.setdefault(x.student, []).append(1 << i)
-    size = math.prod(1 + len(bits) for bits in per_student.values())
-    if size > NONEXISTENCE_SET_BOUND:
-        raise UniverseTooLarge(size, NONEXISTENCE_SET_BOUND)
-    masks = [0]
-    for bits in per_student.values():  # students in index order
-        masks = [m | b for m in masks for b in [0] + bits]
-    masks.sort(key=lambda m: (-m.bit_count(), m))
+    if space.size > NONEXISTENCE_SET_BOUND:
+        raise UniverseTooLarge(space.size, NONEXISTENCE_SET_BOUND)
+    masks = sorted(space.feasible_masks, key=lambda m: (-m.bit_count(), m))
     pos = {m: p for p, m in enumerate(masks)}
 
     # feasibility and the licensed rejections depend only on the chosen set:
     # a school at capacity, a type at its ceiling (a negative one admits
     # none, as zero does) or k_d contracts chosen license rejecting a contract
-    def mask_of(keep):
-        return sum(1 << i for i, x in enumerate(universe) if keep(x))
-
-    school_bits = {c: mask_of(lambda x: x.school == c) for c in problem.district_schools[district]}
+    school_bits = space.bits_by(attrgetter("school"))
+    type_bits = space.bits_by(lambda x: problem.student_type[x.student])
     limits = [(problem.capacities[c], bits) for c, bits in school_bits.items()] + [
-        (max(q, 0), mask_of(lambda x: problem.student_type[x.student] == t))
-        for t, q in ceilings.items()
-        if q is not None
+        (max(q, 0), type_bits.get(t, 0)) for t, q in ceilings.items() if q is not None
     ]
     vals = [[] for _ in masks]
     # each set lists its values largest first, then in itertools.combinations
-    # order, which is the descending order of the bit-reversed masks
-    for v in sorted(masks, key=lambda v: (-v.bit_count(), -int(f"{v:0{width}b}"[::-1], 2))):
+    # order: the order of ``feasible_masks`` within one size
+    for v in sorted(space.feasible_masks, key=int.bit_count, reverse=True):
         blocked = -1 if v.bit_count() >= k_d else 0
         for limit, bits in limits:
             n = (v & bits).bit_count()
@@ -390,16 +308,18 @@ def search_rule_nonexistence(
         else:
             # v is a value of every superset m in which blocked covers m - v
             supersets = [v]
-            for bits in per_student.values():
-                if not any(v & b for b in bits):
-                    supersets += [m | b for m in supersets for b in bits if b & blocked]
+            for bits in space.student_bits.values():
+                if not v & bits:
+                    supersets += [m | b for m in supersets for b in _single_bits(bits & blocked)]
             for m in supersets:
                 vals[pos[m]].append(v)
 
     # the root: everyone at the district's first school
-    root = pos[school_bits[min(school_bits)]] if universe else None
+    root = pos[school_bits[min(school_bits)]] if space.universe else None
     if symmetry and root is not None and vals[root]:
-        vals[root] = _symmetry_root_values(problem, universe, index, vals[root], ceilings)
+        vals[root] = _symmetry_root_values(
+            problem, space.universe, space.index, vals[root], ceilings
+        )
 
     # arcs (child, parent, bit) with child = parent - bit; the relation on
     # values (w_c, w_p):
@@ -412,9 +332,7 @@ def search_rule_nonexistence(
     holding = [{} for _ in vals]  # per set: contract bit -> its values holding it
     for h, ws in zip(holding, vals):
         for j, w in enumerate(ws):
-            while w:
-                low = w & -w
-                w ^= low
+            for low in _single_bits(w):
                 h[low] = h.get(low, 0) | 1 << j
     full = [(1 << len(ws)) - 1 for ws in vals]
 
@@ -429,7 +347,7 @@ def search_rule_nonexistence(
 
     neighbors = [[] for _ in masks]
     for p, m in enumerate(masks):
-        for bit in (1 << i for i in range(width) if m >> i & 1):
+        for bit in _single_bits(m):
             c = pos[m ^ bit]
             sup = tuple(
                 (supporters(c, w ^ bit) if require_weak_substitutability else full[c])
@@ -515,9 +433,6 @@ def search_rule_nonexistence(
                 if fix(p, low):
                     break
 
-    def frozenset_of(v):
-        return frozenset(universe[i] for i in range(width) if v >> i & 1)
-
     def first(p):
         return vals[p][(dom[p] & -dom[p]).bit_length() - 1]
 
@@ -535,13 +450,13 @@ def search_rule_nonexistence(
                     found = True
                     break
                 conflict_log.append(
-                    (frozenset_of(vals[root][low.bit_length() - 1]), "all extensions contradict")
+                    (space.set_of(vals[root][low.bit_length() - 1]), "all extensions contradict")
                 )
                 undo(mark)
         else:
             found = search()
             if not found and root is not None:
-                conflict_log.append((frozenset_of(first(root)), "all extensions contradict"))
+                conflict_log.append((space.set_of(first(root)), "all extensions contradict"))
     else:
         found = False
         conflict_log.append((frozenset(), "arc consistency wiped out a domain"))
@@ -551,7 +466,7 @@ def search_rule_nonexistence(
             satisfiable=False, conflict_log=tuple(conflict_log), nodes=nodes
         )
     table = tuple(
-        (frozenset_of(m), frozenset_of(first(pos[m]))) for m in sorted(masks)
+        (space.set_of(m), space.set_of(first(pos[m]))) for m in sorted(masks)
     )
     witness = make_rule(
         district=district,
@@ -560,6 +475,14 @@ def search_rule_nonexistence(
         district_ceilings=ceilings,
     )
     return SearchResult(satisfiable=True, witness=witness, nodes=nodes)
+
+
+def _single_bits(mask: int):
+    """The set bits of ``mask`` as one-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _symmetry_root_values(problem, universe, index, candidates, ceilings):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from operator import attrgetter, le
 from typing import Callable, Optional
@@ -39,15 +40,20 @@ class PolicyFunction:
     members: Optional[frozenset] = None
 
     def __call__(self, xi: Distribution) -> Fraction:
+        return self.score_flat(xi.flat())
+
+    def score_flat(self, flat: tuple) -> Fraction:
+        """The score of the distribution whose ``Distribution.flat()`` is ``flat``."""
         if self.kind == "manhattan_ideal":
-            return -Fraction(
-                sum(
-                    abs(a - b)
-                    for ra, rb in zip(xi.counts, self.ideal.counts)
-                    for a, b in zip(ra, rb)
-                )
-            )
-        return Fraction(1 if xi in self.members else 0)
+            return -Fraction(sum(abs(a - b) for a, b in zip(flat, self._flat)))
+        return Fraction(1 if flat in self._flat else 0)
+
+    @cached_property
+    def _flat(self):
+        """The ideal as a flat vector, or the members as a set of them."""
+        if self.kind == "manhattan_ideal":
+            return self.ideal.flat()
+        return frozenset(xi.flat() for xi in self.members)
 
 
 @dataclass(frozen=True)
@@ -479,16 +485,10 @@ class ConcavityVerdict:
 
 
 def _flat_evaluator(fn, num_types):
-    """A fast f-on-flat-vectors adapter for the built-in function kinds."""
+    """``fn`` on flat vectors: a ``PolicyFunction`` scores them itself, any
+    other callable scores the ``Distribution`` they flatten."""
     if isinstance(fn, PolicyFunction):
-        if fn.kind == "manhattan_ideal":
-            ideal = fn.ideal.flat()
-            return lambda flat: -Fraction(
-                sum(abs(a - b) for a, b in zip(flat, ideal))
-            )
-        if fn.kind == "indicator":
-            members = {xi.flat() for xi in fn.members}
-            return lambda flat: Fraction(1 if flat in members else 0)
+        return fn.score_flat
 
     def call(flat):
         rows = tuple(
@@ -560,8 +560,7 @@ def upper_contour(
 ):
     """Distributions in the everyone-matched capacity set scoring at least
     ``threshold``."""
-    threshold = Fraction(threshold)
-    return [xi for xi in enumerate_xi0(problem, budget) if fn(xi) >= threshold]
+    return policy_members(f_lambda_goal(fn, threshold), problem, budget)
 
 
 def indicator_of(members, problem: Problem) -> PolicyFunction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -234,12 +235,9 @@ class CompiledRule:
     each school by priority.  ``key_of`` holds only well-formed contracts of
     the rule's district, so a hit there also validates the contract.
 
-    ``memo`` maps a bitmask over the district's contracts (the student-major
-    universe of ``Chooser``) to the mask the rule chooses from it, and
-    ``space`` is that universe's ``MaskSpace``, built by the first
-    ``Chooser``.  The universe and the choice depend only on the basis, so
-    every ``Chooser`` of the rule shares both until the rule meets a
-    differently shaped problem.
+    ``chooser`` is the rule's ``Chooser``, built by the first ``chooser_of``.
+    Its masks and its memo depend only on the basis, so every check of the
+    rule shares them until the rule meets a differently shaped problem.
     """
 
     # the problem fields a compiled rule and its choice memo depend on; they
@@ -250,8 +248,7 @@ class CompiledRule:
     )
 
     def __init__(self, rule: RuleSpec, problem: Problem):
-        self.memo = {}
-        self.space = None
+        self.chooser = None
         self.table = {}
         self.key_of = {}
         self.missing = None
@@ -500,53 +497,49 @@ class Cutoffs:
         return key < self.open_cut[pos] and key < self.ceiling_cut.get((pos, t), math.inf)
 
 
-class MaskSpace:
-    """A compiled rule's district universe as bitmasks, with the tables of
-    its integer seat-filling walk, ``_chosen_bits``.
+class DistrictSpace:
+    """The subsets of one district's contracts as bitmasks, which the rule
+    checks and the nonexistence search quantify over.
 
-    Universe bits are student-major.  Key bits are the rule's keys, so each
-    school's keys fill one ``windows`` mask in priority order, and taking the
-    first ``room`` contracts of a pool takes its lowest bits.  ``to_keys``
-    and ``to_universe`` translate masks eight bits at a time.  ``unranked``
-    holds the universe bits the rule has no key for.  ``to_keys`` is None
-    for explicit tables and rules missing a priority list, which choose
-    through ``choose`` on the set.
+    Universe bits are student-major (``Problem.district_contracts``).
+    ``size`` counts the sets feasible for students (at most one contract
+    per student).  ``all_masks`` lists every subset and ``feasible_masks``
+    the feasible ones, each in (size, lexicographic) order, built once.
     """
 
-    def __init__(self, rule: RuleSpec, comp: CompiledRule, problem: Problem):
-        self.universe = universe = tuple(problem.district_contracts(rule.district))
+    def __init__(self, problem: Problem, district: int):
+        self.universe = universe = tuple(problem.district_contracts(district))
         self.index = {x: i for i, x in enumerate(universe)}
-        self.student_bits = {}
-        for i, x in enumerate(universe):
-            self.student_bits[x.student] = self.student_bits.get(x.student, 0) | 1 << i
-        self.to_keys = None
-        if rule.kind is RuleKind.EXPLICIT_TABLE or comp.missing is not None:
-            return
-        keys = [comp.key_of.get(x) for x in universe]
-        self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
-        self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
-        bit_at = [0] * len(comp.student_at)
-        for i, k in enumerate(keys):
-            if k is not None:
-                bit_at[k] = 1 << i
-        self.to_universe = _chunk_tables(bit_at)
-        stride = comp.stride
-        self.windows = [((1 << stride) - 1) << pos * stride for pos in range(len(comp.capacity))]
-        self.of_type = [{} for _ in self.windows]  # per position: type -> its keys
-        student_keys = {}
-        for k, s in enumerate(comp.student_at):
-            if s is not None:
-                student_keys[s] = student_keys.get(s, 0) | 1 << k
-                of_type = self.of_type[k // stride]
-                of_type[comp.type_at[k]] = of_type.get(comp.type_at[k], 0) | 1 << k
-        # per key: the free keys left once it is chosen, without its
-        # student's keys (for a completion, without the key alone)
-        self.keep = [
-            ~(1 << k if rule.completed or s is None else student_keys[s])
-            for k, s in enumerate(comp.student_at)
-        ]
-        self.capacity, self.cap = comp.capacity, comp.cap
-        self.reserves, self.ceilings = comp.reserves, comp.ceilings
+        self.student_bits = self.bits_by(attrgetter("student"))
+        self.size = math.prod(bits.bit_count() + 1 for bits in self.student_bits.values())
+
+    def bits_by(self, key) -> dict:
+        """``key(x)`` -> the mask of the universe's contracts with that key,
+        keys in universe order."""
+        bits = {}
+        for i, x in enumerate(self.universe):
+            k = key(x)
+            bits[k] = bits.get(k, 0) | 1 << i
+        return bits
+
+    def mask_of(self, X) -> int:
+        m = 0
+        for x in X:
+            m |= 1 << self.index[x]
+        return m
+
+    def set_of(self, mask: int) -> Matching:
+        return frozenset(
+            self.universe[i] for i in range(len(self.universe)) if mask >> i & 1
+        )
+
+    def repeats_student(self, mask: int) -> bool:
+        """Whether the set holds two contracts of one student."""
+        for bits in self.student_bits.values():
+            mine = mask & bits
+            if mine & (mine - 1):
+                return True
+        return False
 
     @functools.cached_property
     def all_masks(self) -> list:
@@ -621,7 +614,7 @@ def _fill(pool: int, room: int, free: int, keep: list):
     return picks, free
 
 
-def _chosen_bits(space: MaskSpace, keys: int) -> int:
+def _chosen_bits(chooser: Chooser, keys: int) -> int:
     """``_chosen_keys`` on a mask of key bits: the key bits the spec rule
     chooses.
 
@@ -630,14 +623,14 @@ def _chosen_bits(space: MaskSpace, keys: int) -> int:
     of their school's window once the keys beyond each type's remaining
     ceiling are cut.  Each pick clears ``keep`` from the free keys.
     """
-    capacity, cap, keep = space.capacity, space.cap, space.keep
+    capacity, cap, keep = chooser.capacity, chooser.cap, chooser.keep
     free, chosen, count = keys, 0, 0
     reserved = [0] * len(capacity)  # per position: reserve seats taken
     loads = [{}] * len(capacity)  # per position: reserve seats taken, per type
-    for pos, targets in enumerate(space.reserves):
+    for pos, targets in enumerate(chooser.reserves):
         if not targets:
             continue
-        of_type, load, taken = space.of_type[pos], {}, 0
+        of_type, load, taken = chooser.of_type[pos], {}, 0
         for t, target in targets:
             room = min(target, capacity[pos] - taken)
             picks, free = _fill(free & of_type.get(t, 0), room, free, keep)
@@ -647,15 +640,15 @@ def _chosen_bits(space: MaskSpace, keys: int) -> int:
             chosen |= picks
         reserved[pos], loads[pos] = taken, load
         count += taken
-    for pos, window in enumerate(space.windows):
+    for pos, window in enumerate(chooser.windows):
         room = capacity[pos] - reserved[pos]
         if cap is not None:
             room = min(room, cap - count)
         if room <= 0:
             continue
         pool = free & window
-        for t, q in space.ceilings[pos].items():
-            mine = pool & space.of_type[pos].get(t, 0)
+        for t, q in chooser.ceilings[pos].items():
+            mine = pool & chooser.of_type[pos].get(t, 0)
             pool ^= mine ^ _lowest_bits(mine, q - loads[pos].get(t, 0))
         picks, free = _fill(pool, room, free, keep)
         chosen |= picks
@@ -663,80 +656,71 @@ def _chosen_bits(space: MaskSpace, keys: int) -> int:
     return chosen
 
 
-class Chooser:
-    """Memoized evaluator of one rule over its district's contract universe.
+class Chooser(DistrictSpace):
+    """One rule's memoized choice on its ``DistrictSpace``, with the tables
+    of its integer seat-filling walk, ``_chosen_bits``.
 
-    Sets of contracts are encoded as bitmasks over the universe (student-major
-    order), which keeps exhaustive property checks cheap.  The memo and the
-    ``MaskSpace`` are the ``CompiledRule``'s, shared by every check of the
-    rule.  Spec rules choose a mask's key bits through ``_chosen_bits``;
-    explicit tables, and masks holding a contract the rule cannot rank, go
-    through ``choose`` on the set.
+    Key bits are the rule's keys, so each school's keys fill one ``windows``
+    mask in priority order, and a pool's first ``room`` contracts are its
+    lowest bits.  ``to_keys`` and ``to_universe`` translate masks eight bits
+    at a time.  Explicit tables, rules missing a priority list (``to_keys``
+    is None) and masks holding a contract without a key (``unranked``) go
+    through ``choose`` on the set.  ``chooser_of`` builds one per
+    ``CompiledRule``; it holds the rule only weakly, as the rule holds it.
     """
 
-    def __init__(self, rule: RuleSpec, problem: Problem):
-        self.rule = rule
-        self.problem = problem
-        comp = compiled(rule, problem)
-        self._cache = comp.memo
-        if comp.space is None:
-            comp.space = MaskSpace(rule, comp, problem)
-        self._space = space = comp.space
-        self.universe, self.index = space.universe, space.index
-        self.student_bits = space.student_bits
-
-    def bits_by(self, key_of) -> dict:
-        """``key_of(problem, x)`` -> the mask of the universe's contracts
-        with that key, keys in universe order."""
-        bits = {}
-        for i, x in enumerate(self.universe):
-            key = key_of(self.problem, x)
-            bits[key] = bits.get(key, 0) | 1 << i
-        return bits
-
-    def mask_of(self, X) -> int:
-        m = 0
-        for x in X:
-            m |= 1 << self.index[x]
-        return m
-
-    def set_of(self, mask: int) -> Matching:
-        return frozenset(
-            self.universe[i] for i in range(len(self.universe)) if mask >> i & 1
-        )
+    def __init__(self, rule: RuleSpec, comp: CompiledRule, problem: Problem):
+        super().__init__(problem, rule.district)
+        self.rule = weakref.ref(rule)  # the rule holds the chooser
+        self.problem = problem  # read only through ``choose``, on its basis
+        self._cache = {}
+        self.to_keys = None
+        if rule.kind is RuleKind.EXPLICIT_TABLE or comp.missing is not None:
+            return
+        keys = [comp.key_of.get(x) for x in self.universe]
+        self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
+        self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
+        bit_at = [0] * len(comp.student_at)
+        for i, k in enumerate(keys):
+            if k is not None:
+                bit_at[k] = 1 << i
+        self.to_universe = _chunk_tables(bit_at)
+        stride = comp.stride
+        self.windows = [((1 << stride) - 1) << pos * stride for pos in range(len(comp.capacity))]
+        self.of_type = [{} for _ in self.windows]  # per position: type -> its keys
+        student_keys = {}
+        for k, s in enumerate(comp.student_at):
+            if s is not None:
+                student_keys[s] = student_keys.get(s, 0) | 1 << k
+                of_type = self.of_type[k // stride]
+                of_type[comp.type_at[k]] = of_type.get(comp.type_at[k], 0) | 1 << k
+        # per key: the free keys left once it is chosen, without its
+        # student's keys (for a completion, without the key alone)
+        self.keep = [
+            ~(1 << k if rule.completed or s is None else student_keys[s])
+            for k, s in enumerate(comp.student_at)
+        ]
+        self.capacity, self.cap = comp.capacity, comp.cap
+        self.reserves, self.ceilings = comp.reserves, comp.ceilings
 
     def choose_mask(self, mask: int) -> int:
         got = self._cache.get(mask)
         if got is None:
-            space = self._space
-            if space.to_keys is None or mask & space.unranked:
-                got = self.mask_of(choose(self.rule, self.set_of(mask), self.problem))
+            if self.to_keys is None or mask & self.unranked:
+                got = self.mask_of(choose(self.rule(), self.set_of(mask), self.problem))
             else:
-                keys = _translate(space.to_keys, mask)
-                got = _translate(space.to_universe, _chosen_bits(space, keys))
+                keys = _translate(self.to_keys, mask)
+                got = _translate(self.to_universe, _chosen_bits(self, keys))
             self._cache[mask] = got
         return got
 
-    def choose(self, X) -> Matching:
-        return self.set_of(self.choose_mask(self.mask_of(X)))
 
-    def repeats_student(self, mask: int) -> bool:
-        """Whether the set holds two contracts of one student."""
-        for bits in self.student_bits.values():
-            mine = mask & bits
-            if mine & (mine - 1):
-                return True
-        return False
-
-    def feasible_for_students_masks(self) -> list:
-        """Masks of every subset with at most one contract per student,
-        in (size, lexicographic) order; one list per ``MaskSpace``."""
-        return self._space.feasible_masks
-
-    def all_masks(self) -> list:
-        """Masks of every subset, in (size, lexicographic) order; one list
-        per ``MaskSpace``."""
-        return self._space.all_masks
+def chooser_of(rule: RuleSpec, problem: Problem) -> Chooser:
+    """The rule's ``Chooser`` for the problem's structure, built once per
+    ``CompiledRule``."""
+    comp = compiled(rule, problem)
+    comp.chooser = comp.chooser or Chooser(rule, comp, problem)
+    return comp.chooser
 
 
 @dataclass(frozen=True)
@@ -778,19 +762,18 @@ def check_property(
     if prop is RuleProperty.ACCOMMODATES_UNMATCHED:
         return _check_accommodates(rules, problem, feasible_bound)
 
-    chooser = Chooser(rule, problem)
+    chooser = chooser_of(rule, problem)
     n = len(chooser.universe)
     if prop in _ALL_SUBSET_PROPS and rule.kind is not RuleKind.EXPLICIT_TABLE:
         if n > all_subset_bound:
             raise UniverseTooLarge(2**n, 2**all_subset_bound)
-        masks = chooser.all_masks()
+        masks = chooser.all_masks
     else:
         # explicit tables are total only over feasible-for-students sets,
         # so every quantifier restricts to that universe for them
-        size = math.prod(bits.bit_count() + 1 for bits in chooser.student_bits.values())
-        if size > feasible_bound:
-            raise UniverseTooLarge(size, feasible_bound)
-        masks = chooser.feasible_for_students_masks()
+        if chooser.size > feasible_bound:
+            raise UniverseTooLarge(chooser.size, feasible_bound)
+        masks = chooser.feasible_masks
 
     checker = _PROPERTY_CHECKS[prop]
     return checker(chooser, masks, problem, base_rule)
@@ -799,10 +782,6 @@ def check_property(
 def _lowest(mask: int) -> int:
     """The index of the lowest set bit."""
     return (mask & -mask).bit_length() - 1
-
-
-def _school(problem, x):
-    return x.school
 
 
 def _school_type(problem, x):
@@ -814,7 +793,7 @@ def _student_type(problem, x):
 
 
 def _check_feasible(chooser, masks, problem, _):
-    school_bits = chooser.bits_by(_school)
+    school_bits = chooser.bits_by(attrgetter("school"))
     passed = set()  # chosen masks already found feasible
     for m in masks:
         ch = chooser.choose_mask(m)
@@ -849,10 +828,10 @@ def _rejections_check(prop, note, ceilings_of=None, key_of=None):
     ``ceilings_of(rule)`` has one) does not bind either."""
 
     def check(chooser, masks, problem, _):
-        k_d = problem.k_district[chooser.rule.district]
-        school_bits = chooser.bits_by(_school)
-        ceilings = _lookup(ceilings_of(chooser.rule)) if ceilings_of else {}
-        counted = chooser.bits_by(key_of) if key_of else {}
+        k_d = problem.k_district[chooser.rule().district]
+        school_bits = chooser.bits_by(attrgetter("school"))
+        ceilings = _lookup(ceilings_of(chooser.rule())) if ceilings_of else {}
+        counted = chooser.bits_by(functools.partial(key_of, problem)) if key_of else {}
         # per contract: (mask, bound) pairs, each slack while the chosen
         # contracts in the mask number fewer than the bound
         limits = []
@@ -895,7 +874,7 @@ _check_d_weakly_acceptant = _rejections_check(
 
 
 def _check_rationed(chooser, masks, problem, _):
-    k_d = problem.k_district[chooser.rule.district]
+    k_d = problem.k_district[chooser.rule().district]
     for m in masks:
         ch = chooser.choose_mask(m)
         if ch.bit_count() > k_d:
@@ -908,10 +887,8 @@ def _check_rationed(chooser, masks, problem, _):
 
 
 def _check_respects_initial(chooser, masks, problem, _):
-    initial = 0
-    for i, x in enumerate(chooser.universe):
-        if problem.initial_school[x.student] == x.school:
-            initial |= 1 << i
+    at_initial = chooser.bits_by(lambda x: problem.initial_school[x.student] == x.school)
+    initial = at_initial.get(True, 0)
     for m in masks:
         if m & initial:
             dropped = m & initial & ~chooser.choose_mask(m)
@@ -926,11 +903,9 @@ def _check_respects_initial(chooser, masks, problem, _):
 
 
 def _check_favors_own(chooser, masks, problem, _):
-    rule = chooser.rule
-    own_bits = 0
-    for i, x in enumerate(chooser.universe):
-        if problem.student_district[x.student] == rule.district:
-            own_bits |= 1 << i
+    district = chooser.rule().district
+    own = chooser.bits_by(lambda x: problem.student_district[x.student] == district)
+    own_bits = own.get(True, 0)
     for m in masks:
         sub = m & own_bits
         ch_sub = chooser.choose_mask(sub)
@@ -951,10 +926,10 @@ def _ceilings_check(prop, ceilings_of, key_of, note_of):
     of some ``key_of(problem, y)`` exceeds the rule's ceiling for it."""
 
     def check(chooser, masks, problem, _):
-        ceilings = _lookup(ceilings_of(chooser.rule))
+        ceilings = _lookup(ceilings_of(chooser.rule()))
         limits = [
             (bits, max(ceilings[key], 0))
-            for key, bits in chooser.bits_by(key_of).items()
+            for key, bits in chooser.bits_by(functools.partial(key_of, problem)).items()
             if key in ceilings
         ]
         for m in masks:
@@ -1056,7 +1031,7 @@ def _check_path_independent(chooser, masks, problem, _):
 
 
 def _check_is_completion_of(chooser, masks, problem, base_rule):
-    base = Chooser(base_rule, problem)
+    base = chooser_of(base_rule, problem)
     for m in masks:
         ch = chooser.choose_mask(m)
         if not chooser.repeats_student(ch):  # feasible for students
@@ -1078,7 +1053,7 @@ def _check_accommodates(rules, problem: Problem, feasible_bound):
     size = (problem.num_schools + 1) ** problem.num_students
     if size > feasible_bound:
         raise UniverseTooLarge(size, feasible_bound)
-    choosers = {d: Chooser(r, problem) for d, r in rules.items()}
+    choosers = {d: chooser_of(r, problem) for d, r in rules.items()}
     schools = range(problem.num_schools)
     district = problem.school_district
     # bit[t][c]: the bit of contract (t, c) in its district's universe

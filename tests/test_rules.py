@@ -11,7 +11,7 @@ from districtmatch.errors import (
     UnknownContract,
 )
 from districtmatch.rules import (
-    Chooser,
+    chooser_of,
     RuleProperty,
     check_property,
     choose,
@@ -108,8 +108,8 @@ def test_completion_agrees_on_feasible_sets(basic):
     p = basic.problem
     rule = basic.rules[0]
     comp = completion_of(rule)
-    chooser = Chooser(rule, p)
-    for m in chooser.feasible_for_students_masks():
+    chooser = chooser_of(rule, p)
+    for m in chooser.feasible_masks:
         X = chooser.set_of(m)
         assert choose(comp, X, p) == choose(rule, X, p)
 
@@ -184,10 +184,10 @@ def test_rationed_rule_claims(rationed):
     rule = rationed.rules[0]
     assert check_property(rule, RuleProperty.RATIONED, p).holds
     assert check_property(rule, RuleProperty.ACCEPTANT, p).holds
-    chooser = Chooser(rule, p)
+    chooser = chooser_of(rule, p)
     k = p.k_district[0]
-    for m in chooser.feasible_for_students_masks():
-        assert len(chooser.choose(chooser.set_of(m))) <= k
+    for m in chooser.feasible_masks:
+        assert chooser.choose_mask(m).bit_count() <= k
     comp = completion_of(rule)
     assert check_property(comp, RuleProperty.SUBSTITUTABLE, p).holds
     assert check_property(comp, RuleProperty.LAD, p).holds
@@ -223,8 +223,8 @@ def test_choose_idempotent_for_path_independent_completions(basic, rationed, res
             comp = completion_of(rule)
             if not check_property(comp, RuleProperty.PATH_INDEPENDENT, p).holds:
                 continue
-            chooser = Chooser(comp, p)
-            for m in chooser.feasible_for_students_masks():
+            chooser = chooser_of(comp, p)
+            for m in chooser.feasible_masks:
                 ch = chooser.choose_mask(m)
                 assert chooser.choose_mask(ch) == ch
 

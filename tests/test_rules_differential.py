@@ -1,23 +1,25 @@
 """The mask-native ``Chooser`` and property checkers against the set-based
 ones they replace (``rules_reference``)."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import districtmatch as dm
-from districtmatch.errors import DistrictMatchError
+from districtmatch.errors import DistrictMatchError, UniverseTooLarge
 from districtmatch.model import with_preferences
+from districtmatch.oracle import NONEXISTENCE_SET_BOUND, search_rule_nonexistence
 from districtmatch.rules import (
-    Chooser,
+    CompiledRule,
     RuleKind,
     RuleProperty,
     check_property,
     choose,
-    compiled,
+    chooser_of,
     completion_of,
     favor_own_students,
 )
@@ -57,9 +59,9 @@ def assert_same_verdict(rule, prop, problem, **kwargs):
 def assert_same_choices(rule, problem):
     """choose_mask against choose on the set, for every subset of the
     district's universe (or every set feasible for students, for a table)."""
-    chooser = Chooser(rule, problem)
+    chooser = chooser_of(rule, problem)
     if rule.kind is RuleKind.EXPLICIT_TABLE:
-        masks = chooser.feasible_for_students_masks()
+        masks = chooser.feasible_masks
     else:
         masks = range(1 << len(chooser.universe))
     for m in masks:
@@ -71,11 +73,11 @@ def assert_same_choices(rule, problem):
 
 
 def assert_same_orders(rule, problem):
-    chooser, reference = Chooser(rule, problem), ReferenceChooser(rule, problem)
+    chooser, reference = chooser_of(rule, problem), ReferenceChooser(rule, problem)
     assert chooser.universe == reference.universe
-    assert chooser.feasible_for_students_masks() == reference.feasible_for_students_masks()
+    assert chooser.feasible_masks == reference.feasible_for_students_masks()
     if len(chooser.universe) <= 12:
-        assert chooser.all_masks() == reference.all_masks()
+        assert chooser.all_masks == reference.all_masks()
 
 
 def assert_same_checks(problem, rules, base_rules=None):
@@ -202,7 +204,7 @@ def test_one_memo_per_compiled_rule(basic, monkeypatch):
     )
     problem, rule = basic.problem, basic.rules[0]
     rule = replace(rule)  # a fresh spec, so the memo starts empty
-    memo = compiled(rule, problem).memo
+    memo = chooser_of(rule, problem)._cache
     assert not memo
     check_property(rule, RuleProperty.LAD, problem)
     assert len(evaluated) == len(memo) > 0
@@ -211,8 +213,48 @@ def test_one_memo_per_compiled_rule(basic, monkeypatch):
         check_property(rule, prop, problem)
     assert len(evaluated) == len(memo)
     deviated = with_preferences(problem, 0, tuple(reversed(problem.preferences[0])))
-    assert Chooser(rule, deviated)._cache is memo
+    assert chooser_of(rule, deviated)._cache is memo
     # a rule meeting a differently shaped problem starts a memo of its own
     moved = replace(problem, capacities=tuple(c + 1 for c in problem.capacities))
-    assert Chooser(rule, moved)._cache is not memo
-    assert compiled(rule, problem).memo is not memo
+    assert chooser_of(rule, moved)._cache is not memo
+    assert chooser_of(rule, problem)._cache is not memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_shared_chooser_judges_each_problem_by_its_own_homes(seed):
+    """Swapping the homes of two students of different districts keeps the
+    basis, so both problems share each rule's chooser; favors_own_students
+    must still read each problem's own homes, as a fresh spec does."""
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    homes = list(problem.student_district)
+    pairs = itertools.combinations(range(len(homes)), 2)
+    movers = [(a, b) for a, b in pairs if homes[a] != homes[b]]
+    assume(movers)
+    a, b = rng.choice(movers)
+    homes[a], homes[b] = homes[b], homes[a]
+    swapped = replace(problem, student_district=tuple(homes))
+    assert CompiledRule.basis_of(swapped) == CompiledRule.basis_of(problem)
+    for d in range(problem.num_districts):
+        rule = variant(rng, random_rule(rng, problem, d, rng.choice(SPEC_KINDS)), problem)
+        for p in (problem, swapped):
+            prop = RuleProperty.FAVORS_OWN_STUDENTS
+            got = _fields(_outcome(check_property, rule, prop, p))
+            assert got == _fields(_outcome(check_property, replace(rule), prop, p)), (p, rule)
+        assert chooser_of(rule, swapped) is chooser_of(rule, problem)
+
+
+def test_rule_checks_and_search_count_one_space():
+    """check_property and the nonexistence search refuse one district with
+    the same count of sets feasible for students."""
+    problem = random_problem(random.Random(1), students=(10, 10))
+    d = max(range(problem.num_districts), key=lambda d: len(problem.district_schools[d]))
+    size = (len(problem.district_schools[d]) + 1) ** problem.num_students
+    assert size > NONEXISTENCE_SET_BOUND
+    rule = random_rule(random.Random(2), problem, d, RuleKind.SEQUENTIAL_RESPONSIVE)
+    with pytest.raises(UniverseTooLarge) as checked:
+        check_property(rule, RuleProperty.RATIONED, problem, feasible_bound=NONEXISTENCE_SET_BOUND)
+    with pytest.raises(UniverseTooLarge) as searched:
+        search_rule_nonexistence(problem, d, {})
+    assert checked.value.size == searched.value.size == size

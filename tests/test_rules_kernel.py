@@ -3,7 +3,9 @@
 ``Cutoffs`` keep (``rules._chosen_keys``), on every subset of the district's
 contracts."""
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 import districtmatch.rules as rules_module
 from districtmatch.model import with_preferences
 from districtmatch.rules import (
-    Chooser,
     RuleKind,
     RuleProperty,
     _chosen_bits,
@@ -21,6 +22,7 @@ from districtmatch.rules import (
     _translate,
     check_property,
     choose,
+    chooser_of,
     compiled,
     completion_of,
     favor_own_students,
@@ -76,19 +78,18 @@ def kernel_rule(
 def assert_kernel_matches_walk(rule, problem):
     """Every subset: the kernel's choice against ``_chosen_keys`` on the
     sorted keys, and a mask holding an unranked contract through ``choose``."""
-    chooser = Chooser(rule, problem)
-    space, comp = chooser._space, compiled(rule, problem)
-    assert space.to_keys is not None
+    chooser, comp = chooser_of(rule, problem), compiled(rule, problem)
+    assert chooser.to_keys is not None
     for mask in range(1 << len(chooser.universe)):
         got = _outcome(chooser.choose_mask, mask)
-        if mask & space.unranked:
+        if mask & chooser.unranked:
             want = _outcome(choose, rule, chooser.set_of(mask), problem)
             assert got[0] != "ok" and got == want, (mask, rule)
             continue
         keys = sorted(comp.key_of[x] for x in chooser.set_of(mask))
         want = chooser.mask_of(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
-        keys_chosen = _chosen_bits(space, _translate(space.to_keys, mask))
-        kernel = _translate(space.to_universe, keys_chosen)
+        keys_chosen = _chosen_bits(chooser, _translate(chooser.to_keys, mask))
+        kernel = _translate(chooser.to_universe, keys_chosen)
         assert kernel == want and got == ("ok", want), (mask, rule)
 
 
@@ -142,33 +143,48 @@ def test_both_passes_of_a_type_named_twice_count_against_its_ceiling(completed):
         completed=completed,
     )
     assert_kernel_matches_walk(rule, problem)
-    chooser = Chooser(rule, problem)
-    at_first = chooser.bits_by(lambda problem, x: x.school)[first]
+    chooser = chooser_of(rule, problem)
+    at_first = chooser.bits_by(lambda x: x.school)[first]
     assert (chooser.choose_mask(at_first) & at_first).bit_count() == 2
 
 
 def test_mask_space_built_once_per_compiled_rule(basic, monkeypatch):
     built = []
-    mask_space = rules_module.MaskSpace
+    chooser_class = rules_module.Chooser
     monkeypatch.setattr(
-        rules_module, "MaskSpace", lambda *args: built.append(1) or mask_space(*args)
+        rules_module, "Chooser", lambda *args: built.append(1) or chooser_class(*args)
     )
     problem, rule = basic.problem, replace(basic.rules[0])  # a fresh spec
     assert rule.kind is not RuleKind.EXPLICIT_TABLE
-    first = Chooser(rule, problem)
-    all_masks, feasible = first.all_masks(), first.feasible_for_students_masks()
+    first = chooser_of(rule, problem)
+    all_masks, feasible = first.all_masks, first.feasible_masks
     for prop in RULE_PROPS:
         check_property(rule, prop, problem)
     check_property(rule, RuleProperty.IS_COMPLETION_OF, problem, base_rule=rule)
     # a misreport variant shares the space and both mask domains
     deviated = with_preferences(problem, 0, tuple(reversed(problem.preferences[0])))
-    again = Chooser(rule, deviated)
-    assert len(built) == 1 and again._space is first._space
-    assert again.all_masks() is all_masks
-    assert again.feasible_for_students_masks() is feasible
+    again = chooser_of(rule, deviated)
+    assert len(built) == 1 and again is first
+    assert again.all_masks is all_masks
+    assert again.feasible_masks is feasible
     # a differently shaped problem builds them again
     moved = replace(problem, capacities=tuple(c + 1 for c in problem.capacities))
-    other = Chooser(rule, moved)
-    assert len(built) == 2 and other._space is not first._space
-    assert other.all_masks() is not all_masks and other.all_masks() == all_masks
-    assert other.feasible_for_students_masks() is not feasible
+    other = chooser_of(rule, moved)
+    assert len(built) == 2 and other is not first
+    assert other.all_masks is not all_masks and other.all_masks == all_masks
+    assert other.feasible_masks is not feasible
+
+
+def test_a_freed_spec_frees_its_chooser_at_once(basic):
+    # the chooser holds the spec only weakly, so no cycle waits for the
+    # cycle collector
+    rule = replace(basic.rules[0])
+    check_property(rule, RuleProperty.LAD, basic.problem)
+    chooser = weakref.ref(chooser_of(rule, basic.problem))
+    assert chooser().rule() is rule
+    gc.disable()
+    try:
+        del rule
+        assert chooser() is None
+    finally:
+        gc.enable()
