@@ -24,7 +24,7 @@ from .errors import (
     Stuck,
     ValidationError,
 )
-from .instances import load_instance, master_order, parse_fraction
+from .instances import format_fraction, load_instance, master_order, parse_fraction
 from .model import distribution_of, sort_matching
 from .oracle import (
     audit_strategy_proofness,
@@ -35,7 +35,6 @@ from .policy import (
     GoalForm,
     contains,
     diversity_condition,
-    implied_bounds,
     is_mconvex,
     policy_members,
 )
@@ -211,7 +210,7 @@ def cmd_run(inst, args):
     print(f"individual_rationality,{_verdict(check_individual_rationality(outcome, problem))}")
     print(f"balanced_exchange,{_verdict(check_balanced_exchange(outcome, problem))}")
     gap = alpha_diversity_gap(outcome, problem)
-    print(f"alpha_gap,{gap.numerator}/{gap.denominator}")
+    print(f"alpha_gap,{format_fraction(gap)}")
     if inst.policy is not None:
         xi = distribution_of(outcome, problem)
         print(
@@ -397,28 +396,23 @@ def _policy_ceilings(inst):
 def cmd_bounds(inst, args):
     problem = inst.problem
     ceilings = _policy_ceilings(inst)
-    bounds = implied_bounds(problem, ceilings)
+    alpha = parse_fraction(args.alpha) if args.alpha else inst.alpha
+    report = diversity_condition(problem, ceilings, Fraction(1) if alpha is None else alpha)
     print("district,type,implied_floor,implied_ceiling")
     for d in range(problem.num_districts):
         for t in range(problem.num_types):
-            lo, hi = bounds[(d, t)]
+            lo, hi = report.bounds[(d, t)]
             print(
                 f"{problem.district_ids[d]},{problem.type_ids[t]},{lo},{hi}"
             )
-    alpha = parse_fraction(args.alpha) if args.alpha else inst.alpha
-    if alpha is None:
-        alpha = Fraction(1)
-    report = diversity_condition(problem, ceilings, alpha)
     print("type,district,other,delta")
     for (t, d, d2), delta in report.deltas:
         print(
             f"{problem.type_ids[t]},{problem.district_ids[d]},"
-            f"{problem.district_ids[d2]},{delta.numerator}/{delta.denominator}"
+            f"{problem.district_ids[d2]},{format_fraction(delta)}"
         )
-    print(
-        f"max_delta,{report.max_delta.numerator}/{report.max_delta.denominator}"
-    )
-    print(f"alpha,{alpha.numerator}/{alpha.denominator}")
+    print(f"max_delta,{format_fraction(report.max_delta)}")
+    print(f"alpha,{format_fraction(report.alpha)}")
     print(f"condition,{'satisfied' if report.satisfied else 'violated'}")
     return EXIT_OK if report.satisfied else EXIT_CONDITION
 

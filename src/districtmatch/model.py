@@ -155,6 +155,17 @@ class Distribution:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """Whether a property holds, with a witness when it fails."""
+
+    holds: bool
+    witness: tuple = ()
+
+    def __bool__(self):
+        return self.holds
+
+
+@dataclass(frozen=True)
 class FeasibilityReport:
     feasible_for_students: bool
     within_capacity: bool

@@ -16,7 +16,7 @@ from operator import attrgetter, le
 from typing import Callable, Optional
 
 from .errors import InfeasibleConstraints, UniverseTooLarge
-from .model import Distribution, Problem, built_once
+from .model import Distribution, Problem, Verdict, built_once
 
 DEFAULT_XI0_BUDGET = 10**7
 DEFAULT_PAIR_BUDGET = 10**8
@@ -135,16 +135,13 @@ def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
     """Membership of a distribution in the goal's set."""
     if goal.intersect_xi0 and not in_xi0(xi, problem):
         return False
-    if goal.form is GoalForm.EXPLICIT_SET:
-        return xi in goal.explicit
-    if goal.form is GoalForm.F_LAMBDA:
-        return goal.fn(xi) >= goal.threshold
+    bounds = built_once(goal, problem, GoalBounds)
     flat = xi.flat()
-    for entry, lo, hi in built_once(goal, problem, GoalBounds).families:
+    for entry, lo, hi in bounds.families:
         sums = _sums(entry, len(lo), flat)
         if not (all(map(le, lo, sums)) and all(map(le, sums, hi))):
             return False
-    return True
+    return bounds.member is None or bounds.member(flat)
 
 
 def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> bool:
@@ -157,8 +154,8 @@ def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> b
 
 
 class GoalBounds:
-    """The linear constraints of a goal on one problem shape (``basis_of``,
-    which leaves out preferences), as families of (entry per school-major
+    """A goal compiled for one problem shape (``basis_of``, which leaves out
+    preferences).  Its linear constraints are families of (entry per school-major
     coordinate, lower bounds, upper bounds): a distribution meets a family
     when each entry's sum of the coordinates mapped to it lies within that
     entry's bounds.
@@ -168,7 +165,8 @@ class GoalBounds:
     combinations do both.  District-ceiling goals cap each (district, type)
     count by every ceiling listed for it, and each school total by its
     capacity, the family ``capacity`` that Ξ₀ adds to every goal.  Explicit
-    and score goals have no families.
+    and score goals have no families; ``member`` (None for linear goals)
+    tests a flat vector against their members of this shape or threshold.
     """
 
     basis_of = attrgetter("num_types", "school_district", "capacities", "k_district")
@@ -202,6 +200,15 @@ class GoalBounds:
                 ),
                 self.capacity,
             ]
+        self.member = None
+        if goal.form is GoalForm.EXPLICIT_SET:
+            shape = [T] * problem.num_schools
+            self.member = frozenset(
+                xi.flat() for xi in goal.explicit if list(map(len, xi.counts)) == shape
+            ).__contains__
+        elif goal.form is GoalForm.F_LAMBDA:
+            score, threshold = _flat_evaluator(goal.fn, T), goal.threshold
+            self.member = lambda flat: score(flat) >= threshold
 
 
 def _sums(entry, size, flat) -> list:
@@ -218,27 +225,24 @@ class GoalTally:
 
     The constraints are the goal's ``GoalBounds`` families with the capacity
     family added, each held as a vector of counters.  A move xi − e(origin) +
-    e(target) changes at most two entries of each family, so ``permits``
-    answers membership of the moved distribution exactly in O(1), whether or
-    not xi itself is a member.  When origin and target share an entry (same
+    e(target) changes at most two entries of each family, so the counters
+    answer membership of the moved distribution in O(1), whether or not xi
+    itself is a member.  When origin and target share an entry (same
     school, same district, or same district and type) that entry does not
-    change.  Explicit and score goals have no such structure; they are
-    answered by ``satisfies_with_feasibility`` on the materialised
-    distribution.
+    change.  Explicit and score goals add the goal's ``member`` test, run on
+    the moved counts only when the counters allow the move.
     """
 
     def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
-        self.goal = goal
-        self.problem = problem
         self.num_types = problem.num_types
         self.counts = list(xi.flat())
         bounds = built_once(goal, problem, GoalBounds)
+        self._member = bounds.member
         families = bounds.families + [bounds.capacity] * (bounds.capacity not in bounds.families)
         # (entry per coordinate, counter values, lower bounds, upper bounds)
         self._families = [
             (entry, _sums(entry, len(lo), self.counts), lo, hi) for entry, lo, hi in families
         ]
-        self._exact = goal.form not in (GoalForm.EXPLICIT_SET, GoalForm.F_LAMBDA)
         # moves keep the total, so the everyone-matched part never changes
         self._violated = int(xi.total() != problem.num_students) + sum(
             not lo[i] <= v <= hi[i]
@@ -246,32 +250,29 @@ class GoalTally:
             for i, v in enumerate(values)
         )
 
-    def distribution(self) -> Distribution:
-        T = self.num_types
-        c = self.counts
-        return Distribution(tuple(tuple(c[k : k + T]) for k in range(0, len(c), T)))
-
     def holds(self) -> bool:
         """Whether the current distribution lies in the goal ∩ Ξ₀."""
-        if self._exact:
-            return self._violated == 0
-        return satisfies_with_feasibility(self.goal, self.distribution(), self.problem)
+        return self._violated == 0 and (self._member is None or self._member(tuple(self.counts)))
 
     def permits(self, origin, target) -> bool:
         """Whether xi − e(origin) + e(target) lies in the goal ∩ Ξ₀."""
         if origin == target:
             return self.holds()
-        if self._exact:
-            return self._violated + self._change(origin, target) == 0
-        xi = self.distribution().add(*origin, -1).add(*target, +1)
-        return satisfies_with_feasibility(self.goal, xi, self.problem)
+        if self._violated + self._change(origin, target):
+            return False
+        if self._member is None:
+            return True
+        T = self.num_types
+        moved = self.counts.copy()
+        moved[origin[0] * T + origin[1]] -= 1
+        moved[target[0] * T + target[1]] += 1
+        return self._member(tuple(moved))
 
     def move(self, origin, target):
         """Apply xi ← xi − e(origin) + e(target)."""
         if origin == target:
             return
-        if self._exact:
-            self._violated += self._change(origin, target)
+        self._violated += self._change(origin, target)
         T = self.num_types
         k0 = origin[0] * T + origin[1]
         k1 = target[0] * T + target[1]
@@ -322,11 +323,6 @@ def enumerate_xi0(problem: Problem, budget: int = DEFAULT_XI0_BUDGET):
     out = []
     row = []
 
-    def school_rows(c, need):
-        cap = min(problem.capacities[c], need)
-        for combo in _typed_rows(cap, problem.num_types):
-            yield combo
-
     def rec(c, used):
         if c == len(schools):
             if used == total:
@@ -334,7 +330,7 @@ def enumerate_xi0(problem: Problem, budget: int = DEFAULT_XI0_BUDGET):
             return
         if used + suffix_cap[c] < total:
             return
-        for r in school_rows(c, total - used):
+        for r in _typed_rows(min(problem.capacities[c], total - used), problem.num_types):
             row.append(r)
             rec(c + 1, used + sum(r))
             row.pop()
@@ -362,18 +358,9 @@ def policy_members(goal: PolicyGoal, problem: Problem, budget=DEFAULT_XI0_BUDGET
 # -- M-convexity -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MConvexVerdict:
-    holds: bool
-    witness: tuple = ()  # (xi, xi_tilde, (school, type)) when it fails
-
-    def __bool__(self):
-        return self.holds
-
-
 def is_mconvex(
     members, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> MConvexVerdict:
+) -> Verdict:
     """Exhaustive exchange-property check of a finite set of distributions.
 
     Every member is one bit of an integer bitset, so a member a and a surplus
@@ -382,12 +369,12 @@ def is_mconvex(
     in the set.  Fails with the first witness in scan order: member a in
     member order, then its surplus coordinate i type-major (all schools for
     one type before the next type), then the first violating b in member
-    order.
+    order; the witness is (a, b, (school, type) of i).
     """
     members = list(members)
     n = len(members)
     if n <= 1:
-        return MConvexVerdict(True)
+        return Verdict(True)
     flats = [xi.flat() for xi in members]
     num_types = len(members[0].counts[0])
     k = len(flats[0])
@@ -434,10 +421,10 @@ def is_mconvex(
             violators = surplus & ~ok
             if violators:
                 b = (violators & -violators).bit_length() - 1
-                return MConvexVerdict(
+                return Verdict(
                     False, witness=(members[a], members[b], divmod(i, num_types))
                 )
-    return MConvexVerdict(True)
+    return Verdict(True)
 
 
 def find_exchange_violation(members, xi: Distribution, xi_tilde: Distribution):
@@ -475,15 +462,6 @@ def find_exchange_violation(members, xi: Distribution, xi_tilde: Distribution):
 # -- pseudo M-concavity ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcavityVerdict:
-    holds: bool
-    witness: tuple = ()  # violating (xi, xi_tilde)
-
-    def __bool__(self):
-        return self.holds
-
-
 def _flat_evaluator(fn, num_types):
     """``fn`` on flat vectors: a ``PolicyFunction`` scores them itself, any
     other callable scores the ``Distribution`` they flatten."""
@@ -503,9 +481,10 @@ def is_pseudo_mconcave(
     fn: Callable[[Distribution], Fraction],
     problem: Problem,
     budget: int = DEFAULT_XI0_BUDGET,
-) -> ConcavityVerdict:
+) -> Verdict:
     """Check the min-of-pair exchange inequality over every distinct pair of
-    everyone-matched capacity-feasible distributions."""
+    everyone-matched capacity-feasible distributions; the witness is the
+    first violating pair (xi, xi_tilde) in ``enumerate_xi0`` order."""
     domain = enumerate_xi0(problem, budget)
     value_at = _flat_evaluator(fn, problem.num_types)
     flats = [xi.flat() for xi in domain]
@@ -548,8 +527,8 @@ def is_pseudo_mconcave(
                 if ok:
                     break
             if not ok:
-                return ConcavityVerdict(False, witness=(domain[ia], domain[ib]))
-    return ConcavityVerdict(True)
+                return Verdict(False, witness=(domain[ia], domain[ib]))
+    return Verdict(True)
 
 
 def upper_contour(
@@ -682,17 +661,11 @@ def implied_bounds(problem: Problem, ceilings) -> dict:
     the district can serve across all legitimate matchings.
 
     ``ceilings`` maps (school, type) to a cap; missing pairs are capped only
-    by school capacity.  Solved as two min-cost flows per (district, type).
-    Raises InfeasibleConstraints when no legitimate matching exists.
+    by school capacity.  Solved as two min-cost flows per (district, type);
+    the costs leave the maximum flow unchanged, so the first solve raises
+    InfeasibleConstraints when no legitimate matching exists.
     """
     total = problem.num_students
-    net, source, sink, _ = _bounds_network(problem, ceilings)
-    flow, _ = net.min_cost_max_flow(source, sink)
-    if flow < total:
-        raise InfeasibleConstraints(
-            f"constraint system routes only {flow} of {total} students"
-        )
-
     out = {}
     for d in range(problem.num_districts):
         for t in range(problem.num_types):
@@ -702,20 +675,35 @@ def implied_bounds(problem: Problem, ceilings) -> dict:
                     return sign if (problem.school_district[c] == d and tt == t) else 0
 
                 net, source, sink, arcs = _bounds_network(problem, ceilings, objective)
-                flow, cost = net.min_cost_max_flow(source, sink)
+                flow, _ = net.min_cost_max_flow(source, sink)
                 if flow < total:
-                    raise InfeasibleConstraints("constraint system became infeasible")
-                value = sum(
-                    net.arc_flow(arcs[(c, t)])
-                    for c in problem.district_schools[d]
-                )
-                bounds.append(value)
-            out[(d, t)] = (bounds[0], bounds[1])
+                    raise InfeasibleConstraints(
+                        f"constraint system routes only {flow} of {total} students"
+                    )
+                bounds.append(sum(net.arc_flow(arcs[c, t]) for c in problem.district_schools[d]))
+            out[(d, t)] = tuple(bounds)
     return out
+
+
+def share_gaps(problem: Problem, high, low) -> tuple:
+    """For each type t and ordered pair (d, d2) of districts home to some
+    student: ``high(d, t)`` as a share of d's students minus ``low(d2, t)``
+    as a share of d2's, as ((t, d, d2), gap) pairs in that order.  Districts
+    with no home students have no share and are skipped."""
+    k = problem.k_district
+    homes = [d for d in range(problem.num_districts) if k[d]]
+    return tuple(
+        ((t, d, d2), Fraction(high(d, t), k[d]) - Fraction(low(d2, t), k[d2]))
+        for t in range(problem.num_types)
+        for d in homes
+        for d2 in homes
+        if d != d2
+    )
 
 
 @dataclass(frozen=True)
 class ConditionReport:
+    bounds: dict  # (district, type) -> (implied floor, implied ceiling)
     deltas: tuple  # of ((type, district, other_district), Fraction)
     max_delta: Fraction
     alpha: Fraction
@@ -723,23 +711,16 @@ class ConditionReport:
 
 
 def diversity_condition(problem: Problem, ceilings, alpha) -> ConditionReport:
-    """The implied-bounds ratio test: for every type and ordered district
-    pair, ceiling share minus floor share must not exceed alpha."""
+    """The implied-bounds ratio test: for every type and ordered pair of
+    districts home to some student, ceiling share minus floor share must not
+    exceed alpha."""
     alpha = Fraction(alpha)
     bounds = implied_bounds(problem, ceilings)
-    deltas = []
-    for t in range(problem.num_types):
-        for d in range(problem.num_districts):
-            for d2 in range(problem.num_districts):
-                if d == d2:
-                    continue
-                delta = Fraction(
-                    bounds[(d, t)][1], problem.k_district[d]
-                ) - Fraction(bounds[(d2, t)][0], problem.k_district[d2])
-                deltas.append(((t, d, d2), delta))
-    max_delta = max(v for _, v in deltas)
+    deltas = share_gaps(problem, lambda d, t: bounds[d, t][1], lambda d, t: bounds[d, t][0])
+    max_delta = max((v for _, v in deltas), default=Fraction(0))
     return ConditionReport(
-        deltas=tuple(deltas),
+        bounds=bounds,
+        deltas=deltas,
         max_delta=max_delta,
         alpha=alpha,
         satisfied=max_delta <= alpha,

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .errors import RuleViolation
-from .model import Contract, Matching, Problem, distribution_of, outcome_schools
+from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
+from .policy import share_gaps
 from .rules import Cutoffs, RuleKind, choose
 
 
@@ -170,15 +172,6 @@ def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
     return StabilityVerdict(True)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: tuple = ()
-
-    def __bool__(self):
-        return self.holds
-
-
 def check_individual_rationality(X: Matching, problem: Problem) -> Verdict:
     """Every student weakly prefers her outcome to her initial school."""
     worst = None
@@ -208,26 +201,12 @@ def check_balanced_exchange(X: Matching, problem: Problem) -> Verdict:
 
 
 def type_ratio_gaps(X: Matching, problem: Problem) -> dict:
-    """Per type, the largest difference of type shares across district pairs.
-
-    Districts with no resident students have no defined share and are
-    skipped.
-    """
-    xi = distribution_of(X, problem)
-    populated = [d for d in range(problem.num_districts) if problem.k_district[d] > 0]
-    gaps = {}
-    for t in range(problem.num_types):
-        best = Fraction(0)
-        for d in populated:
-            for d2 in populated:
-                if d == d2:
-                    continue
-                diff = Fraction(
-                    xi.district_type(problem, d, t), problem.k_district[d]
-                ) - Fraction(xi.district_type(problem, d2, t), problem.k_district[d2])
-                if diff > best:
-                    best = diff
-        gaps[t] = best
+    """Per type, the largest difference of type shares across district pairs
+    (``policy.share_gaps``), and 0 when no pair has a positive one."""
+    count = partial(distribution_of(X, problem).district_type, problem)
+    gaps = dict.fromkeys(range(problem.num_types), Fraction(0))
+    for (t, _, _), gap in share_gaps(problem, count, count):
+        gaps[t] = max(gaps[t], gap)
     return gaps
 
 

@@ -220,7 +220,9 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
 
 def _find_cycles(student_pointer, slot_pointer):
     """All cycles of the bipartite pointing graph, as (student, slot) edge
-    lists starting at each cycle's least student."""
+    lists.  Walks start from the students in ascending order, skipping those
+    an earlier walk visited; each cycle starts where the walk that found it
+    entered it, which need not be its least student."""
     cycles = []
     visited = set()
     for start in sorted(student_pointer):

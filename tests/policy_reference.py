@@ -17,11 +17,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from districtmatch.errors import UniverseTooLarge
-from districtmatch.model import Distribution, Problem
+from districtmatch.model import Distribution, Problem, Verdict
 from districtmatch.policy import (
     DEFAULT_PAIR_BUDGET,
     GoalForm,
-    MConvexVerdict,
     PolicyGoal,
     find_exchange_violation,
     in_xi0,
@@ -33,7 +32,7 @@ except ImportError:
     np = None
 
 
-def is_mconvex_reference(members) -> MConvexVerdict:
+def is_mconvex_reference(members) -> Verdict:
     """Direct quadratic implementation used to cross-check the fast path."""
     members = list(members)
     for a in members:
@@ -42,8 +41,8 @@ def is_mconvex_reference(members) -> MConvexVerdict:
                 continue
             coord = find_exchange_violation(members, a, b)
             if coord is not None:
-                return MConvexVerdict(False, witness=(a, b, coord))
-    return MConvexVerdict(True)
+                return Verdict(False, witness=(a, b, coord))
+    return Verdict(True)
 
 
 class _PackedSet:
@@ -77,7 +76,7 @@ class _PackedSet:
 
 def is_mconvex_numpy(
     members, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> MConvexVerdict:
+) -> Verdict:
     """Exhaustive exchange-property check of a finite set of distributions.
 
     Fails with the first witness in scan order: first distribution pair in
@@ -87,7 +86,7 @@ def is_mconvex_numpy(
     members = list(members)
     n = len(members)
     if n <= 1:
-        return MConvexVerdict(True)
+        return Verdict(True)
     packed = _PackedSet(members)
     k = packed.coords
     if n * n * k > pair_budget:
@@ -136,11 +135,11 @@ def is_mconvex_numpy(
             viol = rows & ~ok
             if viol.any():
                 b = int(np.argmax(viol))
-                return MConvexVerdict(
+                return Verdict(
                     False,
                     witness=(members[a], members[b], packed.coord(i)),
                 )
-    return MConvexVerdict(True)
+    return Verdict(True)
 
 
 # -- goal membership ---------------------------------------------------------------

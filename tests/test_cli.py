@@ -71,25 +71,23 @@ def test_reports_byte_identical_across_processes(tmp_path):
         child_dir = Path(probe.stdout.strip()).resolve().parent
         assert child_dir == package_dir, f"child imported {child_dir}, not {package_dir}"
         trace = tmp_path / f"trace-{seed}.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "districtmatch.cli",
-                "run",
-                fpath("ttc_diversity"),
-                "--mechanism",
-                "ttc",
-                "--trace",
-                str(trace),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=tmp_path,
+        commands = (
+            ("run", fpath("ttc_diversity"), "--mechanism", "ttc", "--trace", str(trace)),
+            ("bounds", fpath("reserves_diversity")),
+            ("policy-check", fpath("reserves_diversity")),
         )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((proc.stdout.replace(str(trace), "TRACE"), trace.read_bytes()))
+        stdouts = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "districtmatch.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout.replace(str(trace), "TRACE"))
+        outputs.append((stdouts, trace.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -807,6 +805,59 @@ def test_bounds_infeasible_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bounds", str(path))
     assert code == 3
     assert "mechanism error" in err
+
+
+def _reserves_diversity_variant(tmp_path, edit):
+    """The reserves_diversity fixture after ``edit`` of its JSON document."""
+    doc = json.loads(fixture_path("reserves_diversity").read_text())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_bounds_district_without_home_students(capsys, tmp_path):
+    # d2's students live in d1: d2 has no share, so no pair and no delta row
+    def edit(doc):
+        for student in doc["students"]:
+            student["district"] = "d1"
+        for school in doc["schools"]:
+            if school["district"] == "d1":
+                school["capacity"] += 4
+        for per_type in doc["policy"]["ceilings"].values():
+            for t in per_type:
+                per_type[t] = 9
+
+    code, out, err = run_cli(capsys, "bounds", _reserves_diversity_variant(tmp_path, edit))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "district,type,implied_floor,implied_ceiling",
+        "d1,t1,4,4",
+        "d1,t2,3,3",
+        "d2,t1,0,0",
+        "d2,t2,0,0",
+        "type,district,other,delta",
+        "max_delta,0/1",
+        "alpha,3/4",
+        "condition,satisfied",
+    ]
+
+
+def test_bounds_bad_alpha_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "bounds", fpath("reserves_diversity"), "--alpha", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: DanglingReference: bad rational 'x'")
+
+
+def test_bounds_infeasible_ceilings_message(capsys, tmp_path):
+    # no t1 student fits under zero t1 ceilings; the three t2 students route
+    def edit(doc):
+        for per_type in doc["policy"]["ceilings"].values():
+            per_type["t1"] = 0
+
+    code, out, err = run_cli(capsys, "bounds", _reserves_diversity_variant(tmp_path, edit))
+    assert (code, out) == (3, "")
+    assert err == "mechanism error: constraint system routes only 3 of 7 students\n"
 
 
 def test_audit_clean_exits_0(capsys):

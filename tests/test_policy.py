@@ -1,5 +1,6 @@
 """Policy goals, exchange-property checkers, flow bounds."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,8 @@ from districtmatch.policy import (
     contains,
     diversity_condition,
     enumerate_xi0,
+    explicit_goal,
+    f_lambda_goal,
     find_exchange_violation,
     implied_bounds,
     indicator_of,
@@ -32,6 +35,7 @@ from districtmatch.policy import (
     legitimate_distributions,
     manhattan_ideal,
     policy_members,
+    satisfies_with_feasibility,
     upper_contour,
 )
 
@@ -182,6 +186,53 @@ def test_repeated_keys_match_reference(ttc_diversity, goal):
         assert contains(goal, xi, p) == policy_reference.contains(goal, xi, p)
         want = policy_reference.satisfies_with_feasibility(goal, xi, p)
         assert GoalTally(goal, p, xi).holds() == want
+
+
+def assert_membership_matches_reference(goal, p):
+    # contains, membership with Ξ₀, and the tally's holds and permits on
+    # every member of Ξ₀ and every move out of it, against the reference
+    slots = list(itertools.product(range(p.num_schools), range(p.num_types)))
+    for xi in enumerate_xi0(p):
+        assert contains(goal, xi, p) == policy_reference.contains(goal, xi, p)
+        want = policy_reference.satisfies_with_feasibility(goal, xi, p)
+        assert satisfies_with_feasibility(goal, xi, p) == want
+        tally = GoalTally(goal, p, xi)
+        assert tally.holds() == want
+        for origin, target in itertools.product(slots, slots):
+            if xi.school_type(*origin):
+                moved = xi.add(*origin, -1).add(*target, +1)
+                want = policy_reference.satisfies_with_feasibility(goal, moved, p)
+                assert tally.permits(origin, target) == want, (xi, origin, target)
+
+
+def test_plain_callable_score_goal_matches_reference(ttc_diversity):
+    # a score that is not a PolicyFunction is read through the Distribution
+    # its flat vector stands for, as upper_contour reads it
+    p = ttc_diversity.problem
+
+    def balance(xi):
+        return -abs(xi.school_type(0, 0) - xi.school_type(1, 1)) - xi.school_total(3)
+
+    goal = f_lambda_goal(balance, -2)
+    assert_membership_matches_reference(goal, p)
+    want = [xi for xi in enumerate_xi0(p) if balance(xi) >= -2]
+    assert 0 < len(want) < len(enumerate_xi0(p))
+    assert upper_contour(balance, -2, p) == want
+
+
+@pytest.mark.parametrize("intersect_xi0", [False, True])
+def test_explicit_goal_ignores_members_of_another_shape(ttc_diversity, intersect_xi0):
+    # a 2-by-4 distribution whose flat vector equals a 4-by-2 member of Ξ₀
+    # is not that member
+    p = ttc_diversity.problem
+    xi = distribution_of(p.initial_matching(), p)
+    flat = xi.flat()
+    reshaped = Distribution((flat[:4], flat[4:]))
+    assert reshaped.flat() == flat and reshaped != xi
+    goal = replace(explicit_goal([reshaped]), intersect_xi0=intersect_xi0)
+    assert not contains(goal, xi, p)
+    assert not GoalTally(goal, p, xi).holds()
+    assert_membership_matches_reference(goal, p)
 
 
 def test_goal_bounds_are_built_once_per_problem_shape(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from districtmatch.policy import (
     policy_members,
     satisfies_with_feasibility,
 )
-from districtmatch.ttc import build_hypothetical, is_permissible, run_ttc
+from districtmatch.ttc import _find_cycles, build_hypothetical, is_permissible, run_ttc
 
 from helpers import ids_of, initial_contract, matching_of
 from ttc_reference import priority_key
@@ -195,3 +195,11 @@ def test_outcome_in_original_contract_terms(ttc_diversity):
     for x in trace.outcome:
         assert x.district == p.school_district[x.school]
     assert len({x.student for x in trace.outcome}) == p.num_students
+
+
+def test_cycle_starts_where_the_first_walk_enters_it():
+    # the walk from student 1 enters the cycle 5 -> B -> 3 -> C -> 5 at 5, so
+    # the cycle starts there, not at its least student 3; traces keep this order
+    students = {1: "A", 5: "B", 3: "C"}
+    slots = {"A": 5, "B": 3, "C": 5}
+    assert _find_cycles(students, slots) == [((5, "B"), (3, "C"))]
