@@ -64,7 +64,6 @@ from .policy import (
     indicator_of,
     is_mconvex,
     is_pseudo_mconcave,
-    legitimate_distributions,
     manhattan_ideal,
     policy_members,
     school_diversity_goal,
@@ -87,7 +86,6 @@ from .oracle import (
 from .instances import (
     Instance,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture

@@ -1,9 +1,8 @@
-"""Instance file schema: JSON in, validated objects out, and back.
+"""Instance file schema: JSON in, validated objects out.
 
 Rationals are "p/q" strings; the schema contains no floats.  Loading checks
 every section in one pass and raises one ValidationError listing every
-issue found.  Serialization is deterministic (sorted keys, fixed field
-order) so reports built from a round-tripped instance are byte-identical.
+issue found.
 """
 
 from __future__ import annotations
@@ -361,125 +360,3 @@ def _note_misordered(read, rows, floors, ceilings):
     bad += [("ceiling", k, "is negative") for k in misordered_floors(ceilings, ())]
     for what, (r, t), why in bad:
         read.note(f"policy: {what} at {rows} {ids[rows][r]!r}, type {ids['type'][t]!r} {why}")
-
-
-def instance_to_dict(inst: Instance) -> dict:
-    problem = inst.problem
-    doc = {
-        "meta": dict(inst.meta),
-        "types": list(problem.type_ids),
-        "districts": list(problem.district_ids),
-        "schools": [
-            {
-                "id": problem.school_ids[c],
-                "district": problem.district_ids[problem.school_district[c]],
-                "capacity": problem.capacities[c],
-            }
-            for c in range(problem.num_schools)
-        ],
-        "students": [
-            {
-                "id": problem.student_ids[s],
-                "district": problem.district_ids[problem.student_district[s]],
-                "type": problem.type_ids[problem.student_type[s]],
-                "preferences": [problem.school_ids[c] for c in problem.preferences[s]],
-            }
-            for s in range(problem.num_students)
-        ],
-        "initial_matching": {
-            problem.student_ids[s]: problem.school_ids[problem.initial_school[s]]
-            for s in range(problem.num_students)
-        },
-    }
-    if inst.rules:
-        doc["rules"] = [
-            _rule_to_dict(inst.rules[d], problem) for d in sorted(inst.rules)
-        ]
-    if inst.policy is not None:
-        doc["policy"] = _policy_to_dict(inst.policy, problem)
-    if inst.master is not None:
-        doc["master_list"] = [problem.student_ids[s] for s in inst.master]
-    if inst.alpha is not None:
-        doc["alpha"] = format_fraction(inst.alpha)
-    return doc
-
-
-def _pair_section(pairs, row_ids, problem) -> dict:
-    """((row, type), count) pairs as a row id -> type id -> count section."""
-    out = {}
-    for (r, t), v in pairs:
-        out.setdefault(row_ids[r], {})[problem.type_ids[t]] = v
-    return out
-
-
-def _distribution_section(xi: Distribution, problem: Problem) -> dict:
-    """The nonzero counts of ``xi`` as a school id -> type id -> count section."""
-    pairs = [((c, t), v) for c, row in enumerate(xi.counts) for t, v in enumerate(row) if v]
-    return _pair_section(pairs, problem.school_ids, problem)
-
-
-def _contract_pairs(X, problem: Problem) -> list:
-    return [[problem.student_ids[x.student], problem.school_ids[x.school]] for x in sorted(X)]
-
-
-def _rule_to_dict(rule: RuleSpec, problem: Problem) -> dict:
-    doc = {
-        "district": problem.district_ids[rule.district],
-        "kind": rule.kind.value,
-    }
-    if rule.school_order:
-        doc["school_order"] = [problem.school_ids[c] for c in rule.school_order]
-    if rule.priorities:
-        doc["priorities"] = {
-            problem.school_ids[c]: [problem.student_ids[s] for s in order]
-            for c, order in rule.priorities
-        }
-    if rule.reserves:
-        doc["reserves"] = _pair_section(rule.reserves, problem.school_ids, problem)
-    if rule.ceilings:
-        doc["ceilings"] = _pair_section(rule.ceilings, problem.school_ids, problem)
-    if rule.type_order:
-        doc["type_order"] = [problem.type_ids[t] for t in rule.type_order]
-    if rule.district_cap is not None:
-        doc["district_cap"] = rule.district_cap
-    if rule.table:
-        doc["table"] = [
-            {"set": _contract_pairs(key, problem), "chosen": _contract_pairs(value, problem)}
-            for key, value in rule.table
-        ]
-    if rule.district_ceilings:
-        doc["district_ceilings"] = {
-            problem.type_ids[t]: q for t, q in rule.district_ceilings
-        }
-    return doc
-
-
-def _policy_to_dict(goal: PolicyGoal, problem: Problem) -> dict:
-    doc = {"form": goal.form.value}
-    if goal.intersect_xi0:
-        doc["intersect_xi0"] = True
-    if goal.form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
-        if goal.floors:
-            doc["floors"] = _pair_section(goal.floors, problem.school_ids, problem)
-        if goal.ceilings:
-            doc["ceilings"] = _pair_section(goal.ceilings, problem.school_ids, problem)
-    elif goal.form is GoalForm.DISTRICT_CEILINGS:
-        doc["ceilings"] = _pair_section(goal.district_ceilings, problem.district_ids, problem)
-    elif goal.form is GoalForm.EXPLICIT_SET:
-        doc["distributions"] = [
-            _distribution_section(xi, problem)
-            for xi in sorted(goal.explicit, key=lambda x: x.flat())
-        ]
-    elif goal.form is GoalForm.F_LAMBDA:
-        doc["f"] = {
-            "kind": "manhattan_ideal",
-            "ideal": _distribution_section(goal.fn.ideal, problem),
-        }
-        doc["lambda"] = format_fraction(goal.threshold)
-    return doc
-
-
-def dump_instance(inst: Instance, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")

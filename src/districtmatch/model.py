@@ -172,10 +172,6 @@ class FeasibilityReport:
     duplicate_students: tuple = ()
     over_capacity_schools: tuple = ()
 
-    @property
-    def feasible(self):
-        return self.feasible_for_students and self.within_capacity
-
 
 # -- validation ------------------------------------------------------------------
 

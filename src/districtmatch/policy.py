@@ -61,7 +61,7 @@ class PolicyGoal:
     """A set of acceptable distributions, in one of several declarative forms.
 
     District-level ceilings are allowed only to demonstrate where they break
-    the guarantees; ``warning`` flags such goals.
+    the guarantees.
     """
 
     form: GoalForm
@@ -72,10 +72,6 @@ class PolicyGoal:
     fn: Optional[PolicyFunction] = None
     threshold: Optional[Fraction] = None
     intersect_xi0: bool = False
-
-    @property
-    def warning(self) -> bool:
-        return self.form is GoalForm.DISTRICT_CEILINGS
 
 
 def balanced_exchange_goal() -> PolicyGoal:
@@ -123,11 +119,18 @@ def f_lambda_goal(fn: PolicyFunction, threshold) -> PolicyGoal:
 
 
 def in_xi0(xi: Distribution, problem: Problem) -> bool:
-    """Everyone matched, no school over capacity."""
-    if xi.total() != problem.num_students:
+    """Of the problem's shape, everyone matched, no school over capacity."""
+    if not _of_shape(xi, problem) or xi.total() != problem.num_students:
         return False
     return all(
         xi.school_total(c) <= problem.capacities[c] for c in range(problem.num_schools)
+    )
+
+
+def _of_shape(xi: Distribution, problem: Problem) -> bool:
+    """Whether ``xi`` has one row of ``num_types`` counts per school."""
+    return len(xi.counts) == problem.num_schools and all(
+        len(row) == problem.num_types for row in xi.counts
     )
 
 
@@ -202,9 +205,8 @@ class GoalBounds:
             ]
         self.member = None
         if goal.form is GoalForm.EXPLICIT_SET:
-            shape = [T] * problem.num_schools
             self.member = frozenset(
-                xi.flat() for xi in goal.explicit if list(map(len, xi.counts)) == shape
+                xi.flat() for xi in goal.explicit if _of_shape(xi, problem)
             ).__contains__
         elif goal.form is GoalForm.F_LAMBDA:
             score, threshold = _flat_evaluator(goal.fn, T), goal.threshold
@@ -725,20 +727,3 @@ def diversity_condition(problem: Problem, ceilings, alpha) -> ConditionReport:
         alpha=alpha,
         satisfied=max_delta <= alpha,
     )
-
-
-def legitimate_distributions(
-    problem: Problem, ceilings, budget: int = DEFAULT_XI0_BUDGET
-):
-    """Brute-force ground truth for the flow bounds: everyone matched,
-    district totals met, type totals met, school-type ceilings respected."""
-    goal = combination_goal(ceilings=ceilings)
-    return [
-        xi
-        for xi in enumerate_xi0(problem, budget)
-        if contains(goal, xi, problem)
-        and all(
-            sum(row[t] for row in xi.counts) == problem.k_type[t]
-            for t in range(problem.num_types)
-        )
-    ]

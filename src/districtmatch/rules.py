@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import weakref
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -234,6 +234,7 @@ class CompiledRule:
     rules).  Sorting a pool's keys therefore orders it school by school, and
     each school by priority.  ``key_of`` holds only well-formed contracts of
     the rule's district, so a hit there also validates the contract.
+    A school without a priority list raises ``UnknownContract`` here.
 
     ``chooser`` is the rule's ``Chooser``, built by the first ``chooser_of``.
     Its masks and its memo depend only on the basis, so every check of the
@@ -251,15 +252,13 @@ class CompiledRule:
         self.chooser = None
         self.table = {}
         self.key_of = {}
-        self.missing = None
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             self.table = _lookup(rule.table)
             return
         priorities = _lookup(rule.priorities)
         unranked = _unranked(rule)
         if unranked:
-            self.missing = f"no priority order for school index {unranked[0]}"
-            return
+            raise UnknownContract(f"no priority order for school index {unranked[0]}")
         n = problem.num_students
         orders = [priorities[c] for c in rule.school_order]
         if rule.kind is RuleKind.INITIAL_RESPECTING:
@@ -338,8 +337,6 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
         if chosen is None:
             raise UnknownContract("set outside the explicit table's declared universe")
         return chosen
-    if comp.missing is not None:
-        raise UnknownContract(comp.missing)
     if unranked:
         raise UnknownContract(f"contract {unranked[0]} is outside the rule's priorities")
     return frozenset(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
@@ -392,14 +389,14 @@ def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
         room = capacity[pos] - len(reserved[pos])
         if cap is not None:
             room = min(room, cap - len(chosen))
-        if room <= 0 and cuts is None:
+        if room <= 0:
             continue
         if repeats:
             pool = [k for k in pool if student_at[k] not in taken]
         elif reserved[pos]:
             pool = [k for k in pool if k not in reserved[pos]]
         if cuts is not None:
-            cuts.open_cut.append(_cutoff(pool, room))
+            cuts.open_cut[pos] = _cutoff(pool, room)
         over = set()  # keys beyond their type's remaining ceiling
         for t, q in comp.ceilings[pos].items():
             of_type = [k for k in pool if type_at[k] == t]
@@ -441,50 +438,44 @@ class Cutoffs:
     contract of its district: the blocking tests of ``is_stable``.
 
     ``holds`` tells whether the rule chooses all of ``X``.  If a spec rule
-    that is not a completion does, ``X`` repeats no student, and a candidate
-    x changes nothing before its turn: the reserve seats up to its type's
-    reserve at its school, and the open seats before its school.  So x is
-    chosen exactly when its key beats the cut-off (``_cutoff``) of that
-    reserve, or else those of an open seat and of its type's ceiling at its
-    school; unless its student's contract y in ``X`` is taken first: in a
-    reserve seat at an earlier school or, once x misses the reserve,
-    anywhere but in an open seat at a later school.  ``_chosen_keys``
-    records the cut-offs as it chooses ``X``.
+    does, a candidate x changes nothing before its turn: the reserve seats
+    up to its type's reserve at its school, and the open seats before its
+    school.  So x is chosen exactly when its key beats the cut-off
+    (``_cutoff``) of that reserve, or else those of an open seat and of its
+    type's ceiling at its school; unless its student's one contract y in
+    ``X`` is taken first: in a reserve seat at an earlier school or, once x
+    misses the reserve, anywhere but in an open seat at a later school.  A
+    completion may keep several contracts of a student, but it takes none
+    out for another, so for it no y is taken first.  ``_chosen_keys``
+    records the cut-offs as it chooses ``X``; a school it skips for want of
+    room has no open seat.
 
-    Completions insert x's key into the sorted keys and choose again;
-    explicit tables and contracts the rule cannot rank go through ``choose``.
+    Explicit tables and contracts the rule cannot rank go through ``choose``.
     """
 
     def __init__(self, rule: RuleSpec, X: Matching, problem: Problem):
         self.rule, self.X, self.problem = rule, X, problem
         self.comp = comp = compiled(rule, problem)
-        self.keys = keys = None
-        if rule.kind is not RuleKind.EXPLICIT_TABLE and comp.missing is None:
-            keys = list(map(comp.key_of.get, X))
+        self.held = None  # student -> key in ``X``; None to ask ``choose``
+        keys = None if rule.kind is RuleKind.EXPLICIT_TABLE else list(map(comp.key_of.get, X))
         if keys is None or None in keys:
             self.holds = choose(rule, X, problem) == X
             return
         keys.sort()
-        self.keys = keys
-        self.held = {comp.student_at[k]: k for k in keys}
+        self.held = {} if rule.completed else {comp.student_at[k]: k for k in keys}
         self.reserve_cut = {}  # (position, type) -> cut-off of the reserve
         self.reserved = set()  # keys that took a reserve seat
-        self.open_cut = []  # per position: cut-off of an open seat
+        self.open_cut = {}  # position -> cut-off of an open seat
         self.ceiling_cut = {}  # (position, type) -> cut-off under the ceiling
-        cuts = None if rule.completed else self
-        self.holds = len(_chosen_keys(rule, comp, keys, cuts)) == len(keys)
+        self.holds = len(_chosen_keys(rule, comp, keys, self)) == len(keys)
 
     def chooses(self, x: Contract) -> bool:
         """Whether the rule chooses ``x``, a contract of its district not in
         ``X``, from ``X | {x}``.  Only asked when ``holds``."""
         comp = self.comp
         key = comp.key_of.get(x)
-        if self.keys is None or key is None:
+        if self.held is None or key is None:
             return x in choose(self.rule, self.X | {x}, self.problem)
-        if self.rule.completed:
-            keys = self.keys.copy()
-            insort(keys, key)
-            return key in _chosen_keys(self.rule, comp, keys)
         pos, t = key // comp.stride, comp.type_at[key]
         y = self.held.get(comp.student_at[key])
         before = y is not None and y // comp.stride < pos
@@ -494,7 +485,8 @@ class Cutoffs:
             return True
         if y is not None and (before or y in self.reserved):
             return False
-        return key < self.open_cut[pos] and key < self.ceiling_cut.get((pos, t), math.inf)
+        open_cut = self.open_cut.get(pos, -1)
+        return key < open_cut and key < self.ceiling_cut.get((pos, t), math.inf)
 
 
 class DistrictSpace:
@@ -663,10 +655,10 @@ class Chooser(DistrictSpace):
     Key bits are the rule's keys, so each school's keys fill one ``windows``
     mask in priority order, and a pool's first ``room`` contracts are its
     lowest bits.  ``to_keys`` and ``to_universe`` translate masks eight bits
-    at a time.  Explicit tables, rules missing a priority list (``to_keys``
-    is None) and masks holding a contract without a key (``unranked``) go
-    through ``choose`` on the set.  ``chooser_of`` builds one per
-    ``CompiledRule``; it holds the rule only weakly, as the rule holds it.
+    at a time.  Explicit tables (``to_keys`` is None) and masks holding a
+    contract without a key (``unranked``) go through ``choose`` on the set.
+    ``chooser_of`` builds one per ``CompiledRule``; it holds the rule only
+    weakly, as the rule holds it.
     """
 
     def __init__(self, rule: RuleSpec, comp: CompiledRule, problem: Problem):
@@ -675,7 +667,7 @@ class Chooser(DistrictSpace):
         self.problem = problem  # read only through ``choose``, on its basis
         self._cache = {}
         self.to_keys = None
-        if rule.kind is RuleKind.EXPLICIT_TABLE or comp.missing is not None:
+        if rule.kind is RuleKind.EXPLICIT_TABLE:
             return
         keys = [comp.key_of.get(x) for x in self.universe]
         self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)

@@ -10,6 +10,9 @@ package used before it built each goal's linear constraints once
 (``GoalBounds``), kept verbatim with the ``PolicyGoal.floor`` and
 ``PolicyGoal.ceiling`` scans as functions: they re-derive every constraint
 on each call, the first pair of a repeated floor or ceiling key counting.
+
+``legitimate_distributions`` is the brute-force ground truth for the flow
+bounds, a filter over every member of Ξ₀ through that ``contains``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ from districtmatch.errors import UniverseTooLarge
 from districtmatch.model import Distribution, Problem, Verdict
 from districtmatch.policy import (
     DEFAULT_PAIR_BUDGET,
+    DEFAULT_XI0_BUDGET,
     GoalForm,
     PolicyGoal,
+    combination_goal,
+    enumerate_xi0,
     find_exchange_violation,
     in_xi0,
 )
@@ -213,3 +219,20 @@ def satisfies_with_feasibility(goal: PolicyGoal, xi: Distribution, problem) -> b
     the school-capacity requirement.
     """
     return in_xi0(xi, problem) and contains(goal, xi, problem)
+
+
+def legitimate_distributions(
+    problem: Problem, ceilings, budget: int = DEFAULT_XI0_BUDGET
+):
+    """Brute-force ground truth for the flow bounds: everyone matched,
+    district totals met, type totals met, school-type ceilings respected."""
+    goal = combination_goal(ceilings=ceilings)
+    return [
+        xi
+        for xi in enumerate_xi0(problem, budget)
+        if contains(goal, xi, problem)
+        and all(
+            sum(row[t] for row in xi.counts) == problem.k_type[t]
+            for t in range(problem.num_types)
+        )
+    ]

@@ -33,7 +33,6 @@ from districtmatch.policy import (
     indicator_of,
     is_mconvex,
     is_pseudo_mconcave,
-    legitimate_distributions,
     manhattan_ideal,
     policy_members,
     school_diversity_goal,
@@ -57,6 +56,7 @@ from districtmatch.spda import (
 from districtmatch.ttc import run_ttc
 
 from helpers import ids_of, random_problem, sequential_rules
+from policy_reference import legitimate_distributions
 
 
 def report(n, label):

@@ -7,6 +7,7 @@ import pytest
 from districtmatch import cli, oracle
 from districtmatch.cli import _build_parser, main
 from districtmatch.fixtures import FIXTURE_NAMES, fixture_path
+from districtmatch.rules import RuleProperty
 
 from helpers import count_calls
 
@@ -56,6 +57,9 @@ def test_reports_byte_identical_across_processes(tmp_path):
     # districtmatch that sits in the caller's working directory
     package_dir = Path(districtmatch.__file__).resolve().parent
     src_root = str(package_dir.parent)
+    # every property an instance file can check; is_completion_of needs a base rule
+    properties = [v.value for v in RuleProperty if v is not RuleProperty.IS_COMPLETION_OF]
+    check_rule = ("check-rule", fpath("reserves_diversity"), "--district", "d1", "--properties")
 
     outputs = []
     for seed in ("0", "424242"):
@@ -71,13 +75,17 @@ def test_reports_byte_identical_across_processes(tmp_path):
         child_dir = Path(probe.stdout.strip()).resolve().parent
         assert child_dir == package_dir, f"child imported {child_dir}, not {package_dir}"
         trace = tmp_path / f"trace-{seed}.json"
+        # (exit code, argv); check-rule exits 4 as some properties fail
         commands = (
-            ("run", fpath("ttc_diversity"), "--mechanism", "ttc", "--trace", str(trace)),
-            ("bounds", fpath("reserves_diversity")),
-            ("policy-check", fpath("reserves_diversity")),
+            (0, ("run", fpath("ttc_diversity"), "--mechanism", "ttc", "--trace", str(trace))),
+            (0, ("bounds", fpath("reserves_diversity"))),
+            (0, ("policy-check", fpath("reserves_diversity"))),
+            (0, ("audit", fpath("spda_basic"), "--mechanism", "spda")),
+            (4, (*check_rule, *properties)),
+            (0, ("nonexistence", fpath("nonexistence"), "--district", "d1")),
         )
         stdouts = []
-        for argv in commands:
+        for code, argv in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "districtmatch.cli", *argv],
                 capture_output=True,
@@ -85,7 +93,7 @@ def test_reports_byte_identical_across_processes(tmp_path):
                 env=env,
                 cwd=tmp_path,
             )
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == code, proc.stderr
             stdouts.append(proc.stdout.replace(str(trace), "TRACE"))
         outputs.append((stdouts, trace.read_bytes()))
     assert outputs[0] == outputs[1]
@@ -792,17 +800,12 @@ def test_bounds_tight_alpha_exits_5(capsys):
 
 
 def test_bounds_infeasible_exits_3(capsys, tmp_path):
-    import districtmatch as dm
-    from districtmatch.instances import dump_instance, instance_from_dict, instance_to_dict
+    def edit(doc):
+        for school, per_type in doc["policy"]["ceilings"].items():
+            for t in per_type:
+                per_type[t] = 0
 
-    doc = instance_to_dict(dm.load_fixture("reserves_diversity"))
-    for school, per_type in doc["policy"]["ceilings"].items():
-        for t in per_type:
-            per_type[t] = 0
-    path = tmp_path / "impossible.json"
-    inst = instance_from_dict(doc)
-    dump_instance(inst, path)
-    code, _, err = run_cli(capsys, "bounds", str(path))
+    code, _, err = run_cli(capsys, "bounds", _reserves_diversity_variant(tmp_path, edit))
     assert code == 3
     assert "mechanism error" in err
 

@@ -29,10 +29,10 @@ from districtmatch.policy import (
     f_lambda_goal,
     find_exchange_violation,
     implied_bounds,
+    in_xi0,
     indicator_of,
     is_mconvex,
     is_pseudo_mconcave,
-    legitimate_distributions,
     manhattan_ideal,
     policy_members,
     satisfies_with_feasibility,
@@ -41,7 +41,7 @@ from districtmatch.policy import (
 
 import policy_reference
 from helpers import matching_of, random_goal, random_problem
-from policy_reference import is_mconvex_numpy, is_mconvex_reference
+from policy_reference import is_mconvex_numpy, is_mconvex_reference, legitimate_distributions
 
 
 # -- enumerate_xi0 -----------------------------------------------------------------
@@ -233,6 +233,24 @@ def test_explicit_goal_ignores_members_of_another_shape(ttc_diversity, intersect
     assert not contains(goal, xi, p)
     assert not GoalTally(goal, p, xi).holds()
     assert_membership_matches_reference(goal, p)
+
+
+def test_indicator_ideal_and_xi0_reject_another_shape(ttc_diversity):
+    # an 8-by-1 copy of the 4-by-2 initial distribution is not in Ξ₀, so an
+    # indicator drops it, an ideal refuses it and Ξ₀-intersected goals miss it
+    p = ttc_diversity.problem
+    xi = distribution_of(p.initial_matching(), p)
+    tall = Distribution(tuple((v,) for v in xi.flat()))
+    assert tall.flat() == xi.flat() and not in_xi0(tall, p) and in_xi0(xi, p)
+    assert indicator_of([tall], p).members == frozenset()
+    assert not contains(f_lambda_goal(indicator_of([tall], p), 1), xi, p)
+    assert indicator_of([xi], p).members == {xi}
+    assert contains(f_lambda_goal(indicator_of([xi], p), 1), xi, p)
+    with pytest.raises(ValueError):
+        manhattan_ideal(tall, p)
+    assert manhattan_ideal(xi, p)(xi) == 0
+    goal = replace(balanced_exchange_goal(), intersect_xi0=True)
+    assert not contains(goal, tall, p) and contains(goal, xi, p)
 
 
 def test_goal_bounds_are_built_once_per_problem_shape(capsys, monkeypatch):

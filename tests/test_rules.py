@@ -1,5 +1,7 @@
 """Choice functions: the rule constructions, completions, property checkers."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,31 @@ def test_choose_unknown_contract(basic):
     p = basic.problem
     with pytest.raises(UnknownContract):
         choose(basic.rules[0], {dm.Contract(99, 0, 0)}, p)
+
+
+@pytest.mark.parametrize("name", ["spda_basic", "spda_rationed", "reserves_diversity"])
+def test_missing_priority_list_fails_at_compile(name):
+    # the loader rejects such a rule; built without a problem, it fails when
+    # compiled, so its fault comes before a malformed contract of the same
+    # choose and before check_property's universe bound
+    inst = dm.load_fixture(name)
+    p, rule = inst.problem, inst.rules[0]
+    c = rule.school_order[-1]
+    missing = replace(rule, priorities=tuple(pair for pair in rule.priorities if pair[0] != c))
+    rules = {**inst.rules, 0: missing}
+    message = f"no priority order for school index {c}"
+    calls = [
+        lambda: choose(missing, frozenset(), p),
+        lambda: choose(missing, {dm.Contract(99, 0, 0)}, p),
+        lambda: check_property(missing, RuleProperty.FEASIBLE, p),
+        lambda: check_property(missing, RuleProperty.SUBSTITUTABLE, p, all_subset_bound=0),
+        lambda: dm.is_stable(p.initial_matching(), p, rules),
+        lambda: dm.run_spda(p, rules),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownContract) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_make_rule_reports_the_loaders_issue(basic):

@@ -560,3 +560,35 @@ def test_reserve_named_twice_keeps_its_first_cutoff():
     x = problem.contract(3, 0)
     assert state.holds and state.chooses(x)
     assert x in choose(rule, X | {x}, problem)
+
+
+def test_completion_chooses_a_student_who_holds_an_earlier_seat():
+    # a completion takes out no other contract of a chosen student: x is
+    # chosen even when its student's contract y at an earlier school holds a
+    # reserve seat or an open seat, where the rule itself refuses x
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(60):
+        problem = random_problem(rng)
+        for kind in SPEC_KINDS:
+            d = rng.randrange(problem.num_districts)
+            rule = random_rule(rng, problem, d, kind)
+            completed = completion_of(rule)
+            comp = compiled(completed, problem)
+            universe = problem.district_contracts(d)
+            X = choose(completed, frozenset(x for x in universe if rng.random() < 0.6), problem)
+            state = Cutoffs(completed, X, problem)
+            if not state.holds:
+                continue
+            for x in set(universe) - X:
+                chosen = x in choose(completed, X | {x}, problem)
+                assert state.chooses(x) == chosen
+                if not chosen or x in choose(rule, X | {x}, problem):
+                    continue
+                pos = comp.key_of[x] // comp.stride
+                for y in X:
+                    key = comp.key_of[y]
+                    if y.student == x.student and key // comp.stride < pos:
+                        seen.add((kind, "reserve" if key in state.reserved else "open"))
+    assert seen >= {(kind, "open") for kind in SPEC_KINDS}
+    assert (RuleKind.RESERVES_AND_CEILINGS, "reserve") in seen
