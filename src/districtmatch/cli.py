@@ -185,7 +185,7 @@ def cmd_run(inst, args):
     if mechanism == "spda-intra" and args.trace:
         print("error: --mechanism spda-intra keeps no step trace; drop --trace", file=sys.stderr)
         return EXIT_VALIDATION
-    master = master_order(args.master, problem, "--master") if args.master else inst.master
+    master = inst.master if args.master is None else master_order(args.master, problem, "--master")
     _require_inputs(inst, mechanism)
 
     trace = None

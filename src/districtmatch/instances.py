@@ -55,7 +55,7 @@ def load_instance(path) -> Instance:
             issue = "malformed JSON: nested too deeply"
         else:
             return instance_from_dict(doc)
-    raise ValidationError([("DanglingReference", issue)])
+    raise ValidationError([("MalformedJson", issue)])
 
 
 class _Reader:
@@ -254,8 +254,8 @@ def instance_from_dict(doc: dict) -> Instance:
     if policy is not None:
         policy = _policy_from_dict(read, policy)
     master = read.get(doc, "master_list", list, "instance")
-    master = read.master(master, "master_list") if master else None
-    alpha = None if doc.get("alpha") in (None, 0) else read.fraction(doc["alpha"], "alpha")
+    master = None if master is None else read.master(master, "master_list")
+    alpha = None if doc.get("alpha") is None else read.fraction(doc["alpha"], "alpha")
     meta = read.get(doc, "meta", dict, "instance", {})
     if read.issues:
         raise ValidationError(read.issues)

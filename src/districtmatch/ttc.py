@@ -118,13 +118,14 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     """Run the trading algorithm; every cycle found in a step executes.
 
     Unassigned students still sit at their initial slots, so whether a slot
-    may point to one depends only on that initial slot.  Each slot therefore
-    scans, in its priority order, just the first unassigned student of every
-    initial slot: its own holder first, then the others in master order, and
-    points to the first whose move the goal tally permits.  The tally is
-    updated as cycles execute.  A slot stays active until no unassigned
-    student is permissible for it, so a student points to the first slot of
-    her list not yet removed.
+    may point to one depends only on that initial slot.  Each slot scans one
+    candidate list, the first unassigned student of its own initial slot (if
+    any) and then that of every initial slot in master order, and points to
+    the first whose move the goal tally permits; the tally is updated as
+    cycles execute.  A slot stays active until no unassigned student is
+    permissible for it, so a student points to the first slot of her list
+    not yet removed.  Steps record pointers in the order they are built:
+    slots in ``market.pairs`` order, students ascending.
     """
     market = build_hypothetical(problem, master)
     initial_xi = distribution_of(problem.initial_matching(), problem)
@@ -141,7 +142,7 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     for s in market.master:
         holders[initial[s]].append(s)
     unassigned = set(range(problem.num_students))
-    assignment = dict(enumerate(initial))
+    assignment = {}
     next_pref = [0] * problem.num_students  # first slot not yet removed
     removed = set()
     steps = []
@@ -155,17 +156,12 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             )
         active = [p for p in market.pairs if p not in removed]
         heads = sorted((q[0] for q in holders.values() if q), key=rank.__getitem__)
-        # staying put is the identity move: permitted iff the goal holds now
-        at_home = tally.holds()
 
         slot_pointer = {}
         newly_removed = []
         for slot in active:
             own = holders[slot]
-            if own and at_home:
-                slot_pointer[slot] = own[0]
-                continue
-            for s in heads:
+            for s in [own[0], *heads] if own else heads:
                 if tally.permits(initial[s], slot):
                     slot_pointer[slot] = s
                     break
@@ -187,8 +183,8 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
         steps.append(
             TtcStep(
                 active=tuple(active),
-                slot_pointer=tuple(sorted(slot_pointer.items())),
-                student_pointer=tuple(sorted(student_pointer.items())),
+                slot_pointer=tuple(slot_pointer.items()),
+                student_pointer=tuple(student_pointer.items()),
                 cycles=tuple(cycles),
                 removed=tuple(newly_removed),
             )
@@ -202,10 +198,11 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
                 "the goal set is likely not M-convex",
                 trace=TtcTrace(tuple(steps), frozenset()),
             )
+        # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
             for s, slot in cycle:
                 tally.move(initial[s], slot)
-                holders[initial[s]].remove(s)
+                holders[initial[s]].popleft()
                 assignment[s] = slot
                 unassigned.discard(s)
 
@@ -220,32 +217,19 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
 
 def _find_cycles(student_pointer, slot_pointer):
     """All cycles of the bipartite pointing graph, as (student, slot) edge
-    lists.  Walks start from the students in ascending order, skipping those
-    an earlier walk visited; each cycle starts where the walk that found it
-    entered it, which need not be its least student."""
+    lists.  Walks start from the students in ascending order; a walk stops at
+    a student with no pointer, one an earlier walk visited, or one on its own
+    path, which closes a cycle.  Each cycle starts where the walk that found
+    it entered it, which need not be its least student."""
     cycles = []
     visited = set()
     for start in sorted(student_pointer):
-        if start in visited:
-            continue
-        path = []
-        pos = {}
+        path = {}  # student -> position on this walk
         s = start
-        while True:
-            if s in visited or s not in student_pointer:
-                for node in path:
-                    visited.add(node)
-                break
-            if s in pos:
-                cycle_students = path[pos[s]:]
-                cycles.append(
-                    tuple((t, student_pointer[t]) for t in cycle_students)
-                )
-                for node in path:
-                    visited.add(node)
-                break
-            pos[s] = len(path)
-            path.append(s)
-            slot = student_pointer[s]
-            s = slot_pointer[slot]
+        while s in student_pointer and s not in visited and s not in path:
+            path[s] = len(path)
+            s = slot_pointer[student_pointer[s]]
+        if s in path:
+            cycles.append(tuple((t, student_pointer[t]) for t in list(path)[path[s]:]))
+        visited.update(path)
     return cycles

@@ -191,8 +191,12 @@ def test_malformed_instance_exits_2(capsys, tmp_path):
     [
         (b"\xff\xfe{}", "instance is not UTF-8: invalid start byte at byte 0"),
         (b"[" * 10_000 + b"]" * 10_000, "malformed JSON: nested too deeply"),
+        (
+            b"{not json",
+            "malformed JSON at line 1: Expecting property name enclosed in double quotes",
+        ),
     ],
-    ids=["not_utf8", "nested_too_deeply"],
+    ids=["not_utf8", "nested_too_deeply", "not_json"],
 )
 def test_undecodable_instance_exits_2(capsys, tmp_path, raw, message):
     bad = tmp_path / "bad.json"
@@ -200,6 +204,16 @@ def test_undecodable_instance_exits_2(capsys, tmp_path, raw, message):
     code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
     assert (code, out) == (2, "")
     assert "validation error" in err and message in err
+    assert err == f"validation error: MalformedJson: {message}\n"
+
+
+def test_instance_that_is_not_an_object_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "spda")
+    assert (code, out, err) == (
+        2, "", "validation error: DanglingReference: an instance is a JSON object\n"
+    )
 
 
 def test_missing_rules_exits_2(capsys):
@@ -228,6 +242,25 @@ def test_run_master_unknown_student_exits_2(capsys):
     )
     assert (code, out) == (2, "")
     assert "validation error" in err and "unknown student 'nobody'" in err
+
+
+def test_run_master_overrides_the_file_order(capsys):
+    # in file order s1, s2, s5 and s6 go to c3, c1, c1 and c3 (test_ttc.GOLDEN_TTC)
+    code, out, err = run_cli(
+        capsys, "run", fpath("ttc_diversity"), "--mechanism", "ttc",
+        "--master", "s7", "s6", "s5", "s4", "s3", "s2", "s1",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:8] == [
+        "student,school,district",
+        "s1,c1,d1",
+        "s2,c3,d2",
+        "s3,c4,d2",
+        "s4,c2,d1",
+        "s5,c3,d2",
+        "s6,c1,d1",
+        "s7,c2,d1",
+    ]
 
 
 @pytest.mark.parametrize("master", [["s1", "s2"], ["s1", "s1", "s2", "s3", "s4", "s5", "s6"]])
@@ -337,6 +370,14 @@ def _table(table):
             ]),
             "InvalidRule: rule for district d1: table entry 2 chooses outside its set",
         ),
+        (
+            lambda r: r["priorities"].update(c1="s1"),
+            "InvalidRule: rule for district d1: priority at school c1 is not a list",
+        ),
+        (
+            lambda r: r.update(reserves=["c1"]),
+            "InvalidRule: rule for district d1: reserves is not an object",
+        ),
     ],
     ids=[
         "unknown-kind",
@@ -364,6 +405,8 @@ def _table(table):
         "misspelled-district-cap",
         "misspelled-table-key",
         "table-chooses-outside-its-set",
+        "priority-entry-not-a-list",
+        "reserves-not-an-object",
     ],
 )
 def test_malformed_rule_exits_2(capsys, tmp_path, edit, message):
@@ -535,6 +578,10 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         ),
         (_policy(form="f_lambda", f=IDEAL), ["policy lambda: rationals are p/q strings: None"]),
         (
+            _policy(form="f_lambda", f=dict(IDEAL, kind="euclid"), **{"lambda": "1/2"}),
+            ["unsupported policy function 'euclid'"],
+        ),
+        (
             lambda doc: doc.update(meta=["spda_basic"]),
             ["instance has non-object meta ['spda_basic']"],
         ),
@@ -612,7 +659,8 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         "preferences-not-a-list", "non-string-preference", "student-without-type",
         "student-district-a-list",
         "policy-not-an-object", "unknown-policy-form", "policy-ceiling-at-unknown-school",
-        "distribution-at-unknown-school", "f-lambda-without-lambda", "meta-a-list",
+        "distribution-at-unknown-school", "f-lambda-without-lambda", "unknown-policy-function",
+        "meta-a-list",
         "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
         "floor-above-ceiling", "negative-floor", "master-list-repeats-a-student",
         "negative-box-ceiling", "negative-district-ceiling",
@@ -852,6 +900,45 @@ def test_bounds_bad_alpha_prints_nothing(capsys):
     assert err.startswith("validation error: DanglingReference: bad rational 'x'")
 
 
+def _must_order(where):
+    return f"validation error: DanglingReference: {where} must order every student exactly once\n"
+
+
+@pytest.mark.parametrize(
+    "edit,argv,code,tail,err",
+    [
+        (lambda doc: doc.update(alpha=0), ["bounds"], 5, ["alpha,0/1", "condition,violated"], ""),
+        (
+            lambda doc: doc.update(alpha=False),
+            ["bounds"],
+            2,
+            [],
+            "validation error: DanglingReference: alpha: rationals are p/q strings: False\n",
+        ),
+        (
+            lambda doc: doc.update(master_list=[]),
+            ["run", "--mechanism", "ttc"],
+            2,
+            [],
+            _must_order("master_list"),
+        ),
+        (
+            lambda doc: None,
+            ["run", "--mechanism", "ttc", "--master"],
+            2,
+            [],
+            _must_order("--master"),
+        ),
+    ],
+    ids=["alpha-zero", "alpha-false", "empty-master-list", "bare-master-option"],
+)
+def test_only_an_absent_field_means_none(capsys, tmp_path, edit, argv, code, tail, err):
+    # 0, false and [] are values, not "no alpha" or "no master list"
+    path = _reserves_diversity_variant(tmp_path, edit)
+    got_code, out, got_err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (got_code, out.splitlines()[-2:], got_err) == (code, tail, err)
+
+
 def test_bounds_infeasible_ceilings_message(capsys, tmp_path):
     # no t1 student fits under zero t1 ceilings; the three t2 students route
     def edit(doc):
@@ -921,6 +1008,24 @@ def test_nonexistence_without_symmetry(capsys):
         "{(s3,c1)},all extensions contradict\n"
         "{(s4,c1)},all extensions contradict\n"
     )
+
+
+@pytest.mark.parametrize(
+    "fixture,district,expected",
+    [
+        ("nonexistence", "d2", "satisfiable,true\nnodes,3\nwitness_table_entries,16\n"),
+        (
+            "impossibility",
+            "d1",
+            "satisfiable,false\nnodes,0\nbranch,outcome\n"
+            "{},arc consistency wiped out a domain\n",
+        ),
+    ],
+    ids=["satisfiable", "wiped-out-at-the-root"],
+)
+def test_nonexistence_report(capsys, fixture, district, expected):
+    code, out, err = run_cli(capsys, "nonexistence", fpath(fixture), "--district", district)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_nonexistence_past_its_size_bound_exits_3(capsys, monkeypatch):

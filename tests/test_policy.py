@@ -36,6 +36,7 @@ from districtmatch.policy import (
     manhattan_ideal,
     policy_members,
     satisfies_with_feasibility,
+    school_diversity_goal,
     upper_contour,
 )
 
@@ -648,3 +649,9 @@ def test_combination_goal_membership(reserves_diversity):
         )
     ]
     assert typed == legit
+
+
+@pytest.mark.parametrize("make", [school_diversity_goal, combination_goal])
+def test_goal_rejects_a_floor_above_its_ceiling(make):
+    with pytest.raises(ValueError, match="floor/ceiling order violated at school 0, type 1"):
+        make(floors={(0, 1): 2}, ceilings={(0, 1): 1})

@@ -1,5 +1,5 @@
-"""The incremental trading run and its goal tally against the direct
-implementations they replace."""
+"""The incremental trading run, its cycle walk and its goal tally against
+the direct implementations they replace."""
 
 import itertools
 import random
@@ -20,10 +20,11 @@ from districtmatch.policy import (
     enumerate_xi0,
     school_diversity_goal,
 )
-from districtmatch.ttc import run_ttc
+from districtmatch.ttc import _find_cycles, run_ttc
 
 from helpers import random_goal, random_problem
 from policy_reference import satisfies_with_feasibility
+from ttc_reference import _find_cycles as find_cycles_reference
 from ttc_reference import run_ttc_reference
 
 
@@ -71,6 +72,45 @@ def test_run_matches_reference_on_fixtures(name):
 def test_stuck_fixture_matches_reference(ttc_stuck):
     kind, *_ = assert_same_run(ttc_stuck.problem, ttc_stuck.policy, ttc_stuck.master)
     assert kind is dm.Stuck
+
+
+# -- the cycle walk ------------------------------------------------------------------
+
+
+@st.composite
+def pointer_graphs(draw):
+    """A student -> slot -> student pointing graph: a few cycles, then the
+    other students either without a pointer or pointing on to any student,
+    which runs chains into cycles and into walks started earlier; student
+    ids are sparse and both dicts are filled in shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 16))
+    students = rng.sample(range(3 * n), n)
+    successor = {}
+    i = 0
+    while i < n and rng.random() < 0.8:
+        cycle = students[i : i + rng.randint(1, 4)]
+        successor.update(zip(cycle, cycle[1:] + cycle[:1]))
+        i += len(cycle)
+    for s in students[i:]:
+        if rng.random() < 0.7:
+            successor[s] = rng.choice(students)
+    # one to three slots point to each student; a pointer picks one of them
+    slots_of = {s: [(s, k) for k in range(rng.randint(1, 3))] for s in students}
+    slot_pointer = [(slot, s) for s, slots in slots_of.items() for slot in slots]
+    student_pointer = [(s, rng.choice(slots_of[t])) for s, t in successor.items()]
+    rng.shuffle(slot_pointer)
+    rng.shuffle(student_pointer)
+    return dict(student_pointer), dict(slot_pointer)
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=pointer_graphs())
+def test_cycle_walk_matches_reference(graph):
+    student_pointer, slot_pointer = graph
+    assert _find_cycles(student_pointer, slot_pointer) == find_cycles_reference(
+        student_pointer, slot_pointer
+    )
 
 
 # -- the goal tally ------------------------------------------------------------------

@@ -4,6 +4,8 @@ the incremental ``districtmatch.ttc.run_ttc`` is tested against.
 Each step rebuilds the distribution and, for every slot, tests every
 unassigned student by materialising the moved distribution and testing its
 membership with the reference ``policy_reference.satisfies_with_feasibility``.
+``_find_cycles`` is the cycle walk ``districtmatch.ttc._find_cycles``
+replaced: a path list, a position dict and a per-node ``visited`` loop.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck
 from districtmatch.model import Distribution, Problem, distribution_of
 from districtmatch.policy import PolicyGoal
-from districtmatch.ttc import TtcStep, TtcTrace, _find_cycles, build_hypothetical
+from districtmatch.ttc import TtcStep, TtcTrace, build_hypothetical
 
 from policy_reference import satisfies_with_feasibility
 
@@ -105,3 +107,36 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTra
         problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
     )
     return TtcTrace(tuple(steps), outcome)
+
+
+def _find_cycles(student_pointer, slot_pointer):
+    """All cycles of the bipartite pointing graph, as (student, slot) edge
+    lists.  Walks start from the students in ascending order, skipping those
+    an earlier walk visited; each cycle starts where the walk that found it
+    entered it, which need not be its least student."""
+    cycles = []
+    visited = set()
+    for start in sorted(student_pointer):
+        if start in visited:
+            continue
+        path = []
+        pos = {}
+        s = start
+        while True:
+            if s in visited or s not in student_pointer:
+                for node in path:
+                    visited.add(node)
+                break
+            if s in pos:
+                cycle_students = path[pos[s]:]
+                cycles.append(
+                    tuple((t, student_pointer[t]) for t in cycle_students)
+                )
+                for node in path:
+                    visited.add(node)
+                break
+            pos[s] = len(path)
+            path.append(s)
+            slot = student_pointer[s]
+            s = slot_pointer[slot]
+    return cycles
