@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -182,7 +183,7 @@ def _require_inputs(inst, mechanism):
 def cmd_run(inst, args):
     problem = inst.problem
     mechanism = args.mechanism
-    if mechanism == "spda-intra" and args.trace:
+    if mechanism == "spda-intra" and args.trace is not None:
         print("error: --mechanism spda-intra keeps no step trace; drop --trace", file=sys.stderr)
         return EXIT_VALIDATION
     master = inst.master if args.master is None else master_order(args.master, problem, "--master")
@@ -200,7 +201,7 @@ def cmd_run(inst, args):
             trace = run(*run_args)
         except (Stuck, RuleViolation) as exc:
             # a failed run leaves the steps it took behind
-            if args.trace and exc.trace is not None:
+            if args.trace is not None and exc.trace is not None:
                 _write_trace(args.trace, write, problem, exc.trace)
             raise
         outcome = trace.outcome
@@ -221,7 +222,7 @@ def cmd_run(inst, args):
         print("policy_goal,n/a")
     if trace is not None:
         print(f"steps,{trace.num_steps}")
-        if args.trace:
+        if args.trace is not None:
             if not _write_trace(args.trace, write, problem, trace):
                 return EXIT_VALIDATION
             print(f"trace,{args.trace}")
@@ -273,27 +274,33 @@ def _write_doc(fh, mechanism, outcome, steps):
     fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
 
 
+def _pair_keys(X, C):
+    """The contracts of ``X`` as sorted ``student * C + school`` keys, which
+    is (student, school) order for ``C`` schools."""
+    return sorted([x.student * C + x.school for x in X])
+
+
 def _contract_lists(students, schools):
-    """A function rendering a set of contracts, items ``depth`` deep, as its
-    [student, school] id pairs in (student, school) order; ``students`` and
-    ``schools`` are the quoted ids."""
+    """A function rendering sorted ``_pair_keys``, items ``depth`` deep, as
+    their [student, school] id pairs; ``students`` and ``schools`` are the
+    quoted ids."""
     C = len(schools)
     by_depth = {}  # depth -> {student * C + school: the pair's text}
 
-    def render(X, depth):
+    def render(keys, depth):
         pairs = by_depth.get(depth)
         if pairs is None:
             head, sep, tail = "[" + _NL[depth + 1], _SEP[depth + 1], _NL[depth] + "]"
             pairs = by_depth[depth] = _Texts(
                 lambda k: head + students[k // C] + sep + schools[k % C] + tail
             )
-        keys = sorted([x.student * C + x.school for x in X])
         return _block(list(map(pairs.__getitem__, keys)), depth)
 
     return render
 
 
 def _write_spda_trace(fh, problem, trace):
+    C = problem.num_schools
     contracts = _contract_lists(
         list(map(_quote, problem.student_ids)), list(map(_quote, problem.school_ids))
     )
@@ -302,17 +309,29 @@ def _write_spda_trace(fh, problem, trace):
     def by_id(proposal):
         return problem.district_ids[proposal[0]]
 
-    _write_doc(fh, "spda", contracts(trace.outcome, 2), (
-        _block([
-            '"proposals": ' + _block(
-                [names[d] + contracts(X, 5) for d, X in sorted(step.proposals, key=by_id)],
-                4, "{}",
-            ),
-            '"rejected": ' + contracts(step.rejected, 4),
-            '"tentative": ' + contracts(step.tentative, 4),
-        ], 3, "{}")
-        for step in trace.steps
-    ))
+    def steps():
+        # the tentative keys, carried from a step to the one that follows it
+        held, before = [], None
+        for step in trace.steps:
+            rejected = _pair_keys(step.rejected, C)
+            if step.follows(before):
+                held += [x.student * C + x.school for _, X in step.proposals for x in X]
+                held.sort()
+                for k in rejected:
+                    del held[bisect_left(held, k)]
+            else:
+                held = _pair_keys(step.tentative, C)
+            before = step
+            yield _block([
+                '"proposals": ' + _block([
+                    names[d] + contracts(_pair_keys(X, C), 5)
+                    for d, X in sorted(step.proposals, key=by_id)
+                ], 4, "{}"),
+                '"rejected": ' + contracts(rejected, 4),
+                '"tentative": ' + contracts(held, 4),
+            ], 3, "{}")
+
+    _write_doc(fh, "spda", contracts(_pair_keys(trace.outcome, C), 2), steps())
 
 
 def _write_ttc_trace(fh, problem, trace):
@@ -329,7 +348,8 @@ def _write_ttc_trace(fh, problem, trace):
     )
     by_slot = _Texts(lambda e: _block([slot5[e[0]], students[e[1]]], 5))
     by_student = _Texts(lambda e: _block([students[e[0]], slot5[e[1]]], 5))
-    _write_doc(fh, "ttc", _contract_lists(students, schools)(trace.outcome, 2), (
+    outcome = _pair_keys(trace.outcome, len(schools))
+    _write_doc(fh, "ttc", _contract_lists(students, schools)(outcome, 2), (
         _block([
             '"active": ' + _block(list(map(slot4.__getitem__, step.active)), 4),
             '"cycles": ' + _block([
@@ -396,7 +416,7 @@ def _policy_ceilings(inst):
 def cmd_bounds(inst, args):
     problem = inst.problem
     ceilings = _policy_ceilings(inst)
-    alpha = parse_fraction(args.alpha) if args.alpha else inst.alpha
+    alpha = inst.alpha if args.alpha is None else parse_fraction(args.alpha)
     report = diversity_condition(problem, ceilings, Fraction(1) if alpha is None else alpha)
     print("district,type,implied_floor,implied_ceiling")
     for d in range(problem.num_districts):

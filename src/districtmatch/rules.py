@@ -232,8 +232,12 @@ class CompiledRule:
     in ``school_order`` times ``stride``, plus its rank in that school's
     priority (initial students already lifted first for initial-respecting
     rules).  Sorting a pool's keys therefore orders it school by school, and
-    each school by priority.  ``key_of`` holds only well-formed contracts of
-    the rule's district, so a hit there also validates the contract.
+    each school by priority.  ``key_at[pos][s]`` is student ``s``'s key at
+    the school in position ``pos`` (``pos_of``), None where the school does
+    not rank the student; ``student_at`` and ``type_at`` map keys back.
+    ``key`` finds a contract's key there and holds out malformed contracts.
+    ``key_of`` (contract -> key) and ``contract_at`` (key -> contract) serve
+    ``choose`` on sets and the ``Chooser``, and are built at their first use.
     A school without a priority list raises ``UnknownContract`` here.
 
     ``chooser`` is the rule's ``Chooser``, built by the first ``chooser_of``.
@@ -251,7 +255,7 @@ class CompiledRule:
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.chooser = None
         self.table = {}
-        self.key_of = {}
+        self.key_at = []  # per position; a table ranks no contract
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             self.table = _lookup(rule.table)
             return
@@ -268,21 +272,20 @@ class CompiledRule:
                 sorted(order, key=lambda s: initial[s] != c)
                 for c, order in zip(rule.school_order, orders)
             ]
+        self.school_order = rule.school_order
+        self.pos_of = {c: pos for pos, c in enumerate(rule.school_order)}
+        self.district_at = [problem.school_district[c] for c in rule.school_order]
         self.stride = stride = max([1] + [len(order) for order in orders])
-        size = stride * len(orders)
-        self.contract_at = [None] * size
-        self.student_at = [None] * size
-        self.type_at = [None] * size
-        for pos, (c, order) in enumerate(zip(rule.school_order, orders)):
-            for rank, s in enumerate(order):
-                if not 0 <= s < n:
-                    continue
-                key = pos * stride + rank
-                x = problem.contract(s, c)
-                self.key_of[x] = key
-                self.contract_at[key] = x
-                self.student_at[key] = s
-                self.type_at[key] = problem.student_type[s]
+        self.student_at = student_at = [None] * (stride * len(orders))
+        for pos, order in enumerate(orders):
+            keys = [None] * n
+            for key, s in enumerate(order, pos * stride):
+                if 0 <= s < n:
+                    keys[s] = key
+                    student_at[key] = s
+            self.key_at.append(keys)
+        student_type = problem.student_type
+        self.type_at = [None if s is None else student_type[s] for s in student_at]
         self.capacity = [problem.capacities[c] for c in rule.school_order]
         self.cap = rule.district_cap
         if self.cap is None and rule.kind in (
@@ -305,6 +308,42 @@ class CompiledRule:
                 for c in rule.school_order
             ]
 
+    def key(self, x: Contract) -> Optional[int]:
+        """``x``'s key, or None if the rule does not rank it."""
+        pos = self.pos_of.get(x.school)
+        if pos is None or x.district != self.district_at[pos]:
+            return None
+        keys = self.key_at[pos]
+        return keys[x.student] if 0 <= x.student < len(keys) else None
+
+    def contract(self, key: int) -> Contract:
+        """The contract whose key ``key`` is."""
+        pos = key // self.stride
+        return Contract(self.student_at[key], self.district_at[pos], self.school_order[pos])
+
+    def ranks_all(self, schools) -> bool:
+        """Whether the rule ranks every student at each of ``schools``."""
+        pos_of = self.pos_of
+        return all(c in pos_of and None not in self.key_at[pos_of[c]] for c in schools)
+
+    @functools.cached_property
+    def key_of(self) -> dict:
+        """Contract -> key, for every contract the rule ranks."""
+        return {
+            self.contract(key): key
+            for keys in self.key_at
+            for key in keys
+            if key is not None
+        }
+
+    @functools.cached_property
+    def contract_at(self) -> list:
+        """Key -> contract, None where ``key_of`` holds no contract."""
+        at = [None] * len(self.student_at)
+        for x, key in self.key_of.items():
+            at[key] = x
+        return at
+
 
 def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
     """The rule's compiled form for the problem's structure, built once and
@@ -313,8 +352,16 @@ def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
 
 
 def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
-    """Evaluate the rule: the chosen subset of X's contracts for this district."""
+    """Evaluate the rule: the chosen subset of X's contracts for this district.
+
+    For a spec rule, ``X`` may instead be a sorted list of keys
+    (``CompiledRule``) with at most one per student, the form in which
+    deferred acceptance holds a district's contracts; the chosen keys then
+    come back as a list, in the order their seats filled.
+    """
     comp = compiled(rule, problem)
+    if isinstance(X, list):
+        return _chosen_keys(rule, comp, X, one_each=True)
     key_of = comp.key_of
     keys = set(map(key_of.get, X))
     unranked = []  # well-formed contracts of the district that have no key
@@ -342,9 +389,9 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     return frozenset(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
 
 
-def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
+def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None, one_each=False) -> list:
     """The keys a spec rule chooses from ``keys``, which are sorted and
-    distinct.
+    distinct (with ``one_each``, also at most one per student).
 
     Reserve seats fill first, school by school and type by type.  Then each
     school's open seats, under the district cap, go to the first free keys
@@ -356,7 +403,9 @@ def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
     fills.
     """
     student_at, type_at, capacity, cap = comp.student_at, comp.type_at, comp.capacity, comp.cap
-    repeats = not rule.completed and len(set(map(student_at.__getitem__, keys))) < len(keys)
+    repeats = not (rule.completed or one_each) and len(
+        set(map(student_at.__getitem__, keys))
+    ) < len(keys)
     pools = _school_pools(comp, keys)
     chosen = []
     taken = set()  # chosen students, tracked only when some repeat
@@ -457,7 +506,7 @@ class Cutoffs:
         self.rule, self.X, self.problem = rule, X, problem
         self.comp = comp = compiled(rule, problem)
         self.held = None  # student -> key in ``X``; None to ask ``choose``
-        keys = None if rule.kind is RuleKind.EXPLICIT_TABLE else list(map(comp.key_of.get, X))
+        keys = None if rule.kind is RuleKind.EXPLICIT_TABLE else list(map(comp.key, X))
         if keys is None or None in keys:
             self.holds = choose(rule, X, problem) == X
             return
@@ -473,8 +522,8 @@ class Cutoffs:
         """Whether the rule chooses ``x``, a contract of its district not in
         ``X``, from ``X | {x}``.  Only asked when ``holds``."""
         comp = self.comp
-        key = comp.key_of.get(x)
-        if self.held is None or key is None:
+        key = None if self.held is None else comp.key(x)
+        if key is None:
             return x in choose(self.rule, self.X | {x}, self.problem)
         pos, t = key // comp.stride, comp.type_at[key]
         y = self.held.get(comp.student_at[key])

@@ -9,6 +9,14 @@ it holds without re-choosing: those rules are idempotent (IRC implies
 C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
 
+A spec-rule district that ranks all of its contracts holds them as a sorted
+list of its rule's keys (``rules.CompiledRule``), merges each step's
+proposal keys into it and chooses on that list; explicit tables, and spec
+rules that leave a contract of their district unranked, hold and choose
+sets of contracts.  Contracts are built only for the step records and the
+outcome, and a step records its proposals and rejections, not what the
+districts hold after it.
+
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
 """
@@ -23,14 +31,69 @@ from typing import Optional
 from .errors import RuleViolation
 from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
 from .policy import share_gaps
-from .rules import Cutoffs, RuleKind, choose
+from .rules import Cutoffs, RuleKind, choose, compiled
 
 
-@dataclass(frozen=True)
 class SpdaStep:
-    proposals: tuple  # of (district, frozenset of contracts proposed this step)
-    tentative: Matching
-    rejected: Matching
+    """One step: ``proposals``, per district in index order the contracts
+    proposed to it; ``rejected``, the contracts the districts turned down;
+    and ``tentative``, what the districts hold after the step.
+
+    ``SpdaStep(proposals, tentative, rejected)`` keeps the given
+    ``tentative``.  A run builds each step with ``after``, from the step
+    before it, and reading its ``tentative`` replays the steps back to the
+    last one that holds a ``tentative`` (or to the start, which holds
+    nothing): each adds its proposals and drops its rejections.
+    """
+
+    __slots__ = ("proposals", "rejected", "_tentative", "_before")
+
+    def __init__(self, proposals: tuple, tentative: Optional[Matching], rejected: Matching):
+        self.proposals, self.rejected = proposals, rejected
+        self._tentative, self._before = tentative, None
+
+    @classmethod
+    def after(cls, before: Optional["SpdaStep"], proposals: tuple, rejected: Matching):
+        """The step that follows ``before`` (None for a run's first step) in
+        a run: its proposals are new to the districts, and its rejections
+        among what they held or were proposed."""
+        step = cls(proposals, None, rejected)
+        step._before = before
+        return step
+
+    def follows(self, before: Optional["SpdaStep"]) -> bool:
+        """Whether ``tentative`` is ``before``'s (nothing if None) plus this
+        step's proposals, less its rejections."""
+        return self._tentative is None and self._before is before
+
+    @property
+    def tentative(self) -> Matching:
+        replay, step = [], self
+        while step is not None and step._tentative is None:
+            replay.append(step)
+            step = step._before
+        held = set(() if step is None else step._tentative)
+        for step in reversed(replay):
+            for _, X in step.proposals:
+                held |= X
+            held -= step.rejected
+        return frozenset(held)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.proposals, self.rejected, self.tentative) == (
+            other.proposals, other.rejected, other.tentative
+        )
+
+    def __hash__(self):
+        return hash((self.proposals, self.rejected))
+
+    def __repr__(self):
+        return (
+            f"SpdaStep(proposals={self.proposals!r}, tentative={self.tentative!r}, "
+            f"rejected={self.rejected!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -63,19 +126,29 @@ def run_intradistrict_spda(problem: Problem, rules) -> Matching:
     return _deferred_acceptance(problem, rules, lists).outcome
 
 
+def _keyed(rule, district: int, problem: Problem):
+    """The rule's ``CompiledRule`` if the district can hold keys under it (a
+    spec rule that ranks every contract of the district), else None."""
+    if rule.kind is RuleKind.EXPLICIT_TABLE:
+        return None
+    comp = compiled(rule, problem)
+    return comp if comp.ranks_all(problem.district_schools[district]) else None
+
+
 def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
-    for d in range(problem.num_districts):
+    D = problem.num_districts
+    for d in range(D):
         if d not in rules:
             raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
 
     next_choice = [0] * problem.num_students  # pointer into the lists
-    proposing = set(range(problem.num_students))
-    held = {d: frozenset() for d in range(problem.num_districts)}
-    every_step = {
-        d for d in range(problem.num_districts)
-        if rules[d].kind is RuleKind.EXPLICIT_TABLE
-    }
+    proposing = range(problem.num_students)
+    # per district: the sorted keys it holds, or the contracts if it has no
+    # keys (``keyed``: district -> CompiledRule or None, from its first choice)
+    held = [[] for _ in range(D)]
+    keyed = {}
+    every_step = [rules[d].kind is RuleKind.EXPLICIT_TABLE for d in range(D)]
     steps = []
     guard = sum(map(len, lists)) + 1
 
@@ -85,50 +158,60 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
                 "no convergence; a rule is re-rejecting held contracts",
                 trace=SpdaTrace(tuple(steps), frozenset()),
             )
-        new_proposals = {d: set() for d in range(problem.num_districts)}
-        for s in sorted(proposing):
+        new_proposals = [set() for _ in range(D)]
+        for s in proposing:
             if next_choice[s] >= len(lists[s]):
                 continue  # list exhausted; student stays unmatched
             x = problem.contract(s, lists[s][next_choice[s]])
             new_proposals[x.district].add(x)
 
-        tentative = {}
-        rejected = set()
-        for d in range(problem.num_districts):
-            if not new_proposals[d] and d not in every_step:
-                tentative[d] = held[d]
+        rejected = []
+        for d in range(D):
+            new = new_proposals[d]
+            if not new and not every_step[d]:
                 continue
-            pool = held[d] | new_proposals[d]
+            if d not in keyed:
+                keyed[d] = _keyed(rules[d], d, problem)
+                if keyed[d] is None:
+                    held[d] = frozenset()
+            comp = keyed[d]
+            if comp is None:
+                pool = held[d] | new
+                chosen = choose(rules[d], pool, problem)
+                if not chosen <= pool:
+                    raise RuleViolation(
+                        f"rule for {problem.district_ids[d]} chose outside its input"
+                    )
+                rejected += pool - chosen
+                held[d] = chosen
+                continue
+            key_at, pos_of = comp.key_at, comp.pos_of
+            pool = held[d] + [key_at[pos_of[x.school]][x.student] for x in new]
+            pool.sort()
             chosen = choose(rules[d], pool, problem)
-            if not chosen <= pool:
-                raise RuleViolation(
-                    f"rule for {problem.district_ids[d]} chose outside its input"
-                )
-            tentative[d] = chosen
-            rejected |= pool - chosen
+            if len(chosen) < len(pool):
+                rejected += map(comp.contract, set(pool).difference(chosen))
+                pool = sorted(chosen)
+            held[d] = pool
 
         steps.append(
-            SpdaStep(
-                proposals=tuple(
-                    (d, frozenset(new_proposals[d]))
-                    for d in range(problem.num_districts)
-                ),
-                tentative=frozenset().union(*tentative.values()),
-                rejected=frozenset(rejected),
+            SpdaStep.after(
+                steps[-1] if steps else None,
+                tuple((d, frozenset(new_proposals[d])) for d in range(D)),
+                frozenset(rejected),
             )
         )
-        held = tentative
-
         if not rejected:
             break
-        proposing = set()
         for x in rejected:
             next_choice[x.student] += 1
-            proposing.add(x.student)
+        proposing = sorted({x.student for x in rejected})
 
-    outcome = frozenset().union(*held.values())
+    outcome = []
+    for d, comp in keyed.items():
+        outcome += held[d] if comp is None else map(comp.contract, held[d])
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
-    return SpdaTrace(tuple(steps), outcome, read)
+    return SpdaTrace(tuple(steps), frozenset(outcome), read)
 
 
 @dataclass(frozen=True)

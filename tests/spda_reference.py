@@ -11,6 +11,12 @@ stability check finds each student's school by scanning the matching.
 ``single_district_da_reference`` is the classic proposal loop inside one
 district that ``districtmatch.spda.run_intradistrict_spda`` replaced with
 the market-wide loop run on home-district lists.
+
+``deferred_acceptance_reference`` is that market-wide loop on sets of
+contracts, as it was before ``districtmatch.spda._deferred_acceptance`` ran
+spec-rule districts on sorted key lists: it builds a contract for every
+proposal, chooses on each district's held set plus its proposals, and
+records every step's full tentative set.
 """
 
 from __future__ import annotations
@@ -228,6 +234,74 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
 
     outcome = frozenset().union(*held.values())
     return SpdaTrace(tuple(steps), outcome)
+
+
+def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
+    """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
+    for d in range(problem.num_districts):
+        if d not in rules:
+            raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
+
+    next_choice = [0] * problem.num_students  # pointer into the lists
+    proposing = set(range(problem.num_students))
+    held = {d: frozenset() for d in range(problem.num_districts)}
+    every_step = {
+        d for d in range(problem.num_districts)
+        if rules[d].kind is RuleKind.EXPLICIT_TABLE
+    }
+    steps = []
+    guard = sum(map(len, lists)) + 1
+
+    while True:
+        if len(steps) > guard:
+            raise RuleViolation(
+                "no convergence; a rule is re-rejecting held contracts",
+                trace=SpdaTrace(tuple(steps), frozenset()),
+            )
+        new_proposals = {d: set() for d in range(problem.num_districts)}
+        for s in sorted(proposing):
+            if next_choice[s] >= len(lists[s]):
+                continue  # list exhausted; student stays unmatched
+            x = problem.contract(s, lists[s][next_choice[s]])
+            new_proposals[x.district].add(x)
+
+        tentative = {}
+        rejected = set()
+        for d in range(problem.num_districts):
+            if not new_proposals[d] and d not in every_step:
+                tentative[d] = held[d]
+                continue
+            pool = held[d] | new_proposals[d]
+            chosen = choose(rules[d], pool, problem)
+            if not chosen <= pool:
+                raise RuleViolation(
+                    f"rule for {problem.district_ids[d]} chose outside its input"
+                )
+            tentative[d] = chosen
+            rejected |= pool - chosen
+
+        steps.append(
+            SpdaStep(
+                proposals=tuple(
+                    (d, frozenset(new_proposals[d]))
+                    for d in range(problem.num_districts)
+                ),
+                tentative=frozenset().union(*tentative.values()),
+                rejected=frozenset(rejected),
+            )
+        )
+        held = tentative
+
+        if not rejected:
+            break
+        proposing = set()
+        for x in rejected:
+            next_choice[x.student] += 1
+            proposing.add(x.student)
+
+    outcome = frozenset().union(*held.values())
+    read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
+    return SpdaTrace(tuple(steps), outcome, read)
 
 
 def is_stable_reference(X: Matching, problem: Problem, rules) -> StabilityVerdict:

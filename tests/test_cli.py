@@ -900,6 +900,26 @@ def test_bounds_bad_alpha_prints_nothing(capsys):
     assert err.startswith("validation error: DanglingReference: bad rational 'x'")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["bounds", "reserves_diversity", "--alpha", ""],
+            "validation error: DanglingReference: bad rational '': "
+            "Invalid literal for Fraction: ''\n",
+        ),
+        (
+            ["run", "spda_basic", "--mechanism", "spda-intra", "--trace", ""],
+            "error: --mechanism spda-intra keeps no step trace; drop --trace\n",
+        ),
+    ],
+    ids=["alpha", "spda-intra-trace"],
+)
+def test_an_empty_option_is_a_value(capsys, argv, err):
+    # "" is a bad rational and a trace path, not an absent option
+    assert run_cli(capsys, argv[0], fpath(argv[1]), *argv[2:]) == (2, "", err)
+
+
 def _must_order(where):
     return f"validation error: DanglingReference: {where} must order every student exactly once\n"
 
@@ -1213,12 +1233,13 @@ def test_run_spda_failure_leaves_partial_trace(capsys, monkeypatch, tmp_path):
     assert trace_path.read_text() == trace_text(_spda_trace_doc(inst.problem, partial))
 
 
-@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir", "empty"])
 @pytest.mark.parametrize(
     "fixture, mechanism", [("spda_basic", "spda"), ("ttc_diversity", "ttc")]
 )
 def test_unwritable_trace_path_exits_2(capsys, tmp_path, where, fixture, mechanism):
-    path = tmp_path / "no" / "t.json" if where == "missing_dir" else tmp_path
+    # an empty path is a path, not "no --trace"
+    path = {"missing_dir": tmp_path / "no" / "t.json", "a_dir": tmp_path, "empty": ""}[where]
     code, out, err = run_cli(capsys, "run", fpath(fixture), "--mechanism", mechanism)
     assert code == 0
     got = run_cli(

@@ -1,7 +1,9 @@
-"""The compiled ``choose``, the incremental ``run_spda``, the cut-off
-``is_stable`` and the intradistrict run on home-district lists against the
-direct implementations they replace."""
+"""The compiled ``choose``, the incremental ``run_spda``, the deferred
+acceptance loop on key lists, the cut-off ``is_stable`` and the
+intradistrict run on home-district lists against the direct implementations
+they replace."""
 
+import io
 import itertools
 import random
 from dataclasses import replace
@@ -14,6 +16,7 @@ import districtmatch as dm
 import districtmatch.rules as rules_module
 import districtmatch.spda as spda_module
 import spda_reference
+from districtmatch import cli
 from districtmatch.errors import DistrictMatchError, RuleViolation
 from districtmatch.model import (
     Contract,
@@ -41,6 +44,7 @@ from districtmatch.spda import (
 from helpers import all_contracts, random_problem
 from spda_reference import (
     choose_reference,
+    deferred_acceptance_reference,
     is_stable_reference,
     run_spda_reference,
     single_district_da_reference,
@@ -592,3 +596,148 @@ def test_completion_chooses_a_student_who_holds_an_earlier_seat():
                         seen.add((kind, "reserve" if key in state.reserved else "open"))
     assert seen >= {(kind, "open") for kind in SPEC_KINDS}
     assert (RuleKind.RESERVES_AND_CEILINGS, "reserve") in seen
+
+
+# -- the loop on key lists against the loop on sets ------------------------------
+
+
+def unvalidated(rng: random.Random, rule):
+    """Now and then the rule as ``make_rule`` leaves it without a problem to
+    check it against: missing one school's priority list, or with a list
+    that omits a student."""
+    if rule.kind is RuleKind.EXPLICIT_TABLE or rng.random() >= 0.1:
+        return rule
+    (c, order), *rest = rule.priorities
+    if rng.random() < 0.5:
+        return replace(rule, priorities=tuple(rest))
+    return replace(rule, priorities=((c, order[1:]), *rest))
+
+
+def home_lists(problem):
+    """Each student's list cut to her home district's schools."""
+    home, district = problem.student_district, problem.school_district
+    return [
+        tuple(c for c in order if district[c] == home[s])
+        for s, order in enumerate(problem.preferences)
+    ]
+
+
+def spda_bytes(problem, trace):
+    fh = io.StringIO()
+    cli._write_spda_trace(fh, problem, trace)
+    return fh.getvalue()
+
+
+def assert_loop_matches_reference(problem, rules):
+    """The loop against the set loop it replaced, on full and on
+    home-district lists: the same trace (steps, outcome and ``read``) and
+    trace bytes, or the same error with the same partial trace.  Returns the
+    two outcomes."""
+    runs = []
+    for lists in (problem.preferences, home_lists(problem)):
+        got = _outcome(spda_module._deferred_acceptance, problem, rules, lists)
+        want = _outcome(deferred_acceptance_reference, problem, rules, lists)
+        assert got == want
+        ok = got[0] == "ok"
+        if ok:
+            assert got[1].read == want[1].read
+        trace, reference = (got[1], want[1]) if ok else (got[2], want[2])
+        if trace is not None:
+            # the writer carries the tentative keys from step to step, and
+            # renders the reference's own tentative sets
+            assert spda_bytes(problem, trace) == spda_bytes(problem, reference)
+        runs.append(got)
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_key_loop_matches_set_loop_on_random_markets(seed):
+    # every spec kind, completions, own-favoring variants and tables
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    rules = random_rules(rng, problem, tables=0.3)
+    assert_loop_matches_reference(problem, {d: unvalidated(rng, r) for d, r in rules.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_key_loop_matches_set_loop_on_larger_markets(seed):
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(30, 45))
+    rules = random_rules(rng, problem)
+    assert_loop_matches_reference(problem, {d: unvalidated(rng, r) for d, r in rules.items()})
+
+
+def test_key_loop_matches_set_loop_on_a_large_market():
+    assert_loop_matches_reference(*large_market(random.Random(2024)))
+
+
+@pytest.mark.parametrize("seed", [12, 125, 154, 170])
+def test_key_loop_raises_the_set_loops_rule_violation(seed):
+    # a table that chooses outside its input, as in the intradistrict runs
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    runs = assert_loop_matches_reference(problem, random_rules(rng, problem, tables=0.5))
+    assert any(run[0] is RuleViolation and "chose outside its input" in run[1] for run in runs)
+
+
+@pytest.mark.parametrize("name", ["spda_basic", "spda_respecting", "spda_rationed"])
+def test_key_loop_raises_the_set_loops_unknown_contract(name):
+    # spec rules built without a problem: missing a school's priority list
+    # fails at the district's first choice, a list that omits a student
+    # when that student's contract reaches the district
+    inst = dm.load_fixture(name)
+    raised = set()
+    for d, rule in inst.rules.items():
+        c, order = rule.priorities[0]
+        for i in range(-1, len(order)):
+            if i < 0:
+                broken = replace(rule, priorities=rule.priorities[1:])
+            else:
+                omitted = (c, order[:i] + order[i + 1 :])
+                broken = replace(rule, priorities=(omitted,) + rule.priorities[1:])
+            for run in assert_loop_matches_reference(inst.problem, {**inst.rules, d: broken}):
+                if run[0] is dm.UnknownContract:
+                    raised.add(run[1].split()[0])
+    assert raised == {"no", "contract"}  # both messages
+
+
+def choose_calls(monkeypatch, module, run, problem, rules, lists):
+    """The district of each ``choose`` call ``run`` makes through ``module``,
+    and the trace."""
+    calls = []
+
+    def counting(rule, X, problem):
+        calls.append(rule.district)
+        return choose(rule, X, problem)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "choose", counting)
+        trace = run(problem, rules, lists)
+    return calls, trace
+
+
+def test_key_loop_calls_choose_as_the_set_loop_did(monkeypatch):
+    # once per step and district with proposals, and once per step for each
+    # table, so the tracer's ``rules.choose.calls`` keeps its meaning
+    rng = random.Random(5)
+    for i in range(40):
+        problem = random_problem(rng, students=(2, 5) if i % 2 else (30, 40))
+        rules = random_rules(rng, problem, tables=0.3 if i % 2 else 0.0)
+        tables = {d for d, r in rules.items() if r.kind is RuleKind.EXPLICIT_TABLE}
+        for lists in (problem.preferences, home_lists(problem)):
+            try:
+                got, trace = choose_calls(
+                    monkeypatch, spda_module, spda_module._deferred_acceptance,
+                    problem, rules, lists,
+                )
+            except RuleViolation:
+                continue
+            want, _ = choose_calls(
+                monkeypatch, spda_reference, deferred_acceptance_reference,
+                problem, rules, lists,
+            )
+            assert got == want == [
+                d for step in trace.steps for d, X in step.proposals if X or d in tables
+            ]

@@ -80,6 +80,8 @@ def test_writers_match_reference_on_random_markets(seed, data):
         # a failed run carries the steps it took and no outcome
         k = data.draw(st.integers(0, trace.num_steps), label="steps kept")
         assert_same_bytes(problem, type(trace)(trace.steps[:k], frozenset()))
+        # steps cut from the middle of a run, the first not following the start
+        assert_same_bytes(problem, type(trace)(trace.steps[k:], trace.outcome))
 
 
 @settings(max_examples=20, deadline=None)
