@@ -235,10 +235,9 @@ class CompiledRule:
     each school by priority.  ``key_at[pos][s]`` is student ``s``'s key at
     the school in position ``pos`` (``pos_of``), None where the school does
     not rank the student; ``student_at`` and ``type_at`` map keys back.
-    ``key`` finds a contract's key there and holds out malformed contracts.
-    ``key_of`` (contract -> key) and ``contract_at`` (key -> contract) serve
-    ``choose`` on sets and the ``Chooser``, and are built at their first use.
-    A school without a priority list raises ``UnknownContract`` here.
+    ``key`` finds a contract's key there and holds out malformed contracts;
+    ``contract`` builds the contract of a key.  A school without a priority
+    list raises ``UnknownContract`` here.
 
     ``chooser`` is the rule's ``Chooser``, built by the first ``chooser_of``.
     Its masks and its memo depend only on the basis, so every check of the
@@ -255,7 +254,7 @@ class CompiledRule:
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.chooser = None
         self.table = {}
-        self.key_at = []  # per position; a table ranks no contract
+        self.key_at, self.pos_of = [], {}  # per position; a table ranks no contract
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             self.table = _lookup(rule.table)
             return
@@ -321,29 +320,6 @@ class CompiledRule:
         pos = key // self.stride
         return Contract(self.student_at[key], self.district_at[pos], self.school_order[pos])
 
-    def ranks_all(self, schools) -> bool:
-        """Whether the rule ranks every student at each of ``schools``."""
-        pos_of = self.pos_of
-        return all(c in pos_of and None not in self.key_at[pos_of[c]] for c in schools)
-
-    @functools.cached_property
-    def key_of(self) -> dict:
-        """Contract -> key, for every contract the rule ranks."""
-        return {
-            self.contract(key): key
-            for keys in self.key_at
-            for key in keys
-            if key is not None
-        }
-
-    @functools.cached_property
-    def contract_at(self) -> list:
-        """Key -> contract, None where ``key_of`` holds no contract."""
-        at = [None] * len(self.student_at)
-        for x, key in self.key_of.items():
-            at[key] = x
-        return at
-
 
 def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
     """The rule's compiled form for the problem's structure, built once and
@@ -351,24 +327,37 @@ def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
     return built_once(rule, problem, CompiledRule)
 
 
+class HeldKeys(list):
+    """A sorted list of a spec rule's keys (``CompiledRule``), at most one
+    per student: the form in which deferred acceptance holds a district's
+    contracts and hands them to ``choose``."""
+
+    __slots__ = ()
+
+
+def unranked_error(unranked) -> UnknownContract:
+    """The error for contracts of a spec rule's district that the rule does
+    not rank.  It names the least of them, whatever order they come in."""
+    return UnknownContract(f"contract {min(unranked)} is outside the rule's priorities")
+
+
 def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     """Evaluate the rule: the chosen subset of X's contracts for this district.
 
-    For a spec rule, ``X`` may instead be a sorted list of keys
-    (``CompiledRule``) with at most one per student, the form in which
-    deferred acceptance holds a district's contracts; the chosen keys then
-    come back as a list, in the order their seats filled.
+    For a spec rule, ``X`` may instead be a ``HeldKeys`` list; the chosen
+    keys then come back as a list, in the order their seats filled.  Any
+    other iterable is read as contracts.
     """
     comp = compiled(rule, problem)
-    if isinstance(X, list):
+    if isinstance(X, HeldKeys):
         return _chosen_keys(rule, comp, X, one_each=True)
-    key_of = comp.key_of
-    keys = set(map(key_of.get, X))
+    key = comp.key
+    keys = set(map(key, X))
     unranked = []  # well-formed contracts of the district that have no key
     if None in keys:
         keys.discard(None)
         for x in X:
-            if x in key_of:
+            if key(x) is not None:
                 continue
             if not (0 <= x.student < problem.num_students) or not (
                 0 <= x.school < problem.num_schools
@@ -378,15 +367,14 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
                 raise UnknownContract(f"contract {x} has district != d(school)")
             if x.district == rule.district:
                 unranked.append(x)
-    keys = sorted(keys)
     if rule.kind is RuleKind.EXPLICIT_TABLE:
         chosen = comp.table.get(frozenset(unranked))
         if chosen is None:
             raise UnknownContract("set outside the explicit table's declared universe")
         return chosen
     if unranked:
-        raise UnknownContract(f"contract {unranked[0]} is outside the rule's priorities")
-    return frozenset(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
+        raise unranked_error(unranked)
+    return frozenset(map(comp.contract, _chosen_keys(rule, comp, sorted(keys))))
 
 
 def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None, one_each=False) -> list:
@@ -718,7 +706,7 @@ class Chooser(DistrictSpace):
         self.to_keys = None
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             return
-        keys = [comp.key_of.get(x) for x in self.universe]
+        keys = list(map(comp.key, self.universe))
         self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
         self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
         bit_at = [0] * len(comp.student_at)

@@ -9,13 +9,12 @@ it holds without re-choosing: those rules are idempotent (IRC implies
 C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
 
-A spec-rule district that ranks all of its contracts holds them as a sorted
-list of its rule's keys (``rules.CompiledRule``), merges each step's
-proposal keys into it and chooses on that list; explicit tables, and spec
-rules that leave a contract of their district unranked, hold and choose
-sets of contracts.  Contracts are built only for the step records and the
-outcome, and a step records its proposals and rejections, not what the
-districts hold after it.
+A spec-rule district holds its tentative contracts as a sorted list of its
+rule's keys (``rules.HeldKeys``), merges each step's proposal keys into it
+and chooses on that list; explicit tables hold and choose sets of
+contracts.  Contracts are built only for the step records and the outcome,
+and a step records its proposals and rejections, not what the districts
+hold after it.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
@@ -31,7 +30,7 @@ from typing import Optional
 from .errors import RuleViolation
 from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
 from .policy import share_gaps
-from .rules import Cutoffs, RuleKind, choose, compiled
+from .rules import Cutoffs, HeldKeys, RuleKind, choose, compiled, unranked_error
 
 
 class SpdaStep:
@@ -43,14 +42,26 @@ class SpdaStep:
     ``tentative``.  A run builds each step with ``after``, from the step
     before it, and reading its ``tentative`` replays the steps back to the
     last one that holds a ``tentative`` (or to the start, which holds
-    nothing): each adds its proposals and drops its rejections.
+    nothing): each adds its proposals and drops its rejections.  So one
+    read costs the proposals of every step before it, and reading every
+    step's ``tentative`` (as ``==`` on steps and traces does) costs
+    O(steps² · proposals); a reader of the whole trace carries the held
+    set from step to step instead, as the trace writer does.
+
+    Steps are immutable: their fields cannot be assigned.
     """
 
     __slots__ = ("proposals", "rejected", "_tentative", "_before")
 
     def __init__(self, proposals: tuple, tentative: Optional[Matching], rejected: Matching):
-        self.proposals, self.rejected = proposals, rejected
-        self._tentative, self._before = tentative, None
+        for name, value in zip(self.__slots__, (proposals, rejected, tentative, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an SpdaStep")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an SpdaStep")
 
     @classmethod
     def after(cls, before: Optional["SpdaStep"], proposals: tuple, rejected: Matching):
@@ -58,7 +69,7 @@ class SpdaStep:
         a run: its proposals are new to the districts, and its rejections
         among what they held or were proposed."""
         step = cls(proposals, None, rejected)
-        step._before = before
+        object.__setattr__(step, "_before", before)
         return step
 
     def follows(self, before: Optional["SpdaStep"]) -> bool:
@@ -126,15 +137,6 @@ def run_intradistrict_spda(problem: Problem, rules) -> Matching:
     return _deferred_acceptance(problem, rules, lists).outcome
 
 
-def _keyed(rule, district: int, problem: Problem):
-    """The rule's ``CompiledRule`` if the district can hold keys under it (a
-    spec rule that ranks every contract of the district), else None."""
-    if rule.kind is RuleKind.EXPLICIT_TABLE:
-        return None
-    comp = compiled(rule, problem)
-    return comp if comp.ranks_all(problem.district_schools[district]) else None
-
-
 def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
     D = problem.num_districts
@@ -144,10 +146,9 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
 
     next_choice = [0] * problem.num_students  # pointer into the lists
     proposing = range(problem.num_students)
-    # per district: the sorted keys it holds, or the contracts if it has no
-    # keys (``keyed``: district -> CompiledRule or None, from its first choice)
-    held = [[] for _ in range(D)]
-    keyed = {}
+    # per district: the sorted keys it holds, or the contracts for a table
+    held = [frozenset() if rules[d].kind is RuleKind.EXPLICIT_TABLE else [] for d in range(D)]
+    comps = {}  # district -> CompiledRule of a spec rule, from its first choice
     every_step = [rules[d].kind is RuleKind.EXPLICIT_TABLE for d in range(D)]
     steps = []
     guard = sum(map(len, lists)) + 1
@@ -170,14 +171,10 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
             new = new_proposals[d]
             if not new and not every_step[d]:
                 continue
-            if d not in keyed:
-                keyed[d] = _keyed(rules[d], d, problem)
-                if keyed[d] is None:
-                    held[d] = frozenset()
-            comp = keyed[d]
-            if comp is None:
+            rule = rules[d]
+            if every_step[d]:
                 pool = held[d] | new
-                chosen = choose(rules[d], pool, problem)
+                chosen = choose(rule, pool, problem)
                 if not chosen <= pool:
                     raise RuleViolation(
                         f"rule for {problem.district_ids[d]} chose outside its input"
@@ -185,10 +182,20 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
                 rejected += pool - chosen
                 held[d] = chosen
                 continue
-            key_at, pos_of = comp.key_at, comp.pos_of
-            pool = held[d] + [key_at[pos_of[x.school]][x.student] for x in new]
+            comp = comps.get(d)
+            if comp is None:
+                comp = comps[d] = compiled(rule, problem)
+            keys = list(map(comp.key, new))
+            if None in keys:
+                unranked = [x for x in new if comp.key(x) is None]
+                if rule.district == d:
+                    raise unranked_error(unranked)
+                rejected += unranked  # a rule chooses no other district's contract
+                keys = [k for k in keys if k is not None]
+            pool = HeldKeys(held[d])
+            pool += keys
             pool.sort()
-            chosen = choose(rules[d], pool, problem)
+            chosen = choose(rule, pool, problem)
             if len(chosen) < len(pool):
                 rejected += map(comp.contract, set(pool).difference(chosen))
                 pool = sorted(chosen)
@@ -207,9 +214,9 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
             next_choice[x.student] += 1
         proposing = sorted({x.student for x in rejected})
 
-    outcome = []
-    for d, comp in keyed.items():
-        outcome += held[d] if comp is None else map(comp.contract, held[d])
+    outcome = [x for d in range(D) if every_step[d] for x in held[d]]
+    for d, comp in comps.items():
+        outcome += map(comp.contract, held[d])
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
     return SpdaTrace(tuple(steps), frozenset(outcome), read)
 

@@ -86,8 +86,8 @@ def assert_kernel_matches_walk(rule, problem):
             want = _outcome(choose, rule, chooser.set_of(mask), problem)
             assert got[0] != "ok" and got == want, (mask, rule)
             continue
-        keys = sorted(comp.key_of[x] for x in chooser.set_of(mask))
-        want = chooser.mask_of(map(comp.contract_at.__getitem__, _chosen_keys(rule, comp, keys)))
+        keys = sorted(map(comp.key, chooser.set_of(mask)))
+        want = chooser.mask_of(map(comp.contract, _chosen_keys(rule, comp, keys)))
         keys_chosen = _chosen_bits(chooser, _translate(chooser.to_keys, mask))
         kernel = _translate(chooser.to_universe, keys_chosen)
         assert kernel == want and got == ("ok", want), (mask, rule)

@@ -589,9 +589,9 @@ def test_completion_chooses_a_student_who_holds_an_earlier_seat():
                 assert state.chooses(x) == chosen
                 if not chosen or x in choose(rule, X | {x}, problem):
                     continue
-                pos = comp.key_of[x] // comp.stride
+                pos = comp.key(x) // comp.stride
                 for y in X:
-                    key = comp.key_of[y]
+                    key = comp.key(y)
                     if y.student == x.student and key // comp.stride < pos:
                         seen.add((kind, "reserve" if key in state.reserved else "open"))
     assert seen >= {(kind, "open") for kind in SPEC_KINDS}
@@ -603,14 +603,19 @@ def test_completion_chooses_a_student_who_holds_an_earlier_seat():
 
 def unvalidated(rng: random.Random, rule):
     """Now and then the rule as ``make_rule`` leaves it without a problem to
-    check it against: missing one school's priority list, or with a list
-    that omits a student."""
-    if rule.kind is RuleKind.EXPLICIT_TABLE or rng.random() >= 0.1:
+    check it against: missing one school's priority list, or with lists
+    that omit some students, so that a pool may hold several contracts the
+    rule does not rank."""
+    if rule.kind is RuleKind.EXPLICIT_TABLE or rng.random() >= 0.2:
         return rule
-    (c, order), *rest = rule.priorities
-    if rng.random() < 0.5:
-        return replace(rule, priorities=tuple(rest))
-    return replace(rule, priorities=((c, order[1:]), *rest))
+    if rng.random() < 0.3:
+        return replace(rule, priorities=rule.priorities[1:])
+    return replace(
+        rule,
+        priorities=tuple(
+            (c, tuple(s for s in order if rng.random() >= 0.3)) for c, order in rule.priorities
+        ),
+    )
 
 
 def home_lists(problem):
@@ -701,6 +706,61 @@ def test_key_loop_raises_the_set_loops_unknown_contract(name):
                 if run[0] is dm.UnknownContract:
                     raised.add(run[1].split()[0])
     assert raised == {"no", "contract"}  # both messages
+
+
+@pytest.mark.parametrize("name", ["spda_basic", "spda_respecting", "spda_rationed"])
+def test_key_loop_names_the_least_unranked_proposal(name):
+    # a rule that ranks nobody: every first-step proposal to its district is
+    # unranked, and both loops name the least of them
+    inst = dm.load_fixture(name)
+    problem, several = inst.problem, 0
+    for d, rule in inst.rules.items():
+        blank = replace(rule, priorities=tuple((c, ()) for c, _ in rule.priorities))
+        first = {problem.contract(s, order[0]) for s, order in enumerate(problem.preferences)}
+        unranked = sorted(x for x in first if x.district == d)
+        got = assert_loop_matches_reference(problem, {**inst.rules, d: blank})[0]
+        assert got[:2] == (
+            dm.UnknownContract,
+            f"contract {unranked[0]} is outside the rule's priorities",
+        )
+        several += len(unranked) > 1
+    assert several
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_key_loop_matches_set_loop_under_another_districts_rule(seed):
+    # a rule filed under another district's index ranks none of the
+    # contracts proposed there and rejects them, as ``choose`` on the set did
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 8))
+    rules = random_rules(rng, problem)
+    moved = {d: rules[(d + 1) % problem.num_districts] for d in rules}
+    assert_loop_matches_reference(problem, {d: unvalidated(rng, r) for d, r in moved.items()})
+
+
+def test_choose_reads_a_list_of_contracts_as_a_set():
+    # only ``HeldKeys`` takes the key path; any other iterable is contracts
+    rng = random.Random(11)
+    for _ in range(20):
+        problem = random_problem(rng, students=(2, 4))
+        for rules in (random_rules(rng, problem), random_rules(rng, problem, tables=1.0)):
+            for rule in rules.values():
+                for X in [frozenset(), *random_sets(rng, problem, 6)]:
+                    want = _outcome(choose, rule, X, problem)
+                    assert _outcome(choose, rule, list(X), problem) == want
+                    assert _outcome(choose, rule, tuple(X), problem) == want
+
+
+def test_steps_cannot_be_assigned(basic):
+    step = run_spda(basic.problem, basic.rules).steps[-1]
+    tentative = step.tentative
+    for name in ("proposals", "rejected", "tentative", "_before"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
+        with pytest.raises(AttributeError):
+            delattr(step, name)
+    assert step.tentative == tentative
 
 
 def choose_calls(monkeypatch, module, run, problem, rules, lists):
