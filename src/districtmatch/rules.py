@@ -327,12 +327,83 @@ def compiled(rule: RuleSpec, problem: Problem) -> CompiledRule:
     return built_once(rule, problem, CompiledRule)
 
 
-class HeldKeys(list):
-    """A sorted list of a spec rule's keys (``CompiledRule``), at most one
-    per student: the form in which deferred acceptance holds a district's
-    contracts and hands them to ``choose``."""
+class HeldSeats:
+    """What deferred acceptance holds at a spec-rule district: per school
+    position, the rule's keys (``CompiledRule``) in reserve seats
+    (``reserved``) and the rest in priority order (``eligible``), at most
+    one key per student; and ``new``, the keys proposed to it in this step,
+    which ``choose`` takes in.
 
-    __slots__ = ()
+    With one key per student no pick at one school takes a key out at
+    another, so a school's picks depend on its own keys alone, and a step
+    picks a school's reserves and eligible keys afresh only where keys
+    arrived.  Keys beyond their type's remaining ceiling are turned down.
+    Then the first ``room`` eligible keys keep the open seats and the rest
+    are turned down, where ``room`` is the school's capacity less its
+    reserve picks, and at most the district cap less every reserve pick and
+    the open picks at earlier schools.  So under a cap every school's room
+    is walked again; without one a school that got no keys keeps what it
+    holds.  What is left is what a fresh walk on it keeps (``_chosen_keys``).
+    """
+
+    __slots__ = ("comp", "reserved", "eligible", "new")
+
+    def __init__(self, comp: CompiledRule):
+        self.comp = comp
+        self.reserved = [[] for _ in comp.capacity]
+        self.eligible = [[] for _ in comp.capacity]
+        self.new = []
+
+    def _refill(self, pos: int, keys: list) -> list:
+        """Add ``keys`` at school ``pos``, pick its reserves and eligible keys
+        afresh, and return the keys over a ceiling."""
+        comp, type_at = self.comp, self.comp.type_at
+        pool = sorted(self.reserved[pos] + self.eligible[pos] + keys)
+        load = {}  # reserve picks per type
+        if comp.reserves and comp.reserves[pos]:
+            picked = []
+            for t, target in comp.reserves[pos]:
+                room = min(target, comp.capacity[pos] - len(picked))
+                # a type named twice in the type order picks again, later keys
+                got = load.get(t, 0)
+                picks = [k for k in pool if type_at[k] == t][got : got + max(room, 0)]
+                load[t] = got + len(picks)
+                picked += picks
+            self.reserved[pos] = picked
+            taken = set(picked)
+            pool = [k for k in pool if k not in taken]
+        over = []
+        for t, q in comp.ceilings[pos].items():
+            over += [k for k in pool if type_at[k] == t][max(q - load.get(t, 0), 0) :]
+        if over:
+            gone = set(over)
+            pool = [k for k in pool if k not in gone]
+        self.eligible[pos] = pool
+        return over
+
+    def _choose(self) -> list:
+        """Take in ``new`` and return the keys turned down."""
+        comp, stride = self.comp, self.comp.stride
+        arrived = {}  # position -> its new keys
+        for k in self.new:
+            arrived.setdefault(k // stride, []).append(k)
+        self.new = []
+        rejected = []
+        for pos, keys in arrived.items():
+            rejected += self._refill(pos, keys)
+        capacity, reserved = comp.capacity, self.reserved
+        if comp.cap is None:
+            walk, left = arrived, math.inf
+        else:
+            walk, left = range(len(capacity)), comp.cap - sum(map(len, reserved))
+        for pos in walk:
+            eligible = self.eligible[pos]
+            room = max(min(capacity[pos] - len(reserved[pos]), left), 0)
+            if len(eligible) > room:
+                rejected += eligible[room:]
+                del eligible[room:]
+            left -= len(eligible)
+        return rejected
 
 
 def unranked_error(unranked) -> UnknownContract:
@@ -344,13 +415,15 @@ def unranked_error(unranked) -> UnknownContract:
 def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     """Evaluate the rule: the chosen subset of X's contracts for this district.
 
-    For a spec rule, ``X`` may instead be a ``HeldKeys`` list; the chosen
-    keys then come back as a list, in the order their seats filled.  Any
-    other iterable is read as contracts.
+    For a spec rule, ``X`` may instead be what deferred acceptance holds at
+    the district, a ``HeldSeats``.  The rule then chooses from its held keys
+    and those in its ``new`` list, re-picking only the schools that got new
+    keys; ``X`` keeps the choice, and ``choose`` returns the keys turned
+    down.  Any other iterable is read as contracts.
     """
+    if isinstance(X, HeldSeats):
+        return X._choose()
     comp = compiled(rule, problem)
-    if isinstance(X, HeldKeys):
-        return _chosen_keys(rule, comp, X, one_each=True)
     key = comp.key
     keys = set(map(key, X))
     unranked = []  # well-formed contracts of the district that have no key
@@ -377,9 +450,9 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     return frozenset(map(comp.contract, _chosen_keys(rule, comp, sorted(keys))))
 
 
-def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None, one_each=False) -> list:
+def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
     """The keys a spec rule chooses from ``keys``, which are sorted and
-    distinct (with ``one_each``, also at most one per student).
+    distinct.
 
     Reserve seats fill first, school by school and type by type.  Then each
     school's open seats, under the district cap, go to the first free keys
@@ -391,7 +464,7 @@ def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None, one_each=F
     fills.
     """
     student_at, type_at, capacity, cap = comp.student_at, comp.type_at, comp.capacity, comp.cap
-    repeats = not (rule.completed or one_each) and len(
+    repeats = not rule.completed and len(
         set(map(student_at.__getitem__, keys))
     ) < len(keys)
     pools = _school_pools(comp, keys)

@@ -9,12 +9,14 @@ it holds without re-choosing: those rules are idempotent (IRC implies
 C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
 
-A spec-rule district holds its tentative contracts as a sorted list of its
-rule's keys (``rules.HeldKeys``), merges each step's proposal keys into it
-and chooses on that list; explicit tables hold and choose sets of
-contracts.  Contracts are built only for the step records and the outcome,
-and a step records its proposals and rejections, not what the districts
-hold after it.
+A spec-rule district holds its tentative contracts as its rule's keys,
+school by school (``rules.HeldSeats``).  Each step hands it the keys of
+its new proposals, and ``choose`` re-picks only the schools that got one;
+under a district cap it then walks the rooms of all the district's
+schools.  It returns the keys it turns down.  Explicit tables hold and
+choose sets of contracts.  Contracts are built only for the proposals and
+kept by key, so rejections and the outcome reuse them.  A step records its
+proposals and rejections, not what the districts hold after it.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
@@ -30,7 +32,7 @@ from typing import Optional
 from .errors import RuleViolation
 from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
 from .policy import share_gaps
-from .rules import Cutoffs, HeldKeys, RuleKind, choose, compiled, unranked_error
+from .rules import Cutoffs, HeldSeats, RuleKind, choose, compiled, unranked_error
 
 
 class SpdaStep:
@@ -146,10 +148,11 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
 
     next_choice = [0] * problem.num_students  # pointer into the lists
     proposing = range(problem.num_students)
-    # per district: the sorted keys it holds, or the contracts for a table
-    held = [frozenset() if rules[d].kind is RuleKind.EXPLICIT_TABLE else [] for d in range(D)]
-    comps = {}  # district -> CompiledRule of a spec rule, from its first choice
-    every_step = [rules[d].kind is RuleKind.EXPLICIT_TABLE for d in range(D)]
+    tables = [rules[d].kind is RuleKind.EXPLICIT_TABLE for d in range(D)]
+    # per district: the contracts a table holds, or a spec rule's HeldSeats
+    # from its first proposal
+    held = [frozenset() if tables[d] else None for d in range(D)]
+    contract_of = [{} for _ in range(D)]  # per spec district: key -> contract
     steps = []
     guard = sum(map(len, lists)) + 1
 
@@ -159,64 +162,68 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
                 "no convergence; a rule is re-rejecting held contracts",
                 trace=SpdaTrace(tuple(steps), frozenset()),
             )
-        new_proposals = [set() for _ in range(D)]
+        proposals = [[] for _ in range(D)]
         for s in proposing:
             if next_choice[s] >= len(lists[s]):
                 continue  # list exhausted; student stays unmatched
             x = problem.contract(s, lists[s][next_choice[s]])
-            new_proposals[x.district].add(x)
+            proposals[x.district].append(x)
 
         rejected = []
         for d in range(D):
-            new = new_proposals[d]
-            if not new and not every_step[d]:
-                continue
+            new = proposals[d]
             rule = rules[d]
-            if every_step[d]:
-                pool = held[d] | new
+            if tables[d]:
+                pool = held[d].union(new)
                 chosen = choose(rule, pool, problem)
                 if not chosen <= pool:
                     raise RuleViolation(
-                        f"rule for {problem.district_ids[d]} chose outside its input"
+                        f"rule for {problem.district_ids[d]} chose outside its input",
+                        trace=SpdaTrace(tuple(steps), frozenset()),
                     )
                 rejected += pool - chosen
                 held[d] = chosen
                 continue
-            comp = comps.get(d)
-            if comp is None:
-                comp = comps[d] = compiled(rule, problem)
-            keys = list(map(comp.key, new))
-            if None in keys:
-                unranked = [x for x in new if comp.key(x) is None]
+            if not new:
+                continue
+            seats = held[d]
+            if seats is None:
+                seats = held[d] = HeldSeats(compiled(rule, problem))
+            # ``CompiledRule.key``, less its district check: a proposal's
+            # district is its school's
+            pos_of, key_at, by_key = seats.comp.pos_of, seats.comp.key_at, contract_of[d]
+            unranked = []
+            for x in new:
+                pos = pos_of.get(x.school)
+                k = None if pos is None else key_at[pos][x.student]
+                if k is None:
+                    unranked.append(x)
+                else:
+                    by_key[k] = x
+                    seats.new.append(k)
+            if unranked:
                 if rule.district == d:
                     raise unranked_error(unranked)
                 rejected += unranked  # a rule chooses no other district's contract
-                keys = [k for k in keys if k is not None]
-            pool = HeldKeys(held[d])
-            pool += keys
-            pool.sort()
-            chosen = choose(rule, pool, problem)
-            if len(chosen) < len(pool):
-                rejected += map(comp.contract, set(pool).difference(chosen))
-                pool = sorted(chosen)
-            held[d] = pool
+            rejected += map(by_key.pop, choose(rule, seats, problem))
 
         steps.append(
             SpdaStep.after(
                 steps[-1] if steps else None,
-                tuple((d, frozenset(new_proposals[d])) for d in range(D)),
+                tuple((d, frozenset(proposals[d])) for d in range(D)),
                 frozenset(rejected),
             )
         )
         if not rejected:
             break
-        for x in rejected:
-            next_choice[x.student] += 1
-        proposing = sorted({x.student for x in rejected})
+        # a student has one contract out, so none is turned down twice
+        proposing = [x.student for x in rejected]
+        for s in proposing:
+            next_choice[s] += 1
 
-    outcome = [x for d in range(D) if every_step[d] for x in held[d]]
-    for d, comp in comps.items():
-        outcome += map(comp.contract, held[d])
+    outcome = [x for d in range(D) if tables[d] for x in held[d]]
+    for by_key in contract_of:
+        outcome += by_key.values()
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
     return SpdaTrace(tuple(steps), frozenset(outcome), read)
 

@@ -16,7 +16,9 @@ the market-wide loop run on home-district lists.
 contracts, as it was before ``districtmatch.spda._deferred_acceptance`` ran
 spec-rule districts on sorted key lists: it builds a contract for every
 proposal, chooses on each district's held set plus its proposals, and
-records every step's full tentative set.
+records every step's full tentative set.  Like the package's loop, both
+set loops raise the error for a rule that chooses outside its input with
+the steps they took before it.
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
             chosen = choose_reference(rules[d], pool, problem)
             if not chosen <= pool:
                 raise RuleViolation(
-                    f"rule for {problem.district_ids[d]} chose outside its input"
+                    f"rule for {problem.district_ids[d]} chose outside its input",
+                    trace=SpdaTrace(tuple(steps), frozenset()),
                 )
             tentative[d] = chosen
             rejected |= pool - chosen
@@ -275,7 +278,8 @@ def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
             chosen = choose(rules[d], pool, problem)
             if not chosen <= pool:
                 raise RuleViolation(
-                    f"rule for {problem.district_ids[d]} chose outside its input"
+                    f"rule for {problem.district_ids[d]} chose outside its input",
+                    trace=SpdaTrace(tuple(steps), frozenset()),
                 )
             tentative[d] = chosen
             rejected |= pool - chosen

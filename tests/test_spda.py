@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 import districtmatch as dm
-from districtmatch.rules import RuleKind, make_rule
+import districtmatch.rules as rules_module
+import districtmatch.spda as spda_module
+from districtmatch.rules import RuleKind, choose, make_rule
 from districtmatch.spda import (
     alpha_diversity_gap,
     check_balanced_exchange,
@@ -88,6 +92,25 @@ def test_reserves_golden(reserves_diversity):
 
 
 # -- intradistrict runs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["spda_basic", "spda_respecting", "spda_rationed"])
+def test_choose_calls_are_the_step_district_pairs_with_proposals(name, monkeypatch):
+    # the benchmark tracer's ``rules.choose.calls`` counts one choice per
+    # step and district that got a proposal, as the set loop made
+    inst = dm.load_fixture(name)
+    calls = []
+
+    def counting(rule, X, problem):
+        calls.append(rule.district)
+        return choose(rule, X, problem)
+
+    for module in (rules_module, spda_module):
+        monkeypatch.setattr(module, "choose", counting)
+    trace = run_spda(inst.problem, inst.rules)
+    pairs = [d for step in trace.steps for d, X in step.proposals if X]
+    assert calls == pairs
+    assert len(pairs) > trace.num_steps  # some step reaches both districts
 
 
 def test_intradistrict_matches_reference(basic, respecting, rationed, reserves_diversity):

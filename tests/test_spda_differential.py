@@ -1,5 +1,5 @@
 """The compiled ``choose``, the incremental ``run_spda``, the deferred
-acceptance loop on key lists, the cut-off ``is_stable`` and the
+acceptance loop on per-school held seats, the cut-off ``is_stable`` and the
 intradistrict run on home-district lists against the direct implementations
 they replace."""
 
@@ -27,6 +27,7 @@ from districtmatch.model import (
 )
 from districtmatch.rules import (
     Cutoffs,
+    HeldSeats,
     RuleKind,
     choose,
     compiled,
@@ -740,7 +741,7 @@ def test_key_loop_matches_set_loop_under_another_districts_rule(seed):
 
 
 def test_choose_reads_a_list_of_contracts_as_a_set():
-    # only ``HeldKeys`` takes the key path; any other iterable is contracts
+    # a list or tuple of contracts is chosen from as the set of them
     rng = random.Random(11)
     for _ in range(20):
         problem = random_problem(rng, students=(2, 4))
@@ -801,3 +802,118 @@ def test_key_loop_calls_choose_as_the_set_loop_did(monkeypatch):
             assert got == want == [
                 d for step in trace.steps for d, X in step.proposals if X or d in tables
             ]
+
+
+# -- the per-school held seats against the whole-pool walk ------------------------
+
+
+def held_keys(seats):
+    """Every key a district's ``HeldSeats`` holds, sorted."""
+    return sorted(k for picks in (seats.reserved, seats.eligible) for pool in picks for k in pool)
+
+
+def checked_choose(rule, X, problem, checked):
+    """``choose``; on a district's ``HeldSeats``, also the checks that what
+    it keeps is ``_chosen_keys`` of the pool it chose from, and that its
+    per-school state is what a fresh walk on what it keeps computes."""
+    if not isinstance(X, HeldSeats):
+        return choose(rule, X, problem)
+    comp = X.comp
+    pool = sorted(held_keys(X) + X.new)
+    students = [comp.student_at[k] for k in pool]
+    assert len(set(students)) == len(students)  # one key per student
+    rejected = choose(rule, X, problem)
+    kept = held_keys(X)
+    assert kept == sorted(rules_module._chosen_keys(rule, comp, pool))
+    assert sorted(rejected) == sorted(set(pool) - set(kept))
+    fresh = HeldSeats(comp)
+    fresh.new = list(kept)
+    assert choose(rule, fresh, problem) == []
+    assert (fresh.reserved, fresh.eligible) == (X.reserved, X.eligible)
+    checked.append(len(pool))
+    return rejected
+
+
+def assert_seats_match_walk(problem, rules):
+    """Run the loop on full and on home-district lists with every choice on
+    held seats checked; returns the pool sizes checked."""
+    checked = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(
+            spda_module, "choose", lambda rule, X, p: checked_choose(rule, X, p, checked)
+        )
+        for lists in (problem.preferences, home_lists(problem)):
+            _outcome(spda_module._deferred_acceptance, problem, rules, lists)
+    return checked
+
+
+def capped(rng: random.Random, rules, problem):
+    """Now and then a district cap on a spec rule that has none, so that the
+    cap binds at later schools."""
+    return {
+        d: replace(rule, district_cap=rng.randint(1, problem.k_district[d] + 1))
+        if rule.kind is not RuleKind.EXPLICIT_TABLE and rng.random() < 0.3
+        else rule
+        for d, rule in rules.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from(["small", "large", "wide"]))
+def test_held_seats_match_the_walk_after_every_step(seed, size):
+    # every spec kind, completions, own-favoring variants, caps, and tables
+    # mixed in on small markets; 30 or more students on the larger ones
+    rng = random.Random(seed)
+    if size == "wide":
+        # four districts of two schools, one per spec kind
+        problem, rules = large_market(rng, students=rng.randint(40, 80), schools=8)
+        rules = {d: variant(rng, rule, problem) for d, rule in rules.items()}
+    else:
+        problem = random_problem(rng, students=(2, 5) if size == "small" else (30, 45))
+        rules = random_rules(rng, problem, tables=0.3 if size == "small" else 0.0)
+    rules = capped(rng, rules, problem)
+    if size != "wide":
+        rules = {d: unvalidated(rng, r) for d, r in rules.items()}
+    assert_seats_match_walk(problem, rules)
+
+
+def test_held_seats_checks_reach_large_pools():
+    # the hypothesis test above checks pools past the first few keys
+    rng = random.Random(3)
+    sizes = []
+    for _ in range(5):
+        problem, rules = large_market(rng, students=40, schools=8)
+        sizes += assert_seats_match_walk(problem, capped(rng, rules, problem))
+    assert max(sizes) >= 20
+
+
+def test_rule_violation_keeps_the_steps_taken():
+    # a table that chooses outside its input stops the run with the steps it
+    # took before: those of the run under the same table with each entry cut
+    # to its set, up to the step that consulted the bad entry
+    longest = 0
+    for seed in (12, 125, 154, 170, 70, 84, 180, 265):
+        rng = random.Random(seed)
+        problem = random_problem(rng, students=(2, 5))
+        rules = random_rules(rng, problem, tables=0.5)
+        repaired = {
+            d: replace(rule, table=tuple((key, value & key) for key, value in rule.table))
+            for d, rule in rules.items()
+        }
+        for lists in (problem.preferences, home_lists(problem)):
+            try:
+                spda_module._deferred_acceptance(problem, rules, lists)
+                continue
+            except RuleViolation as exc:
+                if "chose outside its input" not in str(exc):
+                    continue
+                partial = exc.trace
+            assert partial.outcome == frozenset()
+            try:
+                steps = spda_module._deferred_acceptance(problem, repaired, lists).steps
+            except RuleViolation as exc:  # the repaired table may not converge
+                steps = exc.trace.steps
+            assert len(steps) > len(partial.steps)
+            assert steps[: len(partial.steps)] == partial.steps
+            longest = max(longest, len(partial.steps))
+    assert longest >= 4
