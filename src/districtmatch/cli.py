@@ -310,18 +310,20 @@ def _write_spda_trace(fh, problem, trace):
         return problem.district_ids[proposal[0]]
 
     def steps():
-        # the tentative keys, carried from a step to the one that follows it
-        held, before = [], None
-        for step in trace.steps:
+        # the tentative keys, carried from step to step; a step outside
+        # ``SpdaStep``'s contract is refused
+        held = []
+        for i, step in enumerate(trace.steps):
             rejected = _pair_keys(step.rejected, C)
-            if step.follows(before):
-                held += [x.student * C + x.school for _, X in step.proposals for x in X]
-                held.sort()
-                for k in rejected:
-                    del held[bisect_left(held, k)]
-            else:
-                held = _pair_keys(step.tentative, C)
-            before = step
+            held += [x.student * C + x.school for _, X in step.proposals for x in X]
+            held.sort()
+            for k in rejected:
+                j = bisect_left(held, k)
+                if j == len(held) or held[j] != k:
+                    raise ValueError(
+                        f"SPDA step {i} rejects a contract neither held nor proposed"
+                    )
+                del held[j]
             yield _block([
                 '"proposals": ' + _block([
                     names[d] + contracts(_pair_keys(X, C), 5)

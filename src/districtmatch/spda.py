@@ -16,7 +16,8 @@ under a district cap it then walks the rooms of all the district's
 schools.  It returns the keys it turns down.  Explicit tables hold and
 choose sets of contracts.  Contracts are built only for the proposals and
 kept by key, so rejections and the outcome reuse them.  A step records its
-proposals and rejections, not what the districts hold after it.
+proposals and rejections only; ``SpdaTrace.tentative`` reads what the
+districts hold after each step from them, in one pass.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
@@ -35,78 +36,19 @@ from .policy import share_gaps
 from .rules import Cutoffs, HeldSeats, RuleKind, choose, compiled, unranked_error
 
 
+@dataclass(frozen=True, slots=True)
 class SpdaStep:
     """One step: ``proposals``, per district in index order the contracts
-    proposed to it; ``rejected``, the contracts the districts turned down;
-    and ``tentative``, what the districts hold after the step.
+    proposed to it; ``rejected``, the contracts the districts turned down.
 
-    ``SpdaStep(proposals, tentative, rejected)`` keeps the given
-    ``tentative``.  A run builds each step with ``after``, from the step
-    before it, and reading its ``tentative`` replays the steps back to the
-    last one that holds a ``tentative`` (or to the start, which holds
-    nothing): each adds its proposals and drops its rejections.  So one
-    read costs the proposals of every step before it, and reading every
-    step's ``tentative`` (as ``==`` on steps and traces does) costs
-    O(steps² · proposals); a reader of the whole trace carries the held
-    set from step to step instead, as the trace writer does.
-
-    Steps are immutable: their fields cannot be assigned.
+    A run's steps keep a contract: a trace starts from nothing held; a
+    step's proposals are new to the districts; and its rejections come from
+    what the districts held or were just proposed.  So the steps up to one
+    fix what the districts hold after it (``SpdaTrace.tentative``).
     """
 
-    __slots__ = ("proposals", "rejected", "_tentative", "_before")
-
-    def __init__(self, proposals: tuple, tentative: Optional[Matching], rejected: Matching):
-        for name, value in zip(self.__slots__, (proposals, rejected, tentative, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an SpdaStep")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an SpdaStep")
-
-    @classmethod
-    def after(cls, before: Optional["SpdaStep"], proposals: tuple, rejected: Matching):
-        """The step that follows ``before`` (None for a run's first step) in
-        a run: its proposals are new to the districts, and its rejections
-        among what they held or were proposed."""
-        step = cls(proposals, None, rejected)
-        object.__setattr__(step, "_before", before)
-        return step
-
-    def follows(self, before: Optional["SpdaStep"]) -> bool:
-        """Whether ``tentative`` is ``before``'s (nothing if None) plus this
-        step's proposals, less its rejections."""
-        return self._tentative is None and self._before is before
-
-    @property
-    def tentative(self) -> Matching:
-        replay, step = [], self
-        while step is not None and step._tentative is None:
-            replay.append(step)
-            step = step._before
-        held = set(() if step is None else step._tentative)
-        for step in reversed(replay):
-            for _, X in step.proposals:
-                held |= X
-            held -= step.rejected
-        return frozenset(held)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.proposals, self.rejected, self.tentative) == (
-            other.proposals, other.rejected, other.tentative
-        )
-
-    def __hash__(self):
-        return hash((self.proposals, self.rejected))
-
-    def __repr__(self):
-        return (
-            f"SpdaStep(proposals={self.proposals!r}, tentative={self.tentative!r}, "
-            f"rejected={self.rejected!r})"
-        )
+    proposals: tuple
+    rejected: Matching
 
 
 @dataclass(frozen=True)
@@ -120,6 +62,16 @@ class SpdaTrace:
     @property
     def num_steps(self):
         return len(self.steps)
+
+    def tentative(self):
+        """Yield what the districts hold after each step, in one pass: the
+        paper's tentative assignment."""
+        held = set()
+        for step in self.steps:
+            for _, X in step.proposals:
+                held |= X
+            held -= step.rejected
+            yield frozenset(held)
 
 
 def run_spda(problem: Problem, rules) -> SpdaTrace:
@@ -208,11 +160,7 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
             rejected += map(by_key.pop, choose(rule, seats, problem))
 
         steps.append(
-            SpdaStep.after(
-                steps[-1] if steps else None,
-                tuple((d, frozenset(proposals[d])) for d in range(D)),
-                frozenset(rejected),
-            )
+            SpdaStep(tuple((d, frozenset(proposals[d])) for d in range(D)), frozenset(rejected))
         )
         if not rejected:
             break

@@ -15,10 +15,12 @@ the market-wide loop run on home-district lists.
 ``deferred_acceptance_reference`` is that market-wide loop on sets of
 contracts, as it was before ``districtmatch.spda._deferred_acceptance`` ran
 spec-rule districts on sorted key lists: it builds a contract for every
-proposal, chooses on each district's held set plus its proposals, and
-records every step's full tentative set.  Like the package's loop, both
-set loops raise the error for a rule that chooses outside its input with
-the steps they took before it.
+proposal and chooses on each district's held set plus its proposals.
+Both set loops return, beside the trace, the union of the districts'
+chosen sets after each step, which ``SpdaTrace.tentative`` must reproduce
+from the steps.  Like the package's loop, both raise the error for a rule
+that chooses outside its input with the steps they took before it; the
+error carries those chosen sets as ``tentative``.
 """
 
 from __future__ import annotations
@@ -177,8 +179,17 @@ def _choose_reserves(rule: RuleSpec, own, problem: Problem) -> Matching:
     return frozenset(chosen)
 
 
-def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
-    """Run deferred acceptance; ``rules`` maps district index -> RuleSpec."""
+def _violation(message, steps, held_after):
+    """The ``RuleViolation`` of a set loop that took ``steps``, carrying what
+    its districts chose after each as ``tentative``."""
+    exc = RuleViolation(message, trace=SpdaTrace(tuple(steps), frozenset()))
+    exc.tentative = list(held_after)
+    return exc
+
+
+def run_spda_reference(problem: Problem, rules):
+    """Run deferred acceptance; ``rules`` maps district index -> RuleSpec.
+    Returns the trace and the districts' chosen sets after each step."""
     for d in range(problem.num_districts):
         if d not in rules:
             raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
@@ -186,14 +197,13 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
     next_choice = [0] * problem.num_students  # pointer into preference lists
     proposing = set(range(problem.num_students))
     held = {d: frozenset() for d in range(problem.num_districts)}
-    steps = []
+    steps, held_after = [], []
     guard = problem.num_students * problem.num_schools + 1
 
     while True:
         if len(steps) > guard:
-            raise RuleViolation(
-                "no convergence; a rule is re-rejecting held contracts",
-                trace=SpdaTrace(tuple(steps), frozenset()),
+            raise _violation(
+                "no convergence; a rule is re-rejecting held contracts", steps, held_after
             )
         new_proposals = {d: set() for d in range(problem.num_districts)}
         for s in sorted(proposing):
@@ -209,9 +219,10 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
             pool = held[d] | new_proposals[d]
             chosen = choose_reference(rules[d], pool, problem)
             if not chosen <= pool:
-                raise RuleViolation(
+                raise _violation(
                     f"rule for {problem.district_ids[d]} chose outside its input",
-                    trace=SpdaTrace(tuple(steps), frozenset()),
+                    steps,
+                    held_after,
                 )
             tentative[d] = chosen
             rejected |= pool - chosen
@@ -222,10 +233,10 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
                     (d, frozenset(new_proposals[d]))
                     for d in range(problem.num_districts)
                 ),
-                tentative=frozenset().union(*tentative.values()),
                 rejected=frozenset(rejected),
             )
         )
+        held_after.append(frozenset().union(*tentative.values()))
         held = tentative
 
         if not rejected:
@@ -236,11 +247,12 @@ def run_spda_reference(problem: Problem, rules) -> SpdaTrace:
             proposing.add(x.student)
 
     outcome = frozenset().union(*held.values())
-    return SpdaTrace(tuple(steps), outcome)
+    return SpdaTrace(tuple(steps), outcome), held_after
 
 
-def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
-    """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
+def deferred_acceptance_reference(problem: Problem, rules, lists):
+    """Deferred acceptance in which student ``s`` proposes down ``lists[s]``.
+    Returns the trace and the districts' chosen sets after each step."""
     for d in range(problem.num_districts):
         if d not in rules:
             raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
@@ -252,14 +264,13 @@ def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
         d for d in range(problem.num_districts)
         if rules[d].kind is RuleKind.EXPLICIT_TABLE
     }
-    steps = []
+    steps, held_after = [], []
     guard = sum(map(len, lists)) + 1
 
     while True:
         if len(steps) > guard:
-            raise RuleViolation(
-                "no convergence; a rule is re-rejecting held contracts",
-                trace=SpdaTrace(tuple(steps), frozenset()),
+            raise _violation(
+                "no convergence; a rule is re-rejecting held contracts", steps, held_after
             )
         new_proposals = {d: set() for d in range(problem.num_districts)}
         for s in sorted(proposing):
@@ -277,9 +288,10 @@ def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
             pool = held[d] | new_proposals[d]
             chosen = choose(rules[d], pool, problem)
             if not chosen <= pool:
-                raise RuleViolation(
+                raise _violation(
                     f"rule for {problem.district_ids[d]} chose outside its input",
-                    trace=SpdaTrace(tuple(steps), frozenset()),
+                    steps,
+                    held_after,
                 )
             tentative[d] = chosen
             rejected |= pool - chosen
@@ -290,10 +302,10 @@ def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
                     (d, frozenset(new_proposals[d]))
                     for d in range(problem.num_districts)
                 ),
-                tentative=frozenset().union(*tentative.values()),
                 rejected=frozenset(rejected),
             )
         )
+        held_after.append(frozenset().union(*tentative.values()))
         held = tentative
 
         if not rejected:
@@ -305,7 +317,7 @@ def deferred_acceptance_reference(problem: Problem, rules, lists) -> SpdaTrace:
 
     outcome = frozenset().union(*held.values())
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
-    return SpdaTrace(tuple(steps), outcome, read)
+    return SpdaTrace(tuple(steps), outcome, read), held_after
 
 
 def is_stable_reference(X: Matching, problem: Problem, rules) -> StabilityVerdict:

@@ -74,7 +74,7 @@ def test_criterion_1_basic_spda_golden(basic, capsys):
         ("s4", "c2"),
     ]
     assert trace.num_steps == 2
-    assert ids_of(p, trace.steps[0].tentative) == [
+    assert ids_of(p, next(trace.tentative())) == [
         ("s2", "c3"),
         ("s3", "c1"),
         ("s4", "c2"),

@@ -1172,22 +1172,20 @@ def _edge_traces():
     return [
         spda(p),
         ttc(p),
-        spda(p, SpdaStep((), frozenset(), frozenset())),
+        spda(p, SpdaStep((), frozenset())),
         spda(
             q,
             SpdaStep(
                 ((0, frozenset([x[0, 0], x[2, 0]])), (1, frozenset([x[1, 1]]))),
-                held,
                 frozenset(),
             ),
-            SpdaStep(((0, frozenset()), (1, frozenset())), held, frozenset()),
+            SpdaStep(((0, frozenset()), (1, frozenset())), frozenset()),
             outcome=held,
         ),
         spda(
             p,
             SpdaStep(
                 ((0, frozenset([x[0, 0]])), (1, frozenset([x[1, 2], x[2, 2]]))),
-                frozenset([x[0, 0], x[2, 2]]),
                 frozenset([x[1, 2]]),
             ),
         ),

@@ -41,7 +41,7 @@ def test_basic_golden_trace(basic):
     trace = run_spda(p, basic.rules)
     assert ids_of(p, trace.outcome) == GOLDEN_BASIC
     assert trace.num_steps == 2
-    assert ids_of(p, trace.steps[0].tentative) == [
+    assert ids_of(p, next(trace.tentative())) == [
         ("s2", "c3"),
         ("s3", "c1"),
         ("s4", "c2"),

@@ -50,6 +50,7 @@ from spda_reference import (
     run_spda_reference,
     single_district_da_reference,
 )
+from trace_reference import _spda_trace_doc, trace_text
 
 SPEC_KINDS = [k for k in RuleKind if k is not RuleKind.EXPLICIT_TABLE]
 
@@ -154,6 +155,24 @@ def _outcome(fn, *args):
         return (type(exc), str(exc), getattr(exc, "trace", None))
 
 
+def assert_run_matches_reference(got, reference, *args):
+    """``got``, the ``_outcome`` of a run, is that of the set loop
+    ``reference`` on ``args``: the same trace or error.  Its trace, finished
+    or partial, holds after each step what the set loop's districts chose
+    (``SpdaTrace.tentative``).  Returns the set loop's outcome."""
+    try:
+        trace, held_after = reference(*args)
+        want = ("ok", trace)
+    except DistrictMatchError as exc:
+        want = (type(exc), str(exc), getattr(exc, "trace", None))
+        held_after = getattr(exc, "tentative", None)
+    assert got == want
+    trace = got[1] if got[0] == "ok" else got[2]
+    if trace is not None:
+        assert list(trace.tentative()) == held_after
+    return want
+
+
 def assert_same(problem, rules, sets):
     for rule in rules.values():
         for X in sets:
@@ -161,7 +180,7 @@ def assert_same(problem, rules, sets):
                 choose_reference, rule, X, problem
             )
     run = _outcome(run_spda, problem, rules)
-    assert run == _outcome(run_spda_reference, problem, rules)
+    assert_run_matches_reference(run, run_spda_reference, problem, rules)
     matchings = list(sets) + [problem.initial_matching(), frozenset()]
     if run[0] == "ok":
         matchings.append(run[1].outcome)
@@ -280,7 +299,7 @@ def test_skipped_districts_do_not_change_the_step_record(basic, monkeypatch):
 
     monkeypatch.setattr(spda_module, "choose", counting)
     trace = run_spda(basic.problem, basic.rules)
-    assert trace == run_spda_reference(basic.problem, basic.rules)
+    assert_run_matches_reference(("ok", trace), run_spda_reference, basic.problem, basic.rules)
     assert len(calls) < trace.num_steps * basic.problem.num_districts
 
 
@@ -637,21 +656,22 @@ def spda_bytes(problem, trace):
 def assert_loop_matches_reference(problem, rules):
     """The loop against the set loop it replaced, on full and on
     home-district lists: the same trace (steps, outcome and ``read``) and
-    trace bytes, or the same error with the same partial trace.  Returns the
-    two outcomes."""
+    held sets, or the same error with the same partial trace; and the trace
+    bytes of the reference document.  Returns the two outcomes."""
     runs = []
     for lists in (problem.preferences, home_lists(problem)):
         got = _outcome(spda_module._deferred_acceptance, problem, rules, lists)
-        want = _outcome(deferred_acceptance_reference, problem, rules, lists)
-        assert got == want
+        want = assert_run_matches_reference(
+            got, deferred_acceptance_reference, problem, rules, lists
+        )
         ok = got[0] == "ok"
         if ok:
             assert got[1].read == want[1].read
-        trace, reference = (got[1], want[1]) if ok else (got[2], want[2])
+        trace = got[1] if ok else got[2]
         if trace is not None:
-            # the writer carries the tentative keys from step to step, and
-            # renders the reference's own tentative sets
-            assert spda_bytes(problem, trace) == spda_bytes(problem, reference)
+            # the writer carries the tentative keys from step to step; the
+            # document renders ``trace.tentative()``, checked above
+            assert spda_bytes(problem, trace) == trace_text(_spda_trace_doc(problem, trace))
         runs.append(got)
     return runs
 
@@ -754,14 +774,26 @@ def test_choose_reads_a_list_of_contracts_as_a_set():
 
 
 def test_steps_cannot_be_assigned(basic):
-    step = run_spda(basic.problem, basic.rules).steps[-1]
-    tentative = step.tentative
-    for name in ("proposals", "rejected", "tentative", "_before"):
-        with pytest.raises(AttributeError):
+    step = run_spda(basic.problem, basic.rules).steps[0]
+    fields = (step.proposals, step.rejected)
+    for name in ("proposals", "rejected"):
+        with pytest.raises(AttributeError):  # FrozenInstanceError
             setattr(step, name, None)
         with pytest.raises(AttributeError):
             delattr(step, name)
-    assert step.tentative == tentative
+    assert (step.proposals, step.rejected) == fields
+
+
+def test_traces_compare_by_proposals_and_rejections(basic):
+    # what the districts hold after each step follows from the steps, so
+    # traces are equal when their proposals and rejections are
+    trace = run_spda(basic.problem, basic.rules)
+    assert trace == run_spda(basic.problem, basic.rules)
+    i = next(i for i, step in enumerate(trace.steps) if step.rejected)
+    x = min(trace.steps[i].rejected)
+    changed = replace(trace.steps[i], rejected=trace.steps[i].rejected - {x})
+    steps = trace.steps[:i] + (changed,) + trace.steps[i + 1 :]
+    assert replace(trace, steps=steps) != trace
 
 
 def choose_calls(monkeypatch, module, run, problem, rules, lists):

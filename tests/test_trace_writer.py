@@ -6,6 +6,7 @@ import dataclasses
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,8 +81,22 @@ def test_writers_match_reference_on_random_markets(seed, data):
         # a failed run carries the steps it took and no outcome
         k = data.draw(st.integers(0, trace.num_steps), label="steps kept")
         assert_same_bytes(problem, type(trace)(trace.steps[:k], frozenset()))
-        # steps cut from the middle of a run, the first not following the start
-        assert_same_bytes(problem, type(trace)(trace.steps[k:], trace.outcome))
+        if isinstance(trace, TtcTrace):
+            # steps cut from the middle of a run; an SPDA trace starts from
+            # nothing held (see the test below)
+            assert_same_bytes(problem, type(trace)(trace.steps[k:], trace.outcome))
+
+
+def test_spda_writer_refuses_a_trace_cut_from_the_middle():
+    # its step k rejects a contract held before it, which the cut trace
+    # neither holds nor proposes
+    inst = dm.load_fixture("spda_rationed")
+    trace = dm.run_spda(inst.problem, inst.rules)
+    held = list(trace.tentative())
+    k = next(k for k in range(1, trace.num_steps) if trace.steps[k].rejected & held[k - 1])
+    cut = SpdaTrace(trace.steps[k:], trace.outcome)
+    with pytest.raises(ValueError, match="SPDA step 0 rejects"):
+        cli._write_spda_trace(io.StringIO(), inst.problem, cut)
 
 
 @settings(max_examples=20, deadline=None)
@@ -99,7 +114,8 @@ def test_writers_match_reference_on_the_stuck_fixture(data):
 
 @st.composite
 def drawn_traces(draw):
-    """A problem and a trace of arbitrary, possibly empty, steps over it."""
+    """A problem and a trace of arbitrary, possibly empty, steps over it; an
+    SPDA trace's steps keep ``SpdaStep``'s contract."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     problem = renamed(draw, random_problem(rng, students=(2, 5)))
     students = range(problem.num_students)
@@ -108,18 +124,26 @@ def drawn_traces(draw):
     slots = [(c, t) for c in schools for t in types]
 
     def subset(items):
-        return draw(st.lists(st.sampled_from(items), unique=True))
+        return draw(st.lists(st.sampled_from(items), unique=True)) if items else []
 
     def matching():
         return frozenset(subset(contracts))
 
-    steps = []
+    steps, held = [], set()
     spda = draw(st.booleans())
     for _ in range(draw(st.integers(0, 3))):
         if spda:
+            # proposals not already held; rejections from held and proposed
             districts = sorted(subset(list(range(problem.num_districts))))
+            new = subset([x for x in contracts if x not in held and x.district in districts])
+            held.update(new)
+            rejected = frozenset(subset(sorted(held)))
+            held -= rejected
             steps.append(
-                SpdaStep(tuple((d, matching()) for d in districts), matching(), matching())
+                SpdaStep(
+                    tuple((d, frozenset(x for x in new if x.district == d)) for d in districts),
+                    rejected,
+                )
             )
         else:
             pointing = sorted(subset(slots)), sorted(subset(list(students)))

@@ -36,10 +36,10 @@ def _spda_trace_doc(problem, trace):
                 "proposals": {
                     problem.district_ids[d]: pairs(p) for d, p in step.proposals
                 },
-                "tentative": pairs(step.tentative),
+                "tentative": pairs(held),
                 "rejected": pairs(step.rejected),
             }
-            for step in trace.steps
+            for step, held in zip(trace.steps, trace.tentative())
         ],
         "outcome": pairs(trace.outcome),
     }
