@@ -120,7 +120,7 @@ def _build_parser():
     p.add_argument(
         "--mechanism", required=True, choices=["spda", "ttc", "efficient-selector"]
     )
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("policy-check", help="goal membership and exchange property")
@@ -131,9 +131,20 @@ def _build_parser():
     p.add_argument("instance")
     p.add_argument("--district", required=True)
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--budget", type=int, default=2 * 10**6)
+    p.add_argument("--budget", type=_budget, default=2 * 10**6)
     p.set_defaults(func=cmd_nonexistence)
     return parser
+
+
+def _budget(text):
+    """A ``--budget`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
 
 
 def _district_index(inst, name):
@@ -166,14 +177,20 @@ def _verdict(v):
     return "holds" if v else "fails"
 
 
+def _require_rules(inst, reader):
+    """The instance must have a rule for every district, which ``reader``
+    needs."""
+    if not inst.rules or len(inst.rules) < inst.problem.num_districts:
+        raise ValidationError(
+            [("DanglingReference", f"{reader} needs a rule for every district")]
+        )
+
+
 def _require_inputs(inst, mechanism):
     """The instance must have the section the mechanism reads: a rule for
     every district for deferred acceptance, a policy goal otherwise."""
     if mechanism.startswith("spda"):
-        if not inst.rules or len(inst.rules) < inst.problem.num_districts:
-            raise ValidationError(
-                [("DanglingReference", f"{mechanism} needs a rule for every district")]
-            )
+        _require_rules(inst, mechanism)
     elif inst.policy is None:
         raise ValidationError(
             [("DanglingReference", f"{mechanism} needs a policy section")]
@@ -384,6 +401,8 @@ def cmd_check_rule(inst, args):
                 )
             ]
         )
+    if RuleProperty.ACCOMMODATES_UNMATCHED.value in args.properties:
+        _require_rules(inst, RuleProperty.ACCOMMODATES_UNMATCHED.value)
     rule = inst.rules[d]
     any_failed = False
     print("property,verdict,witness")

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import weakref
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,6 +21,7 @@ from typing import Optional
 
 from .errors import (
     NoCompletionConstruction,
+    RuleViolation,
     UniverseTooLarge,
     UnknownContract,
     ValidationError,
@@ -188,6 +188,14 @@ def rule_issues(rule: RuleSpec, problem: Problem) -> list:
     return [("InvalidRule", f"{where}: {issue}") for issue in issues]
 
 
+def require_rules(problem: Problem, rules) -> None:
+    """Raise ``RuleViolation`` for the first district without a rule in
+    ``rules`` (district index -> RuleSpec)."""
+    for d in range(problem.num_districts):
+        if d not in rules:
+            raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
+
+
 def _unranked(rule: RuleSpec) -> list:
     """The schools of the rule's ``school_order`` without a priority list."""
     ranked = {c for c, _ in rule.priorities}
@@ -265,12 +273,15 @@ class CompiledRule:
         n = problem.num_students
         orders = [priorities[c] for c in rule.school_order]
         if rule.kind is RuleKind.INITIAL_RESPECTING:
-            # a stable sort lifts each school's initial students to the top
-            initial = problem.initial_school
-            orders = [
-                sorted(order, key=lambda s: initial[s] != c)
-                for c, order in zip(rule.school_order, orders)
-            ]
+            # a stable partition lifts each school's initial students to the
+            # top; entries out of range stay below, for the fill to skip
+            initial, lifted = problem.initial_school, []
+            for c, order in zip(rule.school_order, orders):
+                first, rest = [], []
+                for s in order:
+                    (first if 0 <= s < n and initial[s] == c else rest).append(s)
+                lifted.append(first + rest)
+            orders = lifted
         self.school_order = rule.school_order
         self.pos_of = {c: pos for pos, c in enumerate(rule.school_order)}
         self.district_at = [problem.school_district[c] for c in rule.school_order]
@@ -294,7 +305,7 @@ class CompiledRule:
             self.cap = problem.k_district[rule.district]
         # per position; a sequential kind has none, though ``favor_own_students``
         # keeps a reserves rule's maps in its spec
-        self.reserves, self.ceilings = [], [{}] * len(orders)
+        self.reserves, self.ceilings = [()] * len(orders), [{}] * len(orders)
         if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
             reserves, ceilings = _lookup(rule.reserves), _lookup(rule.ceilings)
             type_order = rule.type_order or tuple(range(problem.num_types))
@@ -331,8 +342,9 @@ class HeldSeats:
     """What deferred acceptance holds at a spec-rule district: per school
     position, the rule's keys (``CompiledRule``) in reserve seats
     (``reserved``) and the rest in priority order (``eligible``), at most
-    one key per student; and ``new``, the keys proposed to it in this step,
-    which ``choose`` takes in.
+    one key per student; ``contracts``, the contract of each held key; and
+    ``new``, the contracts proposed to it in this step, which ``choose``
+    takes in.
 
     With one key per student no pick at one school takes a key out at
     another, so a school's picks depend on its own keys alone, and a step
@@ -346,48 +358,52 @@ class HeldSeats:
     holds.  What is left is what a fresh walk on it keeps (``_chosen_keys``).
     """
 
-    __slots__ = ("comp", "reserved", "eligible", "new")
+    __slots__ = ("comp", "reserved", "eligible", "contracts", "new")
 
-    def __init__(self, comp: CompiledRule):
-        self.comp = comp
+    def __init__(self, rule: RuleSpec, problem: Problem):
+        self.comp = comp = compiled(rule, problem)
         self.reserved = [[] for _ in comp.capacity]
         self.eligible = [[] for _ in comp.capacity]
+        self.contracts = {}  # held key -> its contract
         self.new = []
 
     def _refill(self, pos: int, keys: list) -> list:
         """Add ``keys`` at school ``pos``, pick its reserves and eligible keys
         afresh, and return the keys over a ceiling."""
-        comp, type_at = self.comp, self.comp.type_at
+        comp = self.comp
         pool = sorted(self.reserved[pos] + self.eligible[pos] + keys)
-        load = {}  # reserve picks per type
-        if comp.reserves and comp.reserves[pos]:
-            picked = []
-            for t, target in comp.reserves[pos]:
-                room = min(target, comp.capacity[pos] - len(picked))
-                # a type named twice in the type order picks again, later keys
-                got = load.get(t, 0)
-                picks = [k for k in pool if type_at[k] == t][got : got + max(room, 0)]
-                load[t] = got + len(picks)
-                picked += picks
-            self.reserved[pos] = picked
+        picked, load = _reserve_picks(comp, pos, pool)
+        self.reserved[pos] = picked
+        if picked:
             taken = set(picked)
             pool = [k for k in pool if k not in taken]
-        over = []
-        for t, q in comp.ceilings[pos].items():
-            over += [k for k in pool if type_at[k] == t][max(q - load.get(t, 0), 0) :]
+        over = _over_ceilings(comp, pos, pool, load)
         if over:
             gone = set(over)
             pool = [k for k in pool if k not in gone]
         self.eligible[pos] = pool
         return over
 
-    def _choose(self) -> list:
-        """Take in ``new`` and return the keys turned down."""
-        comp, stride = self.comp, self.comp.stride
-        arrived = {}  # position -> its new keys
-        for k in self.new:
-            arrived.setdefault(k // stride, []).append(k)
+    def _choose(self, district: int) -> list:
+        """Take in ``new`` and return the contracts turned down.  A proposal
+        the rule does not rank is turned down if it is another district's;
+        one of ``district``, the rule's own, raises ``unranked_error``."""
+        comp, contracts = self.comp, self.contracts
+        # as ``CompiledRule.key``, whose district check a proposal always passes
+        pos_of, key_at = comp.pos_of, comp.key_at
+        arrived, unranked = {}, []  # position -> its new keys; proposals without one
+        for x in self.new:
+            pos = pos_of.get(x.school)
+            k = None if pos is None else key_at[pos][x.student]
+            if k is None:
+                unranked.append(x)
+            else:
+                contracts[k] = x
+                arrived.setdefault(pos, []).append(k)
         self.new = []
+        own = [x for x in unranked if x.district == district]
+        if own:
+            raise unranked_error(own)
         rejected = []
         for pos, keys in arrived.items():
             rejected += self._refill(pos, keys)
@@ -403,7 +419,7 @@ class HeldSeats:
                 rejected += eligible[room:]
                 del eligible[room:]
             left -= len(eligible)
-        return rejected
+        return unranked + list(map(contracts.pop, rejected))
 
 
 def unranked_error(unranked) -> UnknownContract:
@@ -416,13 +432,13 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     """Evaluate the rule: the chosen subset of X's contracts for this district.
 
     For a spec rule, ``X`` may instead be what deferred acceptance holds at
-    the district, a ``HeldSeats``.  The rule then chooses from its held keys
-    and those in its ``new`` list, re-picking only the schools that got new
-    keys; ``X`` keeps the choice, and ``choose`` returns the keys turned
-    down.  Any other iterable is read as contracts.
+    the district, a ``HeldSeats``.  The rule then chooses from its held
+    contracts and those in its ``new`` list, re-picking only the schools
+    that got new ones; ``X`` keeps the choice, and ``choose`` returns the
+    contracts turned down.  Any other iterable is read as contracts.
     """
     if isinstance(X, HeldSeats):
-        return X._choose()
+        return X._choose(rule.district)
     comp = compiled(rule, problem)
     key = comp.key
     keys = set(map(key, X))
@@ -450,46 +466,64 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
     return frozenset(map(comp.contract, _chosen_keys(rule, comp, sorted(keys))))
 
 
+def _reserve_picks(comp: CompiledRule, pos: int, pool: list, cuts=None):
+    """The keys of sorted ``pool`` in school ``pos``'s reserve seats, and
+    their count per type; ``cuts`` records each reserve's ``_cutoff``."""
+    type_at, picked, load = comp.type_at, [], {}
+    for t, target in comp.reserves[pos]:
+        room = min(target, comp.capacity[pos] - len(picked))
+        # a type named twice in the type order picks again, later keys
+        got = load.get(t, 0)
+        picks = [k for k in pool if type_at[k] == t][got : got + max(room, 0)]
+        if cuts is not None:
+            cut = cuts.reserve_cut.get((pos, t), -1)
+            cuts.reserve_cut[pos, t] = max(cut, _cutoff(picks, room))
+        load[t] = got + len(picks)
+        picked += picks
+    return picked, load
+
+
+def _over_ceilings(comp: CompiledRule, pos: int, pool: list, load: dict, cuts=None) -> list:
+    """The keys of sorted ``pool`` over their type's ceiling at school ``pos``
+    less its reserve ``load``; ``cuts`` records each ceiling's ``_cutoff``."""
+    type_at, over = comp.type_at, []
+    for t, q in comp.ceilings[pos].items():
+        of_type = [k for k in pool if type_at[k] == t]
+        q -= load.get(t, 0)
+        if cuts is not None:
+            cuts.ceiling_cut[pos, t] = _cutoff(of_type, q)
+        over += of_type[max(q, 0) :]
+    return over
+
+
 def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
     """The keys a spec rule chooses from ``keys``, which are sorted and
     distinct.
 
-    Reserve seats fill first, school by school and type by type.  Then each
-    school's open seats, under the district cap, go to the first free keys
-    of its pool within their type's remaining ceiling (loads only grow, so a
-    type at its ceiling gets no later open seat there).  Only the reserves
-    kind compiles reserves and ceilings.  A key is free while its student
-    holds no chosen key (for a completion, while the key is not chosen).
-    ``cuts``, a ``Cutoffs``, records each seat group's ``_cutoff`` as it
-    fills.
+    Reserve seats fill first, school by school (``_reserve_picks``).  Then
+    each school's open seats, under the district cap, go to the first free
+    keys of its pool within their type's remaining ceiling
+    (``_over_ceilings``; loads only grow, so a type at its ceiling gets no
+    later open seat there).  A key is free while its student holds no
+    chosen key (for a completion, while the key is not chosen).  ``cuts``,
+    a ``Cutoffs``, records each seat group's ``_cutoff`` as it fills.
     """
-    student_at, type_at, capacity, cap = comp.student_at, comp.type_at, comp.capacity, comp.cap
+    student_at, capacity, cap, stride = comp.student_at, comp.capacity, comp.cap, comp.stride
     repeats = not rule.completed and len(
         set(map(student_at.__getitem__, keys))
     ) < len(keys)
-    pools = _school_pools(comp, keys)
+    pools = [[] for _ in capacity]  # per position: its keys, in priority order
+    for k in keys:
+        pools[k // stride].append(k)
     chosen = []
     taken = set()  # chosen students, tracked only when some repeat
     reserved = [()] * len(pools)  # per position: keys that took a reserve seat
     loads = [{}] * len(pools)  # per position: reserve seats taken, per type
-    for pos, targets in enumerate(comp.reserves):
-        if not targets:
-            continue
-        pool = pools[pos]
+    for pos, pool in enumerate(pools):
         if repeats:
             pool = [k for k in pool if student_at[k] not in taken]
-        picked, load = [], {}
-        for t, target in targets:
-            room = min(target, capacity[pos] - len(picked))
-            # a type named twice in the type order picks again, later keys
-            got = load.get(t, 0)
-            picks = [k for k in pool if type_at[k] == t][got : got + max(room, 0)]
-            if cuts is not None:
-                cut = cuts.reserve_cut.get((pos, t), -1)
-                cuts.reserve_cut[pos, t] = max(cut, _cutoff(picks, room))
-            load[t] = got + len(picks)
-            picked += picks
-        reserved[pos], loads[pos] = set(picked), load
+        picked, loads[pos] = _reserve_picks(comp, pos, pool, cuts)
+        reserved[pos] = set(picked)
         chosen += picked
         if repeats:
             taken.update(map(student_at.__getitem__, picked))
@@ -507,31 +541,14 @@ def _chosen_keys(rule: RuleSpec, comp: CompiledRule, keys, cuts=None) -> list:
             pool = [k for k in pool if k not in reserved[pos]]
         if cuts is not None:
             cuts.open_cut[pos] = _cutoff(pool, room)
-        over = set()  # keys beyond their type's remaining ceiling
-        for t, q in comp.ceilings[pos].items():
-            of_type = [k for k in pool if type_at[k] == t]
-            q -= loads[pos].get(t, 0)
-            if cuts is not None:
-                cuts.ceiling_cut[pos, t] = _cutoff(of_type, q)
-            over.update(of_type[max(q, 0) :])
+        over = set(_over_ceilings(comp, pos, pool, loads[pos], cuts))
         if over:
             pool = [k for k in pool if k not in over]
-        picks = pool[: max(room, 0)]
+        picks = pool[:room]
         chosen += picks
         if repeats:
             taken.update(map(student_at.__getitem__, picks))
     return chosen
-
-
-def _school_pools(comp: CompiledRule, keys):
-    """Sorted keys split by school position, each part in priority order."""
-    pools = []
-    lo = 0
-    for pos in range(len(comp.capacity)):
-        hi = bisect_left(keys, (pos + 1) * comp.stride, lo)
-        pools.append(keys[lo:hi])
-        lo = hi
-    return pools
 
 
 def _cutoff(taken, room):
@@ -1152,6 +1169,7 @@ def _check_accommodates(rules, problem: Problem, feasible_bound):
     Quantifies over all feasible matchings of the whole market in which the
     student is unmatched.
     """
+    require_rules(problem, rules)
     size = (problem.num_schools + 1) ** problem.num_students
     if size > feasible_bound:
         raise UniverseTooLarge(size, feasible_bound)

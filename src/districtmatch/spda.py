@@ -9,13 +9,12 @@ it holds without re-choosing: those rules are idempotent (IRC implies
 C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
 
-A spec-rule district holds its tentative contracts as its rule's keys,
-school by school (``rules.HeldSeats``).  Each step hands it the keys of
-its new proposals, and ``choose`` re-picks only the schools that got one;
-under a district cap it then walks the rooms of all the district's
-schools.  It returns the keys it turns down.  Explicit tables hold and
-choose sets of contracts.  Contracts are built only for the proposals and
-kept by key, so rejections and the outcome reuse them.  A step records its
+A spec-rule district holds its tentative contracts in a ``rules.HeldSeats``,
+by its rule's keys, school by school.  Each step hands it the new
+proposals as contracts, and ``choose`` re-picks only the schools that got
+one (under a district cap it then walks every school's room) and returns
+the contracts turned down; what it keeps is its part of the outcome.
+Explicit tables hold and choose sets of contracts.  A step records its
 proposals and rejections only; ``SpdaTrace.tentative`` reads what the
 districts hold after each step from them, in one pass.
 
@@ -33,7 +32,7 @@ from typing import Optional
 from .errors import RuleViolation
 from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
 from .policy import share_gaps
-from .rules import Cutoffs, HeldSeats, RuleKind, choose, compiled, unranked_error
+from .rules import Cutoffs, HeldSeats, RuleKind, choose, require_rules
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,10 +92,8 @@ def run_intradistrict_spda(problem: Problem, rules) -> Matching:
 
 def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
+    require_rules(problem, rules)
     D = problem.num_districts
-    for d in range(D):
-        if d not in rules:
-            raise RuleViolation(f"district {problem.district_ids[d]} has no rule")
 
     next_choice = [0] * problem.num_students  # pointer into the lists
     proposing = range(problem.num_students)
@@ -104,7 +101,6 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     # per district: the contracts a table holds, or a spec rule's HeldSeats
     # from its first proposal
     held = [frozenset() if tables[d] else None for d in range(D)]
-    contract_of = [{} for _ in range(D)]  # per spec district: key -> contract
     steps = []
     guard = sum(map(len, lists)) + 1
 
@@ -140,24 +136,9 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
                 continue
             seats = held[d]
             if seats is None:
-                seats = held[d] = HeldSeats(compiled(rule, problem))
-            # ``CompiledRule.key``, less its district check: a proposal's
-            # district is its school's
-            pos_of, key_at, by_key = seats.comp.pos_of, seats.comp.key_at, contract_of[d]
-            unranked = []
-            for x in new:
-                pos = pos_of.get(x.school)
-                k = None if pos is None else key_at[pos][x.student]
-                if k is None:
-                    unranked.append(x)
-                else:
-                    by_key[k] = x
-                    seats.new.append(k)
-            if unranked:
-                if rule.district == d:
-                    raise unranked_error(unranked)
-                rejected += unranked  # a rule chooses no other district's contract
-            rejected += map(by_key.pop, choose(rule, seats, problem))
+                seats = held[d] = HeldSeats(rule, problem)
+            seats.new = new
+            rejected += choose(rule, seats, problem)
 
         steps.append(
             SpdaStep(tuple((d, frozenset(proposals[d])) for d in range(D)), frozenset(rejected))
@@ -170,8 +151,7 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
             next_choice[s] += 1
 
     outcome = [x for d in range(D) if tables[d] for x in held[d]]
-    for by_key in contract_of:
-        outcome += by_key.values()
+    outcome += [x for X in held if isinstance(X, HeldSeats) for x in X.contracts.values()]
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
     return SpdaTrace(tuple(steps), frozenset(outcome), read)
 
@@ -194,6 +174,7 @@ def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
     is then answered from that choice's per-school cut-offs
     (``rules.Cutoffs``).
     """
+    require_rules(problem, rules)
     by_district = {d: [] for d in range(problem.num_districts)}
     for x in X:
         by_district[x.district].append(x)

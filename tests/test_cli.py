@@ -236,6 +236,59 @@ def test_audit_without_its_section_exits_2(capsys, fixture, mechanism, missing):
     assert "validation error" in err and f"{mechanism} needs a {missing}" in err
 
 
+def _without_rule(tmp_path, name, district):
+    """Fixture ``name`` with ``district``'s rule taken out."""
+    doc = json.loads(fixture_path(name).read_text())
+    doc["rules"] = [rule for rule in doc["rules"] if rule["district"] != district]
+    path = tmp_path / f"{name}-without-{district}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_accommodates_unmatched_needs_every_rule(capsys, tmp_path):
+    # spda_basic with d1's rule alone: refused before anything is printed
+    path = _without_rule(tmp_path, "spda_basic", "d2")
+    code, out, err = run_cli(
+        capsys, "check-rule", path, "--district", "d1", "--properties", "accommodates_unmatched"
+    )
+    assert (code, out, err) == (
+        2,
+        "",
+        "validation error: DanglingReference: "
+        "accommodates_unmatched needs a rule for every district\n",
+    )
+
+
+RULE_FIXTURES = [
+    name for name in FIXTURE_NAMES if json.loads(fixture_path(name).read_text()).get("rules")
+]
+
+
+@pytest.mark.parametrize(
+    "name,district",
+    [
+        (name, rule["district"])
+        for name in RULE_FIXTURES
+        for rule in json.loads(fixture_path(name).read_text())["rules"]
+    ],
+)
+def test_a_missing_rule_never_raises(capsys, tmp_path, name, district):
+    # every subcommand that reads rules, on the fixture without one of them
+    path = _without_rule(tmp_path, name, district)
+    every = [p.value for p in RuleProperty if p is not RuleProperty.IS_COMPLETION_OF]
+    one_rule = [p for p in every if p != RuleProperty.ACCOMMODATES_UNMATCHED.value]
+    commands = [("run", path, "--mechanism", m) for m in ("spda", "spda-intra")]
+    commands += [("audit", path, "--mechanism", m) for m in ("spda", "ttc", "efficient-selector")]
+    for rule in json.loads(fixture_path(name).read_text())["rules"]:
+        commands += [
+            ("check-rule", path, "--district", rule["district"], "--properties", *properties)
+            for properties in (every, one_rule)
+        ]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert 0 <= code <= 6 and "Traceback" not in err, argv
+
+
 def test_run_master_unknown_student_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "run", fpath("ttc_diversity"), "--mechanism", "ttc", "--master", "s1", "nobody"
@@ -999,6 +1052,15 @@ def test_audit_budget_zero_not_exhaustive(capsys):
     assert "exhaustive,false" in out
 
 
+@pytest.mark.parametrize("budget", ["-1", "x", "1.5"])
+def test_audit_budget_must_be_a_non_negative_integer(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", fpath("spda_basic"), "--mechanism", "spda", "--budget", budget])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument --budget: must be a non-negative integer: '{budget}'" in err
+
+
 def test_policy_check(capsys):
     code, out, _ = run_cli(capsys, "policy-check", fpath("impossibility"))
     assert code == 0
@@ -1012,6 +1074,15 @@ def test_nonexistence_unsat(capsys):
     )
     assert code == 0
     assert "satisfiable,false" in out
+
+
+@pytest.mark.parametrize("district", ["d1", "d2"])
+def test_nonexistence_budget_must_be_a_non_negative_integer(capsys, district):
+    with pytest.raises(SystemExit) as exc:
+        main(["nonexistence", fpath("nonexistence"), "--district", district, "--budget", "-5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "argument --budget: must be a non-negative integer: '-5'" in err
 
 
 def test_nonexistence_without_symmetry(capsys):

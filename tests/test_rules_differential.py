@@ -171,6 +171,37 @@ def test_fixture_checks_match_reference(name):
         assert_same_checks(problem, rules, bases)
 
 
+def with_junk(rng, order, n):
+    """``order`` with a few entries naming no student: below 0 or past the last."""
+    order = list(order)
+    for _ in range(rng.randint(1, 3)):
+        order.insert(rng.randrange(len(order) + 1), rng.choice([-1, -n - 2, n, n + 5]))
+    return tuple(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_priority_entries_out_of_range_are_skipped(seed):
+    # a rule built without a problem may name students out of range; every
+    # spec kind skips those entries, the initial-respecting lift included,
+    # and chooses on every subset as the rule without them
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    n = problem.num_students
+    for d in range(problem.num_districts):
+        clean = variant(rng, random_rule(rng, problem, d, rng.choice(SPEC_KINDS)), problem)
+        junk = replace(
+            clean,
+            priorities=tuple((c, with_junk(rng, order, n)) for c, order in clean.priorities),
+        )
+        chooser, junk_chooser = chooser_of(clean, problem), chooser_of(junk, problem)
+        for m in chooser.all_masks:
+            assert _outcome(junk_chooser.choose_mask, m) == _outcome(chooser.choose_mask, m)
+        for m in chooser.feasible_masks:
+            X = chooser.set_of(m)
+            assert _outcome(choose, junk, X, problem) == _outcome(choose, clean, X, problem)
+
+
 def test_bounds_are_checked_alike(basic):
     rule = basic.rules[0]
     for prop in (RuleProperty.SUBSTITUTABLE, RuleProperty.ACCEPTANT):

@@ -277,6 +277,26 @@ def test_everyone_matched_under_accommodating_profile(reserves_diversity):
     assert len(outcome) == p.num_students
 
 
+@pytest.mark.parametrize("missing", [0, 1])
+def test_a_profile_without_a_districts_rule_raises_rule_violation(basic, missing):
+    # every reader of the whole profile names the district, as run_spda does
+    p = basic.problem
+    partial = {d: rule for d, rule in basic.rules.items() if d != missing}
+    outcome = run_spda(p, basic.rules).outcome
+    calls = [
+        lambda: run_spda(p, partial),
+        lambda: run_intradistrict_spda(p, partial),
+        lambda: is_stable(outcome, p, partial),
+        lambda: rules_module.check_property(
+            None, rules_module.RuleProperty.ACCOMMODATES_UNMATCHED, p, rules=partial
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(dm.RuleViolation) as exc:
+            call()
+        assert str(exc.value) == f"district {p.district_ids[missing]} has no rule"
+
+
 def test_nontermination_guard():
     # a malicious explicit table that keeps re-rejecting held contracts
     from districtmatch.model import ProblemSpec, validate_problem

@@ -846,20 +846,32 @@ def held_keys(seats):
 
 def checked_choose(rule, X, problem, checked):
     """``choose``; on a district's ``HeldSeats``, also the checks that what
-    it keeps is ``_chosen_keys`` of the pool it chose from, and that its
-    per-school state is what a fresh walk on what it keeps computes."""
+    it keeps is ``_chosen_keys`` of the pool it chose from, that it keeps
+    the proposed contract of each key it holds, that the contracts it turns
+    down are the rest of the pool and the proposals the rule does not rank,
+    and that its per-school state is what a fresh walk on what it keeps
+    computes."""
     if not isinstance(X, HeldSeats):
         return choose(rule, X, problem)
     comp = X.comp
-    pool = sorted(held_keys(X) + X.new)
+    keys = list(map(comp.key, X.new))
+    proposed = {k: x for k, x in zip(keys, X.new) if k is not None}
+    unranked = [x for k, x in zip(keys, X.new) if k is None]
+    held = {**X.contracts, **proposed}
+    pool = sorted(held_keys(X) + list(proposed))
+    assert sorted(X.contracts) == held_keys(X)
     students = [comp.student_at[k] for k in pool]
     assert len(set(students)) == len(students)  # one key per student
     rejected = choose(rule, X, problem)
     kept = held_keys(X)
     assert kept == sorted(rules_module._chosen_keys(rule, comp, pool))
-    assert sorted(rejected) == sorted(set(pool) - set(kept))
-    fresh = HeldSeats(comp)
-    fresh.new = list(kept)
+    assert sorted(X.contracts) == kept
+    assert X.contracts == {k: held[k] for k in kept}
+    keys = list(map(comp.key, rejected))
+    assert sorted(k for k in keys if k is not None) == sorted(set(pool) - set(kept))
+    assert [x for x, k in zip(rejected, keys) if k is None] == unranked
+    fresh = HeldSeats(rule, problem)
+    fresh.new = [X.contracts[k] for k in kept]
     assert choose(rule, fresh, problem) == []
     assert (fresh.reserved, fresh.eligible) == (X.reserved, X.eligible)
     checked.append(len(pool))
