@@ -445,6 +445,8 @@ def search_rule_nonexistence(
                 low = rest & -rest
                 rest ^= low
                 nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(nodes)
                 mark = len(trail)
                 if fix(root, low) and search():
                     found = True

@@ -212,6 +212,24 @@ class GoalBounds:
             score, threshold = _flat_evaluator(goal.fn, T), goal.threshold
             self.member = lambda flat: score(flat) >= threshold
 
+    @cached_property
+    def with_capacity(self):
+        """The families and the capacity family: the linear constraints of
+        the goal ∩ Ξ₀."""
+        return self.families + [self.capacity] * (self.capacity not in self.families)
+
+    @cached_property
+    def sharing(self):
+        """Per family of ``with_capacity`` and per entry, the bitmask of the
+        coordinates mapped to that entry."""
+        out = []
+        for entry, lo, _ in self.with_capacity:
+            masks = [0] * len(lo)
+            for k, i in enumerate(entry):
+                masks[i] |= 1 << k
+            out.append(masks)
+        return out
+
 
 def _sums(entry, size, flat) -> list:
     """For each of a family's ``size`` entries, the sum of the counts mapped to it."""
@@ -238,12 +256,12 @@ class GoalTally:
     def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
         self.num_types = problem.num_types
         self.counts = list(xi.flat())
-        bounds = built_once(goal, problem, GoalBounds)
+        self._bounds = bounds = built_once(goal, problem, GoalBounds)
         self._member = bounds.member
-        families = bounds.families + [bounds.capacity] * (bounds.capacity not in bounds.families)
         # (entry per coordinate, counter values, lower bounds, upper bounds)
         self._families = [
-            (entry, _sums(entry, len(lo), self.counts), lo, hi) for entry, lo, hi in families
+            (entry, _sums(entry, len(lo), self.counts), lo, hi)
+            for entry, lo, hi in bounds.with_capacity
         ]
         # moves keep the total, so the everyone-matched part never changes
         self._violated = int(xi.total() != problem.num_students) + sum(
@@ -269,6 +287,36 @@ class GoalTally:
         moved[origin[0] * T + origin[1]] -= 1
         moved[target[0] * T + target[1]] += 1
         return self._member(tuple(moved))
+
+    def target_masks(self):
+        """While the tally holds and the goal is linear, a function from an
+        origin coordinate (school × num_types + type) to the bitmask of the
+        target coordinates ``permits`` allows from it; None otherwise.
+
+        With every constraint met, a move is permitted iff each family maps
+        origin and target to one entry, or can lose one at the origin's entry
+        and gain one at the target's.  Which entries can gain one is read
+        once per call, so the function answers one origin in one AND per
+        family.
+        """
+        if self._violated or self._member is not None:
+            return None
+        parts = []
+        for (entry, values, lo, hi), sharing in zip(self._families, self._bounds.sharing):
+            gain = 0
+            for i, v in enumerate(values):
+                if v < hi[i]:
+                    gain |= sharing[i]
+            parts.append((entry, values, lo, sharing, gain))
+
+        def targets(k):
+            allowed = -1
+            for entry, values, lo, sharing, gain in parts:
+                i = entry[k]
+                allowed &= sharing[i] | gain if values[i] > lo[i] else sharing[i]
+            return allowed
+
+        return targets
 
     def move(self, origin, target):
         """Apply xi ← xi − e(origin) + e(target)."""

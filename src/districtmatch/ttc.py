@@ -117,81 +117,154 @@ def is_permissible(
 def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     """Run the trading algorithm; every cycle found in a step executes.
 
-    Unassigned students still sit at their initial slots, so whether a slot
-    may point to one depends only on that initial slot.  Each slot scans one
-    candidate list, the first unassigned student of its own initial slot (if
-    any) and then that of every initial slot in master order, and points to
-    the first whose move the goal tally permits; the tally is updated as
-    cycles execute.  A slot stays active until no unassigned student is
-    permissible for it, so a student points to the first slot of her list
-    not yet removed.  Steps record pointers in the order they are built:
-    slots in ``market.pairs`` order, students ascending.
+    Slots are numbered c × num_types + t, the order of
+    ``build_hypothetical``'s ``pairs``.  Unassigned students still sit at
+    their initial slots, so whether a slot may point to one depends only on
+    that initial slot.  Each slot points to the first permitted student of
+    one candidate list: the first unassigned student of its own initial slot
+    (if any), then that of every initial slot in master order.  While the
+    tally holds and the goal is linear, ``GoalTally.target_masks`` gives
+    each such head one mask of the slots it may move to, and the heads take
+    the free slots in master order; otherwise each (slot, candidate) pair
+    is one ``GoalTally.permits`` test.
+
+    A slot stays active until no unassigned student is permissible for it,
+    so a student points to the first slot of her list not yet removed; her
+    pointer moves only when that slot is removed.  Her list is her school
+    list in her own type, then in the other types, which are built the
+    first time her pointer passes her own-type slots.  Cycle walks start
+    only from the least student pointing at each slot and from the students
+    the slots point to: a walk from anyone else stops at its second student,
+    whom an earlier walk visited.  Steps record pointers in ``pairs`` order
+    and by ascending student.
     """
-    market = build_hypothetical(problem, master)
+    n, T = problem.num_students, problem.num_types
+    master = tuple(range(n)) if master is None else tuple(master)
+    if sorted(master) != list(range(n)):
+        raise RuleViolation("master list must order every student exactly once")
+    pairs = [(c, t) for c in range(problem.num_schools) for t in range(T)]
     initial_xi = distribution_of(problem.initial_matching(), problem)
     if not satisfies_with_feasibility(goal, initial_xi, problem):
         raise PolicyViolatedAtStart(
             "the initial matching does not satisfy the policy goal"
         )
     tally = GoalTally(goal, problem, initial_xi)
-    initial = market.initial_slot
-    rank = market.master_rank
+    rank = [0] * n
+    for i, s in enumerate(master):
+        rank[s] = i
+    prefs, types = problem.preferences, problem.student_type
+    initial = [c * T + t for c, t in zip(problem.initial_school, types)]
 
     # unassigned students of each initial slot, in master order
-    holders = {slot: deque() for slot in market.pairs}
-    for s in market.master:
+    holders = [deque() for _ in pairs]
+    for s in master:
         holders[initial[s]].append(s)
-    unassigned = set(range(problem.num_students))
+    alive = [True] * len(pairs)
+    active = list(range(len(pairs)))
+    active_slots = tuple(pairs)
+    others = {}  # student -> her other-type slots, once her pointer needs them
+    next_pref = [0] * n  # position in her list of the slot she points to
+    pointer = {}  # student -> slot, ascending student
+    pointed = {}  # slot number -> the students pointing to it
     assignment = {}
-    next_pref = [0] * problem.num_students  # first slot not yet removed
-    removed = set()
     steps = []
-    guard = problem.num_students * len(market.pairs) + 2
+    guard = n * len(pairs) + 2
 
-    while unassigned:
+    def repoint(s, i):
+        """Point ``s`` at the first slot not yet removed from position ``i``
+        of her list, or drop her pointer when the list runs out."""
+        own, t = prefs[s], types[s]
+        while i < len(own) and not alive[own[i] * T + t]:
+            i += 1
+        if i < len(own):
+            k = own[i] * T + t
+        else:
+            if s not in others:
+                others[s] = [c * T + u for c in own for u in range(T) if u != t]
+            rest = others[s]
+            j = i - len(own)
+            while j < len(rest) and not alive[rest[j]]:
+                j += 1
+            i = len(own) + j
+            k = rest[j] if j < len(rest) else None
+        next_pref[s] = i
+        if k is None:
+            pointer.pop(s, None)
+        else:
+            pointer[s] = pairs[k]
+            pointed.setdefault(k, set()).add(s)
+
+    while len(assignment) < n:
         if len(steps) > guard:
             raise RuleViolation(
                 "trading failed to make progress",
                 trace=TtcTrace(tuple(steps), frozenset()),
             )
-        active = [p for p in market.pairs if p not in removed]
-        heads = sorted((q[0] for q in holders.values() if q), key=rank.__getitem__)
+        heads = sorted((q[0] for q in holders if q), key=rank.__getitem__)
+        to = {}  # slot number -> the student it points to
+        targets = tally.target_masks()
+        if targets is None:
+            for k in active:
+                own = holders[k]
+                slot = pairs[k]
+                for s in [own[0], *heads] if own else heads:
+                    if tally.permits(pairs[initial[s]], slot):
+                        to[k] = s
+                        break
+        else:
+            # the tally holds, so a slot points to its own head if it has one
+            free = 0
+            for k in active:
+                if holders[k]:
+                    to[k] = holders[k][0]
+                else:
+                    free |= 1 << k
+            for s in heads:
+                if not free:
+                    break
+                got = targets(initial[s]) & free
+                free ^= got
+                while got:
+                    low = got & -got
+                    to[low.bit_length() - 1] = s
+                    got ^= low
 
         slot_pointer = {}
-        newly_removed = []
-        for slot in active:
-            own = holders[slot]
-            for s in [own[0], *heads] if own else heads:
-                if tally.permits(initial[s], slot):
-                    slot_pointer[slot] = s
-                    break
+        gone = []
+        for k in active:
+            if k in to:
+                slot_pointer[pairs[k]] = to[k]
             else:
-                removed.add(slot)
-                newly_removed.append(slot)
+                alive[k] = False
+                gone.append(k)
+        if steps:
+            for k in gone:
+                for s in pointed.pop(k, ()):
+                    repoint(s, next_pref[s] + 1)
+        else:
+            for s in range(n):
+                repoint(s, 0)
 
-        student_pointer = {}
-        for s in sorted(unassigned):
-            prefs = market.student_prefs[s]
-            i = next_pref[s]
-            while i < len(prefs) and prefs[i] not in slot_pointer:
-                i += 1
-            next_pref[s] = i
-            if i < len(prefs):
-                student_pointer[s] = prefs[i]
-
-        cycles = _find_cycles(student_pointer, slot_pointer)
+        starts = {min(students) for students in pointed.values() if students}
+        starts.update(slot_pointer.values())
+        cycles = _find_cycles(
+            {s: pointer[s] for s in starts if s in pointer}, slot_pointer
+        )
         steps.append(
             TtcStep(
-                active=tuple(active),
+                active=active_slots,
                 slot_pointer=tuple(slot_pointer.items()),
-                student_pointer=tuple(student_pointer.items()),
+                student_pointer=tuple(pointer.items()),
                 cycles=tuple(cycles),
-                removed=tuple(newly_removed),
+                removed=tuple(pairs[k] for k in gone),
             )
         )
+        if gone:
+            active = [k for k in active if alive[k]]
+            active_slots = tuple(pairs[k] for k in active)
 
         if not cycles:
-            if newly_removed:
+            if gone:
                 continue  # pointers change next step; retry
             raise Stuck(
                 "students remain but no trading cycle exists; "
@@ -201,14 +274,13 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
             for s, slot in cycle:
-                tally.move(initial[s], slot)
+                tally.move(pairs[initial[s]], slot)
                 holders[initial[s]].popleft()
                 assignment[s] = slot
-                unassigned.discard(s)
+                del pointer[s]
+                pointed[slot[0] * T + slot[1]].discard(s)
 
-    outcome = frozenset(
-        problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
-    )
+    outcome = frozenset(problem.contract(s, assignment[s][0]) for s in range(n))
     # the own-type slots follow the school list; a pointer past them has
     # read the whole list, since the other types' slots repeat it
     read = tuple(min(i + 1, problem.num_schools) for i in next_pref)

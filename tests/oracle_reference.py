@@ -273,6 +273,8 @@ def search_rule_nonexistence_reference(
         if root is not None and len(cand[root]) > 1:
             for v in list(cand[root]):
                 nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(nodes)
                 mark = snapshot()
                 record(root)
                 cand[root] = [v]

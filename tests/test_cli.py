@@ -1085,6 +1085,28 @@ def test_nonexistence_budget_must_be_a_non_negative_integer(capsys, district):
     assert "argument --budget: must be a non-negative integer: '-5'" in err
 
 
+@pytest.mark.parametrize("district", ["d1", "d2"])
+def test_nonexistence_budget_zero_exits_3(capsys, district):
+    # the root symmetry split counts its nodes against the budget, as the
+    # search below it does
+    code, out, err = run_cli(
+        capsys, "nonexistence", fpath("nonexistence"), "--district", district, "--budget", "0"
+    )
+    assert (code, out, err) == (3, "", "error: search budget exceeded after 1 nodes\n")
+
+
+@pytest.mark.parametrize("district,nodes", [("d1", 2), ("d2", 3)])
+def test_nonexistence_budget_at_or_above_the_nodes_changes_nothing(capsys, district, nodes):
+    argv = ("nonexistence", fpath("nonexistence"), "--district", district)
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0 and f"nodes,{nodes}\n" in want[1]
+    for budget in (nodes, nodes + 1, 2 * 10**6):
+        assert run_cli(capsys, *argv, "--budget", str(budget)) == want
+    code, out, err = run_cli(capsys, *argv, "--budget", str(nodes - 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: search budget exceeded after {nodes} nodes\n"
+
+
 def test_nonexistence_without_symmetry(capsys):
     code, out, _ = run_cli(
         capsys, "nonexistence", fpath("nonexistence"), "--district", "d1", "--no-symmetry"

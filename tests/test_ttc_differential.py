@@ -1,6 +1,7 @@
 """The incremental trading run, its cycle walk and its goal tally against
 the direct implementations they replace."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import districtmatch as dm
 from districtmatch.errors import DistrictMatchError
-from districtmatch.model import distribution_of
+from districtmatch.model import ProblemSpec, distribution_of, validate_problem
 from districtmatch.policy import (
     GoalForm,
     GoalTally,
@@ -25,7 +26,7 @@ from districtmatch.ttc import _find_cycles, run_ttc
 from helpers import random_goal, random_problem
 from policy_reference import satisfies_with_feasibility
 from ttc_reference import _find_cycles as find_cycles_reference
-from ttc_reference import run_ttc_reference
+from ttc_reference import run_ttc_per_pair, run_ttc_reference
 
 
 def _outcome(run, problem, goal, master):
@@ -33,6 +34,13 @@ def _outcome(run, problem, goal, master):
         return ("trace", run(problem, goal, master))
     except DistrictMatchError as exc:
         return (type(exc), str(exc), getattr(exc, "trace", None))
+
+
+def _full_outcome(run, problem, goal, master):
+    """``_outcome`` with the trace's ``read``, which ``==`` leaves out."""
+    got = _outcome(run, problem, goal, master)
+    trace = got[-1]
+    return got, trace and trace.read
 
 
 def assert_same_run(problem, goal, master):
@@ -74,6 +82,125 @@ def test_stuck_fixture_matches_reference(ttc_stuck):
     assert kind is dm.Stuck
 
 
+# -- the per-pair step loop ----------------------------------------------------------
+
+
+def _truncated(rng, problem):
+    """``problem`` with some school lists cut short, often leaving out the
+    initial school, so that pointers run past a student's own-type slots."""
+    prefs = [
+        tuple(c for c in order if rng.random() < 0.6) if rng.random() < 0.4 else order
+        for order in problem.preferences
+    ]
+    return dataclasses.replace(problem, preferences=tuple(prefs))
+
+
+def _random_run(seed, form):
+    """A seeded market, goal and shuffled master, its lists cut short half
+    the time.  Linear goals get three types now and then, so that the
+    other-type slots of a list span two types; the other forms enumerate
+    every distribution, which three types make slow.  Half the box goals
+    cap slots at their initial counts, so slots left empty go in the first
+    step and pointers run on into the other-type slots."""
+    rng = random.Random(seed)
+    linear = form not in (GoalForm.EXPLICIT_SET, GoalForm.F_LAMBDA)
+    num_types = 3 if linear and rng.random() < 0.5 else None
+    problem = random_problem(rng, num_types=num_types, students=(2, 6))
+    if form is GoalForm.SCHOOL_DIVERSITY and rng.random() < 0.5:
+        xi = distribution_of(problem.initial_matching(), problem)
+        goal = school_diversity_goal(ceilings={
+            (c, t): xi.school_type(c, t)
+            for c in range(problem.num_schools)
+            for t in range(problem.num_types)
+            if rng.random() < 0.8
+        })
+    else:
+        goal = random_goal(rng, problem, form)
+    if rng.random() < 0.5:
+        problem = _truncated(rng, problem)
+    master = list(range(problem.num_students))
+    rng.shuffle(master)
+    return problem, goal, master
+
+
+def assert_same_as_per_pair(problem, goal, master):
+    got = _full_outcome(run_ttc, problem, goal, master)
+    assert got == _full_outcome(run_ttc_per_pair, problem, goal, master)
+    return got[0]
+
+
+def test_pointer_runs_on_into_other_types_in_list_order():
+    # s1 (type t1) ranks only c1 and c2, whose t1 slots, like (c1, t2), are
+    # capped at 0 and go in the first step; her other-type slots follow her
+    # list school by school, so she points to (c1, t3) before (c2, t2)
+    spec = ProblemSpec(
+        types=("t1", "t2", "t3"),
+        districts=("d1", "d2"),
+        schools=(("c1", "d1", 2), ("c2", "d2", 2), ("c3", "d1", 1)),
+        students=(
+            ("s1", "d1", "t1", ("c1", "c2", "c3")),
+            ("s2", "d2", "t2", ("c2", "c1", "c3")),
+        ),
+        initial_matching={"s1": "c3", "s2": "c2"},
+    )
+    problem = validate_problem(spec)
+    problem = dataclasses.replace(problem, preferences=((0, 1), problem.preferences[1]))
+    goal = school_diversity_goal(ceilings={(0, 0): 0, (1, 0): 0, (0, 1): 0})
+    kind, trace = assert_same_as_per_pair(problem, goal, None)
+    assert kind == "trace"
+    first = trace.steps[0]
+    assert first.removed == ((0, 0), (0, 1), (1, 0))
+    assert first.student_pointer == ((0, (0, 2)), (1, (1, 1)))
+    assert first.cycles == (((0, (0, 2)),), ((1, (1, 1)),))
+    assert trace.read == (3, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(list(GoalForm)),
+)
+def test_run_matches_per_pair_loop_on_random_markets(seed, form):
+    assert_same_as_per_pair(*_random_run(seed, form))
+
+
+def test_per_pair_sweep_reaches_every_branch(monkeypatch):
+    # a fixed sweep: pointers past the own-type slots (the lazily built
+    # other-type slots), per-pair tests after a linear goal's tally stops
+    # holding, and each kind of error
+    per_pair = []
+    permits = GoalTally.permits
+
+    def counted(self, origin, target):
+        per_pair.append(self._member is None)
+        return permits(self, origin, target)
+
+    monkeypatch.setattr(GoalTally, "permits", counted)
+    seen = set()
+    forms = list(GoalForm)
+    for seed in range(600):
+        problem, goal, master = _random_run(seed, forms[seed % len(forms)])
+        per_pair.clear()
+        got = _full_outcome(run_ttc, problem, goal, master)
+        if any(per_pair):
+            seen.add("linear per pair")
+        assert got == _full_outcome(run_ttc_per_pair, problem, goal, master)
+        kind, *rest = got[0]
+        trace = rest[-1]
+        seen.add(kind)
+        for step in trace.steps if trace else ():
+            for s, slot in step.student_pointer:
+                t = problem.student_type[s]
+                if slot[1] != t:
+                    # her other-type slots start at her first school's
+                    first = (problem.preferences[s][0], int(t == 0))
+                    seen.add("other type" if slot == first else "later other type")
+    assert {
+        "trace", "other type", "later other type", "linear per pair",
+        dm.Stuck, dm.PolicyViolatedAtStart,
+    } <= seen
+
+
 # -- the cycle walk ------------------------------------------------------------------
 
 
@@ -113,6 +240,27 @@ def test_cycle_walk_matches_reference(graph):
     )
 
 
+@settings(max_examples=500, deadline=None)
+@given(graph=pointer_graphs(), drop=st.randoms(use_true_random=False))
+def test_walks_from_least_pointers_and_targets_find_every_cycle(graph, drop):
+    # run_ttc walks only from the least student pointing at each slot and
+    # from the students the slots point to; slots no student points at may
+    # go, so some students are no slot's target
+    student_pointer, slot_pointer = graph
+    used = set(student_pointer.values())
+    slot_pointer = {
+        slot: s for slot, s in slot_pointer.items() if slot in used or drop.random() < 0.3
+    }
+    least = {}
+    for s, slot in student_pointer.items():
+        least[slot] = min(s, least.get(slot, s))
+    starts = set(least.values()) | set(slot_pointer.values())
+    restricted = {s: student_pointer[s] for s in starts if s in student_pointer}
+    assert _find_cycles(restricted, slot_pointer) == _find_cycles(
+        student_pointer, slot_pointer
+    )
+
+
 # -- the goal tally ------------------------------------------------------------------
 
 
@@ -121,13 +269,13 @@ def _moved(xi, origin, target):
 
 
 def assert_tally_exact(goal, problem, xi):
-    """``permits`` and ``move`` agree with brute-force membership for every
-    move from every occupied slot of ``xi``."""
+    """``permits``, ``target_masks`` and ``move`` agree with brute-force
+    membership for every move from every occupied slot of ``xi``."""
     slots = [
         (c, t) for c in range(problem.num_schools) for t in range(problem.num_types)
     ]
     want_here = satisfies_with_feasibility(goal, xi, problem)
-    for origin, target in itertools.product(slots, slots):
+    for (k0, origin), (k1, target) in itertools.product(enumerate(slots), repeat=2):
         if xi.school_type(*origin) == 0:
             continue
         tally = GoalTally(goal, problem, xi)
@@ -135,6 +283,9 @@ def assert_tally_exact(goal, problem, xi):
         moved = _moved(xi, origin, target)
         want = satisfies_with_feasibility(goal, moved, problem)
         assert tally.permits(origin, target) == want, (xi, origin, target)
+        targets = tally.target_masks()
+        if targets is not None:
+            assert bool(targets(k0) >> k1 & 1) == want, (xi, origin, target)
         tally.move(origin, target)
         assert tally.counts == list(moved.flat())
         assert tally.holds() == want, (xi, origin, target)

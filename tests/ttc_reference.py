@@ -1,18 +1,33 @@
-"""The direct implementation of constrained trading, kept as the reference
-the incremental ``districtmatch.ttc.run_ttc`` is tested against.
+"""The earlier implementations of constrained trading, kept as the
+references ``districtmatch.ttc.run_ttc`` is tested against.
 
-Each step rebuilds the distribution and, for every slot, tests every
-unassigned student by materialising the moved distribution and testing its
-membership with the reference ``policy_reference.satisfies_with_feasibility``.
+``run_ttc_reference`` is the direct one: each step rebuilds the
+distribution and, for every slot, tests every unassigned student by
+materialising the moved distribution and testing its membership with the
+reference ``policy_reference.satisfies_with_feasibility``.
+
+``run_ttc_per_pair`` is the tally-driven step loop ``run_ttc`` replaced.  It
+builds every student's whole slot list up front (``build_hypothetical``),
+rescans every unassigned student's pointer, walks the pointing graph from
+every student, and answers each (slot, candidate) pair with one
+``GoalTally.permits``.  ``run_ttc`` keeps pointers across steps, builds the
+other-type slots of a list only when its pointer reaches them, starts walks
+only from the least student pointing at each slot and from the slots'
+targets, and answers linear goals with one mask of permitted targets per
+head; explicit and score goals still take the per-pair tests.
+
 ``_find_cycles`` is the cycle walk ``districtmatch.ttc._find_cycles``
 replaced: a path list, a position dict and a per-node ``visited`` loop.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
+from districtmatch import policy, ttc
 from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck
 from districtmatch.model import Distribution, Problem, distribution_of
-from districtmatch.policy import PolicyGoal
+from districtmatch.policy import GoalTally, PolicyGoal
 from districtmatch.ttc import TtcStep, TtcTrace, build_hypothetical
 
 from policy_reference import satisfies_with_feasibility
@@ -107,6 +122,108 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTra
         problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
     )
     return TtcTrace(tuple(steps), outcome)
+
+
+def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
+    """Run the trading algorithm; every cycle found in a step executes.
+
+    Unassigned students still sit at their initial slots, so whether a slot
+    may point to one depends only on that initial slot.  Each slot scans one
+    candidate list, the first unassigned student of its own initial slot (if
+    any) and then that of every initial slot in master order, and points to
+    the first whose move the goal tally permits; the tally is updated as
+    cycles execute.  A slot stays active until no unassigned student is
+    permissible for it, so a student points to the first slot of her list
+    not yet removed.  Steps record pointers in the order they are built:
+    slots in ``market.pairs`` order, students ascending.
+    """
+    market = build_hypothetical(problem, master)
+    initial_xi = distribution_of(problem.initial_matching(), problem)
+    if not policy.satisfies_with_feasibility(goal, initial_xi, problem):
+        raise PolicyViolatedAtStart(
+            "the initial matching does not satisfy the policy goal"
+        )
+    tally = GoalTally(goal, problem, initial_xi)
+    initial = market.initial_slot
+    rank = market.master_rank
+
+    # unassigned students of each initial slot, in master order
+    holders = {slot: deque() for slot in market.pairs}
+    for s in market.master:
+        holders[initial[s]].append(s)
+    unassigned = set(range(problem.num_students))
+    assignment = {}
+    next_pref = [0] * problem.num_students  # first slot not yet removed
+    removed = set()
+    steps = []
+    guard = problem.num_students * len(market.pairs) + 2
+
+    while unassigned:
+        if len(steps) > guard:
+            raise RuleViolation(
+                "trading failed to make progress",
+                trace=TtcTrace(tuple(steps), frozenset()),
+            )
+        active = [p for p in market.pairs if p not in removed]
+        heads = sorted((q[0] for q in holders.values() if q), key=rank.__getitem__)
+
+        slot_pointer = {}
+        newly_removed = []
+        for slot in active:
+            own = holders[slot]
+            for s in [own[0], *heads] if own else heads:
+                if tally.permits(initial[s], slot):
+                    slot_pointer[slot] = s
+                    break
+            else:
+                removed.add(slot)
+                newly_removed.append(slot)
+
+        student_pointer = {}
+        for s in sorted(unassigned):
+            prefs = market.student_prefs[s]
+            i = next_pref[s]
+            while i < len(prefs) and prefs[i] not in slot_pointer:
+                i += 1
+            next_pref[s] = i
+            if i < len(prefs):
+                student_pointer[s] = prefs[i]
+
+        cycles = ttc._find_cycles(student_pointer, slot_pointer)
+        steps.append(
+            TtcStep(
+                active=tuple(active),
+                slot_pointer=tuple(slot_pointer.items()),
+                student_pointer=tuple(student_pointer.items()),
+                cycles=tuple(cycles),
+                removed=tuple(newly_removed),
+            )
+        )
+
+        if not cycles:
+            if newly_removed:
+                continue  # pointers change next step; retry
+            raise Stuck(
+                "students remain but no trading cycle exists; "
+                "the goal set is likely not M-convex",
+                trace=TtcTrace(tuple(steps), frozenset()),
+            )
+        # slots point only to queue heads, so each trader heads her initial slot's queue
+        for cycle in cycles:
+            for s, slot in cycle:
+                tally.move(initial[s], slot)
+                holders[initial[s]].popleft()
+                assignment[s] = slot
+                unassigned.discard(s)
+
+    outcome = frozenset(
+        problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
+    )
+    # the own-type slots follow the school list; a pointer past them has
+    # read the whole list, since the other types' slots repeat it
+    read = tuple(min(i + 1, problem.num_schools) for i in next_pref)
+    return TtcTrace(tuple(steps), outcome, read)
+
 
 
 def _find_cycles(student_pointer, slot_pointer):
