@@ -360,9 +360,15 @@ def _positions(order) -> tuple:
 
 
 def with_preferences(problem: Problem, student: int, prefs) -> Problem:
-    """A copy of ``problem`` where one student reports a different order."""
+    """A copy of ``problem`` where one student reports a different order,
+    which must rank every school exactly once."""
     preferences, rank = list(problem.preferences), list(problem.rank)
     preferences[student] = tuple(prefs)
+    if sorted(preferences[student]) != list(range(problem.num_schools)):
+        raise ValidationError([(
+            "IncompletePreference",
+            f"student {problem.student_ids[student]} must rank every school exactly once",
+        )])
     rank[student] = _positions(preferences[student])
     return replace(problem, preferences=tuple(preferences), rank=tuple(rank))
 

@@ -272,7 +272,9 @@ def search_rule_nonexistence(
     between sets one contract apart.  Solved by arc consistency plus
     fewest-candidates-first branching.  With ``symmetry`` the all-at-one-
     school root set keeps one value per orbit of the instance's type and
-    student symmetries, mirroring a without-loss-of-generality case split.
+    student symmetries, mirroring a without-loss-of-generality case split;
+    a root left with more than one value is the search's first level.  Every
+    fixed value, the root's included, counts one node against ``budget``.
 
     A domain is a bitmask over the set's values, and each arc holds one
     support mask per parent value.  Raises ``UniverseTooLarge`` past
@@ -407,21 +409,28 @@ def search_rule_nonexistence(
 
     def search():
         """Depth-first: fix the set with the fewest values (more than one)
-        to each of them in turn, until every set has one value."""
+        to each of them in turn, until every set has one value.  With a
+        symmetry split the root is the first level; each time the loop comes
+        back to it, the root value last tried has failed with every
+        extension and is logged."""
         nonlocal nodes
+        split = root is not None and dom[root].bit_count() > 1
         frames = []  # per open level: [set, values not yet tried, trail mark]
         while True:
             counts = list(map(int.bit_count, dom))
             fewest = min((n for n in counts if n > 1), default=None)
             if fewest is None:
                 return True
-            best = counts.index(fewest)
+            best = root if split and not frames else counts.index(fewest)
             frames.append([best, dom[best], len(trail)])
             while True:  # the next value to fix, backtracking past tried-out levels
                 if not frames:
                     return False
                 p, rest, mark = frames[-1]
                 undo(mark)
+                if split and len(frames) == 1 and rest != dom[p]:
+                    tried = vals[p][(dom[p] ^ rest).bit_length() - 1]
+                    conflict_log.append((space.set_of(tried), "all extensions contradict"))
                 if not rest:
                     frames.pop()
                     continue
@@ -437,31 +446,12 @@ def search_rule_nonexistence(
         return vals[p][(dom[p] & -dom[p]).bit_length() - 1]
 
     ok = all(dom) and all(propagate(p) for p in range(len(masks)))
-    if ok:
-        found = False
-        if root is not None and dom[root].bit_count() > 1:
-            rest = dom[root]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes)
-                mark = len(trail)
-                if fix(root, low) and search():
-                    found = True
-                    break
-                conflict_log.append(
-                    (space.set_of(vals[root][low.bit_length() - 1]), "all extensions contradict")
-                )
-                undo(mark)
-        else:
-            found = search()
-            if not found and root is not None:
-                conflict_log.append((space.set_of(first(root)), "all extensions contradict"))
-    else:
-        found = False
+    found = ok and search()
+    if not ok:
         conflict_log.append((frozenset(), "arc consistency wiped out a domain"))
+    elif not found and root is not None and dom[root].bit_count() == 1:
+        # a root with one value is no level of the search; that value failed
+        conflict_log.append((space.set_of(first(root)), "all extensions contradict"))
 
     if not found:
         return SearchResult(

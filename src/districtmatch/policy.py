@@ -241,7 +241,8 @@ def _sums(entry, size, flat) -> list:
 
 class GoalTally:
     """One distribution's school-by-type counts, kept mutable, with a running
-    count of the constraints of ``goal`` ∩ Ξ₀ it currently violates.
+    count of the constraints of ``goal`` ∩ Ξ₀ it currently violates.  Moves
+    name coordinates c × num_types + t, the numbering of ``GoalBounds``.
 
     The constraints are the goal's ``GoalBounds`` families with the capacity
     family added, each held as a vector of counters.  A move xi − e(origin) +
@@ -254,7 +255,6 @@ class GoalTally:
     """
 
     def __init__(self, goal: PolicyGoal, problem: Problem, xi: Distribution):
-        self.num_types = problem.num_types
         self.counts = list(xi.flat())
         self._bounds = bounds = built_once(goal, problem, GoalBounds)
         self._member = bounds.member
@@ -275,32 +275,31 @@ class GoalTally:
         return self._violated == 0 and (self._member is None or self._member(tuple(self.counts)))
 
     def permits(self, origin, target) -> bool:
-        """Whether xi − e(origin) + e(target) lies in the goal ∩ Ξ₀."""
-        if origin == target:
-            return self.holds()
+        """Whether xi − e(origin) + e(target) lies in the goal ∩ Ξ₀; with
+        origin = target, whether the tally holds."""
         if self._violated + self._change(origin, target):
             return False
         if self._member is None:
             return True
-        T = self.num_types
         moved = self.counts.copy()
-        moved[origin[0] * T + origin[1]] -= 1
-        moved[target[0] * T + target[1]] += 1
+        moved[origin] -= 1
+        moved[target] += 1
         return self._member(tuple(moved))
 
     def target_masks(self):
-        """While the tally holds and the goal is linear, a function from an
-        origin coordinate (school × num_types + type) to the bitmask of the
-        target coordinates ``permits`` allows from it; None otherwise.
+        """A function from an origin coordinate and a bitmask ``free`` of
+        target coordinates to the targets in ``free`` that ``permits`` allows.
 
-        With every constraint met, a move is permitted iff each family maps
-        origin and target to one entry, or can lose one at the origin's entry
-        and gain one at the target's.  Which entries can gain one is read
-        once per call, so the function answers one origin in one AND per
-        family.
+        While the tally holds and the goal is linear, a move is permitted iff
+        each family maps origin and target to one entry, or can lose one at
+        the origin's entry and gain one at the target's; with the entries
+        that can gain one read once, that is one AND per family.  Otherwise
+        the function runs one ``permits`` per set bit of ``free``.
         """
         if self._violated or self._member is not None:
-            return None
+            return lambda k, free: sum(
+                1 << j for j in range(free.bit_length()) if free >> j & 1 and self.permits(k, j)
+            )
         parts = []
         for (entry, values, lo, hi), sharing in zip(self._families, self._bounds.sharing):
             gain = 0
@@ -309,37 +308,28 @@ class GoalTally:
                     gain |= sharing[i]
             parts.append((entry, values, lo, sharing, gain))
 
-        def targets(k):
-            allowed = -1
+        def targets(k, free):
             for entry, values, lo, sharing, gain in parts:
                 i = entry[k]
-                allowed &= sharing[i] | gain if values[i] > lo[i] else sharing[i]
-            return allowed
+                free &= sharing[i] | gain if values[i] > lo[i] else sharing[i]
+            return free
 
         return targets
 
     def move(self, origin, target):
         """Apply xi ← xi − e(origin) + e(target)."""
-        if origin == target:
-            return
         self._violated += self._change(origin, target)
-        T = self.num_types
-        k0 = origin[0] * T + origin[1]
-        k1 = target[0] * T + target[1]
-        self.counts[k0] -= 1
-        self.counts[k1] += 1
+        self.counts[origin] -= 1
+        self.counts[target] += 1
         for entry, values, _, _ in self._families:
-            values[entry[k0]] -= 1
-            values[entry[k1]] += 1
+            values[entry[origin]] -= 1
+            values[entry[target]] += 1
 
     def _change(self, origin, target):
         """How the violated-constraint count changes under the move."""
-        T = self.num_types
-        k0 = origin[0] * T + origin[1]
-        k1 = target[0] * T + target[1]
         change = 0
         for entry, values, lo, hi in self._families:
-            i, j = entry[k0], entry[k1]
+            i, j = entry[origin], entry[target]
             if i == j:
                 continue
             a, b = values[i], values[j]

@@ -110,23 +110,25 @@ def is_permissible(
             f"slot type {target[1]} differs from the student's type; "
             "pass audit=True to evaluate anyway"
         )
-    origin = (problem.initial_school[student], problem.student_type[student])
-    return GoalTally(goal, problem, distribution_of(X, problem)).permits(origin, target)
+    T = problem.num_types
+    origin = problem.initial_school[student] * T + problem.student_type[student]
+    tally = GoalTally(goal, problem, distribution_of(X, problem))
+    return tally.permits(origin, target[0] * T + target[1])
 
 
 def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     """Run the trading algorithm; every cycle found in a step executes.
 
     Slots are numbered c × num_types + t, the order of
-    ``build_hypothetical``'s ``pairs``.  Unassigned students still sit at
-    their initial slots, so whether a slot may point to one depends only on
-    that initial slot.  Each slot points to the first permitted student of
-    one candidate list: the first unassigned student of its own initial slot
-    (if any), then that of every initial slot in master order.  While the
-    tally holds and the goal is linear, ``GoalTally.target_masks`` gives
-    each such head one mask of the slots it may move to, and the heads take
-    the free slots in master order; otherwise each (slot, candidate) pair
-    is one ``GoalTally.permits`` test.
+    ``build_hypothetical``'s ``pairs`` and the coordinates of ``GoalTally``.
+    Unassigned students still sit at their initial slots, so whether a slot
+    may point to one depends only on that initial slot.  Each slot points to
+    the first permitted student of one candidate list: the first unassigned
+    student of its own initial slot (if any), then that of every initial
+    slot in master order.  The own head is permitted iff the tally holds;
+    the remaining active slots go to the heads in master order, each head
+    taking the slots ``GoalTally.target_masks`` allows it among those still
+    free.
 
     A slot stays active until no unassigned student is permissible for it,
     so a student points to the first slot of her list not yet removed; her
@@ -194,6 +196,9 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             pointer[s] = pairs[k]
             pointed.setdefault(k, set()).add(s)
 
+    for s in range(n):
+        repoint(s, 0)
+
     while len(assignment) < n:
         if len(steps) > guard:
             raise RuleViolation(
@@ -202,32 +207,23 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             )
         heads = sorted((q[0] for q in holders if q), key=rank.__getitem__)
         to = {}  # slot number -> the student it points to
+        holds = tally.holds()
+        free = 0
+        for k in active:
+            if holds and holders[k]:
+                to[k] = holders[k][0]
+            else:
+                free |= 1 << k
         targets = tally.target_masks()
-        if targets is None:
-            for k in active:
-                own = holders[k]
-                slot = pairs[k]
-                for s in [own[0], *heads] if own else heads:
-                    if tally.permits(pairs[initial[s]], slot):
-                        to[k] = s
-                        break
-        else:
-            # the tally holds, so a slot points to its own head if it has one
-            free = 0
-            for k in active:
-                if holders[k]:
-                    to[k] = holders[k][0]
-                else:
-                    free |= 1 << k
-            for s in heads:
-                if not free:
-                    break
-                got = targets(initial[s]) & free
-                free ^= got
-                while got:
-                    low = got & -got
-                    to[low.bit_length() - 1] = s
-                    got ^= low
+        for s in heads:
+            if not free:
+                break
+            got = targets(initial[s], free)
+            free ^= got
+            while got:
+                low = got & -got
+                to[low.bit_length() - 1] = s
+                got ^= low
 
         slot_pointer = {}
         gone = []
@@ -237,13 +233,9 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             else:
                 alive[k] = False
                 gone.append(k)
-        if steps:
-            for k in gone:
-                for s in pointed.pop(k, ()):
-                    repoint(s, next_pref[s] + 1)
-        else:
-            for s in range(n):
-                repoint(s, 0)
+        for k in gone:
+            for s in pointed.pop(k, ()):
+                repoint(s, next_pref[s] + 1)
 
         starts = {min(students) for students in pointed.values() if students}
         starts.update(slot_pointer.values())
@@ -274,11 +266,12 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
             for s, slot in cycle:
-                tally.move(pairs[initial[s]], slot)
+                k = slot[0] * T + slot[1]
+                tally.move(initial[s], k)
                 holders[initial[s]].popleft()
                 assignment[s] = slot
                 del pointer[s]
-                pointed[slot[0] * T + slot[1]].discard(s)
+                pointed[k].discard(s)
 
     outcome = frozenset(problem.contract(s, assignment[s][0]) for s in range(n))
     # the own-type slots follow the school list; a pointer past them has

@@ -139,6 +139,89 @@ def test_run_ttc_golden_with_trace(capsys, tmp_path):
     assert doc["steps"][0]["cycles"]
 
 
+def _ttc_diversity_with_policy(tmp_path, policy):
+    """ttc_diversity with its policy section replaced by ``policy(problem,
+    inst, as_doc)``, where ``as_doc`` writes a distribution by ids."""
+    import districtmatch as dm
+
+    inst = dm.load_fixture("ttc_diversity")
+    problem = inst.problem
+
+    def as_doc(xi):
+        return {
+            problem.school_ids[c]: {problem.type_ids[t]: v for t, v in enumerate(row) if v}
+            for c, row in enumerate(xi.counts)
+        }
+
+    doc = json.loads(fixture_path("ttc_diversity").read_text())
+    doc["policy"] = policy(problem, inst, as_doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _explicit_members(problem, inst, as_doc):
+    from districtmatch.policy import policy_members
+
+    members = policy_members(inst.policy, problem)
+    return {"form": "explicit_set", "distributions": [as_doc(xi) for xi in members]}
+
+
+def _manhattan(threshold):
+    def policy(problem, inst, as_doc):
+        import districtmatch as dm
+
+        ideal = as_doc(dm.distribution_of(problem.initial_matching(), problem))
+        f = {"kind": "manhattan_ideal", "ideal": ideal}
+        return {"form": "f_lambda", "f": f, "lambda": threshold}
+
+    return policy
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [_explicit_members, _manhattan("-4"), _manhattan("-2")],
+    ids=["explicit_set", "f_lambda", "f_lambda_stuck"],
+)
+def test_ttc_under_non_linear_goals_matches_the_per_pair_loop(
+    capsys, tmp_path, monkeypatch, policy
+):
+    # explicit and score goals hand out free slots by one permits per slot;
+    # the run's trace bytes and outcome, and the audit's report, are those
+    # of the per-pair step loop
+    import districtmatch as dm
+    from trace_reference import _ttc_trace_doc, trace_text
+    from ttc_reference import run_ttc_per_pair
+
+    path = _ttc_diversity_with_policy(tmp_path, policy)
+    inst = dm.load_instance(path)
+    problem = inst.problem
+    try:
+        want = run_ttc_per_pair(problem, inst.policy, inst.master)
+        stuck = False
+    except dm.Stuck as exc:
+        want, stuck = exc.trace, True
+    trace_path = tmp_path / "trace.json"
+    code, out, err = run_cli(capsys, "run", path, "--mechanism", "ttc", "--trace", str(trace_path))
+    assert trace_path.read_text() == trace_text(_ttc_trace_doc(problem, want))
+    if stuck:
+        assert (code, out) == (3, "")
+        assert "no trading cycle exists" in err
+    else:
+        assert code == 0
+        rows = out.splitlines()[1 : problem.num_students + 1]
+        assert rows == [
+            f"{problem.student_ids[x.student]},{problem.school_ids[x.school]},"
+            f"{problem.district_ids[x.district]}"
+            for x in sorted(want.outcome)
+        ]
+
+    audit = run_cli(capsys, "audit", path, "--mechanism", "ttc")
+    monkeypatch.setattr(oracle, "run_ttc", run_ttc_per_pair)
+    assert audit == run_cli(capsys, "audit", path, "--mechanism", "ttc")
+    assert audit[0] in (0, 3, 6)
+
+
 def test_run_spda_intra(capsys):
     code, out, _ = run_cli(capsys, "run", fpath("spda_basic"), "--mechanism", "spda-intra")
     assert code == 0

@@ -16,6 +16,7 @@ from districtmatch.model import (
     is_feasible,
     pareto_dominates,
     validate_problem,
+    with_preferences,
 )
 
 from helpers import matching_of, random_problem
@@ -104,6 +105,22 @@ def test_incomplete_preferences_rejected():
     with pytest.raises(ValidationError) as err:
         validate_problem(spec)
     assert "IncompletePreference" in err.value.codes()
+
+
+@pytest.mark.parametrize("order", [(1, 2), (1, 1, 2, 3)], ids=["short", "repeated"])
+def test_with_preferences_rejects_an_order_that_is_not_a_permutation(ttc_diversity, order):
+    # a list cut short used to raise a bare IndexError, and a repeated school
+    # gave a rank row that places school 0 at position 0 though it is unlisted
+    p = ttc_diversity.problem
+    assert p.num_schools == 4
+    with pytest.raises(ValidationError) as err:
+        with_preferences(p, 0, order)
+    assert err.value.issues == [
+        ("IncompletePreference", f"student {p.student_ids[0]} must rank every school exactly once")
+    ]
+    again = with_preferences(p, 0, (3, 1, 0, 2))
+    assert again.preferences[0] == (3, 1, 0, 2)
+    assert again.rank[0] == (2, 1, 3, 0)
 
 
 def test_duplicate_ids_rejected():

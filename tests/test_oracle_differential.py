@@ -170,7 +170,7 @@ def _random_ceilings(rng, problem):
     seed=st.integers(0, 2**32 - 1),
     symmetry=st.booleans(),
     weak_substitutability=st.booleans(),
-    budget=st.sampled_from([1, 3, 10, 2 * 10**6]),
+    budget=st.sampled_from([0, 1, 3, 10, 2 * 10**6]),
 )
 def test_search_matches_reference_on_random_markets(
     seed, symmetry, weak_substitutability, budget

@@ -199,11 +199,11 @@ def assert_membership_matches_reference(goal, p):
         assert satisfies_with_feasibility(goal, xi, p) == want
         tally = GoalTally(goal, p, xi)
         assert tally.holds() == want
-        for origin, target in itertools.product(slots, slots):
+        for (k0, origin), (k1, target) in itertools.product(enumerate(slots), repeat=2):
             if xi.school_type(*origin):
                 moved = xi.add(*origin, -1).add(*target, +1)
                 want = policy_reference.satisfies_with_feasibility(goal, moved, p)
-                assert tally.permits(origin, target) == want, (xi, origin, target)
+                assert tally.permits(k0, k1) == want, (xi, origin, target)
 
 
 def test_plain_callable_score_goal_matches_reference(ttc_diversity):

@@ -268,12 +268,24 @@ def _moved(xi, origin, target):
     return xi.add(*origin, -1).add(*target, +1)
 
 
+def assert_masks_match_permits(tally, k0, num_slots, rng):
+    """``target_masks()`` from ``k0`` gives the coordinates ``permits``
+    allows, out of every coordinate and out of a random subset."""
+    allowed = sum(1 << k1 for k1 in range(num_slots) if tally.permits(k0, k1))
+    targets = tally.target_masks()
+    subset = rng.getrandbits(num_slots)
+    assert targets(k0, (1 << num_slots) - 1) == allowed
+    assert targets(k0, subset) == allowed & subset
+
+
 def assert_tally_exact(goal, problem, xi):
     """``permits``, ``target_masks`` and ``move`` agree with brute-force
-    membership for every move from every occupied slot of ``xi``."""
+    membership for every move from every occupied slot of ``xi``, and the
+    masks agree with ``permits`` before and after each move."""
     slots = [
         (c, t) for c in range(problem.num_schools) for t in range(problem.num_types)
     ]
+    rng = random.Random(len(slots))
     want_here = satisfies_with_feasibility(goal, xi, problem)
     for (k0, origin), (k1, target) in itertools.product(enumerate(slots), repeat=2):
         if xi.school_type(*origin) == 0:
@@ -282,13 +294,12 @@ def assert_tally_exact(goal, problem, xi):
         assert tally.holds() == want_here
         moved = _moved(xi, origin, target)
         want = satisfies_with_feasibility(goal, moved, problem)
-        assert tally.permits(origin, target) == want, (xi, origin, target)
-        targets = tally.target_masks()
-        if targets is not None:
-            assert bool(targets(k0) >> k1 & 1) == want, (xi, origin, target)
-        tally.move(origin, target)
+        assert tally.permits(k0, k1) == want, (xi, origin, target)
+        assert_masks_match_permits(tally, k0, len(slots), rng)
+        tally.move(k0, k1)
         assert tally.counts == list(moved.flat())
         assert tally.holds() == want, (xi, origin, target)
+        assert_masks_match_permits(tally, k1, len(slots), rng)
 
 
 @pytest.mark.parametrize(
@@ -334,9 +345,10 @@ def test_tally_counts_every_violation(ttc_diversity):
     assert (xi.school_type(0, 0), xi.school_type(1, 0)) == (2, 2)
     goal = school_diversity_goal(ceilings={(0, 0): 1, (1, 0): 1})
     tally = GoalTally(goal, problem, xi)
+    T = problem.num_types
     assert not tally.holds()
-    assert not tally.permits((1, 0), (0, 1))
-    tally.move((1, 0), (0, 1))
+    assert not tally.permits(1 * T + 0, 0 * T + 1)
+    tally.move(1 * T + 0, 0 * T + 1)
     assert not tally.holds()
-    assert not tally.permits((0, 0), (1, 0))
-    assert tally.permits((0, 0), (0, 1))
+    assert not tally.permits(0 * T + 0, 1 * T + 0)
+    assert tally.permits(0 * T + 0, 0 * T + 1)

@@ -13,8 +13,10 @@ every student, and answers each (slot, candidate) pair with one
 ``GoalTally.permits``.  ``run_ttc`` keeps pointers across steps, builds the
 other-type slots of a list only when its pointer reaches them, starts walks
 only from the least student pointing at each slot and from the slots'
-targets, and answers linear goals with one mask of permitted targets per
-head; explicit and score goals still take the per-pair tests.
+targets, and hands out the free slots head by head in master order through
+``GoalTally.target_masks``: one mask per head while a linear goal's tally
+holds, one ``permits`` per free slot otherwise.  Both loops name slots by
+their coordinates c × num_types + t when they ask the tally.
 
 ``_find_cycles`` is the cycle walk ``districtmatch.ttc._find_cycles``
 replaced: a path list, a position dict and a per-node ``visited`` loop.
@@ -146,6 +148,10 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
     tally = GoalTally(goal, problem, initial_xi)
     initial = market.initial_slot
     rank = market.master_rank
+    T = problem.num_types
+
+    def number(slot):
+        return slot[0] * T + slot[1]
 
     # unassigned students of each initial slot, in master order
     holders = {slot: deque() for slot in market.pairs}
@@ -172,7 +178,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
         for slot in active:
             own = holders[slot]
             for s in [own[0], *heads] if own else heads:
-                if tally.permits(initial[s], slot):
+                if tally.permits(number(initial[s]), number(slot)):
                     slot_pointer[slot] = s
                     break
             else:
@@ -211,7 +217,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
             for s, slot in cycle:
-                tally.move(initial[s], slot)
+                tally.move(number(initial[s]), number(slot))
                 holders[initial[s]].popleft()
                 assignment[s] = slot
                 unassigned.discard(s)
