@@ -40,7 +40,7 @@ class UniverseTooLarge(DistrictMatchError):
 
 
 class RuleViolation(DistrictMatchError):
-    """A choice function misbehaved during a mechanism run (e.g. no progress)."""
+    """A choice function misbehaved during a mechanism run."""
 
     def __init__(self, message, trace=None):
         self.trace = trace

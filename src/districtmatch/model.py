@@ -131,9 +131,6 @@ class Distribution:
 
     counts: tuple  # counts[school][type]
 
-    def school_type(self, school: int, type_: int) -> int:
-        return self.counts[school][type_]
-
     def school_total(self, school: int) -> int:
         return sum(self.counts[school])
 
@@ -229,6 +226,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
     student_district = []
     student_type = []
     preferences = []
+    rank = []
     for stid, did, tid, prefs in raw.students:
         if did not in district_index:
             issues.append(
@@ -246,8 +244,9 @@ def validate_problem(raw: ProblemSpec) -> Problem:
                 ("DanglingReference", f"student {stid} ranks unknown school {unknown[0]}")
             )
             continue
-        pref_idx = [school_index[cid] for cid in prefs]
-        if sorted(pref_idx) != list(range(len(school_index))):
+        pref_idx = tuple(map(school_index.__getitem__, prefs))
+        positions = order_positions(pref_idx, len(school_index))
+        if positions is None:
             issues.append(
                 (
                     "IncompletePreference",
@@ -258,7 +257,8 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         student_index[stid] = len(student_index)
         student_district.append(district_index[did])
         student_type.append(type_index[tid])
-        preferences.append(tuple(pref_idx))
+        preferences.append(pref_idx)
+        rank.append(positions)
 
     structural = bool(issues)
     k_district = [0] * len(raw.districts)
@@ -330,8 +330,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         tuple(c for c, d in enumerate(school_district) if d == i)
         for i in range(len(raw.districts))
     )
-    rank = tuple(map(_positions, preferences))
-
     return Problem(
         student_ids=tuple(student_index),
         district_ids=tuple(raw.districts),
@@ -346,17 +344,22 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         k_district=tuple(k_district),
         k_type=tuple(k_type),
         district_schools=district_schools,
-        rank=rank,
+        rank=tuple(rank),
     )
 
 
-def _positions(order) -> tuple:
-    """The position of each school in ``order``, a permutation of the
-    schools: the permutation inverted."""
-    rank = [0] * len(order)
-    for i, c in enumerate(order):
-        rank[c] = i
-    return tuple(rank)
+def order_positions(order, n: int) -> Optional[tuple]:
+    """The position of each of 0..n-1 in ``order``: the permutation
+    inverted.  None unless ``order`` lists each of them exactly once; an
+    entry that is not an int (a bool is not) never does."""
+    if len(order) != n:
+        return None
+    positions = [None] * n
+    for i, v in enumerate(order):
+        if type(v) is not int or not 0 <= v < n or positions[v] is not None:
+            return None
+        positions[v] = i
+    return tuple(positions)
 
 
 def with_preferences(problem: Problem, student: int, prefs) -> Problem:
@@ -364,12 +367,12 @@ def with_preferences(problem: Problem, student: int, prefs) -> Problem:
     which must rank every school exactly once."""
     preferences, rank = list(problem.preferences), list(problem.rank)
     preferences[student] = tuple(prefs)
-    if sorted(preferences[student]) != list(range(problem.num_schools)):
+    rank[student] = order_positions(preferences[student], problem.num_schools)
+    if rank[student] is None:
         raise ValidationError([(
             "IncompletePreference",
             f"student {problem.student_ids[student]} must rank every school exactly once",
         )])
-    rank[student] = _positions(preferences[student])
     return replace(problem, preferences=tuple(preferences), rank=tuple(rank))
 
 

@@ -26,7 +26,7 @@ from .errors import (
     UnknownContract,
     ValidationError,
 )
-from .model import Contract, Matching, Problem, built_once, enumerate_matchings
+from .model import Contract, Matching, Problem, built_once, enumerate_matchings, order_positions
 
 
 class RuleKind(Enum):
@@ -166,11 +166,10 @@ def rule_issues(rule: RuleSpec, problem: Problem) -> list:
     if sorted(rule.school_order) != list(problem.district_schools[rule.district]):
         issues.append("school_order must cover exactly its district's schools")
     issues += [f"no priority list for school {school[c]}" for c in _unranked(rule)]
-    everyone = list(range(problem.num_students))
     issues += [
         f"priority at school {school[c]} does not rank every student once"
         for c, order in rule.priorities
-        if sorted(order) != everyone
+        if order_positions(order, problem.num_students) is None
     ]
     if rule.kind is RuleKind.RESERVES_AND_CEILINGS:
         reserved, ceilings = Counter(), _lookup(rule.ceilings)

@@ -102,14 +102,8 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     # from its first proposal
     held = [frozenset() if tables[d] else None for d in range(D)]
     steps = []
-    guard = sum(map(len, lists)) + 1
 
     while True:
-        if len(steps) > guard:
-            raise RuleViolation(
-                "no convergence; a rule is re-rejecting held contracts",
-                trace=SpdaTrace(tuple(steps), frozenset()),
-            )
         proposals = [[] for _ in range(D)]
         for s in proposing:
             if next_choice[s] >= len(lists[s]):

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
-from .model import Matching, Problem, distribution_of
+from .model import Matching, Problem, distribution_of, order_positions
 from .policy import GoalTally, PolicyGoal, satisfies_with_feasibility
 
 
@@ -23,14 +23,12 @@ class HypotheticalMarket:
     student_prefs: tuple  # per student: tuple of slots, best first
     initial_slot: tuple  # per student
     master: tuple  # master priority list of student indices
-    # per student: position in the master list
+    # per student: position in the master list; None unless it orders
+    # every student exactly once
     master_rank: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rank = [0] * len(self.master)
-        for i, s in enumerate(self.master):
-            rank[s] = i
-        object.__setattr__(self, "master_rank", tuple(rank))
+        object.__setattr__(self, "master_rank", order_positions(self.master, len(self.master)))
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ def build_hypothetical(problem: Problem, master=None) -> HypotheticalMarket:
     if master is None:
         master = tuple(range(problem.num_students))
     master = tuple(master)
-    if sorted(master) != list(range(problem.num_students)):
+    if order_positions(master, problem.num_students) is None:
         raise RuleViolation("master list must order every student exactly once")
     pairs = tuple(
         (c, t)
@@ -142,7 +140,8 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     """
     n, T = problem.num_students, problem.num_types
     master = tuple(range(n)) if master is None else tuple(master)
-    if sorted(master) != list(range(n)):
+    rank = order_positions(master, n)
+    if rank is None:
         raise RuleViolation("master list must order every student exactly once")
     pairs = [(c, t) for c in range(problem.num_schools) for t in range(T)]
     initial_xi = distribution_of(problem.initial_matching(), problem)
@@ -151,9 +150,6 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             "the initial matching does not satisfy the policy goal"
         )
     tally = GoalTally(goal, problem, initial_xi)
-    rank = [0] * n
-    for i, s in enumerate(master):
-        rank[s] = i
     prefs, types = problem.preferences, problem.student_type
     initial = [c * T + t for c, t in zip(problem.initial_school, types)]
 
@@ -170,7 +166,6 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     pointed = {}  # slot number -> the students pointing to it
     assignment = {}
     steps = []
-    guard = n * len(pairs) + 2
 
     def repoint(s, i):
         """Point ``s`` at the first slot not yet removed from position ``i``
@@ -200,11 +195,6 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
         repoint(s, 0)
 
     while len(assignment) < n:
-        if len(steps) > guard:
-            raise RuleViolation(
-                "trading failed to make progress",
-                trace=TtcTrace(tuple(steps), frozenset()),
-            )
         heads = sorted((q[0] for q in holders if q), key=rank.__getitem__)
         to = {}  # slot number -> the student it points to
         holds = tally.holds()

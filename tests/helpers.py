@@ -1,5 +1,5 @@
-"""Shared test helpers: readable ids, matchings from id pairs, and the seeded
-random market, rule and goal generators.
+"""Shared test helpers: readable ids, matchings from id pairs, the seeded
+random market, rule and goal generators, and the SPDA step bound.
 
 They live outside ``conftest.py`` because the benchmark's tests have a
 ``conftest`` module of their own, and one test session imports only one
@@ -9,6 +9,7 @@ module of that name.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from districtmatch.model import ProblemSpec, distribution_of, validate_problem
 from districtmatch.policy import (
@@ -68,6 +69,18 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def assert_spda_step_bound(trace, lists):
+    """The step bound of a deferred-acceptance trace, finished or partial,
+    in which student ``s`` proposes down ``lists[s]``.  A student has one
+    contract out, so each rejection moves one pointer on by one and never
+    past the end of her list, and every step but the last rejects some
+    contract: ``num_steps <= 1 + Σ|rejected| <= 1 + Σ len(lists)``."""
+    rejected = Counter(x.student for step in trace.steps for x in step.rejected)
+    assert all(rejected[s] <= len(order) for s, order in enumerate(lists))
+    assert all(step.rejected for step in trace.steps[:-1])
+    assert trace.num_steps <= 1 + rejected.total() <= 1 + sum(map(len, lists))
 
 
 def random_problem(rng: random.Random, *, num_types=None, slack=None, students=(2, 4)):
@@ -178,7 +191,7 @@ def random_goal(rng: random.Random, problem, form: GoalForm) -> PolicyGoal:
     if form in (GoalForm.SCHOOL_DIVERSITY, GoalForm.COMBINATION):
         ceilings, floors = {}, {}
         for c, t in coords:
-            v = xi.school_type(c, t)
+            v = xi.counts[c][t]
             if rng.random() < 0.5:
                 ceilings[(c, t)] = _near(rng, v)
             if rng.random() < 0.3:

@@ -203,7 +203,7 @@ def contains(goal: PolicyGoal, xi: Distribution, problem: Problem) -> bool:
 def _within_box(goal, xi, problem):
     for c in range(problem.num_schools):
         for t in range(problem.num_types):
-            v = xi.school_type(c, t)
+            v = xi.counts[c][t]
             if v < floor(goal, c, t):
                 return False
             q = ceiling(goal, c, t)

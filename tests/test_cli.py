@@ -222,6 +222,19 @@ def test_ttc_under_non_linear_goals_matches_the_per_pair_loop(
     assert audit[0] in (0, 3, 6)
 
 
+def test_audit_names_the_misreport_whose_run_is_stuck(capsys, tmp_path):
+    # the honest run finishes, but a misreport's run finds no trading cycle
+    path = _ttc_diversity_with_policy(tmp_path, _manhattan("-4"))
+    assert run_cli(capsys, "run", path, "--mechanism", "ttc")[0] == 0
+    assert run_cli(capsys, "audit", path, "--mechanism", "ttc") == (
+        3,
+        "",
+        "mechanism error: the honest run succeeded, but the run on student s1's "
+        "report c3>c1>c2>c4 did not: students remain but no trading cycle exists; "
+        "the goal set is likely not M-convex\n",
+    )
+
+
 def test_run_spda_intra(capsys):
     code, out, _ = run_cli(capsys, "run", fpath("spda_basic"), "--mechanism", "spda-intra")
     assert code == 0

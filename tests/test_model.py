@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import districtmatch as dm
@@ -14,6 +14,7 @@ from districtmatch.model import (
     distribution_of,
     enumerate_matchings,
     is_feasible,
+    order_positions,
     pareto_dominates,
     validate_problem,
     with_preferences,
@@ -107,10 +108,16 @@ def test_incomplete_preferences_rejected():
     assert "IncompletePreference" in err.value.codes()
 
 
-@pytest.mark.parametrize("order", [(1, 2), (1, 1, 2, 3)], ids=["short", "repeated"])
+@pytest.mark.parametrize(
+    "order",
+    [(1, 2), (1, 1, 2, 3), (True, 0, 2, 3), (0, 1, 2, "3")],
+    ids=["short", "repeated", "bool", "not_an_int"],
+)
 def test_with_preferences_rejects_an_order_that_is_not_a_permutation(ttc_diversity, order):
-    # a list cut short used to raise a bare IndexError, and a repeated school
-    # gave a rank row that places school 0 at position 0 though it is unlisted
+    # a list cut short used to raise a bare IndexError, a repeated school
+    # gave a rank row that places school 0 at position 0 though it is
+    # unlisted, a bool passed as the school it equals, and a string raised
+    # a bare TypeError
     p = ttc_diversity.problem
     assert p.num_schools == 4
     with pytest.raises(ValidationError) as err:
@@ -121,6 +128,48 @@ def test_with_preferences_rejects_an_order_that_is_not_a_permutation(ttc_diversi
     again = with_preferences(p, 0, (3, 1, 0, 2))
     assert again.preferences[0] == (3, 1, 0, 2)
     assert again.rank[0] == (2, 1, 3, 0)
+
+
+ENTRIES = st.one_of(st.integers(-3, 8), st.booleans(), st.none(), st.floats(0, 3), st.just("1"))
+
+
+@st.composite
+def orders(draw):
+    """``(order, n)``: a permutation of 0..n-1, or of a neighbouring length,
+    now and then with one entry replaced by a negative, repeated,
+    out-of-range, bool or non-int one; or any short list of such entries."""
+    n = draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)) == 0:
+        return tuple(draw(st.lists(ENTRIES, max_size=8))), n
+    size = max(0, n + draw(st.sampled_from([0, 0, -1, 1])))
+    order = list(draw(st.permutations(range(size))))
+    if order and draw(st.booleans()):
+        order[draw(st.integers(0, size - 1))] = draw(ENTRIES)
+    return tuple(order), n
+
+
+def _positions_by_sort(order, n):
+    """The sort-and-compare check and the inverse table built by hand, with
+    every entry required to be an int (bools are not)."""
+    if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
+        return None
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    return tuple(rank)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=orders())
+@example(case=((), 0))
+@example(case=((1, 0), 2))
+@example(case=((False, True), 2))
+@example(case=((0, 0, 2), 3))
+@example(case=((1, -1), 2))
+@example(case=((0, 1, 2), 2))
+def test_order_positions_matches_the_sort_check_and_inverse(case):
+    order, n = case
+    assert order_positions(order, n) == _positions_by_sort(order, n)
 
 
 def test_duplicate_ids_rejected():

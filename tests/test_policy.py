@@ -200,7 +200,7 @@ def assert_membership_matches_reference(goal, p):
         tally = GoalTally(goal, p, xi)
         assert tally.holds() == want
         for (k0, origin), (k1, target) in itertools.product(enumerate(slots), repeat=2):
-            if xi.school_type(*origin):
+            if xi.counts[origin[0]][origin[1]]:
                 moved = xi.add(*origin, -1).add(*target, +1)
                 want = policy_reference.satisfies_with_feasibility(goal, moved, p)
                 assert tally.permits(k0, k1) == want, (xi, origin, target)
@@ -212,7 +212,7 @@ def test_plain_callable_score_goal_matches_reference(ttc_diversity):
     p = ttc_diversity.problem
 
     def balance(xi):
-        return -abs(xi.school_type(0, 0) - xi.school_type(1, 1)) - xi.school_total(3)
+        return -abs(xi.counts[0][0] - xi.counts[1][1]) - xi.school_total(3)
 
     goal = f_lambda_goal(balance, -2)
     assert_membership_matches_reference(goal, p)
@@ -318,10 +318,10 @@ def test_fast_checker_agrees_with_reference():
         ref = is_mconvex_reference(sample)
         assert fast.holds == ref.holds
         if not fast.holds:
-            a, b, coord = fast.witness
+            a, b, (c, t) = fast.witness
             # the reported witness must itself be a genuine violation
             assert a in sample and b in sample
-            assert a.school_type(*coord) > b.school_type(*coord)
+            assert a.counts[c][t] > b.counts[c][t]
             assert find_exchange_violation(sample, a, b) is not None
 
 
@@ -644,7 +644,7 @@ def test_combination_goal_membership(reserves_diversity):
         xi
         for xi in members
         if all(
-            sum(xi.school_type(c, t) for c in range(p.num_schools)) == p.k_type[t]
+            sum(xi.counts[c][t] for c in range(p.num_schools)) == p.k_type[t]
             for t in range(p.num_types)
         )
     ]

@@ -18,7 +18,7 @@ from districtmatch.spda import (
     type_ratio_gaps,
 )
 
-from helpers import ids_of, matching_of
+from helpers import assert_spda_step_bound, ids_of, matching_of
 from spda_reference import single_district_da_reference
 
 
@@ -327,6 +327,7 @@ def test_nontermination_guard():
         problem=p,
     )
     # everything gets rejected until lists run out; that terminates cleanly,
-    # so this exercises the exhausted-list path rather than the guard
+    # within the step bound
     trace = run_spda(p, {0: bad, 1: ok})
     assert p.outcome_school(trace.outcome, 0) == 1  # s1 ends at c2
+    assert_spda_step_bound(trace, p.preferences)

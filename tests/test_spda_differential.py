@@ -42,7 +42,7 @@ from districtmatch.spda import (
     run_spda,
 )
 
-from helpers import all_contracts, random_problem
+from helpers import all_contracts, assert_spda_step_bound, random_problem
 from spda_reference import (
     choose_reference,
     deferred_acceptance_reference,
@@ -337,6 +337,48 @@ def test_intradistrict_table_choosing_outside_its_input_raises(seed):
         problem, random_rules(rng, problem, tables=0.5)
     )
     assert got[0] is RuleViolation and "chose outside its input" in got[1]
+
+
+def _deferred_acceptance_runs(problem, rules):
+    """``(trace, lists)`` of the loop under ``run_spda`` and under
+    ``run_intradistrict_spda``; a failed run gives its partial trace."""
+    runs = []
+    loop = spda_module._deferred_acceptance
+
+    def recorded(problem, rules, lists):
+        try:
+            trace = loop(problem, rules, lists)
+        except RuleViolation as exc:
+            runs.append((exc.trace, lists))
+            raise
+        runs.append((trace, lists))
+        return trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spda_module, "_deferred_acceptance", recorded)
+        for run in (run_spda, run_intradistrict_spda):
+            try:
+                run(problem, rules)
+            except RuleViolation:
+                pass
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_steps_stay_within_the_rejections_on_random_markets(seed):
+    # spec rules, tables that re-reject what they hold, and now and then a
+    # table that chooses nothing at all, as in test_nontermination_guard
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 5))
+    rules = random_rules(rng, problem, tables=0.5)
+    for d, rule in rules.items():
+        if rule.kind is RuleKind.EXPLICIT_TABLE and rng.random() < 0.3:
+            rules[d] = replace(rule, table=tuple((key, frozenset()) for key, _ in rule.table))
+    runs = _deferred_acceptance_runs(problem, rules)
+    assert len(runs) == 2
+    for trace, lists in runs:
+        assert_spda_step_bound(trace, lists)
 
 
 @settings(max_examples=100, deadline=None)

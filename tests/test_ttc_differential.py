@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import districtmatch as dm
@@ -109,7 +109,7 @@ def _random_run(seed, form):
     if form is GoalForm.SCHOOL_DIVERSITY and rng.random() < 0.5:
         xi = distribution_of(problem.initial_matching(), problem)
         goal = school_diversity_goal(ceilings={
-            (c, t): xi.school_type(c, t)
+            (c, t): xi.counts[c][t]
             for c in range(problem.num_schools)
             for t in range(problem.num_types)
             if rng.random() < 0.8
@@ -162,6 +162,42 @@ def test_pointer_runs_on_into_other_types_in_list_order():
 )
 def test_run_matches_per_pair_loop_on_random_markets(seed, form):
     assert_same_as_per_pair(*_random_run(seed, form))
+
+
+def assert_step_bound(problem, goal, master):
+    """Each step of a run that does not raise removes a slot or executes a
+    cycle.  Slots never come back and a cycle assigns its students, so a
+    finished run takes at most n + P steps (n students, P slots); a
+    ``Stuck`` trace has one more step, which removes nothing and trades
+    nothing.  Returns whether the run was stuck, or None when it took no
+    step."""
+    try:
+        trace, stuck = run_ttc(problem, goal, master), False
+    except dm.Stuck as exc:
+        trace, stuck = exc.trace, True
+    except dm.PolicyViolatedAtStart:
+        return None
+    n, P = problem.num_students, problem.num_schools * problem.num_types
+    idle = [i for i, step in enumerate(trace.steps) if not (step.removed or step.cycles)]
+    assert idle == ([trace.num_steps - 1] if stuck else [])
+    assert sum(len(step.removed) for step in trace.steps) <= P
+    assert sum(len(cycle) for step in trace.steps for cycle in step.cycles) <= n
+    assert trace.num_steps <= n + P + stuck
+    return stuck
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(list(GoalForm)),
+)
+@example(seed=1, form=GoalForm.BALANCED_EXCHANGE)  # stuck at its fifth step
+def test_run_takes_at_most_n_plus_p_steps_on_random_markets(seed, form):
+    assert_step_bound(*_random_run(seed, form))
+
+
+def test_stuck_fixture_meets_the_step_bound(ttc_stuck):
+    assert assert_step_bound(ttc_stuck.problem, ttc_stuck.policy, ttc_stuck.master)
 
 
 def test_per_pair_sweep_reaches_every_branch(monkeypatch):
@@ -288,7 +324,7 @@ def assert_tally_exact(goal, problem, xi):
     rng = random.Random(len(slots))
     want_here = satisfies_with_feasibility(goal, xi, problem)
     for (k0, origin), (k1, target) in itertools.product(enumerate(slots), repeat=2):
-        if xi.school_type(*origin) == 0:
+        if xi.counts[origin[0]][origin[1]] == 0:
             continue
         tally = GoalTally(goal, problem, xi)
         assert tally.holds() == want_here
@@ -342,7 +378,7 @@ def test_tally_counts_every_violation(ttc_diversity):
     # a move repairing the other as well is permitted
     problem = ttc_diversity.problem
     xi = distribution_of(problem.initial_matching(), problem)
-    assert (xi.school_type(0, 0), xi.school_type(1, 0)) == (2, 2)
+    assert (xi.counts[0][0], xi.counts[1][0]) == (2, 2)
     goal = school_diversity_goal(ceilings={(0, 0): 1, (1, 0): 1})
     tally = GoalTally(goal, problem, xi)
     T = problem.num_types
