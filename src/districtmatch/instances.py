@@ -61,7 +61,9 @@ def load_instance(path) -> Instance:
 class _Reader:
     """Reads the sections of an instance document, noting every issue it
     meets instead of stopping at the first.  ``index`` maps each kind of id
-    (type, district, school, student) to its {id: position} in file order."""
+    (type, district, school, student) to its {id: position} in file order:
+    for an instance file it is the ``ProblemSpec.index`` that validation
+    reads too."""
 
     JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
     # the keys each object allows, by section (a list's objects by the list's
@@ -216,7 +218,7 @@ def instance_from_dict(doc: dict) -> Instance:
     ``rule_issues``'s; one ValidationError lists every issue found."""
     if not isinstance(doc, dict):
         raise ValidationError([("DanglingReference", "an instance is a JSON object")])
-    read = _Reader({})
+    read = _Reader(None)  # the spec's index, once the id sections are read
     read.keys(doc, "instance", "instance")
     for section in ("types", "districts", "schools", "students", "initial_matching"):
         if section not in doc:
@@ -231,15 +233,10 @@ def instance_from_dict(doc: dict) -> Instance:
         (*read.strings(s, ("id", "district", "type"), owner), read.names(s, "preferences", owner))
         for owner, s in read.objects(doc, "students", "instance", "student")
     )
-    read.index = {  # a malformed id reads as None, which is no key
-        "type": {t: i for i, t in enumerate(types) if t is not None},
-        "district": {d: i for i, d in enumerate(districts) if d is not None},
-        "school": {c[0]: i for i, c in enumerate(schools) if c[0] is not None},
-        "student": {s[0]: i for i, s in enumerate(students) if s[0] is not None},
-    }
+    spec = ProblemSpec(types, districts, schools, students, doc.get("initial_matching"))
+    read.index = spec.index
     problem = None
     if not read.issues:
-        spec = ProblemSpec(types, districts, schools, students, doc["initial_matching"])
         try:
             problem = validate_problem(spec)
         except ValidationError as exc:

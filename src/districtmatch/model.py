@@ -1,14 +1,16 @@
 """Core market model: problems, contracts, matchings, and distributions.
 
-All identifiers coming from instance files are opaque strings.  Validation
-assigns each entity an index in file order, and every algorithm in the
-package works on those indices, so runs are byte-reproducible.
+All identifiers coming from instance files are opaque strings.  Each
+entity's index is its position in file order, kept once per instance in
+``ProblemSpec.index``: validation and the instance reader both resolve ids
+through it.  Every algorithm in the package works on those indices, so runs
+are byte-reproducible.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
@@ -28,13 +30,35 @@ Matching = frozenset  # of Contract
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Raw, id-based description of a market, as read from an instance file."""
+    """Raw, id-based description of a market, as read from an instance file.
+
+    ``index`` maps each kind of id (type, district, school, student) to its
+    {id: position} in file order, built once per spec; ``validate_problem``
+    and the instance reader both resolve ids through it.
+    """
 
     types: tuple
     districts: tuple
     schools: tuple  # of (school_id, district_id, capacity)
     students: tuple  # of (student_id, district_id, type_id, preference list)
     initial_matching: dict  # student_id -> school_id
+
+    @cached_property
+    def index(self) -> dict:
+        """A repeated id keeps its first position; a malformed id (None)
+        is no key."""
+        index = {}
+        for kind, ids in (
+            ("type", self.types),
+            ("district", self.districts),
+            ("school", (c[0] for c in self.schools)),
+            ("student", (s[0] for s in self.students)),
+        ):
+            positions = index[kind] = {}
+            for i, v in enumerate(ids):
+                if v is not None:
+                    positions.setdefault(v, i)
+        return index
 
 
 @dataclass(frozen=True)
@@ -56,10 +80,10 @@ class Problem:
     school_district: tuple  # district index per school
     capacities: tuple  # per school
     initial_school: tuple  # per student
-    k_district: tuple = field(default=())
-    k_type: tuple = field(default=())
-    district_schools: tuple = field(default=())
-    rank: tuple = field(default=())  # rank[s][c] = position of c in s's list
+    k_district: tuple
+    k_type: tuple
+    district_schools: tuple
+    rank: tuple  # rank[s][c] = position of c in s's list
 
     # -- convenience accessors -------------------------------------------------
 
@@ -174,175 +198,141 @@ class FeasibilityReport:
 
 
 def validate_problem(raw: ProblemSpec) -> Problem:
-    """Check every structural invariant of ``raw`` and index it.
+    """Check every structural invariant of ``raw`` and index it by ``raw.index``.
 
     Raises ValidationError listing all violations; the error codes are
     MissingDistrict, CapacityShortfall, InfeasibleInitialMatching,
     IncompletePreference and DanglingReference.  Capacities must be integers
     (booleans are not) and the initial matching a dict.
     """
-    issues = []
-
-    for label, ids in (
-        ("district", raw.districts),
-        ("type", raw.types),
-        ("school", [c[0] for c in raw.schools]),
-        ("student", [s[0] for s in raw.students]),
-    ):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                issues.append(("DanglingReference", f"duplicate {label} id {i!r}"))
-            seen.add(i)
+    districts, types, schools, students = map(
+        raw.index.get, ("district", "type", "school", "student")
+    )
+    school_ids = tuple(c[0] for c in raw.schools)
+    student_ids = tuple(s[0] for s in raw.students)
+    # an id is a repeat wherever the index holds an earlier position for it
+    issues = [
+        ("DanglingReference", f"duplicate {label} id {v!r}")
+        for label, ids, index in (
+            ("district", raw.districts, districts),
+            ("type", raw.types, types),
+            ("school", school_ids, schools),
+            ("student", student_ids, students),
+        )
+        for i, v in enumerate(ids)
+        if index.get(v, i) != i
+    ]
     if issues:
         raise ValidationError(issues)
 
-    district_index = {d: i for i, d in enumerate(raw.districts)}
-    type_index = {t: i for i, t in enumerate(raw.types)}
-    school_index = {}
-    school_district = []
-    capacities = []
-    for sid, did, cap in raw.schools:
-        if did not in district_index:
-            issues.append(
-                ("DanglingReference", f"school {sid} references unknown district {did}")
-            )
-            continue
-        if type(cap) is not int:
+    school_district = tuple(districts.get(c[1]) for c in raw.schools)
+    capacities = tuple(c[2] for c in raw.schools)
+    for (sid, did, cap), d in zip(raw.schools, school_district):
+        if d is None:
+            issues.append(("DanglingReference", f"school {sid} references unknown district {did}"))
+        elif type(cap) is not int:
             issues.append(("DanglingReference", f"school {sid} has non-integer capacity {cap!r}"))
-        school_index[sid] = len(school_index)
-        school_district.append(district_index[did])
-        capacities.append(cap)
+    district_schools = tuple(
+        tuple(c for c, d in enumerate(school_district) if d == i) for i in range(len(raw.districts))
+    )
 
     if len(raw.districts) < 2:
         issues.append(("MissingDistrict", "need at least two districts with schools"))
     issues += [
         ("MissingDistrict", f"district {d} has no schools")
-        for i, d in enumerate(raw.districts)
-        if i not in school_district
+        for d, own in zip(raw.districts, district_schools)
+        if not own
     ]
 
-    student_index = {}
-    student_district = []
-    student_type = []
-    preferences = []
-    rank = []
+    student_district, student_type, preferences, rank = [], [], [], []
     for stid, did, tid, prefs in raw.students:
-        if did not in district_index:
+        d, t = districts.get(did), types.get(tid)
+        pref_idx = tuple(map(schools.get, prefs))
+        positions = order_positions(pref_idx, len(raw.schools))
+        if d is None:
             issues.append(
                 ("DanglingReference", f"student {stid} references unknown district {did}")
             )
-            continue
-        if tid not in type_index:
+        elif t is None:
+            issues.append(("DanglingReference", f"student {stid} references unknown type {tid}"))
+        elif None in pref_idx:
+            unknown = prefs[pref_idx.index(None)]
+            issues.append(("DanglingReference", f"student {stid} ranks unknown school {unknown}"))
+        elif positions is None:
             issues.append(
-                ("DanglingReference", f"student {stid} references unknown type {tid}")
+                ("IncompletePreference", f"student {stid} must rank every school exactly once")
             )
-            continue
-        unknown = [cid for cid in prefs if cid not in school_index]
-        if unknown:
-            issues.append(
-                ("DanglingReference", f"student {stid} ranks unknown school {unknown[0]}")
-            )
-            continue
-        pref_idx = tuple(map(school_index.__getitem__, prefs))
-        positions = order_positions(pref_idx, len(school_index))
-        if positions is None:
-            issues.append(
-                (
-                    "IncompletePreference",
-                    f"student {stid} must rank every school exactly once",
-                )
-            )
-            continue
-        student_index[stid] = len(student_index)
-        student_district.append(district_index[did])
-        student_type.append(type_index[tid])
-        preferences.append(pref_idx)
-        rank.append(positions)
+        else:
+            student_district.append(d)
+            student_type.append(t)
+            preferences.append(pref_idx)
+            rank.append(positions)
 
     structural = bool(issues)
-    k_district = [0] * len(raw.districts)
-    for d in student_district:
-        k_district[d] += 1
+    k_district = tuple(map(student_district.count, range(len(raw.districts))))
 
+    # a school of an unknown district has no capacity to fall short of
     issues += [
         ("CapacityShortfall", f"school {sid} has capacity {cap} < 1")
-        for sid, cap in zip(school_index, capacities)
-        if type(cap) is int and cap < 1
+        for (sid, _, cap), d in zip(raw.schools, school_district)
+        if d is not None and type(cap) is int and cap < 1
     ]
 
     # per-district capacity must cover the district's own students
     if not structural:
-        cap_by_district = [0] * len(raw.districts)
-        for c, d in enumerate(school_district):
-            cap_by_district[d] += capacities[c]
-        for i, did in enumerate(raw.districts):
-            if k_district[i] > cap_by_district[i]:
-                issues.append(
-                    (
-                        "CapacityShortfall",
-                        f"district {did} has {k_district[i]} students but "
-                        f"total school capacity {cap_by_district[i]}",
-                    )
-                )
+        for did, k, own in zip(raw.districts, k_district, district_schools):
+            cap = sum(capacities[c] for c in own)
+            if k > cap:
+                issues.append((
+                    "CapacityShortfall",
+                    f"district {did} has {k} students but total school capacity {cap}",
+                ))
 
     # initial matching: every student exactly one school, capacities respected
-    initial_school = [None] * len(student_index)
+    initial_school = [None] * len(student_ids)
     if not isinstance(raw.initial_matching, dict):
         issues.append(("InfeasibleInitialMatching", "initial_matching is not an object"))
     elif not structural:
-        load = [0] * len(school_index)
+        load = [0] * len(school_ids)
         for stid, cid in raw.initial_matching.items():
-            if stid not in student_index:
+            s = students.get(stid)
+            c = schools.get(cid) if isinstance(cid, str) else None  # ids are strings
+            if s is None:
                 issues.append(
                     ("DanglingReference", f"initial matching names unknown student {stid}")
                 )
-                continue
-            if not isinstance(cid, Hashable) or cid not in school_index:
-                issues.append(
-                    ("DanglingReference", f"initial matching names unknown school {cid}")
-                )
-                continue
-            initial_school[student_index[stid]] = school_index[cid]
-            load[school_index[cid]] += 1
-        for stid, idx in student_index.items():
-            if initial_school[idx] is None:
+            elif c is None:
+                issues.append(("DanglingReference", f"initial matching names unknown school {cid}"))
+            else:
+                initial_school[s] = c
+                load[c] += 1
+        for stid, c in zip(student_ids, initial_school):
+            if c is None:
                 issues.append(
                     ("InfeasibleInitialMatching", f"student {stid} has no initial school")
                 )
-        for cid, idx in school_index.items():
-            if load[idx] > capacities[idx]:
-                issues.append(
-                    (
-                        "InfeasibleInitialMatching",
-                        f"school {cid} holds {load[idx]} students initially, "
-                        f"capacity {capacities[idx]}",
-                    )
-                )
+        for cid, n, cap in zip(school_ids, load, capacities):
+            if n > cap:
+                issues.append((
+                    "InfeasibleInitialMatching",
+                    f"school {cid} holds {n} students initially, capacity {cap}",
+                ))
 
     if issues:
         raise ValidationError(issues)
-
-    k_type = [0] * len(raw.types)
-    for t in student_type:
-        k_type[t] += 1
-    district_schools = tuple(
-        tuple(c for c, d in enumerate(school_district) if d == i)
-        for i in range(len(raw.districts))
-    )
     return Problem(
-        student_ids=tuple(student_index),
+        student_ids=student_ids,
         district_ids=tuple(raw.districts),
-        school_ids=tuple(school_index),
+        school_ids=school_ids,
         type_ids=tuple(raw.types),
         student_district=tuple(student_district),
         student_type=tuple(student_type),
         preferences=tuple(preferences),
-        school_district=tuple(school_district),
-        capacities=tuple(capacities),
+        school_district=school_district,
+        capacities=capacities,
         initial_school=tuple(initial_school),
-        k_district=tuple(k_district),
-        k_type=tuple(k_type),
+        k_district=k_district,
+        k_type=tuple(map(student_type.count, range(len(raw.types)))),
         district_schools=district_schools,
         rank=tuple(rank),
     )

@@ -60,6 +60,19 @@ def test_reports_byte_identical_across_processes(tmp_path):
     # every property an instance file can check; is_completion_of needs a base rule
     properties = [v.value for v in RuleProperty if v is not RuleProperty.IS_COMPLETION_OF]
     check_rule = ("check-rule", fpath("reserves_diversity"), "--district", "d1", "--properties")
+    # a malformed instance whose issues come from every section that resolves ids
+    doc = json.loads(fixture_path("spda_basic").read_text())
+    doc["schools"][0]["district"] = "zz"
+    doc["students"][0]["preferences"][2] = "c9"
+    doc["rules"][0]["priorities"]["c9"] = ["s1", "s9"]
+    doc["policy"] = {
+        "form": "school_diversity",
+        "floors": {"c3": {"t1": 2}, "c2": {"t1": -1}},
+        "ceilings": {"c3": {"t1": 1}, "c1": {"t9": 1}},
+    }
+    doc["master_list"] = ["s4", "x", "s1"]
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(doc))
 
     outputs = []
     for seed in ("0", "424242"):
@@ -83,6 +96,7 @@ def test_reports_byte_identical_across_processes(tmp_path):
             (0, ("audit", fpath("spda_basic"), "--mechanism", "spda")),
             (4, (*check_rule, *properties)),
             (0, ("nonexistence", fpath("nonexistence"), "--district", "d1")),
+            (2, ("run", str(malformed), "--mechanism", "spda")),
         )
         stdouts = []
         for code, argv in commands:
@@ -94,7 +108,7 @@ def test_reports_byte_identical_across_processes(tmp_path):
                 cwd=tmp_path,
             )
             assert proc.returncode == code, proc.stderr
-            stdouts.append(proc.stdout.replace(str(trace), "TRACE"))
+            stdouts.append((proc.stdout.replace(str(trace), "TRACE"), proc.stderr))
         outputs.append((stdouts, trace.read_bytes()))
     assert outputs[0] == outputs[1]
 
@@ -775,6 +789,18 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         ),
         (
             lambda doc: (
+                doc["schools"][0].update(district="zz"),
+                doc["students"][0]["preferences"].__setitem__(2, "c9"),
+                doc["students"][1]["preferences"].remove("c2"),
+            ),
+            [
+                "school c1 references unknown district zz",
+                "student s1 ranks unknown school c9",
+                "IncompletePreference: student s2 must rank every school exactly once",
+            ],
+        ),
+        (
+            lambda doc: (
                 doc["students"][1].pop("type"),
                 doc["rules"][1].update(district_cap=True),
                 doc.update(policy={"form": "nope"}, meta=[]),
@@ -813,7 +839,8 @@ IDEAL = {"kind": "manhattan_ideal", "ideal": {"c1": {"t1": 1}}}
         "second-rule-for-a-district", "string-intersect-xi0", "master-list-unknown-student",
         "floor-above-ceiling", "negative-floor", "master-list-repeats-a-student",
         "negative-box-ceiling", "negative-district-ceiling",
-        "repeated-school-id", "every-section-listed", "every-unknown-key-listed",
+        "repeated-school-id", "school-of-unknown-district", "every-section-listed",
+        "every-unknown-key-listed",
     ],
 )
 def test_malformed_section_exits_2(capsys, tmp_path, edit, messages):

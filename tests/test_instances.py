@@ -1,11 +1,15 @@
 """Instance file round trips and schema errors."""
 
+import functools
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import districtmatch as dm
 from districtmatch.errors import ValidationError
@@ -21,7 +25,9 @@ from districtmatch.model import Distribution, Problem
 from districtmatch.policy import GoalForm, PolicyGoal
 from districtmatch.rules import RuleKind, RuleSpec, make_rule
 
+import instances_reference
 from helpers import random_problem
+from test_instance_fuzz import EDITS, mutate
 
 
 # -- serialization, the loader's inverse ------------------------------------------
@@ -278,9 +284,9 @@ def _generated_goal(rng, problem, form):
     return replace(goal, intersect_xi0=rng.random() < 0.5)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_round_trip_of_generated_instances(seed):
-    # every goal form and every rule kind, with every optional field written
+def _generated_instance(seed):
+    """An instance with every goal form and every rule kind over the seeds,
+    with every optional field written."""
     rng = random.Random(seed)
     problem = random_problem(rng)
     kinds = list(RuleKind)
@@ -297,10 +303,67 @@ def test_round_trip_of_generated_instances(seed):
         alpha=Fraction(rng.randint(1, 5), rng.randint(1, 5)),
         meta={"name": f"generated-{seed}", "seed": seed},
     )
+    return inst
+
+
+GENERATED_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("seed", GENERATED_SEEDS)
+def test_round_trip_of_generated_instances(seed):
+    inst = _generated_instance(seed)
     doc = instance_to_dict(inst)
     again = instance_from_dict(json.loads(json.dumps(doc)))
     assert again == inst
     assert instance_to_dict(again) == doc
+    _assert_loaders_agree(json.loads(json.dumps(doc)))
+
+
+# -- the loader against the reference loader ----------------------------------------
+
+
+# a school of an unknown district is a defined school to the loader, but no
+# school at all to the reference, which then reports each student who ranks
+# it as ranking an unknown school; the students' preference issues differ
+UNKNOWN_DISTRICT = re.compile(r"school .* references unknown district ")
+PREFERENCE_ISSUE = re.compile(
+    r"student .* (ranks unknown school |must rank every school exactly once$)"
+)
+
+
+def _load(load, doc):
+    try:
+        return load(doc)
+    except ValidationError as exc:
+        return exc.issues
+
+
+def _assert_loaders_agree(doc):
+    got, want = _load(instance_from_dict, doc), _load(instances_reference.instance_from_dict, doc)
+    both_fail = isinstance(got, list) and isinstance(want, list)
+    if both_fail and any(UNKNOWN_DISTRICT.match(m) for _, m in want):
+        got, want = ([i for i in out if not PREFERENCE_ISSUE.match(i[1])] for out in (got, want))
+    assert got == want
+
+
+@functools.lru_cache(maxsize=None)
+def _source_text(source):
+    """A fixture's file, or the document of a generated instance, as JSON."""
+    if isinstance(source, str):
+        return fixture_path(source).read_text()
+    return json.dumps(instance_to_dict(_generated_instance(source)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=st.sampled_from((*dm.FIXTURE_NAMES, *GENERATED_SEEDS)),
+    edits=st.lists(EDITS, max_size=3),
+)
+def test_loader_matches_reference_on_mutated_documents(source, edits):
+    doc = json.loads(_source_text(source))
+    for edit in edits:
+        mutate(doc, *edit)
+    _assert_loaders_agree(doc)
 
 
 def test_loading_compiles_no_rule(monkeypatch):

@@ -173,16 +173,20 @@ def test_order_positions_matches_the_sort_check_and_inverse(case):
 
 
 def test_duplicate_ids_rejected():
+    # each repeat is one issue, in the order the repeats occur
     spec = ProblemSpec(
         types=("t1",),
         districts=("d1", "d2"),
-        schools=(("c1", "d1", 2), ("c1", "d2", 2)),
+        schools=(("c1", "d1", 2), ("c2", "d2", 2), ("c2", "d2", 2), ("c1", "d2", 2)),
         students=(("s1", "d1", "t1", ("c1",)),),
         initial_matching={"s1": "c1"},
     )
     with pytest.raises(ValidationError) as err:
         validate_problem(spec)
-    assert any("duplicate" in msg for _, msg in err.value.issues)
+    assert err.value.issues == [
+        ("DanglingReference", "duplicate school id 'c2'"),
+        ("DanglingReference", "duplicate school id 'c1'"),
+    ]
 
 
 def test_empty_district_has_no_share_in_gap():
@@ -202,16 +206,22 @@ def test_empty_district_has_no_share_in_gap():
 
 
 def test_dangling_references_rejected():
+    # a school of an unknown district is still a school the students must
+    # rank, and has no capacity to fall short of
     spec = ProblemSpec(
         types=("t1",),
         districts=("d1", "d2"),
-        schools=(("c1", "d1", 2), ("c2", "d9", 2)),
-        students=(("s1", "d1", "t1", ("c1",)),),
-        initial_matching={"s1": "c1"},
+        schools=(("c1", "d1", 2), ("c2", "d9", 0)),
+        students=(("s1", "d1", "t1", ("c1",)), ("s2", "d1", "t1", ("c2", "c1"))),
+        initial_matching={"s1": "c1", "s2": "c1"},
     )
     with pytest.raises(ValidationError) as err:
         validate_problem(spec)
-    assert "DanglingReference" in err.value.codes()
+    assert err.value.issues == [
+        ("DanglingReference", "school c2 references unknown district d9"),
+        ("MissingDistrict", "district d2 has no schools"),
+        ("IncompletePreference", "student s1 must rank every school exactly once"),
+    ]
 
 
 # -- distribution_of ---------------------------------------------------------------
