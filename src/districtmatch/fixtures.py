@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .instances import Instance, instance_from_dict
+from .instances import Instance, load_instance
 
 FIXTURE_NAMES = (
     "spda_basic",
@@ -25,7 +25,5 @@ def fixture_path(name: str):
 
 
 def load_fixture(name: str) -> Instance:
-    import json
-
-    with fixture_path(name).open("r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    with resources.as_file(fixture_path(name)) as path:
+        return load_instance(path)

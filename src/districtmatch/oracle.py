@@ -25,7 +25,7 @@ from .model import (
     with_preferences,
 )
 from .policy import PolicyGoal, contains
-from .rules import DistrictSpace, RuleKind, RuleSpec, make_rule
+from .rules import DistrictSpace, RuleKind, RuleSpec, make_rule, saturated
 from .spda import is_stable, run_intradistrict_spda, run_spda
 from .ttc import run_ttc
 
@@ -98,7 +98,6 @@ def constrained_efficient_ir_matchings(
 @dataclass(frozen=True)
 class AuditFinding:
     student: int
-    true_order: tuple
     misreport: tuple
     honest_school: Optional[int]
     deviant_school: Optional[int]
@@ -157,7 +156,6 @@ def audit_strategy_proofness(
     findings = []
     runs = 0
     for s in range(problem.num_students):
-        true_order = problem.preferences[s]
         honest_school = problem.outcome_school(honest, s)
         prefix = None  # the part of her report the last run read
         for perm in itertools.permutations(range(problem.num_schools)):
@@ -180,9 +178,7 @@ def audit_strategy_proofness(
                 deviant_school = deviated.outcome_school(outcome, s)
             runs += 1
             if problem.prefers(s, deviant_school, honest_school):
-                findings.append(
-                    AuditFinding(s, true_order, perm, honest_school, deviant_school)
-                )
+                findings.append(AuditFinding(s, perm, honest_school, deviant_school))
     return AuditReport(mechanism, tuple(findings), True, runs, honest)
 
 
@@ -298,35 +294,27 @@ def search_rule_nonexistence(
     pos = {m: p for p, m in enumerate(masks)}
 
     # feasibility and the licensed rejections depend only on the chosen set:
-    # a school at capacity, a type at its ceiling (a negative one admits
-    # none, as zero does) or k_d contracts chosen license rejecting a contract
-    school_bits = space.bits_by(attrgetter("school"))
-    type_bits = space.bits_by(lambda x: problem.student_type[x.student])
-    limits = [(problem.capacities[c], bits) for c, bits in school_bits.items()] + [
-        (max(q, 0), type_bits.get(t, 0)) for t, q in ceilings.items() if q is not None
-    ]
+    # a school at capacity, a type at its ceiling or k_d contracts chosen
+    # license rejecting a contract
+    schools = space.groups(attrgetter("school"), problem.capacities.__getitem__)
+    groups = schools + space.groups(lambda x: problem.student_type[x.student], ceilings.get)
     vals = [[] for _ in masks]
     # each set lists its values largest first, then in itertools.combinations
     # order: the order of ``feasible_masks`` within one size
     for v in sorted(space.feasible_masks, key=int.bit_count, reverse=True):
-        blocked = -1 if v.bit_count() >= k_d else 0
-        for limit, bits in limits:
-            n = (v & bits).bit_count()
-            if n > limit:
-                break
-            if n == limit:
-                blocked |= bits
-        else:
-            # v is a value of every superset m in which blocked covers m - v
-            supersets = [v]
-            for bits in space.student_bits.values():
-                if not v & bits:
-                    supersets += [m | b for m in supersets for b in _single_bits(bits & blocked)]
-            for m in supersets:
-                vals[pos[m]].append(v)
+        if any((v & bits).bit_count() > q for _, bits, q in groups):
+            continue
+        blocked = -1 if v.bit_count() >= k_d else saturated(v, groups)
+        # v is a value of every superset m in which blocked covers m - v
+        supersets = [v]
+        for bits in space.student_bits.values():
+            if not v & bits:
+                supersets += [m | b for m in supersets for b in _single_bits(bits & blocked)]
+        for m in supersets:
+            vals[pos[m]].append(v)
 
     # the root: everyone at the district's first school
-    root = pos[school_bits[min(school_bits)]] if space.universe else None
+    root = pos[min(schools)[1]] if schools else None
     if symmetry and root is not None and vals[root]:
         vals[root] = _symmetry_root_values(
             problem, space.universe, space.index, vals[root], ceilings

@@ -640,6 +640,16 @@ class DistrictSpace:
             bits[k] = bits.get(k, 0) | 1 << i
         return bits
 
+    def groups(self, key, bound) -> list:
+        """``(value, mask, bound)`` for each ``key(x)`` value, in universe
+        order, that ``bound(value)`` bounds (is not None); a negative bound
+        admits nothing, as zero does."""
+        return [
+            (k, bits, max(q, 0))
+            for k, bits in self.bits_by(key).items()
+            if (q := bound(k)) is not None
+        ]
+
     def mask_of(self, X) -> int:
         m = 0
         for x in X:
@@ -686,6 +696,16 @@ class DistrictSpace:
             entries = [e + d for e in entries for d in deltas]
         entries.sort()
         return [e & full for e in entries]
+
+
+def saturated(mask: int, groups) -> int:
+    """The contracts of every group that ``mask`` fills to its bound or past
+    it: the reasons that license rejecting a contract."""
+    full = 0
+    for _, bits, q in groups:
+        if (mask & bits).bit_count() >= q:
+            full |= bits
+    return full
 
 
 def _chunk_tables(bit_of: list) -> list:
@@ -911,7 +931,7 @@ def _student_type(problem, x):
 
 
 def _check_feasible(chooser, masks, problem, _):
-    school_bits = chooser.bits_by(attrgetter("school"))
+    schools = chooser.groups(attrgetter("school"), problem.capacities.__getitem__)
     passed = set()  # chosen masks already found feasible
     for m in masks:
         ch = chooser.choose_mask(m)
@@ -924,11 +944,7 @@ def _check_feasible(chooser, masks, problem, _):
                 note="chosen set repeats a student",
             )
         # of the schools over capacity, the one a chosen contract meets first
-        over = [
-            (_lowest(ch & bits), c)
-            for c, bits in school_bits.items()
-            if (ch & bits).bit_count() > problem.capacities[c]
-        ]
+        over = [(_lowest(ch & bits), c) for c, bits, q in schools if (ch & bits).bit_count() > q]
         if over:
             return _fails(
                 RuleProperty.FEASIBLE,
@@ -947,28 +963,19 @@ def _rejections_check(prop, note, ceilings_of=None, key_of=None):
 
     def check(chooser, masks, problem, _):
         k_d = problem.k_district[chooser.rule().district]
-        school_bits = chooser.bits_by(attrgetter("school"))
-        ceilings = _lookup(ceilings_of(chooser.rule())) if ceilings_of else {}
-        counted = chooser.bits_by(functools.partial(key_of, problem)) if key_of else {}
-        # per contract: (mask, bound) pairs, each slack while the chosen
-        # contracts in the mask number fewer than the bound
-        limits = []
-        for x in chooser.universe:
-            limit = [(school_bits[x.school], problem.capacities[x.school])]
-            key = key_of and key_of(problem, x)
-            if key in ceilings:
-                limit.append((counted[key], ceilings[key]))
-            limits.append(limit)
+        groups = chooser.groups(attrgetter("school"), problem.capacities.__getitem__)
+        if ceilings_of:
+            ceilings = _lookup(ceilings_of(chooser.rule()))
+            groups += chooser.groups(functools.partial(key_of, problem), ceilings.get)
         for m in masks:
             ch = chooser.choose_mask(m)
             if ch.bit_count() >= k_d:
                 continue
             rejected = m & ~ch
-            while rejected:
-                i = _lowest(rejected)
-                if all((ch & bits).bit_count() < q for bits, q in limits[i]):
-                    return _fails(prop, [chooser.set_of(m)], chooser.universe[i], note=note)
-                rejected &= rejected - 1
+            unlicensed = rejected and rejected & ~saturated(ch, groups)
+            if unlicensed:
+                x = chooser.universe[_lowest(unlicensed)]
+                return _fails(prop, [chooser.set_of(m)], x, note=note)
         return _holds(prop)
 
     return check
@@ -1045,14 +1052,10 @@ def _ceilings_check(prop, ceilings_of, key_of, note_of):
 
     def check(chooser, masks, problem, _):
         ceilings = _lookup(ceilings_of(chooser.rule()))
-        limits = [
-            (bits, max(ceilings[key], 0))
-            for key, bits in chooser.bits_by(functools.partial(key_of, problem)).items()
-            if key in ceilings
-        ]
+        groups = chooser.groups(functools.partial(key_of, problem), ceilings.get)
         for m in masks:
             ch = chooser.choose_mask(m)
-            if any((ch & bits).bit_count() > q for bits, q in limits):
+            if any((ch & bits).bit_count() > q for _, bits, q in groups):
                 # name the key the chosen set's own iteration counts first
                 counts = Counter(key_of(problem, y) for y in chooser.set_of(ch))
                 key = next(k for k, n in counts.items() if n > ceilings.get(k, n))

@@ -72,7 +72,6 @@ def audit_strategy_proofness_reference(
     findings = []
     runs = 0
     for s in range(problem.num_students):
-        true_order = problem.preferences[s]
         honest_school = problem.outcome_school(honest, s)
         for perm in itertools.permutations(range(problem.num_schools)):
             if budget is not None and runs >= budget:
@@ -91,9 +90,7 @@ def audit_strategy_proofness_reference(
             runs += 1
             deviant_school = deviated.outcome_school(outcome, s)
             if problem.prefers(s, deviant_school, honest_school):
-                findings.append(
-                    AuditFinding(s, true_order, perm, honest_school, deviant_school)
-                )
+                findings.append(AuditFinding(s, perm, honest_school, deviant_school))
     return AuditReport(mechanism, tuple(findings), True, runs, honest)
 
 

@@ -177,6 +177,16 @@ def test_malformed_json_reports_location(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_malformed_fixture_is_a_validation_error(tmp_path, monkeypatch):
+    # a shipped fixture loads as any instance file does
+    path = tmp_path / "broken.json"
+    path.write_text('{"types": ["t1"],')
+    monkeypatch.setattr("districtmatch.fixtures.fixture_path", lambda name: path)
+    with pytest.raises(ValidationError) as err:
+        dm.load_fixture("spda_basic")
+    assert err.value.codes() == ["MalformedJson"]
+
+
 def test_missing_section_rejected():
     with pytest.raises(ValidationError):
         instance_from_dict({"types": ["t1"]})

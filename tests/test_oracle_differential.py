@@ -156,13 +156,21 @@ def assert_same_search(problem, district, ceilings, **kwargs):
 
 
 def _random_ceilings(rng, problem):
-    """Per type: absent, 0, or a count up to the type's size, so that some
-    ceilings bind and some do not."""
+    """Per type: a count from 0 up to the type's size, so that some ceilings
+    bind and some do not; None or absent, which bind nothing; or a negative
+    count, which admits no one, as 0 does."""
     out = {}
     for t in range(problem.num_types):
         size = problem.student_type.count(t)
-        if rng.random() < 0.8:
+        r = rng.random()
+        if r < 0.8:
             out[t] = rng.randint(0, size)
+        # None takes the low end of the once-absent draws, so the pinned
+        # seeds below keep their searches
+        elif r < 0.88:
+            out[t] = None
+        elif r >= 0.92:
+            out[t] = rng.randint(-2, -1)
     return out
 
 

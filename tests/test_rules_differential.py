@@ -96,15 +96,27 @@ def assert_same_checks(problem, rules, base_rules=None):
     assert_same_verdict(None, RuleProperty.ACCOMMODATES_UNMATCHED, problem, rules=rules)
 
 
+def with_ceilings(rng, problem, rule):
+    """The rule with district-level type ceilings (0-3, or negative), and
+    now and then a school-type ceiling made negative."""
+    ceilings = tuple(
+        (k, rng.randint(-2, -1) if rng.random() < 0.2 else q) for k, q in rule.ceilings
+    )
+    district_ceilings = tuple(
+        (t, rng.randint(-1, 3)) for t in range(problem.num_types) if rng.random() < 0.7
+    )
+    return replace(rule, ceilings=ceilings, district_ceilings=district_ceilings)
+
+
 def random_profile(rng, problem, tables=0.0):
     """Rules for every district, each a random spec rule of any kind (or a
     table) or one of its variants, and the rule each variant came from."""
     rules, bases = {}, {}
     for d in range(problem.num_districts):
         if rng.random() < tables:
-            rules[d] = random_table_rule(rng, problem, d)
+            rules[d] = with_ceilings(rng, problem, random_table_rule(rng, problem, d))
             continue
-        base = random_rule(rng, problem, d, rng.choice(SPEC_KINDS))
+        base = with_ceilings(rng, problem, random_rule(rng, problem, d, rng.choice(SPEC_KINDS)))
         if rng.random() < 0.1:  # a priority list that omits a student
             c, order = base.priorities[0]
             base = replace(base, priorities=((c, order[1:]),) + base.priorities[1:])
