@@ -708,16 +708,18 @@ def saturated(mask: int, groups) -> int:
     return full
 
 
+def _or_table(bit_of: list) -> list:
+    """The table from each mask over ``len(bit_of)`` bits to the OR of
+    ``bit_of[i]`` over its set bits."""
+    table = [0]
+    for b in bit_of:
+        table += [t | b for t in table]
+    return table
+
+
 def _chunk_tables(bit_of: list) -> list:
-    """Per 8-bit chunk of a mask over ``len(bit_of)`` bits, the table from
-    the chunk's value to the OR of ``bit_of[i]`` over its set bits."""
-    tables = []
-    for lo in range(0, len(bit_of), 8):
-        table = [0]
-        for b in bit_of[lo : lo + 8]:
-            table += [t | b for t in table]
-        tables.append(table)
-    return tables
+    """Per 8-bit chunk of a mask over ``len(bit_of)`` bits, its ``_or_table``."""
+    return [_or_table(bit_of[lo : lo + 8]) for lo in range(0, len(bit_of), 8)]
 
 
 def _translate(tables: list, mask: int) -> int:
@@ -794,6 +796,105 @@ def _chosen_bits(chooser: Chooser, keys: int) -> int:
     return chosen
 
 
+class _Window:
+    """One school position of ``Chooser.fill``'s walk, on local bits: bit j
+    is the school's j-th ranked contract in priority order, and bit
+    ``off + j`` of the walk's ``alive`` mask.  ``univ`` maps a local mask to
+    its universe bits, and ``keep`` to the alive bits left once its
+    contracts are chosen.  ``reserve`` maps the school's free local bits to
+    its reserve picks, their count and the cut table of its ceilings less
+    that reserve load (``cut_table``); ``cut`` is the cut table with no
+    reserve seat taken."""
+
+    def __init__(self, off, univ_bits, types, kills, capacity, reserves, ceilings):
+        self.off, self.size, self.types = off, 1 << len(types), types
+        self.univ, self.keep = _or_table(univ_bits), [~k for k in _or_table(kills)]
+        self.capacity, self.ceilings = capacity, ceilings
+        self.of_type = {}
+        for j, t in enumerate(types):
+            self.of_type[t] = self.of_type.get(t, 0) | 1 << j
+        self.cuts, self.opened = {}, {}  # memos of cut_table and open_table
+        self.cut = self.cut_table(tuple(ceilings.values()))
+        self.reserve = [(0, 0, self.cut)] * self.size  # no reserve seat
+        if reserves:
+            self.reserve = [self._reserve_picks(free, reserves) for free in range(self.size)]
+
+    def _reserve_picks(self, free, reserves):
+        picked, taken, load = 0, 0, {}
+        for t, target in reserves:
+            picks = _lowest_bits(free & self.of_type.get(t, 0), min(target, self.capacity - taken))
+            free ^= picks
+            got = picks.bit_count()
+            load[t] = load.get(t, 0) + got
+            taken += got
+            picked |= picks
+        allowed = tuple(q - load.get(t, 0) for t, q in self.ceilings.items())
+        return picked, taken, self.cut_table(allowed)
+
+    def cut_table(self, allowed) -> list:
+        """The table from a pool to its bits within each type's ``allowed``
+        count (per ceiling, in ``ceilings`` order): the lowest of each type."""
+        table = self.cuts.get(allowed)
+        if table is None:
+            limit = dict(zip(self.ceilings, allowed))
+            table = [0]
+            for j, t in enumerate(self.types):
+                b, q, mine = 1 << j, limit.get(t), self.of_type[t]
+                table += [c | b if q is None or (c & mine).bit_count() < q else c for c in table]
+            self.cuts[allowed] = table
+        return table
+
+    def open_table(self, room) -> list:
+        """The table from a pool to its open picks with no reserve seat
+        taken: the lowest ``room`` bits of its cut."""
+        table = self.opened.get(room)
+        if table is None:
+            low = [0]
+            for j in range(len(self.types)):
+                low += [p | 1 << j if p.bit_count() < room else p for p in low]
+            table = self.opened[room] = [low[c] for c in self.cut]
+        return table
+
+
+def _fill_level(walk, pos, mask, alive, chosen, count):
+    """``Chooser.fill`` from window ``pos`` on, given the universe ``mask``
+    of the earlier windows' contracts, the ``alive`` bits, the universe bits
+    ``chosen`` so far and their ``count``.  For each local mask of window
+    ``pos`` the walk takes its reserve seats, then the open seats of the
+    windows whose turn it is, and goes on; the last window writes each
+    mask's choice to ``table``.  Every reserve seat comes before any open
+    seat, so the open seats of the windows up to the last one with reserve
+    seats (``reserved``) fill there, and each later window's at its own."""
+    windows, reserved, cap, table, held = walk
+    win, last = windows[pos], pos + 1 == len(windows)
+    if last and pos > reserved:
+        # nothing left but this window's open seats: one table for them all
+        room = win.capacity if cap is None else min(win.capacity, cap - count)
+        opened, univ, live = win.open_table(max(room, 0)), win.univ, alive >> win.off
+        for local, u in enumerate(univ):
+            table[mask | u] = chosen | univ[opened[local & live]]
+        return
+    opens = range(pos + 1) if pos == reserved else (pos,) if pos > reserved else ()
+    for local in range(win.size):
+        picks, taken, cut = win.reserve[local & alive >> win.off]
+        a, ch, n = alive & win.keep[picks], chosen | win.univ[picks], count + taken
+        held[pos] = local, taken, cut
+        for q in opens:
+            w, (local_q, taken, cut) = windows[q], held[q]
+            room = w.capacity - taken
+            if cap is not None and cap - n < room:
+                room = cap - n
+            if room > 0:
+                picks = _lowest_bits(cut[local_q & a >> w.off], room)
+                a &= w.keep[picks]
+                ch |= w.univ[picks]
+                n += picks.bit_count()
+        if last:
+            table[mask | win.univ[local]] = ch
+        else:
+            _fill_level(walk, pos + 1, mask | win.univ[local], a, ch, n)
+
+
 class Chooser(DistrictSpace):
     """One rule's memoized choice on its ``DistrictSpace``, with the tables
     of its integer seat-filling walk, ``_chosen_bits``.
@@ -805,6 +906,13 @@ class Chooser(DistrictSpace):
     contract without a key (``unranked``) go through ``choose`` on the set.
     ``chooser_of`` builds one per ``CompiledRule``; it holds the rule only
     weakly, as the rule holds it.
+
+    ``fill`` puts the choice of every mask without an unranked contract in
+    the memo in one walk; ``check_property`` runs it before the first check
+    over every subset, so at most once per chooser.  The checks over
+    feasible sets fill the memo mask by mask.  At the all-subset bound of
+    16 contracts the memo holds 65,536 masks, and the walk's per-school
+    tables up to 2^16 entries each while it runs.
     """
 
     def __init__(self, rule: RuleSpec, comp: CompiledRule, problem: Problem):
@@ -815,7 +923,7 @@ class Chooser(DistrictSpace):
         self.to_keys = None
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             return
-        keys = list(map(comp.key, self.universe))
+        self.keys = keys = list(map(comp.key, self.universe))
         self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
         self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
         bit_at = [0] * len(comp.student_at)
@@ -823,7 +931,7 @@ class Chooser(DistrictSpace):
             if k is not None:
                 bit_at[k] = 1 << i
         self.to_universe = _chunk_tables(bit_at)
-        stride = comp.stride
+        self.stride = stride = comp.stride
         self.windows = [((1 << stride) - 1) << pos * stride for pos in range(len(comp.capacity))]
         self.of_type = [{} for _ in self.windows]  # per position: type -> its keys
         student_keys = {}
@@ -851,6 +959,53 @@ class Chooser(DistrictSpace):
                 got = _translate(self.to_universe, _chosen_bits(self, keys))
             self._cache[mask] = got
         return got
+
+    def fill(self) -> None:
+        """Memoize the choice of every mask without an unranked contract, in
+        one walk over the product of the school windows (``_fill_level``).
+        Explicit tables are not walked."""
+        if self.to_keys is None:
+            return
+        if len(self._cache) == 1 << len(self.universe) - self.unranked.bit_count():
+            return  # every ranked mask is in the memo already
+        # alive bits: the ranked contracts in key order, so school by school
+        ranked = sorted((k, i) for i, k in enumerate(self.keys) if k is not None)
+        students = [self.universe[i].student for _, i in ranked]
+        if self.rule().completed:
+            kills = [1 << b for b in range(len(ranked))]
+        else:  # a chosen contract takes out its student's others
+            of_student = {}
+            for b, s in enumerate(students):
+                of_student[s] = of_student.get(s, 0) | 1 << b
+            kills = [of_student[s] for s in students]
+        at = {}  # school position -> its alive bits
+        for b, (k, _) in enumerate(ranked):
+            at.setdefault(k // self.stride, []).append(b)
+        student_type = self.problem.student_type
+        windows = [
+            _Window(
+                bits[0],
+                [1 << ranked[b][1] for b in bits],
+                [student_type[students[b]] for b in bits],
+                [kills[b] for b in bits],
+                self.capacity[pos],
+                self.reserves[pos],
+                self.ceilings[pos],
+            )
+            for pos, bits in at.items()
+        ]
+        if not windows:  # no contract is ranked
+            self._cache[0] = 0
+            return
+        reserved = max((p for p, pos in enumerate(at) if self.reserves[pos]), default=-1)
+        table = [None] * len(self.all_masks)  # mask -> its choice
+        walk = windows, reserved, self.cap, table, [None] * len(windows)
+        _fill_level(walk, 0, 0, -1, 0, 0)
+        # keyed by the checks' own masks, in their order
+        masks = self.all_masks
+        if self.unranked:
+            masks = [m for m in masks if not m & self.unranked]
+        self._cache.update(zip(masks, map(table.__getitem__, masks)))
 
 
 def chooser_of(rule: RuleSpec, problem: Problem) -> Chooser:
@@ -906,6 +1061,7 @@ def check_property(
         if n > all_subset_bound:
             raise UniverseTooLarge(2**n, 2**all_subset_bound)
         masks = chooser.all_masks
+        chooser.fill()
     else:
         # explicit tables are total only over feasible-for-students sets,
         # so every quantifier restricts to that universe for them

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from districtmatch import cli, oracle
+from districtmatch import cli, load_instance, oracle
 from districtmatch.cli import _build_parser, main
 from districtmatch.fixtures import FIXTURE_NAMES, fixture_path
 from districtmatch.rules import RuleProperty
 
 from helpers import count_calls
+from rules_reference import check_property_reference
 
 
 def fpath(name):
@@ -996,6 +997,90 @@ def test_check_rule_holds_exits_0(capsys):
     assert code == 0
     assert "weakly_acceptant,holds" in out
     assert "rationed,holds" in out
+
+
+def _bound_instance(tmp_path, students):
+    """An instance whose district d1 has two schools, so ``2 * students``
+    contracts, under a reserves-and-ceilings rule with a reserve seat and a
+    type ceiling at each school."""
+    ids = [f"s{i}" for i in range(1, students + 1)]
+    home = (students + 1) // 2  # d1's students come first
+    schools = ["c1", "c2", "c3"]
+    doc = {
+        "meta": {"name": f"bound_{students}", "version": 1},
+        "types": ["t1", "t2"],
+        "districts": ["d1", "d2"],
+        "schools": [
+            {"id": "c1", "district": "d1", "capacity": 3},
+            {"id": "c2", "district": "d1", "capacity": 3},
+            {"id": "c3", "district": "d2", "capacity": students},
+        ],
+        "students": [
+            {
+                "id": s,
+                "district": "d1" if i < home else "d2",
+                "type": f"t{i % 2 + 1}",
+                "preferences": schools[i % 3 :] + schools[: i % 3],
+            }
+            for i, s in enumerate(ids)
+        ],
+        "initial_matching": {
+            s: ("c1", "c2")[i % 2] if i < home else "c3" for i, s in enumerate(ids)
+        },
+        "rules": [
+            {
+                "district": "d1",
+                "kind": "reserves_and_ceilings",
+                "school_order": ["c2", "c1"],
+                "type_order": ["t2", "t1"],
+                "priorities": {"c1": ids[::-1], "c2": ids[1::2] + ids[::2]},
+                "reserves": {"c1": {"t2": 1}, "c2": {"t1": 1}},
+                "ceilings": {"c1": {"t2": 2}, "c2": {"t1": 2}},
+            },
+            {
+                "district": "d2",
+                "kind": "sequential_responsive",
+                "school_order": ["c3"],
+                "priorities": {"c3": ids},
+            },
+        ],
+    }
+    path = tmp_path / f"bound_{students}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _reference_lines(path, names):
+    """``check-rule``'s verdict lines for d1, from ``rules_reference``."""
+    inst = load_instance(path)
+    problem = inst.problem
+    rule = inst.rules[problem.district_ids.index("d1")]
+    lines = []
+    for name in names:
+        v = check_property_reference(rule, RuleProperty(name), problem)
+        parts = [cli._contract_set(problem, X) for X in v.witness_sets]
+        if v.witness_contract is not None:
+            parts.append("contract " + cli._pair(problem, v.witness_contract))
+        lines.append(f"{name},{cli._verdict(v)},{'; '.join(parts)}")
+    return lines
+
+
+def test_check_rule_at_the_all_subset_bound(capsys, tmp_path):
+    # the feasible-set checks come first, then ``feasible``, the first check
+    # over every subset of d1's contracts
+    names = ("rationed", "acceptant", "feasible", "substitutable", "lad")
+    argv = ("check-rule", _bound_instance(tmp_path, 8), "--district", "d1", "--properties")
+    assert len(load_instance(argv[1]).problem.district_contracts(0)) == 16
+    want = _reference_lines(argv[1], names)
+    code, out, err = run_cli(capsys, *argv, *names)
+    assert out.splitlines() == ["property,verdict,witness", *want] and err == ""
+    assert code == (4 if any(",fails," in line for line in want) else 0)
+    # two contracts more: the verdicts before ``feasible`` print, then it refuses
+    argv = ("check-rule", _bound_instance(tmp_path, 9), *argv[2:])
+    want = _reference_lines(argv[1], names[:2])
+    code, out, err = run_cli(capsys, *argv, *names)
+    assert out.splitlines() == ["property,verdict,witness", *want]
+    assert (code, err) == (3, "error: enumeration universe has size 262144, budget is 65536\n")
 
 
 def test_check_rule_requires_properties(capsys):

@@ -240,26 +240,43 @@ def test_feasible_order_on_wider_universes():
 def test_one_memo_per_compiled_rule(basic, monkeypatch):
     import districtmatch.rules as rules_module
 
-    evaluated = []
-    chosen_bits = rules_module._chosen_bits
+    fills, evaluated = [], []
+    fill_level, chosen_bits = rules_module._fill_level, rules_module._chosen_bits
+
+    def counted_fill_level(walk, pos, *state):
+        if pos == 0:
+            fills.append(1)
+        return fill_level(walk, pos, *state)
+
+    monkeypatch.setattr(rules_module, "_fill_level", counted_fill_level)
     monkeypatch.setattr(
         rules_module, "_chosen_bits", lambda *args: evaluated.append(1) or chosen_bits(*args)
     )
     problem, rule = basic.problem, basic.rules[0]
     rule = replace(rule)  # a fresh spec, so the memo starts empty
-    memo = chooser_of(rule, problem)._cache
-    assert not memo
+    chooser = chooser_of(rule, problem)
+    memo = chooser._cache
+    assert not memo and not chooser.unranked
+    # a check over the feasible sets alone evaluates mask by mask
+    check_property(rule, RuleProperty.RATIONED, problem)
+    misses = len(evaluated)
+    assert not fills and misses == len(memo) > 0
+    # the first check over every subset fills the whole table in one walk
     check_property(rule, RuleProperty.LAD, problem)
-    assert len(evaluated) == len(memo) > 0
+    assert len(fills) == 1 and len(memo) == len(chooser.all_masks)
     # every later check, and a misreport variant, reads the same memo
     for prop in RULE_PROPS:
         check_property(rule, prop, problem)
-    assert len(evaluated) == len(memo)
     deviated = with_preferences(problem, 0, tuple(reversed(problem.preferences[0])))
     assert chooser_of(rule, deviated)._cache is memo
+    check_property(rule, RuleProperty.SUBSTITUTABLE, deviated)
+    assert len(fills) == 1 and len(memo) == len(chooser.all_masks)
+    assert len(evaluated) == misses
     # a rule meeting a differently shaped problem starts a memo of its own
     moved = replace(problem, capacities=tuple(c + 1 for c in problem.capacities))
     assert chooser_of(rule, moved)._cache is not memo
+    check_property(rule, RuleProperty.IRC, moved)
+    assert len(fills) == 2
     assert chooser_of(rule, problem)._cache is not memo
 
 

@@ -1,7 +1,7 @@
 """The integer seat-filling walk of ``Chooser.choose_mask``
-(``rules._chosen_bits``) against the sorted-key walk ``choose`` and
-``Cutoffs`` keep (``rules._chosen_keys``), on every subset of the district's
-contracts."""
+(``rules._chosen_bits``) and the whole-universe walk of ``Chooser.fill``
+against the sorted-key walk ``choose`` and ``Cutoffs`` keep
+(``rules._chosen_keys``), on every subset of the district's contracts."""
 
 import gc
 import random
@@ -37,14 +37,27 @@ CAPS = (None, 0, 1, "home")
 
 
 def kernel_rule(
-    rng, problem, d, kind, variant, *, omit, twice, full, cap, zero_ceiling, reserved_ceiling
+    rng,
+    problem,
+    d,
+    kind,
+    variant,
+    *,
+    omit,
+    twice,
+    full,
+    cap,
+    zero_ceiling,
+    reserved_ceiling,
+    stray=False,
 ):
     """A random spec rule of ``kind`` with the walk's edge cases switched on:
     a student missing from a priority list (a contract with no key), a
     reserved type named twice in ``type_order``, reserves that fill a
     school's capacity, a district cap (0 leaves no room anywhere), a ceiling
-    of 0, and ceilings at or one above each reserve, so that reserve seats
-    count against them."""
+    of 0, ceilings at or one above each reserve, so that reserve seats
+    count against them, and priority entries out of range (keys with no
+    contract) in the last school's list."""
     rule = random_rule(rng, problem, d, kind)
     first = rule.school_order[0]
     if omit:
@@ -69,28 +82,38 @@ def kernel_rule(
     )
     rule = replace(rule, district_cap=problem.k_district[d] if cap == "home" else cap)
     if variant == "completion":
-        return completion_of(rule)
+        rule = completion_of(rule)
     if variant == "favor_own":
-        return favor_own_students(rule, problem)
+        rule = favor_own_students(rule, problem)
+    if stray:
+        *rest, (c, order) = rule.priorities
+        order = list(order)
+        for s in (-1, problem.num_students):
+            order.insert(rng.randrange(len(order) + 1), s)
+        rule = replace(rule, priorities=(*rest, (c, tuple(order))))
     return rule
 
 
 def assert_kernel_matches_walk(rule, problem):
-    """Every subset: the kernel's choice against ``_chosen_keys`` on the
-    sorted keys, and a mask holding an unranked contract through ``choose``."""
+    """Every subset: the kernel's choice and the filled table against
+    ``_chosen_keys`` on the sorted keys.  The fill leaves out each mask
+    holding an unranked contract, which goes through ``choose``."""
     chooser, comp = chooser_of(rule, problem), compiled(rule, problem)
     assert chooser.to_keys is not None
+    chooser.fill()
+    filled = dict(chooser._cache)
     for mask in range(1 << len(chooser.universe)):
         got = _outcome(chooser.choose_mask, mask)
         if mask & chooser.unranked:
             want = _outcome(choose, rule, chooser.set_of(mask), problem)
-            assert got[0] != "ok" and got == want, (mask, rule)
+            assert mask not in filled and got[0] != "ok" and got == want, (mask, rule)
             continue
         keys = sorted(map(comp.key, chooser.set_of(mask)))
         want = chooser.mask_of(map(comp.contract, _chosen_keys(rule, comp, keys)))
         keys_chosen = _chosen_bits(chooser, _translate(chooser.to_keys, mask))
         kernel = _translate(chooser.to_universe, keys_chosen)
-        assert kernel == want and got == ("ok", want), (mask, rule)
+        assert kernel == want and filled.pop(mask) == want and got == ("ok", want), (mask, rule)
+    assert not filled
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,12 +127,30 @@ def assert_kernel_matches_walk(rule, problem):
     cap=st.sampled_from(CAPS),
     zero_ceiling=st.booleans(),
     reserved_ceiling=st.booleans(),
+    stray=st.booleans(),
 )
 def test_kernel_matches_sorted_key_walk(seed, kind, variant, **edges):
     rng = random.Random(seed)
     problem = random_problem(rng, students=(2, 5))
     for d in range(problem.num_districts):
         assert_kernel_matches_walk(kernel_rule(rng, problem, d, kind, variant, **edges), problem)
+
+
+EDGES = ("omit", "twice", "full", "zero_ceiling", "reserved_ceiling", "stray")
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fill_matches_the_walks_edge_by_edge(kind, variant):
+    # no edge, then each edge alone and each cap alone, on seeded markets
+    rng = random.Random(f"fill-{kind.value}-{variant}")
+    cases = [(edge, None) for edge in (None, *EDGES)] + [(None, cap) for cap in CAPS[1:]]
+    for edge, cap in cases * 2:
+        problem = random_problem(rng, students=(2, 5))
+        d = rng.randrange(problem.num_districts)
+        edges = {e: e == edge for e in EDGES}
+        rule = kernel_rule(rng, problem, d, kind, variant, cap=cap, **edges)
+        assert_kernel_matches_walk(rule, problem)
 
 
 @pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
@@ -121,6 +162,7 @@ def test_every_edge_at_once(kind, variant):
         rule = kernel_rule(
             rng, problem, 0, kind, variant,
             omit=True, twice=True, full=True, cap=cap, zero_ceiling=True, reserved_ceiling=True,
+            stray=True,
         )
         assert_kernel_matches_walk(rule, problem)
 
@@ -146,6 +188,14 @@ def test_both_passes_of_a_type_named_twice_count_against_its_ceiling(completed):
     chooser = chooser_of(rule, problem)
     at_first = chooser.bits_by(lambda x: x.school)[first]
     assert (chooser.choose_mask(at_first) & at_first).bit_count() == 2
+
+
+def test_a_rule_that_ranks_no_contract_fills_the_empty_set_alone(basic):
+    # every priority entry out of range: every nonempty mask is unranked
+    rule = basic.rules[0]
+    rule = replace(rule, priorities=tuple((c, (-1, 99)) for c, _ in rule.priorities))
+    assert_kernel_matches_walk(rule, basic.problem)
+    assert chooser_of(rule, basic.problem)._cache == {0: 0}
 
 
 def test_mask_space_built_once_per_compiled_rule(basic, monkeypatch):
