@@ -201,21 +201,25 @@ def _unranked(rule: RuleSpec) -> list:
     return [c for c in rule.school_order if c not in ranked]
 
 
+def _lift(order, n: int, pred) -> tuple:
+    """A stable partition of a priority ``order``: the students ``s`` with
+    ``pred(s)`` first.  Entries that name no student (out of ``range(n)``)
+    stay among the rest, in their order, for the compiled rule to skip."""
+    first, rest = [], []
+    for s in order:
+        (first if 0 <= s < n and pred(s) else rest).append(s)
+    return tuple(first + rest)
+
+
 def favor_own_students(rule: RuleSpec, problem: Problem) -> RuleSpec:
     """Lift each school's own-district students above all others.
 
-    Produces a sequential-responsive rule that favors own students.
+    Produces a sequential-responsive rule that favors own students.  Entries
+    that name no student stay among the others (``_lift``).
     """
-    new_priorities = []
-    for c, order in rule.priorities:
-        own = [s for s in order if problem.student_district[s] == rule.district]
-        rest = [s for s in order if problem.student_district[s] != rule.district]
-        new_priorities.append((c, tuple(own + rest)))
-    return replace(
-        rule,
-        kind=RuleKind.SEQUENTIAL_RESPONSIVE,
-        priorities=tuple(new_priorities),
-    )
+    n, home, d = problem.num_students, problem.student_district, rule.district
+    priorities = [(c, _lift(order, n, lambda s: home[s] == d)) for c, order in rule.priorities]
+    return replace(rule, kind=RuleKind.SEQUENTIAL_RESPONSIVE, priorities=tuple(priorities))
 
 
 def completion_of(rule: RuleSpec) -> RuleSpec:
@@ -272,15 +276,11 @@ class CompiledRule:
         n = problem.num_students
         orders = [priorities[c] for c in rule.school_order]
         if rule.kind is RuleKind.INITIAL_RESPECTING:
-            # a stable partition lifts each school's initial students to the
-            # top; entries out of range stay below, for the fill to skip
-            initial, lifted = problem.initial_school, []
-            for c, order in zip(rule.school_order, orders):
-                first, rest = [], []
-                for s in order:
-                    (first if 0 <= s < n and initial[s] == c else rest).append(s)
-                lifted.append(first + rest)
-            orders = lifted
+            initial = problem.initial_school  # each school's initial students first
+            orders = [
+                _lift(order, n, lambda s, c=c: initial[s] == c)
+                for c, order in zip(rule.school_order, orders)
+            ]
         self.school_order = rule.school_order
         self.pos_of = {c: pos for pos, c in enumerate(rule.school_order)}
         self.district_at = [problem.school_district[c] for c in rule.school_order]
@@ -754,42 +754,69 @@ def _fill(pool: int, room: int, free: int, keep: list):
     return picks, free
 
 
+class _School:
+    """One school position that ranks a contract of ``Chooser``'s universe,
+    on its key bits: the school's contracts are the bits ``window``, from
+    bit ``off`` on in priority order.  Per contract: ``types``, its
+    universe bit (``univ_bits``) and the key bits its pick takes out
+    (``kills``: its student's, for a completion its own); ``of_type`` maps
+    a type to its key bits here.  Built from the compiled rule, which it
+    does not keep."""
+
+    def __init__(self, comp: CompiledRule, pos: int, off: int, run: list, kills: list):
+        # ``run``: the (key, universe index) of the school's ranked contracts
+        self.off, self.kills = off, kills
+        self.window = (1 << len(run)) - 1 << off
+        self.types = [comp.type_at[k] for k, _ in run]
+        self.univ_bits = [1 << i for _, i in run]
+        self.of_type = {}
+        for b, t in enumerate(self.types, off):
+            self.of_type[t] = self.of_type.get(t, 0) | 1 << b
+        self.capacity = comp.capacity[pos]
+        self.reserves, self.ceilings = comp.reserves[pos], comp.ceilings[pos]
+
+    def reserve(self, free: int, keep: list):
+        """Fill the reserve seats from the ``free`` key bits, type by type
+        with the lowest free bits of the type: the picks, and ``free`` less
+        what each pick takes out (``keep``).  A type's reserve load is its
+        bits among the picks."""
+        capacity, of_type, picked = self.capacity, self.of_type, 0
+        for t, target in self.reserves:
+            room = min(target, capacity - picked.bit_count())
+            picks, free = _fill(free & of_type.get(t, 0), room, free, keep)
+            picked |= picks
+        return picked, free
+
+
 def _chosen_bits(chooser: Chooser, keys: int) -> int:
     """``_chosen_keys`` on a mask of key bits: the key bits the spec rule
     chooses.
 
-    Reserve seats take the lowest free bits of their school's type mask,
-    school by school and type by type; open seats take the lowest free bits
-    of their school's window once the keys beyond each type's remaining
-    ceiling are cut.  Each pick clears ``keep`` from the free keys.
+    Reserve seats fill first, school by school (``_School.reserve``); then
+    each school's open seats, under the district cap, take the lowest free
+    bits of its ``window`` once the keys beyond each type's remaining
+    ceiling are cut.  Each pick clears ``keep`` from the free keys.  A
+    school position that ranks no contract has no record: it picks nothing.
     """
-    capacity, cap, keep = chooser.capacity, chooser.cap, chooser.keep
-    free, chosen, count = keys, 0, 0
-    reserved = [0] * len(capacity)  # per position: reserve seats taken
-    loads = [{}] * len(capacity)  # per position: reserve seats taken, per type
-    for pos, targets in enumerate(chooser.reserves):
-        if not targets:
-            continue
-        of_type, load, taken = chooser.of_type[pos], {}, 0
-        for t, target in targets:
-            room = min(target, capacity[pos] - taken)
-            picks, free = _fill(free & of_type.get(t, 0), room, free, keep)
-            got = picks.bit_count()
-            load[t] = load.get(t, 0) + got
-            taken += got
-            chosen |= picks
-        reserved[pos], loads[pos] = taken, load
-        count += taken
-    for pos, window in enumerate(chooser.windows):
-        room = capacity[pos] - reserved[pos]
+    schools, cap, keep = chooser.schools, chooser.cap, chooser.keep
+    free, chosen = keys, 0
+    reserved = [0] * len(schools)  # per school: its reserve picks
+    for i, school in enumerate(schools):
+        if school.reserves:
+            reserved[i], free = school.reserve(free, keep)
+            chosen |= reserved[i]
+    count = chosen.bit_count()
+    for school, picked in zip(schools, reserved):
+        room = school.capacity - picked.bit_count()
         if cap is not None:
             room = min(room, cap - count)
         if room <= 0:
             continue
-        pool = free & window
-        for t, q in chooser.ceilings[pos].items():
-            mine = pool & chooser.of_type[pos].get(t, 0)
-            pool ^= mine ^ _lowest_bits(mine, q - loads[pos].get(t, 0))
+        pool = free & school.window
+        for t, q in school.ceilings.items():
+            bits = school.of_type.get(t, 0)
+            mine = pool & bits
+            pool ^= mine ^ _lowest_bits(mine, q - (picked & bits).bit_count())
         picks, free = _fill(pool, room, free, keep)
         chosen |= picks
         count += picks.bit_count()
@@ -797,51 +824,38 @@ def _chosen_bits(chooser: Chooser, keys: int) -> int:
 
 
 class _Window:
-    """One school position of ``Chooser.fill``'s walk, on local bits: bit j
-    is the school's j-th ranked contract in priority order, and bit
-    ``off + j`` of the walk's ``alive`` mask.  ``univ`` maps a local mask to
-    its universe bits, and ``keep`` to the alive bits left once its
-    contracts are chosen.  ``reserve`` maps the school's free local bits to
-    its reserve picks, their count and the cut table of its ceilings less
-    that reserve load (``cut_table``); ``cut`` is the cut table with no
-    reserve seat taken."""
+    """One school of ``Chooser.fill``'s walk: tables over the local masks of
+    its ``_School`` record ``school``, where local bit j is key bit
+    ``school.off + j``.  ``univ`` maps a local mask to its universe bits,
+    and ``keep`` to the key bits left once its contracts are chosen.
+    ``reserve`` maps the school's free local bits to its reserve picks
+    (``_School.reserve``), their count and the cut table of its ceilings
+    less that reserve load (``cut_table``); ``cut`` is the cut table with no
+    reserve seat taken.  The tables live while the walk runs."""
 
-    def __init__(self, off, univ_bits, types, kills, capacity, reserves, ceilings):
-        self.off, self.size, self.types = off, 1 << len(types), types
-        self.univ, self.keep = _or_table(univ_bits), [~k for k in _or_table(kills)]
-        self.capacity, self.ceilings = capacity, ceilings
-        self.of_type = {}
-        for j, t in enumerate(types):
-            self.of_type[t] = self.of_type.get(t, 0) | 1 << j
+    def __init__(self, school: _School, keep: list):
+        self.school, self.size, off = school, 1 << len(school.types), school.off
+        self.univ, self.keep = _or_table(school.univ_bits), [~k for k in _or_table(school.kills)]
         self.cuts, self.opened = {}, {}  # memos of cut_table and open_table
-        self.cut = self.cut_table(tuple(ceilings.values()))
+        self.cut = self.cut_table(0)
         self.reserve = [(0, 0, self.cut)] * self.size  # no reserve seat
-        if reserves:
-            self.reserve = [self._reserve_picks(free, reserves) for free in range(self.size)]
+        if school.reserves:
+            picks = [school.reserve(free << off, keep)[0] for free in range(self.size)]
+            self.reserve = [(p >> off, p.bit_count(), self.cut_table(p)) for p in picks]
 
-    def _reserve_picks(self, free, reserves):
-        picked, taken, load = 0, 0, {}
-        for t, target in reserves:
-            picks = _lowest_bits(free & self.of_type.get(t, 0), min(target, self.capacity - taken))
-            free ^= picks
-            got = picks.bit_count()
-            load[t] = load.get(t, 0) + got
-            taken += got
-            picked |= picks
-        allowed = tuple(q - load.get(t, 0) for t, q in self.ceilings.items())
-        return picked, taken, self.cut_table(allowed)
-
-    def cut_table(self, allowed) -> list:
-        """The table from a pool to its bits within each type's ``allowed``
-        count (per ceiling, in ``ceilings`` order): the lowest of each type."""
-        table = self.cuts.get(allowed)
+    def cut_table(self, picked: int) -> list:
+        """The table from a local pool to its bits within each type's ceiling
+        less the type's reserve ``picked`` key bits: the lowest of each type."""
+        school = self.school
+        of_type, ceilings = school.of_type, school.ceilings.items()
+        limit = {t: q - (picked & of_type.get(t, 0)).bit_count() for t, q in ceilings}
+        table = self.cuts.get(key := tuple(limit.values()))
         if table is None:
-            limit = dict(zip(self.ceilings, allowed))
             table = [0]
-            for j, t in enumerate(self.types):
-                b, q, mine = 1 << j, limit.get(t), self.of_type[t]
+            for j, t in enumerate(school.types):
+                b, q, mine = 1 << j, limit.get(t), of_type[t] >> school.off
                 table += [c | b if q is None or (c & mine).bit_count() < q else c for c in table]
-            self.cuts[allowed] = table
+            self.cuts[key] = table
         return table
 
     def open_table(self, room) -> list:
@@ -850,7 +864,7 @@ class _Window:
         table = self.opened.get(room)
         if table is None:
             low = [0]
-            for j in range(len(self.types)):
+            for j in range(len(self.school.types)):
                 low += [p | 1 << j if p.bit_count() < room else p for p in low]
             table = self.opened[room] = [low[c] for c in self.cut]
         return table
@@ -858,34 +872,37 @@ class _Window:
 
 def _fill_level(walk, pos, mask, alive, chosen, count):
     """``Chooser.fill`` from window ``pos`` on, given the universe ``mask``
-    of the earlier windows' contracts, the ``alive`` bits, the universe bits
-    ``chosen`` so far and their ``count``.  For each local mask of window
-    ``pos`` the walk takes its reserve seats, then the open seats of the
-    windows whose turn it is, and goes on; the last window writes each
-    mask's choice to ``table``.  Every reserve seat comes before any open
-    seat, so the open seats of the windows up to the last one with reserve
-    seats (``reserved``) fill there, and each later window's at its own."""
+    of the earlier windows' contracts, the ``alive`` key bits, the
+    universe bits ``chosen`` so far and their ``count``.  For each local
+    mask of window ``pos`` the walk takes its reserve seats, then the open
+    seats of the windows whose turn it is, and goes on; the last window
+    writes each mask's choice to ``table``.  Every reserve seat comes
+    before any open seat, so the open seats of the windows up to the last
+    one with reserve seats (``reserved``) fill there, and each later
+    window's at its own."""
     windows, reserved, cap, table, held = walk
     win, last = windows[pos], pos + 1 == len(windows)
+    school = win.school
     if last and pos > reserved:
         # nothing left but this window's open seats: one table for them all
-        room = win.capacity if cap is None else min(win.capacity, cap - count)
-        opened, univ, live = win.open_table(max(room, 0)), win.univ, alive >> win.off
+        room = school.capacity if cap is None else min(school.capacity, cap - count)
+        opened, univ, live = win.open_table(max(room, 0)), win.univ, alive >> school.off
         for local, u in enumerate(univ):
             table[mask | u] = chosen | univ[opened[local & live]]
         return
     opens = range(pos + 1) if pos == reserved else (pos,) if pos > reserved else ()
+    live = alive >> school.off
     for local in range(win.size):
-        picks, taken, cut = win.reserve[local & alive >> win.off]
+        picks, taken, cut = win.reserve[local & live]
         a, ch, n = alive & win.keep[picks], chosen | win.univ[picks], count + taken
         held[pos] = local, taken, cut
         for q in opens:
             w, (local_q, taken, cut) = windows[q], held[q]
-            room = w.capacity - taken
+            room = w.school.capacity - taken
             if cap is not None and cap - n < room:
                 room = cap - n
             if room > 0:
-                picks = _lowest_bits(cut[local_q & a >> w.off], room)
+                picks = _lowest_bits(cut[local_q & a >> w.school.off], room)
                 a &= w.keep[picks]
                 ch |= w.univ[picks]
                 n += picks.bit_count()
@@ -896,12 +913,16 @@ def _fill_level(walk, pos, mask, alive, chosen, count):
 
 
 class Chooser(DistrictSpace):
-    """One rule's memoized choice on its ``DistrictSpace``, with the tables
-    of its integer seat-filling walk, ``_chosen_bits``.
+    """One rule's memoized choice on its ``DistrictSpace``, with the
+    records of its integer seat-filling walks, ``_chosen_bits`` and
+    ``fill``.
 
-    Key bits are the rule's keys, so each school's keys fill one ``windows``
-    mask in priority order, and a pool's first ``room`` contracts are its
-    lowest bits.  ``to_keys`` and ``to_universe`` translate masks eight bits
+    Key bit b is the b-th ranked contract of the universe in key order, so
+    each school's contracts are one run of bits in priority order, and a
+    pool's first ``room`` contracts are its lowest bits.  ``schools`` holds
+    one ``_School`` record per school position that ranks a contract, in
+    ``school_order``; ``keep`` maps a key bit to the key bits left once it
+    is chosen.  ``to_keys`` and ``to_universe`` translate masks eight bits
     at a time.  Explicit tables (``to_keys`` is None) and masks holding a
     contract without a key (``unranked``) go through ``choose`` on the set.
     ``chooser_of`` builds one per ``CompiledRule``; it holds the rule only
@@ -923,31 +944,26 @@ class Chooser(DistrictSpace):
         self.to_keys = None
         if rule.kind is RuleKind.EXPLICIT_TABLE:
             return
-        self.keys = keys = list(map(comp.key, self.universe))
+        keys = list(map(comp.key, self.universe))
         self.unranked = sum(1 << i for i, k in enumerate(keys) if k is None)
-        self.to_keys = _chunk_tables([0 if k is None else 1 << k for k in keys])
-        bit_at = [0] * len(comp.student_at)
-        for i, k in enumerate(keys):
-            if k is not None:
-                bit_at[k] = 1 << i
-        self.to_universe = _chunk_tables(bit_at)
-        self.stride = stride = comp.stride
-        self.windows = [((1 << stride) - 1) << pos * stride for pos in range(len(comp.capacity))]
-        self.of_type = [{} for _ in self.windows]  # per position: type -> its keys
-        student_keys = {}
-        for k, s in enumerate(comp.student_at):
-            if s is not None:
-                student_keys[s] = student_keys.get(s, 0) | 1 << k
-                of_type = self.of_type[k // stride]
-                of_type[comp.type_at[k]] = of_type.get(comp.type_at[k], 0) | 1 << k
-        # per key: the free keys left once it is chosen, without its
-        # student's keys (for a completion, without the key alone)
-        self.keep = [
-            ~(1 << k if rule.completed or s is None else student_keys[s])
-            for k, s in enumerate(comp.student_at)
+        ranked = sorted((k, i) for i, k in enumerate(keys) if k is not None)
+        bit_of = {i: 1 << b for b, (_, i) in enumerate(ranked)}
+        self.to_keys = _chunk_tables([bit_of.get(i, 0) for i in range(len(keys))])
+        self.to_universe = _chunk_tables([1 << i for _, i in ranked])
+        # per key bit: what its pick takes out, its student's key bits (for a
+        # completion, the bit alone)
+        student_keys = {s: _translate(self.to_keys, bits) for s, bits in self.student_bits.items()}
+        kills = [
+            bit_of[i] if rule.completed else student_keys[self.universe[i].student]
+            for _, i in ranked
         ]
-        self.capacity, self.cap = comp.capacity, comp.cap
-        self.reserves, self.ceilings = comp.reserves, comp.ceilings
+        self.keep = [~k for k in kills]
+        self.schools, off = [], 0
+        for pos, run in itertools.groupby(ranked, lambda r: r[0] // comp.stride):
+            run = list(run)
+            self.schools.append(_School(comp, pos, off, run, kills[off : off + len(run)]))
+            off += len(run)
+        self.cap = comp.cap
 
     def choose_mask(self, mask: int) -> int:
         got = self._cache.get(mask)
@@ -968,36 +984,11 @@ class Chooser(DistrictSpace):
             return
         if len(self._cache) == 1 << len(self.universe) - self.unranked.bit_count():
             return  # every ranked mask is in the memo already
-        # alive bits: the ranked contracts in key order, so school by school
-        ranked = sorted((k, i) for i, k in enumerate(self.keys) if k is not None)
-        students = [self.universe[i].student for _, i in ranked]
-        if self.rule().completed:
-            kills = [1 << b for b in range(len(ranked))]
-        else:  # a chosen contract takes out its student's others
-            of_student = {}
-            for b, s in enumerate(students):
-                of_student[s] = of_student.get(s, 0) | 1 << b
-            kills = [of_student[s] for s in students]
-        at = {}  # school position -> its alive bits
-        for b, (k, _) in enumerate(ranked):
-            at.setdefault(k // self.stride, []).append(b)
-        student_type = self.problem.student_type
-        windows = [
-            _Window(
-                bits[0],
-                [1 << ranked[b][1] for b in bits],
-                [student_type[students[b]] for b in bits],
-                [kills[b] for b in bits],
-                self.capacity[pos],
-                self.reserves[pos],
-                self.ceilings[pos],
-            )
-            for pos, bits in at.items()
-        ]
-        if not windows:  # no contract is ranked
+        if not self.schools:  # no contract is ranked
             self._cache[0] = 0
             return
-        reserved = max((p for p, pos in enumerate(at) if self.reserves[pos]), default=-1)
+        windows = [_Window(school, self.keep) for school in self.schools]
+        reserved = max((p for p, school in enumerate(self.schools) if school.reserves), default=-1)
         table = [None] * len(self.all_masks)  # mask -> its choice
         walk = windows, reserved, self.cap, table, [None] * len(windows)
         _fill_level(walk, 0, 0, -1, 0, 0)

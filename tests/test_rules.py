@@ -266,6 +266,25 @@ def test_favor_own_students_lift(basic):
     assert check_property(lifted, RuleProperty.ACCEPTANT, p).holds
 
 
+def test_favor_own_students_keeps_entries_that_name_no_student(basic):
+    # -1 and n name no student: the variant keeps both among the others, in
+    # their order, and chooses as the same rule without them does
+    p, base = basic.problem, basic.rules[0]
+    n = p.num_students
+    (c, order), *rest = base.priorities
+    stray = replace(base, priorities=((c, (n, *order[:1], -1, *order[1:])), *rest))
+    lifted, plain = favor_own_students(stray, p), favor_own_students(base, p)
+    got, want = lifted.priorities[0][1], plain.priorities[0][1]
+    assert [s for s in got if 0 <= s < n] == list(want)
+    own = sum(p.student_district[s] == base.district for s in want)
+    assert [s for s in got[own:] if not 0 <= s < n] == [n, -1]
+    assert lifted.priorities[1:] == plain.priorities[1:]
+    universe = chooser_of(base, p).universe
+    for mask in range(1 << len(universe)):
+        X = frozenset(x for i, x in enumerate(universe) if mask >> i & 1)
+        assert choose(lifted, X, p) == choose(plain, X, p)
+
+
 def test_universe_bound_enforced(basic):
     p = basic.problem
     with pytest.raises(UniverseTooLarge):

@@ -50,14 +50,18 @@ def kernel_rule(
     zero_ceiling,
     reserved_ceiling,
     stray=False,
+    hollow=False,
 ):
     """A random spec rule of ``kind`` with the walk's edge cases switched on:
     a student missing from a priority list (a contract with no key), a
     reserved type named twice in ``type_order``, reserves that fill a
     school's capacity, a district cap (0 leaves no room anywhere), a ceiling
     of 0, ceilings at or one above each reserve, so that reserve seats
-    count against them, and priority entries out of range (keys with no
-    contract) in the last school's list."""
+    count against them, priority entries out of range (keys with no
+    contract) in the last school's list, and, where the district has three
+    schools or more, a school in the middle of ``school_order`` whose list
+    holds only such entries, with a reserve at it.  The variant is made
+    last, so it meets every edge."""
     rule = random_rule(rng, problem, d, kind)
     first = rule.school_order[0]
     if omit:
@@ -77,20 +81,26 @@ def kernel_rule(
         ceilings.update({k: v + rng.randint(0, 1) for k, v in reserves.items()})
     if zero_ceiling:
         ceilings[first, rng.randrange(problem.num_types)] = 0
+    if hollow and len(rule.school_order) >= 3:
+        middle = rule.school_order[len(rule.school_order) // 2]
+        priorities = dict(rule.priorities)
+        priorities[middle] = (problem.num_students, -1)
+        rule = replace(rule, priorities=tuple(sorted(priorities.items())))
+        reserves[middle, rng.randrange(problem.num_types)] = rng.randint(1, 2)
     rule = replace(
         rule, reserves=tuple(sorted(reserves.items())), ceilings=tuple(sorted(ceilings.items()))
     )
     rule = replace(rule, district_cap=problem.k_district[d] if cap == "home" else cap)
-    if variant == "completion":
-        rule = completion_of(rule)
-    if variant == "favor_own":
-        rule = favor_own_students(rule, problem)
     if stray:
         *rest, (c, order) = rule.priorities
         order = list(order)
         for s in (-1, problem.num_students):
             order.insert(rng.randrange(len(order) + 1), s)
         rule = replace(rule, priorities=(*rest, (c, tuple(order))))
+    if variant == "completion":
+        rule = completion_of(rule)
+    if variant == "favor_own":
+        rule = favor_own_students(rule, problem)
     return rule
 
 
@@ -128,6 +138,7 @@ def assert_kernel_matches_walk(rule, problem):
     zero_ceiling=st.booleans(),
     reserved_ceiling=st.booleans(),
     stray=st.booleans(),
+    hollow=st.booleans(),
 )
 def test_kernel_matches_sorted_key_walk(seed, kind, variant, **edges):
     rng = random.Random(seed)
@@ -136,15 +147,17 @@ def test_kernel_matches_sorted_key_walk(seed, kind, variant, **edges):
         assert_kernel_matches_walk(kernel_rule(rng, problem, d, kind, variant, **edges), problem)
 
 
-EDGES = ("omit", "twice", "full", "zero_ceiling", "reserved_ceiling", "stray")
+EDGES = ("omit", "twice", "full", "zero_ceiling", "reserved_ceiling", "stray", "hollow")
 
 
 @pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fill_matches_the_walks_edge_by_edge(kind, variant):
-    # no edge, then each edge alone and each cap alone, on seeded markets
+    # no edge, then each edge alone and each cap alone, on seeded markets;
+    # the hollow edge needs three schools, and has its own test below
     rng = random.Random(f"fill-{kind.value}-{variant}")
-    cases = [(edge, None) for edge in (None, *EDGES)] + [(None, cap) for cap in CAPS[1:]]
+    cases = [(edge, None) for edge in (None, *EDGES) if edge != "hollow"]
+    cases += [(None, cap) for cap in CAPS[1:]]
     for edge, cap in cases * 2:
         problem = random_problem(rng, students=(2, 5))
         d = rng.randrange(problem.num_districts)
@@ -162,8 +175,27 @@ def test_every_edge_at_once(kind, variant):
         rule = kernel_rule(
             rng, problem, 0, kind, variant,
             omit=True, twice=True, full=True, cap=cap, zero_ceiling=True, reserved_ceiling=True,
-            stray=True,
+            stray=True, hollow=True,
         )
+        assert_kernel_matches_walk(rule, problem)
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS, ids=[k.value for k in SPEC_KINDS])
+@pytest.mark.parametrize("cap", CAPS, ids=str)
+def test_a_school_that_ranks_no_contract_between_two_that_do(kind, cap):
+    # a district of three schools whose middle one ranks no contract but
+    # has a reserve: it gets no record, and picks nothing
+    rng = random.Random(f"hollow-{kind.value}-{cap}")
+    for variant in VARIANTS:
+        problem = random_problem(rng, students=(2, 4))
+        while max(map(len, problem.district_schools)) < 3:
+            problem = random_problem(rng, students=(2, 4))
+        d = max(range(problem.num_districts), key=lambda d: len(problem.district_schools[d]))
+        edges = {e: e == "hollow" for e in EDGES}
+        rule = kernel_rule(rng, problem, d, kind, variant, cap=cap, **edges)
+        comp = compiled(rule, problem)
+        ranks = [any(k is not None for k in comp.key_at[pos]) for pos in range(3)]
+        assert ranks == [True, False, True], rule
         assert_kernel_matches_walk(rule, problem)
 
 
