@@ -316,9 +316,7 @@ def search_rule_nonexistence(
     # the root: everyone at the district's first school
     root = pos[min(schools)[1]] if schools else None
     if symmetry and root is not None and vals[root]:
-        vals[root] = _symmetry_root_values(
-            problem, space.universe, space.index, vals[root], ceilings
-        )
+        vals[root] = _symmetry_root_values(problem, space.universe, vals[root], ceilings)
 
     # arcs (child, parent, bit) with child = parent - bit; the relation on
     # values (w_c, w_p):
@@ -474,46 +472,32 @@ def _single_bits(mask: int):
         mask ^= low
 
 
-def _symmetry_root_values(problem, universe, index, candidates, ceilings):
-    """Keep one root value per orbit under exact instance symmetries:
-    student permutations preserving home district whose induced type map is
-    a bijection matching the ceilings (covers type swaps and within-type
-    student swaps)."""
-    students = list(range(problem.num_students))
-    perms = []
-    for perm in itertools.permutations(students):
-        if any(
-            problem.student_district[perm[s]] != problem.student_district[s]
-            for s in students
-        ):
-            continue
-        type_map = {}
-        consistent = True
-        for s in students:
-            t_from = problem.student_type[s]
-            t_to = problem.student_type[perm[s]]
-            if type_map.setdefault(t_from, t_to) != t_to:
-                consistent = False
-                break
-        if not consistent or len(set(type_map.values())) != len(type_map):
-            continue
-        if any(ceilings.get(a) != ceilings.get(b) for a, b in type_map.items()):
-            continue
-        perms.append(perm)
+def _symmetry_root_values(problem, universe, candidates, ceilings):
+    """Keep the first root value of each orbit, in candidate order, under
+    the instance's exact symmetries: the permutations of the students within
+    each (home district, type) class, combined with each type bijection σ
+    that keeps every class size and ceiling.  A root value is a set of
+    students at one school, so its orbit is its per-class counts up to σ:
+    for each set of types with the same ceiling and class sizes, the
+    multiset of their per-district count vectors."""
+    D = problem.num_districts
+    sizes = {}  # type -> its class size per home district
+    for s, t in enumerate(problem.student_type):
+        sizes.setdefault(t, [0] * D)[problem.student_district[s]] += 1
+    alike = {}  # (ceiling, class sizes) -> the types σ may exchange
+    for t, row in sorted(sizes.items()):
+        alike.setdefault((ceilings.get(t), tuple(row)), []).append(t)
     seen = set()
     keep = []
     for v in candidates:
-        canon = v
-        for perm in perms:
-            w = 0
-            for i in range(len(universe)):
-                if v >> i & 1:
-                    x = universe[i]
-                    y = x._replace(student=perm[x.student])
-                    w |= 1 << index[y]
-            canon = min(canon, w)
-        if canon not in seen:
-            seen.add(canon)
+        counts = {t: [0] * D for t in sizes}
+        for i in range(v.bit_length()):
+            if v >> i & 1:
+                s = universe[i].student
+                counts[problem.student_type[s]][problem.student_district[s]] += 1
+        orbit = tuple(tuple(sorted(tuple(counts[t]) for t in ts)) for ts in alike.values())
+        if orbit not in seen:
+            seen.add(orbit)
             keep.append(v)
     return keep
 

@@ -599,101 +599,57 @@ def manhattan_ideal(ideal: Distribution, problem: Problem) -> PolicyFunction:
     return PolicyFunction(kind="manhattan_ideal", ideal=ideal)
 
 
-# -- minimum-cost flow and implied bounds ------------------------------------------
+# -- implied bounds: n minus the maximum flow without the bounded arcs -------------
 
 
-class FlowNetwork:
-    """Integer min-cost max-flow with successive shortest augmenting paths.
-
-    Arcs store (capacity, cost); costs may be negative, so path search is
-    Bellman-Ford on the residual network.  All quantities stay integers.
-    """
-
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.head = [[] for _ in range(num_nodes)]  # node -> arc indices
-        self.to = []
-        self.cap = []
-        self.cost = []
-
-    def add_arc(self, u: int, v: int, capacity: int, cost: int = 0):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.cost.append(cost)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return len(self.to) - 2
-
-    def min_cost_max_flow(self, source: int, sink: int):
-        flow = 0
-        total_cost = 0
-        INF = float("inf")
-        while True:
-            dist = [INF] * self.num_nodes
-            in_queue = [False] * self.num_nodes
-            prev_arc = [-1] * self.num_nodes
-            dist[source] = 0
-            queue = [source]
-            in_queue[source] = True
-            while queue:
-                u = queue.pop(0)
-                in_queue[u] = False
-                for a in self.head[u]:
-                    if self.cap[a] > 0 and dist[u] + self.cost[a] < dist[self.to[a]]:
-                        v = self.to[a]
-                        dist[v] = dist[u] + self.cost[a]
-                        prev_arc[v] = a
-                        if not in_queue[v]:
-                            queue.append(v)
-                            in_queue[v] = True
-            if dist[sink] == INF:
-                return flow, total_cost
-            push = INF
-            v = sink
-            while v != source:
-                a = prev_arc[v]
-                push = min(push, self.cap[a])
-                v = self.to[a ^ 1]
-            v = sink
-            while v != source:
-                a = prev_arc[v]
-                self.cap[a] -= push
-                self.cap[a ^ 1] += push
-                v = self.to[a ^ 1]
-            flow += push
-            total_cost += push * dist[sink]
-
-    def arc_flow(self, arc_index: int) -> int:
-        return self.cap[arc_index ^ 1]
-
-
-def _bounds_network(problem: Problem, ceilings, objective=None):
-    """source -> district (k_d) -> school (q_c) -> type (school-type ceiling)
-    -> sink (k^t); the optional objective puts costs on school->type arcs."""
+def _max_flow(problem: Problem, ceilings, left_out) -> int:
+    """The maximum flow of source -> district (k_d) -> school (q_c) -> type
+    (the school-type ceiling clamped to [0, q_c], or q_c) -> sink (k^t)
+    without the school -> type arcs (c, t) that ``left_out`` picks, by
+    shortest augmenting paths."""
     D, C, T = problem.num_districts, problem.num_schools, problem.num_types
-    source = 0
-    district0 = 1
-    school0 = district0 + D
-    type0 = school0 + C
-    sink = type0 + T
-    net = FlowNetwork(sink + 1)
+    sink = 1 + D + C + T
+    head = [[] for _ in range(sink + 1)]  # node -> its arcs; arc a ^ 1 reverses a
+    to, cap = [], []
+
+    def arc(u, v, q):
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((q, 0))
+
     for d in range(D):
-        net.add_arc(source, district0 + d, problem.k_district[d])
-    school_type_arcs = {}
-    for c in range(C):
-        net.add_arc(district0 + problem.school_district[c], school0 + c,
-                    problem.capacities[c])
+        arc(0, 1 + d, problem.k_district[d])
+    for c, q_c in enumerate(problem.capacities):
+        arc(1 + problem.school_district[c], 1 + D + c, q_c)
         for t in range(T):
-            q = ceilings.get((c, t))
-            cap = problem.capacities[c] if q is None else min(q, problem.capacities[c])
-            cost = objective(c, t) if objective else 0
-            school_type_arcs[(c, t)] = net.add_arc(school0 + c, type0 + t, cap, cost)
+            if not left_out(c, t):
+                q = ceilings.get((c, t))
+                arc(1 + D + c, 1 + D + C + t, q_c if q is None else max(0, min(q, q_c)))
     for t in range(T):
-        net.add_arc(type0 + t, sink, problem.k_type[t])
-    return net, source, sink, school_type_arcs
+        arc(1 + D + C + t, sink, problem.k_type[t])
+
+    flow = 0
+    while True:
+        into = {0: None}  # node -> the arc a breadth-first search reached it by
+        queue = [0]
+        for u in queue:
+            for a in head[u]:
+                if cap[a] and to[a] not in into:
+                    into[to[a]] = a
+                    queue.append(to[a])
+        if sink not in into:
+            return flow
+        path = []
+        v = sink
+        while v:
+            path.append(into[v])
+            v = to[into[v] ^ 1]
+        push = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        flow += push
 
 
 def implied_bounds(problem: Problem, ceilings) -> dict:
@@ -701,27 +657,33 @@ def implied_bounds(problem: Problem, ceilings) -> dict:
     the district can serve across all legitimate matchings.
 
     ``ceilings`` maps (school, type) to a cap; missing pairs are capped only
-    by school capacity.  Solved as two min-cost flows per (district, type);
-    the costs leave the maximum flow unchanged, so the first solve raises
-    InfeasibleConstraints when no legitimate matching exists.
+    by school capacity, and negative caps admit no one.  Legitimate
+    matchings are the flows of value n, so InfeasibleConstraints is raised
+    when the full network's maximum flow is short of n.
+
+    With m the maximum flow without a set A of arcs into one type t, the
+    least flow A carries in a flow of value n is n - m.  Put cost 1 on A and
+    0 elsewhere: successive shortest paths reach m at cost 0.  Every
+    source-sink path crosses exactly one school -> type arc, and a simple
+    path enters t at most once, so each later path costs at most 1, and at
+    least 1 since no flow above m avoids A.  Every flow of value n
+    saturates t's sink arc, so
+        lo(d, t) = n - maxflow(without d's arcs into t)
+        hi(d, t) = k^t - n + maxflow(without the other districts' arcs into t).
     """
     total = problem.num_students
+    flow = _max_flow(problem, ceilings, lambda c, t: False)
+    if flow < total:
+        raise InfeasibleConstraints(
+            f"constraint system routes only {flow} of {total} students"
+        )
+    home = problem.school_district
     out = {}
     for d in range(problem.num_districts):
         for t in range(problem.num_types):
-            bounds = []
-            for sign in (1, -1):
-                def objective(c, tt, d=d, t=t, sign=sign):
-                    return sign if (problem.school_district[c] == d and tt == t) else 0
-
-                net, source, sink, arcs = _bounds_network(problem, ceilings, objective)
-                flow, _ = net.min_cost_max_flow(source, sink)
-                if flow < total:
-                    raise InfeasibleConstraints(
-                        f"constraint system routes only {flow} of {total} students"
-                    )
-                bounds.append(sum(net.arc_flow(arcs[c, t]) for c in problem.district_schools[d]))
-            out[(d, t)] = tuple(bounds)
+            mine = _max_flow(problem, ceilings, lambda c, u: u == t and home[c] == d)
+            others = _max_flow(problem, ceilings, lambda c, u: u == t and home[c] != d)
+            out[(d, t)] = (total - mine, problem.k_type[t] - total + others)
     return out
 
 

@@ -10,7 +10,11 @@ the package's does: it reruns the mechanism, on a fresh
 it held domains as bitmasks, kept verbatim: domains are lists of values,
 ``local_values`` enumerates every sub-combination of a set with dict-based
 loads, and each arc revision tests every value against every support with
-``compatible_cp``.  The root symmetry split is shared, since it is unchanged.
+``compatible_cp``.  Its root symmetry split is
+``symmetry_root_values_reference``, the step the package used before it
+read orbits off per-class counts, kept verbatim: it canonicalises each root
+value under every student permutation that keeps home districts and maps
+types by a ceiling-keeping bijection, all n! of them tried.
 
 ``enumerate_feasible_matchings_reference`` and
 ``enumerate_ir_matchings_reference`` are the two capacity-pruned walks the
@@ -30,7 +34,6 @@ from districtmatch.oracle import (
     AuditFinding,
     AuditReport,
     SearchResult,
-    _symmetry_root_values,
     constrained_efficient_ir_matchings,
 )
 from districtmatch.policy import PolicyGoal
@@ -185,7 +188,7 @@ def search_rule_nonexistence_reference(
             root = m
             break
     if symmetry and root is not None and cand.get(root):
-        cand[root] = _symmetry_root_values(
+        cand[root] = symmetry_root_values_reference(
             problem, universe, index, cand[root], ceilings
         )
 
@@ -386,3 +389,47 @@ def enumerate_ir_matchings_reference(problem: Problem, budget: int = DEFAULT_MAT
 
     rec(0)
     return out
+
+
+def symmetry_root_values_reference(problem, universe, index, candidates, ceilings):
+    """Keep one root value per orbit under exact instance symmetries:
+    student permutations preserving home district whose induced type map is
+    a bijection matching the ceilings (covers type swaps and within-type
+    student swaps)."""
+    students = list(range(problem.num_students))
+    perms = []
+    for perm in itertools.permutations(students):
+        if any(
+            problem.student_district[perm[s]] != problem.student_district[s]
+            for s in students
+        ):
+            continue
+        type_map = {}
+        consistent = True
+        for s in students:
+            t_from = problem.student_type[s]
+            t_to = problem.student_type[perm[s]]
+            if type_map.setdefault(t_from, t_to) != t_to:
+                consistent = False
+                break
+        if not consistent or len(set(type_map.values())) != len(type_map):
+            continue
+        if any(ceilings.get(a) != ceilings.get(b) for a, b in type_map.items()):
+            continue
+        perms.append(perm)
+    seen = set()
+    keep = []
+    for v in candidates:
+        canon = v
+        for perm in perms:
+            w = 0
+            for i in range(len(universe)):
+                if v >> i & 1:
+                    x = universe[i]
+                    y = x._replace(student=perm[x.student])
+                    w |= 1 << index[y]
+            canon = min(canon, w)
+        if canon not in seen:
+            seen.add(canon)
+            keep.append(v)
+    return keep

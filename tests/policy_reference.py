@@ -13,13 +13,19 @@ on each call, the first pair of a repeated floor or ceiling key counting.
 
 ``legitimate_distributions`` is the brute-force ground truth for the flow
 bounds, a filter over every member of Ξ₀ through that ``contains``.
+
+``FlowNetwork`` and ``implied_bounds_reference`` are the min-cost flow
+engine and the implied bounds the package computed with it before it read
+them off plain maximum flows, kept verbatim: two min-cost flows per
+(district, type), on a network rebuilt for each with costs ±1 on the
+district's school -> type arcs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from districtmatch.errors import UniverseTooLarge
+from districtmatch.errors import InfeasibleConstraints, UniverseTooLarge
 from districtmatch.model import Distribution, Problem, Verdict
 from districtmatch.policy import (
     DEFAULT_PAIR_BUDGET,
@@ -236,3 +242,129 @@ def legitimate_distributions(
             for t in range(problem.num_types)
         )
     ]
+
+
+# -- minimum-cost flow and implied bounds ------------------------------------------
+
+
+class FlowNetwork:
+    """Integer min-cost max-flow with successive shortest augmenting paths.
+
+    Arcs store (capacity, cost); costs may be negative, so path search is
+    Bellman-Ford on the residual network.  All quantities stay integers.
+    """
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        self.head = [[] for _ in range(num_nodes)]  # node -> arc indices
+        self.to = []
+        self.cap = []
+        self.cost = []
+
+    def add_arc(self, u: int, v: int, capacity: int, cost: int = 0):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.cost.append(cost)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        return len(self.to) - 2
+
+    def min_cost_max_flow(self, source: int, sink: int):
+        flow = 0
+        total_cost = 0
+        INF = float("inf")
+        while True:
+            dist = [INF] * self.num_nodes
+            in_queue = [False] * self.num_nodes
+            prev_arc = [-1] * self.num_nodes
+            dist[source] = 0
+            queue = [source]
+            in_queue[source] = True
+            while queue:
+                u = queue.pop(0)
+                in_queue[u] = False
+                for a in self.head[u]:
+                    if self.cap[a] > 0 and dist[u] + self.cost[a] < dist[self.to[a]]:
+                        v = self.to[a]
+                        dist[v] = dist[u] + self.cost[a]
+                        prev_arc[v] = a
+                        if not in_queue[v]:
+                            queue.append(v)
+                            in_queue[v] = True
+            if dist[sink] == INF:
+                return flow, total_cost
+            push = INF
+            v = sink
+            while v != source:
+                a = prev_arc[v]
+                push = min(push, self.cap[a])
+                v = self.to[a ^ 1]
+            v = sink
+            while v != source:
+                a = prev_arc[v]
+                self.cap[a] -= push
+                self.cap[a ^ 1] += push
+                v = self.to[a ^ 1]
+            flow += push
+            total_cost += push * dist[sink]
+
+    def arc_flow(self, arc_index: int) -> int:
+        return self.cap[arc_index ^ 1]
+
+
+def _bounds_network(problem: Problem, ceilings, objective=None):
+    """source -> district (k_d) -> school (q_c) -> type (school-type ceiling)
+    -> sink (k^t); the optional objective puts costs on school->type arcs."""
+    D, C, T = problem.num_districts, problem.num_schools, problem.num_types
+    source = 0
+    district0 = 1
+    school0 = district0 + D
+    type0 = school0 + C
+    sink = type0 + T
+    net = FlowNetwork(sink + 1)
+    for d in range(D):
+        net.add_arc(source, district0 + d, problem.k_district[d])
+    school_type_arcs = {}
+    for c in range(C):
+        net.add_arc(district0 + problem.school_district[c], school0 + c,
+                    problem.capacities[c])
+        for t in range(T):
+            q = ceilings.get((c, t))
+            cap = problem.capacities[c] if q is None else min(q, problem.capacities[c])
+            cost = objective(c, t) if objective else 0
+            school_type_arcs[(c, t)] = net.add_arc(school0 + c, type0 + t, cap, cost)
+    for t in range(T):
+        net.add_arc(type0 + t, sink, problem.k_type[t])
+    return net, source, sink, school_type_arcs
+
+
+def implied_bounds_reference(problem: Problem, ceilings) -> dict:
+    """For each (district, type): the least and greatest count of that type
+    the district can serve across all legitimate matchings.
+
+    ``ceilings`` maps (school, type) to a cap; missing pairs are capped only
+    by school capacity.  Solved as two min-cost flows per (district, type);
+    the costs leave the maximum flow unchanged, so the first solve raises
+    InfeasibleConstraints when no legitimate matching exists.
+    """
+    total = problem.num_students
+    out = {}
+    for d in range(problem.num_districts):
+        for t in range(problem.num_types):
+            bounds = []
+            for sign in (1, -1):
+                def objective(c, tt, d=d, t=t, sign=sign):
+                    return sign if (problem.school_district[c] == d and tt == t) else 0
+
+                net, source, sink, arcs = _bounds_network(problem, ceilings, objective)
+                flow, _ = net.min_cost_max_flow(source, sink)
+                if flow < total:
+                    raise InfeasibleConstraints(
+                        f"constraint system routes only {flow} of {total} students"
+                    )
+                bounds.append(sum(net.arc_flow(arcs[c, t]) for c in problem.district_schools[d]))
+            out[(d, t)] = tuple(bounds)
+    return out

@@ -483,6 +483,27 @@ def test_search_size_bound(nonexistence, monkeypatch):
     assert (exc.value.size, exc.value.budget) == (256, 255)
 
 
+def test_symmetry_on_a_twelve_student_one_school_district():
+    # 2**12 sets, under the size bound; the symmetry step reads each root
+    # value's orbit off its per-class counts instead of trying all 12!
+    # student orders, so the search finishes
+    students = tuple(
+        (f"s{i + 1}", "d1" if i < 6 else "d2", f"t{i % 2 + 1}", ("c1", "c2"))
+        for i in range(12)
+    )
+    spec = ProblemSpec(
+        types=("t1", "t2"),
+        districts=("d1", "d2"),
+        schools=(("c1", "d1", 6), ("c2", "d2", 6)),
+        students=students,
+        initial_matching={sid: "c1" if d == "d1" else "c2" for sid, d, _, _ in students},
+    )
+    p = validate_problem(spec)
+    ceilings = {0: 3, 1: 3}
+    res = search_rule_nonexistence(p, 0, ceilings, symmetry=True)
+    assert res.satisfiable == search_rule_nonexistence(p, 0, ceilings, symmetry=False).satisfiable
+
+
 # -- welfare comparison ------------------------------------------------------------
 
 

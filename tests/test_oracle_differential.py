@@ -3,10 +3,12 @@
 The prefix-sharing misreport audit gives the same ``AuditReport``, or the
 same error, as the audit that reran every report.  The bitmask nonexistence
 search gives the same verdict, node count, conflict log and witness, or the
-same budget overrun, as the list-domain search.  The feasible and
-individually-rational enumerators list the same matchings, in the same
-order, as the walks they replaced."""
+same budget overrun, as the list-domain search, and its symmetry step
+keeps the same root values as the one that tried every student
+permutation.  The feasible and individually-rational enumerators list the
+same matchings, in the same order, as the walks they replaced."""
 
+import itertools
 import random
 import sys
 
@@ -42,6 +44,7 @@ from oracle_reference import (
     enumerate_feasible_matchings_reference,
     enumerate_ir_matchings_reference,
     search_rule_nonexistence_reference,
+    symmetry_root_values_reference,
 )
 from test_spda_differential import random_rules
 
@@ -194,6 +197,41 @@ def test_search_matches_reference_on_random_markets(
         budget=budget,
         require_weak_substitutability=weak_substitutability,
     )
+
+
+def _tied_ceilings(rng, problem):
+    """``_random_ceilings`` with two or three types given one type's draw,
+    so that the symmetry step may exchange them."""
+    out = _random_ceilings(rng, problem)
+    tied = rng.sample(range(problem.num_types), rng.randint(2, problem.num_types))
+    for t in tied[1:]:
+        out[t] = out.get(tied[0])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetry_step_matches_reference_with_tied_types(seed):
+    # per-class counts up to a ceiling-keeping type bijection keep the same
+    # root values, in the same order, as canonicalising under every student
+    # permutation; candidates come shuffled so that the first of each orbit
+    # is not always its least value
+    rng = random.Random(seed)
+    problem = random_problem(rng, num_types=3, students=(3, 6))
+    district = rng.randrange(problem.num_districts)
+    ceilings = _tied_ceilings(rng, problem)
+    universe = tuple(problem.district_contracts(district))
+    index = {x: i for i, x in enumerate(universe)}
+    first = min(problem.district_schools[district])
+    root = [1 << i for i, x in enumerate(universe) if x.school == first]
+    candidates = [
+        sum(combo) for r in range(len(root) + 1) for combo in itertools.combinations(root, r)
+    ]
+    rng.shuffle(candidates)
+    assert oracle._symmetry_root_values(
+        problem, universe, candidates, ceilings
+    ) == symmetry_root_values_reference(problem, universe, index, candidates, ceilings)
+    assert_same_search(problem, district, ceilings, symmetry=True)
 
 
 @pytest.mark.parametrize("seed", [94, 204, 218])

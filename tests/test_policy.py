@@ -16,7 +16,6 @@ from districtmatch.errors import InfeasibleConstraints, UniverseTooLarge
 from districtmatch.fixtures import fixture_path
 from districtmatch.model import Distribution, distribution_of
 from districtmatch.policy import (
-    FlowNetwork,
     GoalForm,
     GoalTally,
     PolicyGoal,
@@ -611,8 +610,68 @@ def test_flow_bounds_match_enumeration_on_random_instances():
                     )
 
 
+def _random_school_ceilings(rng, problem):
+    """Per (school, type): absent, 0, negative (admits no one, as 0 does),
+    up to the school's capacity, or above it (binds nothing)."""
+    out = {}
+    for c, q_c in enumerate(problem.capacities):
+        for t in range(problem.num_types):
+            r = rng.random()
+            if r < 0.2:
+                continue
+            out[(c, t)] = (
+                0 if r < 0.3
+                else rng.randint(-2, -1) if r < 0.4
+                else rng.randint(q_c + 1, q_c + 2) if r < 0.5
+                else rng.randint(1, q_c)
+            )
+    return out
+
+
+def _bounds_or_message(bounds, problem, ceilings):
+    try:
+        return bounds(problem, ceilings)
+    except InfeasibleConstraints as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_implied_bounds_match_min_cost_flow_reference(seed):
+    # the max-flow bounds against the two min-cost flows per (district, type)
+    # they replaced: the same dict, or the same infeasibility message
+    rng = random.Random(seed)
+    p = random_problem(rng, num_types=rng.randint(1, 3), students=(2, 8))
+    ceilings = _random_school_ceilings(rng, p)
+    assert _bounds_or_message(implied_bounds, p, ceilings) == _bounds_or_message(
+        policy_reference.implied_bounds_reference, p, ceilings
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_implied_bounds_match_enumeration_on_random_problems(seed):
+    # (lo, hi) are the extremes of each (district, type) count over the
+    # legitimate distributions, and InfeasibleConstraints means there are
+    # none; a negative ceiling admits no one, as 0 does
+    rng = random.Random(seed)
+    p = random_problem(rng, students=(2, 5))
+    ceilings = _random_school_ceilings(rng, p)
+    legit = legitimate_distributions(p, {k: max(q, 0) for k, q in ceilings.items()})
+    if not legit:
+        with pytest.raises(InfeasibleConstraints):
+            implied_bounds(p, ceilings)
+        return
+    assert implied_bounds(p, ceilings) == {
+        (d, t): (min(vals), max(vals))
+        for d in range(p.num_districts)
+        for t in range(p.num_types)
+        for vals in [[xi.district_type(p, d, t) for xi in legit]]
+    }
+
+
 def test_flow_network_integrality_and_conservation():
-    net = FlowNetwork(4)
+    net = policy_reference.FlowNetwork(4)
     a = net.add_arc(0, 1, 3, 1)
     b = net.add_arc(0, 2, 2, 0)
     c = net.add_arc(1, 3, 2, 0)
