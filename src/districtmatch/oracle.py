@@ -281,9 +281,12 @@ def search_rule_nonexistence(
     a root left with more than one value is the search's first level.  Every
     fixed value, the root's included, counts one node against ``budget``.
 
-    A domain is a bitmask over the set's values, and each arc holds one
-    support mask per parent value.  Raises ``UniverseTooLarge`` past
-    ``NONEXISTENCE_SET_BOUND`` sets.
+    Every value any set admits is numbered once, in the order each set
+    lists its values; a domain is a bitmask over that one index, and an arc
+    reads two tables it shares with every arc of its contract.  Arc
+    consistency has one greatest fixpoint, reached in any order of revision,
+    so the order never changes a wipe-out, a fixed domain or ``nodes``.
+    Raises ``UniverseTooLarge`` past ``NONEXISTENCE_SET_BOUND`` sets.
     """
     space = DistrictSpace(problem, district)
     k_d = problem.k_district[district]
@@ -298,9 +301,11 @@ def search_rule_nonexistence(
     # license rejecting a contract
     schools = space.groups(attrgetter("school"), problem.capacities.__getitem__)
     groups = schools + space.groups(lambda x: problem.student_type[x.student], ceilings.get)
-    vals = [[] for _ in masks]
-    # each set lists its values largest first, then in itertools.combinations
-    # order: the order of ``feasible_masks`` within one size
+    # G lists the values largest first, then in itertools.combinations order
+    # (the order of ``feasible_masks`` within one size); each set's values
+    # come in this order, and dom[p] is the mask of set p's values over G
+    G = []
+    dom = [0] * len(masks)
     for v in sorted(space.feasible_masks, key=int.bit_count, reverse=True):
         if any((v & bits).bit_count() > q for _, bits, q in groups):
             continue
@@ -310,52 +315,44 @@ def search_rule_nonexistence(
         for bits in space.student_bits.values():
             if not v & bits:
                 supersets += [m | b for m in supersets for b in _single_bits(bits & blocked)]
+        j = 1 << len(G)
+        G.append(v)
         for m in supersets:
-            vals[pos[m]].append(v)
+            dom[pos[m]] |= j
 
     # the root: everyone at the district's first school
     root = pos[min(schools)[1]] if schools else None
-    if symmetry and root is not None and vals[root]:
-        vals[root] = _symmetry_root_values(problem, space.universe, vals[root], ceilings)
+    if symmetry and root is not None and dom[root]:
+        here = [low.bit_length() - 1 for low in _single_bits(dom[root])]
+        keep = set(_symmetry_root_values(problem, space.universe, [G[j] for j in here], ceilings))
+        dom[root] = sum(1 << j for j in here if G[j] in keep)
 
     # arcs (child, parent, bit) with child = parent - bit; the relation on
     # values (w_c, w_p):
     #   weak substitutability: w_p minus the bit must be inside w_c
     #   irc: if the bit is rejected in w_p, then w_c equals w_p
     # dropping weak substitutability turns the search into a generator of
-    # tables satisfying only the other three properties.  sup[j] is the mask
-    # of child values compatible with parent value j; both directions read it.
-    slot = [{w: j for j, w in enumerate(ws)} for ws in vals]  # value -> its index
-    holding = [{} for _ in vals]  # per set: contract bit -> its values holding it
-    for h, ws in zip(holding, vals):
-        for j, w in enumerate(ws):
-            for low in _single_bits(w):
-                h[low] = h.get(low, 0) | 1 << j
-    full = [(1 << len(ws)) - 1 for ws in vals]
-
-    def supporters(c, w):
-        # the child values holding every contract of w
-        s = full[c]
-        while w and s:
-            low = w & -w
-            w ^= low
-            s &= holding[c].get(low, 0)
-        return s
-
+    # tables satisfying only the other three properties.  Over G, hold[bit]
+    # is the values holding the bit, and up[bit][j] the child values
+    # compatible with G[j] when G[j] holds it: those containing G[j] - bit.
+    everything = (1 << len(G)) - 1
+    hold = {}
+    for j, w in enumerate(G):
+        for low in _single_bits(w):
+            hold[low] = hold.get(low, 0) | 1 << j
+    above = {0: everything}  # u -> the values containing u
+    for u in sorted(masks)[1:]:
+        above[u] = above[u & (u - 1)] & hold.get(u & -u, 0)
+    if not require_weak_substitutability:
+        above = dict.fromkeys(above, everything)
+    up = {bit: [above[w & ~bit] for w in G] for bit in hold}
     neighbors = [[] for _ in masks]
     for p, m in enumerate(masks):
         for bit in _single_bits(m):
-            c = pos[m ^ bit]
-            sup = tuple(
-                (supporters(c, w ^ bit) if require_weak_substitutability else full[c])
-                if w & bit
-                else 1 << slot[c][w] if w in slot[c] else 0
-                for w in vals[p]
-            )
-            neighbors[p].append((c, sup, True))  # p is parent
-            neighbors[c].append((p, sup, False))  # c is child
+            arc = hold.get(bit, 0), up.get(bit)
+            neighbors[p].append((pos[m ^ bit], *arc, True))  # p is parent
+            neighbors[pos[m ^ bit]].append((p, *arc, False))  # the child
 
-    dom = full[:]
     nodes = 0
     conflict_log = []
     trail = []  # (set, its domain before the change)
@@ -366,27 +363,31 @@ def search_rule_nonexistence(
             dom[p] = d
 
     def propagate(p):
-        """AC after dom[p] shrank; records every change for undo."""
+        """AC after dom[p] shrank; records every change for undo.  Across an
+        arc a value not holding the bit needs itself on the other side, and a
+        parent value holding it needs a child value in its ``supersets``."""
         stack = [p]
         while stack:
             q = stack.pop()
             dq = dom[q]
-            for other, sup, q_is_parent in neighbors[q]:
+            for other, holding, supersets, q_is_parent in neighbors[q]:
                 d = dom[other]
-                kept = 0
+                kept = d & dq
                 if q_is_parent:
-                    rest = dq
-                    while rest and d & ~kept:
-                        low = rest & -rest
-                        rest ^= low
-                        kept |= sup[low.bit_length() - 1]
-                    kept &= d
+                    rest = dq & holding
+                    missing = d ^ kept
+                    while rest and missing:
+                        j = rest.bit_length() - 1
+                        rest ^= 1 << j
+                        missing -= missing & supersets[j]
+                    kept = d ^ missing
                 else:
-                    rest = d
+                    rest = d & holding
                     while rest:
-                        low = rest & -rest
+                        j = rest.bit_length() - 1
+                        low = 1 << j
                         rest ^= low
-                        if sup[low.bit_length() - 1] & dq:
+                        if supersets[j] & dq:
                             kept |= low
                 if kept != d:
                     if not kept:
@@ -395,12 +396,6 @@ def search_rule_nonexistence(
                     dom[other] = kept
                     stack.append(other)
         return True
-
-    def fix(p, low):
-        """Fix p to the value ``low`` and propagate; False on a wipe-out."""
-        trail.append((p, dom[p]))
-        dom[p] = low
-        return propagate(p)
 
     def search():
         """Depth-first: fix the set with the fewest values (more than one)
@@ -413,7 +408,7 @@ def search_rule_nonexistence(
         frames = []  # per open level: [set, values not yet tried, trail mark]
         while True:
             counts = list(map(int.bit_count, dom))
-            fewest = min((n for n in counts if n > 1), default=None)
+            fewest = min(set(counts) - {1}, default=None)
             if fewest is None:
                 return True
             best = root if split and not frames else counts.index(fewest)
@@ -424,7 +419,7 @@ def search_rule_nonexistence(
                 p, rest, mark = frames[-1]
                 undo(mark)
                 if split and len(frames) == 1 and rest != dom[p]:
-                    tried = vals[p][(dom[p] ^ rest).bit_length() - 1]
+                    tried = G[(dom[p] ^ rest).bit_length() - 1]
                     conflict_log.append((space.set_of(tried), "all extensions contradict"))
                 if not rest:
                     frames.pop()
@@ -434,11 +429,13 @@ def search_rule_nonexistence(
                 nodes += 1
                 if nodes > budget:
                     raise SearchBudgetExceeded(nodes)
-                if fix(p, low):
+                trail.append((p, dom[p]))
+                dom[p] = low  # fixed; a wipe-out tries the next value
+                if propagate(p):
                     break
 
     def first(p):
-        return vals[p][(dom[p] & -dom[p]).bit_length() - 1]
+        return G[(dom[p] & -dom[p]).bit_length() - 1]
 
     ok = all(dom) and all(propagate(p) for p in range(len(masks)))
     found = ok and search()
@@ -452,9 +449,12 @@ def search_rule_nonexistence(
         return SearchResult(
             satisfiable=False, conflict_log=tuple(conflict_log), nodes=nodes
         )
-    table = tuple(
-        (space.set_of(m), space.set_of(first(pos[m]))) for m in sorted(masks)
-    )
+    # each set's contracts from its set one contract smaller, every subset first
+    sets = {0: frozenset()}
+    for m in sorted(masks)[1:]:
+        low = m & -m
+        sets[m] = sets[m ^ low] | {space.universe[low.bit_length() - 1]}
+    table = tuple((X, sets[first(pos[m])]) for m, X in sets.items())
     witness = make_rule(
         district=district,
         kind=RuleKind.EXPLICIT_TABLE,

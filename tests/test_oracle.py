@@ -20,6 +20,7 @@ from districtmatch.rules import RuleProperty, check_property, favor_own_students
 from districtmatch.spda import run_spda
 
 from helpers import count_calls, matching_of
+from oracle_reference import search_rule_nonexistence_reference
 
 
 def _tiny_problem():
@@ -501,7 +502,11 @@ def test_symmetry_on_a_twelve_student_one_school_district():
     p = validate_problem(spec)
     ceilings = {0: 3, 1: 3}
     res = search_rule_nonexistence(p, 0, ceilings, symmetry=True)
-    assert res.satisfiable == search_rule_nonexistence(p, 0, ceilings, symmetry=False).satisfiable
+    plain = search_rule_nonexistence(p, 0, ceilings, symmetry=False)
+    assert (res.satisfiable, res.nodes) == (plain.satisfiable, plain.nodes) == (True, 25)
+    # the reference's own symmetry step tries all 12! orders, so it is asked
+    # only for the search without one
+    assert plain == search_rule_nonexistence_reference(p, 0, ceilings, symmetry=False)
 
 
 # -- welfare comparison ------------------------------------------------------------

@@ -35,6 +35,7 @@ from districtmatch.oracle import (
     search_rule_nonexistence,
 )
 from districtmatch.policy import GoalForm
+from districtmatch.rules import DistrictSpace
 from districtmatch.spda import run_spda
 from districtmatch.ttc import run_ttc
 
@@ -232,6 +233,32 @@ def test_symmetry_step_matches_reference_with_tied_types(seed):
         problem, universe, candidates, ceilings
     ) == symmetry_root_values_reference(problem, universe, index, candidates, ceilings)
     assert_same_search(problem, district, ceilings, symmetry=True)
+
+
+def _desk_width_search(seed):
+    """A 6-student market and one of its districts with 2-3 schools: 729 or
+    4,096 sets, and often more values than one machine word holds."""
+    rng = random.Random(seed)
+    while True:
+        problem = random_problem(rng, students=(6, 6))
+        district = rng.randrange(problem.num_districts)
+        if len(problem.district_schools[district]) >= 2:
+            return problem, district, _random_ceilings(rng, problem)
+
+
+# seed 10 draws 4,096 sets and, under weak substitutability, no rule; the
+# others draw 729 sets.  Each search numbers 91-213 values.
+@pytest.mark.parametrize("seed", [2, 9, 10, 15])
+def test_search_matches_reference_at_desk_width(seed):
+    problem, district, ceilings = _desk_width_search(seed)
+    assert DistrictSpace(problem, district).size == (4096 if seed == 10 else 729)
+    for symmetry in (True, False):
+        for weak_substitutability in (True, False):
+            got = assert_same_search(
+                problem, district, ceilings,
+                symmetry=symmetry, require_weak_substitutability=weak_substitutability,
+            )
+            assert got[0] == (seed != 10 or not weak_substitutability)
 
 
 @pytest.mark.parametrize("seed", [94, 204, 218])
