@@ -8,6 +8,7 @@ issue found.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -28,15 +29,22 @@ class Instance:
     meta: dict
 
 
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(text) -> Fraction:
+    """A JSON int, or an optional ``-``, ASCII digits and an optional
+    ``/digits``: the float and padded spellings ``Fraction`` reads are not."""
     if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str) or "." in text:
-        raise ValidationError([("DanglingReference", f"rationals are p/q strings: {text!r}")])
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError([("DanglingReference", f"bad rational {text!r}: {exc}")])
+    if isinstance(text, str) and "." not in text:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError([("DanglingReference", f"bad rational {text!r}: {exc}")])
+        if _RATIONAL.fullmatch(text):
+            return value
+    raise ValidationError([("DanglingReference", f"rationals are p/q strings: {text!r}")])
 
 
 def format_fraction(value: Fraction) -> str:

@@ -83,7 +83,6 @@ class Problem:
     k_district: tuple
     k_type: tuple
     district_schools: tuple
-    rank: tuple  # rank[s][c] = position of c in s's list
 
     # -- convenience accessors -------------------------------------------------
 
@@ -120,17 +119,16 @@ class Problem:
         )
 
     def outcome_school(self, X: Matching, student: int) -> Optional[int]:
-        """The school of ``student`` in ``X``, or None if unmatched."""
-        for x in X:
-            if x.student == student:
-                return x.school
-        return None
+        """The school of ``student`` in ``X`` (``outcome_schools``), or None
+        if unmatched."""
+        return outcome_schools(X).get(student)
 
     def rank_of(self, student: int, school: Optional[int]) -> int:
-        """Preference rank, 0 = best; being unmatched ranks strictly last."""
+        """Position in the student's list, 0 = best; being unmatched ranks
+        strictly last."""
         if school is None:
             return self.num_schools
-        return self.rank[student][school]
+        return self.preferences[student].index(school)
 
     def prefers(self, student: int, a: Optional[int], b: Optional[int]) -> bool:
         """Strict preference of school ``a`` over ``b`` for ``student``."""
@@ -244,11 +242,10 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         if not own
     ]
 
-    student_district, student_type, preferences, rank = [], [], [], []
+    student_district, student_type, preferences = [], [], []
     for stid, did, tid, prefs in raw.students:
         d, t = districts.get(did), types.get(tid)
         pref_idx = tuple(map(schools.get, prefs))
-        positions = order_positions(pref_idx, len(raw.schools))
         if d is None:
             issues.append(
                 ("DanglingReference", f"student {stid} references unknown district {did}")
@@ -258,7 +255,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         elif None in pref_idx:
             unknown = prefs[pref_idx.index(None)]
             issues.append(("DanglingReference", f"student {stid} ranks unknown school {unknown}"))
-        elif positions is None:
+        elif order_positions(pref_idx, len(raw.schools)) is None:
             issues.append(
                 ("IncompletePreference", f"student {stid} must rank every school exactly once")
             )
@@ -266,7 +263,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
             student_district.append(d)
             student_type.append(t)
             preferences.append(pref_idx)
-            rank.append(positions)
 
     structural = bool(issues)
     k_district = tuple(map(student_district.count, range(len(raw.districts))))
@@ -334,7 +330,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         k_district=k_district,
         k_type=tuple(map(student_type.count, range(len(raw.types)))),
         district_schools=district_schools,
-        rank=tuple(rank),
     )
 
 
@@ -355,15 +350,14 @@ def order_positions(order, n: int) -> Optional[tuple]:
 def with_preferences(problem: Problem, student: int, prefs) -> Problem:
     """A copy of ``problem`` where one student reports a different order,
     which must rank every school exactly once."""
-    preferences, rank = list(problem.preferences), list(problem.rank)
+    preferences = list(problem.preferences)
     preferences[student] = tuple(prefs)
-    rank[student] = order_positions(preferences[student], problem.num_schools)
-    if rank[student] is None:
+    if order_positions(preferences[student], problem.num_schools) is None:
         raise ValidationError([(
             "IncompletePreference",
             f"student {problem.student_ids[student]} must rank every school exactly once",
         )])
-    return replace(problem, preferences=tuple(preferences), rank=tuple(rank))
+    return replace(problem, preferences=tuple(preferences))
 
 
 # -- operations on matchings ------------------------------------------------------
@@ -432,7 +426,7 @@ def is_feasible(X: Matching, problem: Problem) -> FeasibilityReport:
 
 def outcome_schools(X: Matching) -> dict:
     """Student -> school in ``X``.  A student listed twice keeps the first
-    school in iteration order, the one ``Problem.outcome_school`` reports."""
+    school in iteration order."""
     school_of = {}
     for x in X:
         school_of.setdefault(x.student, x.school)

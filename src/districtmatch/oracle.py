@@ -60,8 +60,8 @@ def enumerate_ir_matchings(problem: Problem, budget: int = DEFAULT_MATCHING_BUDG
     school.  The outside option ranks last, so these match everyone; each
     student's options shrink to the schools she ranks at or above it."""
     options = [
-        sorted(problem.preferences[s][: problem.rank[s][problem.initial_school[s]] + 1])
-        for s in range(problem.num_students)
+        sorted(prefs[: prefs.index(initial) + 1])
+        for prefs, initial in zip(problem.preferences, problem.initial_school)
     ]
     size = math.prod(map(len, options))
     if size > budget:

@@ -182,8 +182,8 @@ def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
     for s in range(problem.num_students):
         current = school_of.get(s)
         for c in problem.preferences[s]:
-            if current is not None and problem.rank[s][c] >= problem.rank[s][current]:
-                break  # schools below the current outcome cannot block
+            if c == current:
+                break  # her own school and those below it cannot block
             x = problem.contract(s, c)
             if x in X:
                 continue

@@ -23,12 +23,6 @@ class HypotheticalMarket:
     student_prefs: tuple  # per student: tuple of slots, best first
     initial_slot: tuple  # per student
     master: tuple  # master priority list of student indices
-    # per student: position in the master list; None unless it orders
-    # every student exactly once
-    master_rank: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "master_rank", order_positions(self.master, len(self.master)))
 
 
 @dataclass(frozen=True)

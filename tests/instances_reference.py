@@ -65,7 +65,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
     student_district = []
     student_type = []
     preferences = []
-    rank = []
     for stid, did, tid, prefs in raw.students:
         if did not in district_index:
             issues.append(
@@ -84,8 +83,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
             )
             continue
         pref_idx = tuple(map(school_index.__getitem__, prefs))
-        positions = order_positions(pref_idx, len(school_index))
-        if positions is None:
+        if order_positions(pref_idx, len(school_index)) is None:
             issues.append(
                 (
                     "IncompletePreference",
@@ -97,7 +95,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         student_district.append(district_index[did])
         student_type.append(type_index[tid])
         preferences.append(pref_idx)
-        rank.append(positions)
 
     structural = bool(issues)
     k_district = [0] * len(raw.districts)
@@ -181,7 +178,6 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         k_district=tuple(k_district),
         k_type=tuple(k_type),
         district_schools=district_schools,
-        rank=tuple(rank),
     )
 
 

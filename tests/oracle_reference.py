@@ -359,7 +359,7 @@ def enumerate_ir_matchings_reference(problem: Problem, budget: int = DEFAULT_MAT
     school.  The outside option ranks last, so these match everyone; each
     student's options shrink to the schools she ranks at or above it."""
     options = [
-        [c for c in problem.preferences[s] if problem.rank[s][c] <= problem.rank[s][problem.initial_school[s]]]
+        [c for c in problem.preferences[s] if problem.rank_of(s, c) <= problem.rank_of(s, problem.initial_school[s])]
         for s in range(problem.num_students)
     ]
     size = 1

@@ -332,7 +332,7 @@ def is_stable_reference(X: Matching, problem: Problem, rules) -> StabilityVerdic
     for s in range(problem.num_students):
         current = problem.outcome_school(X, s)
         for c in problem.preferences[s]:
-            if current is not None and problem.rank[s][c] >= problem.rank[s][current]:
+            if problem.rank_of(s, c) >= problem.rank_of(s, current):
                 break  # schools below the current outcome cannot block
             x = problem.contract(s, c)
             if x in X:

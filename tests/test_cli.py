@@ -1159,6 +1159,10 @@ def test_bounds_bad_alpha_prints_nothing(capsys):
     code, out, err = run_cli(capsys, "bounds", fpath("reserves_diversity"), "--alpha", "x")
     assert (code, out) == (2, "")
     assert err.startswith("validation error: DanglingReference: bad rational 'x'")
+    # a float spelling Fraction would read as 3/4
+    code, out, err = run_cli(capsys, "bounds", fpath("reserves_diversity"), "--alpha", "75e-2")
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: DanglingReference: rationals are p/q strings: '75e-2'")
 
 
 @pytest.mark.parametrize(

@@ -194,8 +194,13 @@ def test_missing_section_rejected():
 
 def test_fraction_strings_only():
     assert parse_fraction("3/4").numerator == 3
-    with pytest.raises(ValidationError):
-        parse_fraction("0.75")
+    assert parse_fraction("-3/4") == Fraction(-3, 4)
+    assert parse_fraction("07") == parse_fraction(7) == 7
+    # Fraction reads every spelling below; the schema's p/q strings do not
+    for text in ("0.75", "75e-2", "1e3", "1_000", " 3/4 ", "3/4\n", "+3/4", "\uff13/\uff14"):
+        with pytest.raises(ValidationError) as err:
+            parse_fraction(text)
+        assert err.value.issues == [("DanglingReference", f"rationals are p/q strings: {text!r}")]
 
 
 def test_rules_optional(impossibility):

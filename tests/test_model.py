@@ -1,5 +1,7 @@
 """Model validation, distributions, feasibility, and dominance."""
 
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -19,8 +21,12 @@ from districtmatch.model import (
     validate_problem,
     with_preferences,
 )
+from districtmatch.oracle import enumerate_feasible_matchings, enumerate_ir_matchings
+from districtmatch.spda import is_stable
 
-from helpers import matching_of, random_problem
+from helpers import matching_of, random_problem, sequential_rules
+from oracle_reference import enumerate_ir_matchings_reference
+from spda_reference import is_stable_reference
 
 
 def test_basic_fixture_validates(basic):
@@ -127,7 +133,28 @@ def test_with_preferences_rejects_an_order_that_is_not_a_permutation(ttc_diversi
     ]
     again = with_preferences(p, 0, (3, 1, 0, 2))
     assert again.preferences[0] == (3, 1, 0, 2)
-    assert again.rank[0] == (2, 1, 3, 0)
+    assert [again.rank_of(0, c) for c in range(4)] == [2, 1, 3, 0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_readers_follow_lists_replaced_on_a_problem(seed):
+    # the school lists are a problem's one order: after dataclasses.replace
+    # every reader answers as on the same lists checked by with_preferences
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(3, 4))
+    rules = sequential_rules(rng, problem)
+    prefs = [tuple(rng.sample(order, len(order))) for order in problem.preferences]
+    swapped = dataclasses.replace(problem, preferences=tuple(prefs))
+    checked = functools.reduce(
+        lambda p, s: with_preferences(p, s, prefs[s]), range(problem.num_students), problem
+    )
+    for s, order in enumerate(prefs):
+        assert [swapped.rank_of(s, c) for c in order] == list(range(len(order)))
+        for a, b in itertools.permutations([*order, None], 2):
+            assert swapped.prefers(s, a, b) == checked.prefers(s, a, b)
+    for X in enumerate_feasible_matchings(problem):
+        assert is_stable(X, swapped, rules) == is_stable_reference(X, checked, rules)
+    assert enumerate_ir_matchings(swapped) == enumerate_ir_matchings_reference(checked)
 
 
 ENTRIES = st.one_of(st.integers(-3, 8), st.booleans(), st.none(), st.floats(0, 3), st.just("1"))

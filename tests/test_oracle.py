@@ -152,7 +152,7 @@ def test_stable_set_can_be_empty_without_weak_substitutability():
         for s in range(p.num_students):
             cur = p.outcome_school(X, s)
             for c in p.preferences[s]:
-                if cur is not None and p.rank[s][c] >= p.rank[s][cur]:
+                if p.rank_of(s, c) >= p.rank_of(s, cur):
                     break
                 cand = p.contract(s, c)
                 if cand in X:

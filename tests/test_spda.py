@@ -56,7 +56,7 @@ def test_trace_proposals_descend_preferences(basic):
     for step in trace.steps:
         for _, proposals in step.proposals:
             for x in proposals:
-                seen[x.student].append(p.rank[x.student][x.school])
+                seen[x.student].append(p.rank_of(x.student, x.school))
     for ranks in seen.values():
         assert ranks == sorted(ranks)
 

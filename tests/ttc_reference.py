@@ -28,7 +28,7 @@ from collections import deque
 
 from districtmatch import policy, ttc
 from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck
-from districtmatch.model import Distribution, Problem, distribution_of
+from districtmatch.model import Distribution, Problem, distribution_of, order_positions
 from districtmatch.policy import GoalTally, PolicyGoal
 from districtmatch.ttc import TtcStep, TtcTrace, build_hypothetical
 
@@ -47,7 +47,7 @@ def priority_key(market, slot, student):
     """A slot's priority over ``student``: her initial slot's holders first,
     then everyone else, each class in master order."""
     first_class = 0 if market.initial_slot[student] == slot else 1
-    return (first_class, market.master_rank[student])
+    return (first_class, market.master.index(student))
 
 
 def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
@@ -147,7 +147,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
         )
     tally = GoalTally(goal, problem, initial_xi)
     initial = market.initial_slot
-    rank = market.master_rank
+    rank = order_positions(market.master, problem.num_students)
     T = problem.num_types
 
     def number(slot):
