@@ -330,9 +330,9 @@ def _write_spda_trace(fh, problem, trace):
         # the tentative keys, carried from step to step; a step outside
         # ``SpdaStep``'s contract is refused
         held = []
-        for i, step in enumerate(trace.steps):
-            rejected = _pair_keys(step.rejected, C)
-            held += [x.student * C + x.school for _, X in step.proposals for x in X]
+        for i, (proposals, rejected) in enumerate(trace.pairs):
+            rejected = sorted([s * C + c for s, c in rejected])
+            held += [s * C + c for _, P in proposals for s, c in P]
             held.sort()
             for k in rejected:
                 j = bisect_left(held, k)
@@ -342,9 +342,10 @@ def _write_spda_trace(fh, problem, trace):
                     )
                 del held[j]
             yield _block([
+                # proposals are new: re-indenting their depth-4 block reuses kept texts
                 '"proposals": ' + _block([
-                    names[d] + contracts(_pair_keys(X, C), 5)
-                    for d, X in sorted(step.proposals, key=by_id)
+                    names[d] + contracts(sorted([s * C + c for s, c in P]), 4).replace("\n", _NL[1])
+                    for d, P in sorted(proposals, key=by_id)
                 ], 4, "{}"),
                 '"rejected": ' + contracts(rejected, 4),
                 '"tentative": ' + contracts(held, 4),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from .errors import NotApplicable, SearchBudgetExceeded, Stuck, UniverseTooLarge
+from .errors import DistrictMatchError, NotApplicable, SearchBudgetExceeded, UniverseTooLarge
 from .model import (
     Matching,
     Problem,
@@ -147,8 +147,8 @@ def audit_strategy_proofness(
     A run reads the student's report only up to some prefix, and every
     report sharing it reruns identically; ``itertools.permutations`` lists
     those reports next to each other, so each takes the school of the last
-    run made instead of running again.  A misreport whose run is ``Stuck``
-    raises ``Stuck`` naming the student and her report.
+    run made instead of running again.  A misreport whose run fails raises
+    its error, of the same class, naming the student and her report.
     """
     honest, _ = _mechanism_run(
         mechanism, problem, rules=rules, goal=goal, master=master
@@ -167,13 +167,13 @@ def audit_strategy_proofness(
                     outcome, read = _mechanism_run(
                         mechanism, deviated, rules=rules, goal=goal, master=master
                     )
-                except Stuck as exc:
+                except DistrictMatchError as exc:
                     order = ">".join(problem.school_ids[c] for c in perm)
-                    raise Stuck(
+                    exc.args = (
                         f"the honest run succeeded, but the run on student "
                         f"{problem.student_ids[s]}'s report {order} did not: {exc}",
-                        trace=exc.trace,
-                    ) from exc
+                    )
+                    raise
                 prefix = perm[: read[s]]
                 deviant_school = deviated.outcome_school(outcome, s)
             runs += 1

@@ -341,8 +341,8 @@ class HeldSeats:
     """What deferred acceptance holds at a spec-rule district: per school
     position, the rule's keys (``CompiledRule``) in reserve seats
     (``reserved``) and the rest in priority order (``eligible``), at most
-    one key per student; ``contracts``, the contract of each held key; and
-    ``new``, the contracts proposed to it in this step, which ``choose``
+    one key per student (``chosen``, their contracts); and ``new``, the
+    (student, school) pairs proposed to it in this step, which ``choose``
     takes in.
 
     With one key per student no pick at one school takes a key out at
@@ -357,14 +357,17 @@ class HeldSeats:
     holds.  What is left is what a fresh walk on it keeps (``_chosen_keys``).
     """
 
-    __slots__ = ("comp", "reserved", "eligible", "contracts", "new")
+    __slots__ = ("comp", "reserved", "eligible", "new")
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.comp = comp = compiled(rule, problem)
         self.reserved = [[] for _ in comp.capacity]
         self.eligible = [[] for _ in comp.capacity]
-        self.contracts = {}  # held key -> its contract
         self.new = []
+
+    def chosen(self) -> list:
+        """The contracts it holds."""
+        return [self.comp.contract(k) for keys in self.reserved + self.eligible for k in keys]
 
     def _refill(self, pos: int, keys: list) -> list:
         """Add ``keys`` at school ``pos``, pick its reserves and eligible keys
@@ -383,29 +386,31 @@ class HeldSeats:
         self.eligible[pos] = pool
         return over
 
-    def _choose(self, district: int) -> list:
-        """Take in ``new`` and return the contracts turned down.  A proposal
-        the rule does not rank is turned down if it is another district's;
-        one of ``district``, the rule's own, raises ``unranked_error``."""
-        comp, contracts = self.comp, self.contracts
+    def _choose(self, district: int, problem: Problem) -> list:
+        """Take in ``new`` and return the pairs turned down.  A proposal the
+        rule does not rank is turned down if it is another district's; one
+        of ``district``, the rule's own, raises ``unranked_error``."""
+        comp = self.comp
         # as ``CompiledRule.key``, whose district check a proposal always passes
         pos_of, key_at = comp.pos_of, comp.key_at
         arrived, unranked = {}, []  # position -> its new keys; proposals without one
-        for x in self.new:
-            pos = pos_of.get(x.school)
-            k = None if pos is None else key_at[pos][x.student]
+        for s, c in self.new:
+            pos = pos_of.get(c)
+            k = None if pos is None else key_at[pos][s]
             if k is None:
-                unranked.append(x)
+                unranked.append((s, c))
             else:
-                contracts[k] = x
                 arrived.setdefault(pos, []).append(k)
         self.new = []
-        own = [x for x in unranked if x.district == district]
+        own = [x for x in itertools.starmap(problem.contract, unranked) if x.district == district]
         if own:
             raise unranked_error(own)
         rejected = []
         for pos, keys in arrived.items():
-            rejected += self._refill(pos, keys)
+            if comp.reserves[pos] or comp.ceilings[pos]:
+                rejected += self._refill(pos, keys)
+            else:  # nothing reserved, nothing over a ceiling
+                self.eligible[pos] = sorted(self.eligible[pos] + keys)
         capacity, reserved = comp.capacity, self.reserved
         if comp.cap is None:
             walk, left = arrived, math.inf
@@ -418,7 +423,8 @@ class HeldSeats:
                 rejected += eligible[room:]
                 del eligible[room:]
             left -= len(eligible)
-        return unranked + list(map(contracts.pop, rejected))
+        student_at, school_order, stride = comp.student_at, comp.school_order, comp.stride
+        return unranked + [(student_at[k], school_order[k // stride]) for k in rejected]
 
 
 def unranked_error(unranked) -> UnknownContract:
@@ -432,12 +438,12 @@ def choose(rule: RuleSpec, X, problem: Problem) -> Matching:
 
     For a spec rule, ``X`` may instead be what deferred acceptance holds at
     the district, a ``HeldSeats``.  The rule then chooses from its held
-    contracts and those in its ``new`` list, re-picking only the schools
+    keys and the pairs in its ``new`` list, re-picking only the schools
     that got new ones; ``X`` keeps the choice, and ``choose`` returns the
-    contracts turned down.  Any other iterable is read as contracts.
+    pairs turned down.  Any other iterable is read as contracts.
     """
     if isinstance(X, HeldSeats):
-        return X._choose(rule.district)
+        return X._choose(rule.district, problem)
     comp = compiled(rule, problem)
     key = comp.key
     keys = set(map(key, X))
@@ -595,12 +601,14 @@ class Cutoffs:
         self.ceiling_cut = {}  # (position, type) -> cut-off under the ceiling
         self.holds = len(_chosen_keys(rule, comp, keys, self)) == len(keys)
 
-    def chooses(self, x: Contract) -> bool:
-        """Whether the rule chooses ``x``, a contract of its district not in
-        ``X``, from ``X | {x}``.  Only asked when ``holds``."""
+    def chooses(self, student: int, school: int) -> bool:
+        """Whether the rule chooses x, the contract of ``student`` at
+        ``school`` (not in ``X``), from ``X | {x}``.  Only asked when ``holds``."""
         comp = self.comp
-        key = None if self.held is None else comp.key(x)
+        pos = comp.pos_of.get(school)  # as ``CompiledRule.key``, which x passes
+        key = None if self.held is None or pos is None else comp.key_at[pos][student]
         if key is None:
+            x = self.problem.contract(student, school)
             return x in choose(self.rule, self.X | {x}, self.problem)
         pos, t = key // comp.stride, comp.type_at[key]
         y = self.held.get(comp.student_at[key])

@@ -11,12 +11,12 @@ tables promise nothing of the kind and are re-evaluated every step.
 
 A spec-rule district holds its tentative contracts in a ``rules.HeldSeats``,
 by its rule's keys, school by school.  Each step hands it the new
-proposals as contracts, and ``choose`` re-picks only the schools that got
-one (under a district cap it then walks every school's room) and returns
-the contracts turned down; what it keeps is its part of the outcome.
-Explicit tables hold and choose sets of contracts.  A step records its
-proposals and rejections only; ``SpdaTrace.tentative`` reads what the
-districts hold after each step from them, in one pass.
+proposals as (student, school) pairs, and ``choose`` re-picks only the
+schools that got one (under a district cap it then walks every school's
+room) and returns the pairs turned down; what it keeps is its part of the
+outcome.  Explicit tables hold and choose sets of contracts.  A step logs
+its proposals and rejections only, as pairs; ``SpdaTrace.steps`` builds
+records from them when first read, for ``SpdaTrace.tentative``.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from .errors import RuleViolation
@@ -50,17 +51,49 @@ class SpdaStep:
     rejected: Matching
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpdaTrace:
-    steps: tuple
+    """A run's steps, outcome and ``read``, per student how many entries of
+    her list the run consulted (a report sharing that prefix reruns the
+    same).  ``pairs`` holds each step as (proposals per district as
+    recorded, rejections) on (student, school) pairs; a run's trace builds
+    its ``SpdaStep`` records from them when ``steps`` is first read."""
+
+    steps: tuple  # the property below
     outcome: Matching
-    # per student: how many entries of her school list the run consulted; a
-    # report sharing that prefix reruns identically
     read: tuple = field(default=(), compare=False)
+
+    def __init__(self, steps, outcome, read=()):
+        pair = attrgetter("student", "school")
+        pairs = [
+            ([(d, list(map(pair, X))) for d, X in step.proposals], list(map(pair, step.rejected)))
+            for step in steps
+        ]
+        self.__dict__.update(_steps=steps, pairs=pairs, outcome=outcome, read=read)
+
+    @classmethod
+    def _logged(cls, log, problem, outcome, read=()):
+        """The trace of a run on ``problem`` that logged ``log``."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(_steps=None, pairs=log, _contract=problem.contract)
+        trace.__dict__.update(outcome=outcome, read=read)
+        return trace
+
+    @property
+    def steps(self):
+        if self._steps is None:
+            def contracts(pairs):
+                return frozenset([self._contract(s, c) for s, c in pairs])
+
+            self.__dict__["_steps"] = tuple(
+                SpdaStep(tuple((d, contracts(P)) for d, P in proposals), contracts(rejected))
+                for proposals, rejected in self.pairs
+            )
+        return self._steps
 
     @property
     def num_steps(self):
-        return len(self.steps)
+        return len(self.pairs)
 
     def tentative(self):
         """Yield what the districts hold after each step, in one pass: the
@@ -101,29 +134,29 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     # per district: the contracts a table holds, or a spec rule's HeldSeats
     # from its first proposal
     held = [frozenset() if tables[d] else None for d in range(D)]
-    steps = []
+    log = []  # per step: the proposals per district and the rejections, as pairs
 
     while True:
         proposals = [[] for _ in range(D)]
         for s in proposing:
             if next_choice[s] >= len(lists[s]):
                 continue  # list exhausted; student stays unmatched
-            x = problem.contract(s, lists[s][next_choice[s]])
-            proposals[x.district].append(x)
+            c = lists[s][next_choice[s]]
+            proposals[problem.school_district[c]].append((s, c))
 
         rejected = []
         for d in range(D):
             new = proposals[d]
             rule = rules[d]
             if tables[d]:
-                pool = held[d].union(new)
+                pool = held[d].union(problem.contract(s, c) for s, c in new)
                 chosen = choose(rule, pool, problem)
                 if not chosen <= pool:
                     raise RuleViolation(
                         f"rule for {problem.district_ids[d]} chose outside its input",
-                        trace=SpdaTrace(tuple(steps), frozenset()),
+                        trace=SpdaTrace._logged(log, problem, frozenset()),
                     )
-                rejected += pool - chosen
+                rejected += [(x.student, x.school) for x in pool - chosen]
                 held[d] = chosen
                 continue
             if not new:
@@ -134,20 +167,18 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
             seats.new = new
             rejected += choose(rule, seats, problem)
 
-        steps.append(
-            SpdaStep(tuple((d, frozenset(proposals[d])) for d in range(D)), frozenset(rejected))
-        )
+        log.append((tuple(enumerate(proposals)), rejected))
         if not rejected:
             break
         # a student has one contract out, so none is turned down twice
-        proposing = [x.student for x in rejected]
+        proposing = [s for s, _ in rejected]
         for s in proposing:
             next_choice[s] += 1
 
     outcome = [x for d in range(D) if tables[d] for x in held[d]]
-    outcome += [x for X in held if isinstance(X, HeldSeats) for x in X.contracts.values()]
+    outcome += [x for X in held if isinstance(X, HeldSeats) for x in X.chosen()]
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
-    return SpdaTrace(tuple(steps), frozenset(outcome), read)
+    return SpdaTrace._logged(log, problem, frozenset(outcome), read)
 
 
 @dataclass(frozen=True)
@@ -184,11 +215,11 @@ def is_stable(X: Matching, problem: Problem, rules) -> StabilityVerdict:
         for c in problem.preferences[s]:
             if c == current:
                 break  # her own school and those below it cannot block
-            x = problem.contract(s, c)
-            if x in X:
+            d = problem.school_district[c]
+            if (s, d, c) in X:  # a Contract equals the tuple of its fields
                 continue
-            if cutoffs[x.district].chooses(x):
-                return StabilityVerdict(False, blocking_contract=x)
+            if cutoffs[d].chooses(s, c):
+                return StabilityVerdict(False, blocking_contract=problem.contract(s, c))
     return StabilityVerdict(True)
 
 

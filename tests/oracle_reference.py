@@ -2,9 +2,9 @@
 
 ``audit_strategy_proofness_reference`` is the audit loop the package used
 before misreports shared runs by read prefix, kept verbatim but for the
-``Stuck`` of a misreport's run, which names the student and her report as
-the package's does: it reruns the mechanism, on a fresh
-``with_preferences`` copy, for every report.
+error of a misreport's run, which names the student and her report as the
+package's does: it reruns the mechanism, on a fresh ``with_preferences``
+copy, for every report.
 
 ``search_rule_nonexistence_reference`` is the search the package used before
 it held domains as bitmasks, kept verbatim: domains are lists of values,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from districtmatch.errors import SearchBudgetExceeded, Stuck, UniverseTooLarge
+from districtmatch.errors import DistrictMatchError, SearchBudgetExceeded, UniverseTooLarge
 from districtmatch.model import Matching, Problem, sort_matching, with_preferences
 from districtmatch.oracle import (
     DEFAULT_MATCHING_BUDGET,
@@ -84,12 +84,13 @@ def audit_strategy_proofness_reference(
                 outcome = _mechanism_outcome(
                     mechanism, deviated, rules=rules, goal=goal, master=master
                 )
-            except Stuck as exc:
+            except DistrictMatchError as exc:
                 order = ">".join(problem.school_ids[c] for c in perm)
-                raise Stuck(
+                exc.args = (
                     f"the honest run succeeded, but the run on student "
-                    f"{problem.student_ids[s]}'s report {order} did not: {exc}"
-                ) from exc
+                    f"{problem.student_ids[s]}'s report {order} did not: {exc}",
+                )
+                raise
             runs += 1
             deviant_school = deviated.outcome_school(outcome, s)
             if problem.prefers(s, deviant_school, honest_school):

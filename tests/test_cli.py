@@ -250,6 +250,45 @@ def test_audit_names_the_misreport_whose_run_is_stuck(capsys, tmp_path):
     )
 
 
+def test_audit_names_the_misreport_whose_run_raises(capsys, tmp_path):
+    # each table lists only {} and its own student's home school; s1's
+    # report c2>c1 sends d2 a set outside its table, which an audit once
+    # reported without naming the report
+    doc = {
+        "types": ["t1"],
+        "districts": ["d1", "d2"],
+        "schools": [
+            {"id": "c1", "district": "d1", "capacity": 1},
+            {"id": "c2", "district": "d2", "capacity": 1},
+        ],
+        "students": [
+            {"id": "s1", "district": "d1", "type": "t1", "preferences": ["c1", "c2"]},
+            {"id": "s2", "district": "d2", "type": "t1", "preferences": ["c2", "c1"]},
+        ],
+        "initial_matching": {"s1": "c1", "s2": "c2"},
+        "rules": [
+            {
+                "district": d,
+                "kind": "explicit_table",
+                "table": [
+                    {"set": [], "chosen": []},
+                    {"set": [[s, c]], "chosen": [[s, c]]},
+                ],
+            }
+            for d, s, c in (("d1", "s1", "c1"), ("d2", "s2", "c2"))
+        ],
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "run", str(path), "--mechanism", "spda")[0] == 0
+    assert run_cli(capsys, "audit", str(path), "--mechanism", "spda") == (
+        3,
+        "",
+        "error: the honest run succeeded, but the run on student s1's report "
+        "c2>c1 did not: set outside the explicit table's declared universe\n",
+    )
+
+
 def test_run_spda_intra(capsys):
     code, out, _ = run_cli(capsys, "run", fpath("spda_basic"), "--mechanism", "spda-intra")
     assert code == 0

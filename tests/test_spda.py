@@ -7,6 +7,8 @@ import pytest
 import districtmatch as dm
 import districtmatch.rules as rules_module
 import districtmatch.spda as spda_module
+from districtmatch import cli
+from districtmatch.fixtures import fixture_path
 from districtmatch.rules import RuleKind, choose, make_rule
 from districtmatch.spda import (
     alpha_diversity_gap,
@@ -18,7 +20,7 @@ from districtmatch.spda import (
     type_ratio_gaps,
 )
 
-from helpers import assert_spda_step_bound, ids_of, matching_of
+from helpers import assert_spda_step_bound, count_calls, ids_of, matching_of
 from spda_reference import single_district_da_reference
 
 
@@ -331,3 +333,25 @@ def test_nontermination_guard():
     trace = run_spda(p, {0: bad, 1: ok})
     assert p.outcome_school(trace.outcome, 0) == 1  # s1 ends at c2
     assert_spda_step_bound(trace, p.preferences)
+
+
+def test_step_records_are_built_only_when_read(rationed, monkeypatch, tmp_path, capsys):
+    # the run logs pairs; the audit, the stability check, an untraced run and
+    # the trace writer read that log, and only ``steps`` builds the records
+    p, rules = rationed.problem, rationed.rules
+    record = spda_module.SpdaStep
+    built = count_calls(monkeypatch, spda_module, "SpdaStep")
+    report = dm.audit_strategy_proofness("spda", p, rules=rules)
+    assert report.exhaustive and report.runs > 1
+    assert is_stable(report.honest, p, rules)
+    path = str(fixture_path("spda_rationed"))
+    trace_path = tmp_path / "trace.json"
+    assert cli.main(["run", path, "--mechanism", "spda"]) == 0
+    assert cli.main(["run", path, "--mechanism", "spda", "--trace", str(trace_path)]) == 0
+    assert "steps,4" in capsys.readouterr().out and trace_path.stat().st_size
+    trace = run_spda(p, rules)
+    assert trace.num_steps == 4 and built == []
+    steps = trace.steps
+    assert len(built) == trace.num_steps
+    assert trace.steps == steps and len(built) == trace.num_steps
+    assert all(type(step) is record for step in steps)

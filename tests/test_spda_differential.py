@@ -36,13 +36,14 @@ from districtmatch.rules import (
     make_rule,
 )
 from districtmatch.spda import (
+    SpdaTrace,
     check_individual_rationality,
     is_stable,
     run_intradistrict_spda,
     run_spda,
 )
 
-from helpers import all_contracts, assert_spda_step_bound, random_problem
+from helpers import all_contracts, assert_spda_step_bound, count_calls, random_problem
 from spda_reference import (
     choose_reference,
     deferred_acceptance_reference,
@@ -460,7 +461,7 @@ def assert_cutoffs_exact(problem, rules, X):
         for x in problem.district_contracts(d):
             if x not in X_d:
                 expected = _outcome(lambda: x in choose(rule, X_d | {x}, problem))
-                assert _outcome(state.chooses, x) == expected
+                assert _outcome(state.chooses, x.student, x.school) == expected
 
 
 def perturbed(problem, X):
@@ -624,7 +625,7 @@ def test_reserve_named_twice_keeps_its_first_cutoff():
     X = frozenset(problem.contract(s, 0) for s in (0, 1, 2))
     state = Cutoffs(rule, X, problem)
     x = problem.contract(3, 0)
-    assert state.holds and state.chooses(x)
+    assert state.holds and state.chooses(x.student, x.school)
     assert x in choose(rule, X | {x}, problem)
 
 
@@ -648,7 +649,7 @@ def test_completion_chooses_a_student_who_holds_an_earlier_seat():
                 continue
             for x in set(universe) - X:
                 chosen = x in choose(completed, X | {x}, problem)
-                assert state.chooses(x) == chosen
+                assert state.chooses(x.student, x.school) == chosen
                 if not chosen or x in choose(rule, X | {x}, problem):
                     continue
                 pos = comp.key(x) // comp.stride
@@ -802,6 +803,41 @@ def test_key_loop_matches_set_loop_under_another_districts_rule(seed):
     assert_loop_matches_reference(problem, {d: unvalidated(rng, r) for d, r in moved.items()})
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), moved=st.booleans())
+def test_pair_log_matches_the_set_loop(seed, moved):
+    # every spec kind, completions, own-favoring variants, tables, and now
+    # and then each rule filed under the next district's index: the step
+    # records built from the pair log, and the bytes written from it, are
+    # the set loop's
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 6))
+    rules = random_rules(rng, problem, tables=0.3)
+    if moved:
+        rules = {d: rules[(d + 1) % problem.num_districts] for d in rules}
+    rules = {d: unvalidated(rng, r) for d, r in rules.items()}
+    for lists in (problem.preferences, home_lists(problem)):
+        with pytest.MonkeyPatch.context() as m:
+            built = count_calls(m, spda_module, "SpdaStep")
+            got = _outcome(spda_module._deferred_acceptance, problem, rules, lists)
+            trace = got[1] if got[0] == "ok" else got[2]
+            if trace is None:
+                continue
+            num_steps, text = trace.num_steps, spda_bytes(problem, trace)
+            assert built == []
+            steps = trace.steps
+            assert len(built) == num_steps == len(steps)
+        want = assert_run_matches_reference(
+            got, deferred_acceptance_reference, problem, rules, lists
+        )
+        reference = want[1] if want[0] == "ok" else want[2]
+        assert (trace.steps, trace.outcome, trace.read) == (
+            reference.steps, reference.outcome, reference.read
+        )
+        assert text == spda_bytes(problem, SpdaTrace(trace.steps, trace.outcome))
+        assert text == trace_text(_spda_trace_doc(problem, trace))
+
+
 def test_choose_reads_a_list_of_contracts_as_a_set():
     # a list or tuple of contracts is chosen from as the set of them
     rng = random.Random(11)
@@ -889,31 +925,35 @@ def held_keys(seats):
 def checked_choose(rule, X, problem, checked):
     """``choose``; on a district's ``HeldSeats``, also the checks that what
     it keeps is ``_chosen_keys`` of the pool it chose from, that it keeps
-    the proposed contract of each key it holds, that the contracts it turns
+    the proposed contract of each key it holds, that the pairs it turns
     down are the rest of the pool and the proposals the rule does not rank,
     and that its per-school state is what a fresh walk on what it keeps
     computes."""
     if not isinstance(X, HeldSeats):
         return choose(rule, X, problem)
     comp = X.comp
-    keys = list(map(comp.key, X.new))
-    proposed = {k: x for k, x in zip(keys, X.new) if k is not None}
-    unranked = [x for k, x in zip(keys, X.new) if k is None]
-    held = {**X.contracts, **proposed}
+    new = [problem.contract(s, c) for s, c in X.new]
+    keys = list(map(comp.key, new))
+    proposed = {k: x for k, x in zip(keys, new) if k is not None}
+    unranked = [x for k, x in zip(keys, new) if k is None]
+    before = {comp.key(x): x for x in X.chosen()}
+    held = {**before, **proposed}
     pool = sorted(held_keys(X) + list(proposed))
-    assert sorted(X.contracts) == held_keys(X)
+    assert sorted(before) == held_keys(X)
     students = [comp.student_at[k] for k in pool]
     assert len(set(students)) == len(students)  # one key per student
     rejected = choose(rule, X, problem)
     kept = held_keys(X)
     assert kept == sorted(rules_module._chosen_keys(rule, comp, pool))
-    assert sorted(X.contracts) == kept
-    assert X.contracts == {k: held[k] for k in kept}
-    keys = list(map(comp.key, rejected))
+    after = {comp.key(x): x for x in X.chosen()}
+    assert sorted(after) == kept
+    assert after == {k: held[k] for k in kept}
+    turned_down = [problem.contract(s, c) for s, c in rejected]
+    keys = list(map(comp.key, turned_down))
     assert sorted(k for k in keys if k is not None) == sorted(set(pool) - set(kept))
-    assert [x for x, k in zip(rejected, keys) if k is None] == unranked
+    assert [x for x, k in zip(turned_down, keys) if k is None] == unranked
     fresh = HeldSeats(rule, problem)
-    fresh.new = [X.contracts[k] for k in kept]
+    fresh.new = [(held[k].student, held[k].school) for k in kept]
     assert choose(rule, fresh, problem) == []
     assert (fresh.reserved, fresh.eligible) == (X.reserved, X.eligible)
     checked.append(len(pool))
