@@ -21,6 +21,7 @@ from .model import (
     Matching,
     Problem,
     ProblemSpec,
+    Trace,
     distribution_of,
     is_feasible,
     pareto_dominates,
@@ -38,7 +39,6 @@ from .rules import (
     make_rule,
 )
 from .spda import (
-    SpdaTrace,
     alpha_diversity_gap,
     check_balanced_exchange,
     check_individual_rationality,
@@ -69,7 +69,7 @@ from .policy import (
     school_diversity_goal,
     upper_contour,
 )
-from .ttc import HypotheticalMarket, TtcTrace, build_hypothetical, is_permissible, run_ttc
+from .ttc import HypotheticalMarket, build_hypothetical, is_permissible, run_ttc
 from .oracle import (
     AuditReport,
     ImpossibilityCertificate,

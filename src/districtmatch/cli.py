@@ -216,7 +216,7 @@ def cmd_run(inst, args):
             run, run_args, write = run_ttc, (problem, inst.policy, master), _write_ttc_trace
         try:
             trace = run(*run_args)
-        except (Stuck, RuleViolation) as exc:
+        except DistrictMatchError as exc:
             # a failed run leaves the steps it took behind
             if args.trace is not None and exc.trace is not None:
                 _write_trace(args.trace, write, problem, exc.trace)
@@ -330,9 +330,9 @@ def _write_spda_trace(fh, problem, trace):
         # the tentative keys, carried from step to step; a step outside
         # ``SpdaStep``'s contract is refused
         held = []
-        for i, (proposals, rejected) in enumerate(trace.pairs):
-            rejected = sorted([s * C + c for s, c in rejected])
-            held += [s * C + c for _, P in proposals for s, c in P]
+        for i, step in enumerate(trace.steps):
+            rejected = sorted([s * C + c for s, c in step.rejected])
+            held += [s * C + c for _, P in step.proposals for s, c in P]
             held.sort()
             for k in rejected:
                 j = bisect_left(held, k)
@@ -345,7 +345,7 @@ def _write_spda_trace(fh, problem, trace):
                 # proposals are new: re-indenting their depth-4 block reuses kept texts
                 '"proposals": ' + _block([
                     names[d] + contracts(sorted([s * C + c for s, c in P]), 4).replace("\n", _NL[1])
-                    for d, P in sorted(proposals, key=by_id)
+                    for d, P in sorted(step.proposals, key=by_id)
                 ], 4, "{}"),
                 '"rejected": ' + contracts(rejected, 4),
                 '"tentative": ' + contracts(held, 4),

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 
 class DistrictMatchError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``trace`` is the partial trace of the mechanism run the error stopped,
+    if any: the steps taken before it, with no outcome.
+    """
+
+    def __init__(self, *args, trace=None):
+        self.trace = trace
+        super().__init__(*args)
 
 
 class ValidationError(DistrictMatchError):
@@ -42,10 +50,6 @@ class UniverseTooLarge(DistrictMatchError):
 class RuleViolation(DistrictMatchError):
     """A choice function misbehaved during a mechanism run."""
 
-    def __init__(self, message, trace=None):
-        self.trace = trace
-        super().__init__(message)
-
 
 class PolicyViolatedAtStart(DistrictMatchError):
     """The initial matching does not satisfy the policy goal."""
@@ -57,10 +61,6 @@ class Stuck(DistrictMatchError):
     Under an M-convex goal this is unreachable, so hitting it usually
     means the goal set is not M-convex.
     """
-
-    def __init__(self, message, trace=None):
-        self.trace = trace
-        super().__init__(message)
 
 
 class TypeMismatch(DistrictMatchError):

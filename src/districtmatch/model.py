@@ -9,7 +9,7 @@ are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional
@@ -190,6 +190,22 @@ class FeasibilityReport:
     within_capacity: bool
     duplicate_students: tuple = ()
     over_capacity_schools: tuple = ()
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A mechanism run: its step records (``spda.SpdaStep`` or
+    ``ttc.TtcStep``), its outcome, and ``read``, per student how many entries
+    of her school list the run consulted (a report sharing that prefix
+    reruns the same).  A run that fails leaves its steps and no outcome."""
+
+    steps: tuple
+    outcome: Matching
+    read: tuple = field(default=(), compare=False)
+
+    @property
+    def num_steps(self):
+        return len(self.steps)
 
 
 # -- validation ------------------------------------------------------------------

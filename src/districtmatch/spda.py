@@ -15,8 +15,8 @@ proposals as (student, school) pairs, and ``choose`` re-picks only the
 schools that got one (under a district cap it then walks every school's
 room) and returns the pairs turned down; what it keeps is its part of the
 outcome.  Explicit tables hold and choose sets of contracts.  A step logs
-its proposals and rejections only, as pairs; ``SpdaTrace.steps`` builds
-records from them when first read, for ``SpdaTrace.tentative``.
+its proposals and rejections as one ``SpdaStep`` of pairs.  An error from
+a step leaves the steps taken before it on the error's ``trace``.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.
@@ -24,89 +24,34 @@ to the schools of her home district.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 from typing import Optional
 
-from .errors import RuleViolation
-from .model import Contract, Matching, Problem, Verdict, distribution_of, outcome_schools
+from .errors import DistrictMatchError, RuleViolation
+from .model import Contract, Matching, Problem, Trace, Verdict, distribution_of, outcome_schools
 from .policy import share_gaps
 from .rules import Cutoffs, HeldSeats, RuleKind, choose, require_rules
 
 
 @dataclass(frozen=True, slots=True)
 class SpdaStep:
-    """One step: ``proposals``, per district in index order the contracts
-    proposed to it; ``rejected``, the contracts the districts turned down.
+    """One step on (student, school) pairs, each the contract with that
+    school's district: ``proposals``, per district in index order the pairs
+    proposed to it; ``rejected``, the pairs the districts turned down.
 
     A run's steps keep a contract: a trace starts from nothing held; a
     step's proposals are new to the districts; and its rejections come from
     what the districts held or were just proposed.  So the steps up to one
-    fix what the districts hold after it (``SpdaTrace.tentative``).
+    fix what the districts hold after it: the paper's tentative assignment.
     """
 
     proposals: tuple
-    rejected: Matching
+    rejected: tuple
 
 
-@dataclass(frozen=True, init=False)
-class SpdaTrace:
-    """A run's steps, outcome and ``read``, per student how many entries of
-    her list the run consulted (a report sharing that prefix reruns the
-    same).  ``pairs`` holds each step as (proposals per district as
-    recorded, rejections) on (student, school) pairs; a run's trace builds
-    its ``SpdaStep`` records from them when ``steps`` is first read."""
-
-    steps: tuple  # the property below
-    outcome: Matching
-    read: tuple = field(default=(), compare=False)
-
-    def __init__(self, steps, outcome, read=()):
-        pair = attrgetter("student", "school")
-        pairs = [
-            ([(d, list(map(pair, X))) for d, X in step.proposals], list(map(pair, step.rejected)))
-            for step in steps
-        ]
-        self.__dict__.update(_steps=steps, pairs=pairs, outcome=outcome, read=read)
-
-    @classmethod
-    def _logged(cls, log, problem, outcome, read=()):
-        """The trace of a run on ``problem`` that logged ``log``."""
-        trace = cls.__new__(cls)
-        trace.__dict__.update(_steps=None, pairs=log, _contract=problem.contract)
-        trace.__dict__.update(outcome=outcome, read=read)
-        return trace
-
-    @property
-    def steps(self):
-        if self._steps is None:
-            def contracts(pairs):
-                return frozenset([self._contract(s, c) for s, c in pairs])
-
-            self.__dict__["_steps"] = tuple(
-                SpdaStep(tuple((d, contracts(P)) for d, P in proposals), contracts(rejected))
-                for proposals, rejected in self.pairs
-            )
-        return self._steps
-
-    @property
-    def num_steps(self):
-        return len(self.pairs)
-
-    def tentative(self):
-        """Yield what the districts hold after each step, in one pass: the
-        paper's tentative assignment."""
-        held = set()
-        for step in self.steps:
-            for _, X in step.proposals:
-                held |= X
-            held -= step.rejected
-            yield frozenset(held)
-
-
-def run_spda(problem: Problem, rules) -> SpdaTrace:
+def run_spda(problem: Problem, rules) -> Trace:
     """Run deferred acceptance; ``rules`` maps district index -> RuleSpec."""
     return _deferred_acceptance(problem, rules, problem.preferences)
 
@@ -123,7 +68,7 @@ def run_intradistrict_spda(problem: Problem, rules) -> Matching:
     return _deferred_acceptance(problem, rules, lists).outcome
 
 
-def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
+def _deferred_acceptance(problem: Problem, rules, lists) -> Trace:
     """Deferred acceptance in which student ``s`` proposes down ``lists[s]``."""
     require_rules(problem, rules)
     D = problem.num_districts
@@ -134,51 +79,55 @@ def _deferred_acceptance(problem: Problem, rules, lists) -> SpdaTrace:
     # per district: the contracts a table holds, or a spec rule's HeldSeats
     # from its first proposal
     held = [frozenset() if tables[d] else None for d in range(D)]
-    log = []  # per step: the proposals per district and the rejections, as pairs
+    steps = []
 
-    while True:
-        proposals = [[] for _ in range(D)]
-        for s in proposing:
-            if next_choice[s] >= len(lists[s]):
-                continue  # list exhausted; student stays unmatched
-            c = lists[s][next_choice[s]]
-            proposals[problem.school_district[c]].append((s, c))
+    try:
+        while True:
+            proposals = [[] for _ in range(D)]
+            for s in proposing:
+                if next_choice[s] >= len(lists[s]):
+                    continue  # list exhausted; student stays unmatched
+                c = lists[s][next_choice[s]]
+                proposals[problem.school_district[c]].append((s, c))
 
-        rejected = []
-        for d in range(D):
-            new = proposals[d]
-            rule = rules[d]
-            if tables[d]:
-                pool = held[d].union(problem.contract(s, c) for s, c in new)
-                chosen = choose(rule, pool, problem)
-                if not chosen <= pool:
-                    raise RuleViolation(
-                        f"rule for {problem.district_ids[d]} chose outside its input",
-                        trace=SpdaTrace._logged(log, problem, frozenset()),
-                    )
-                rejected += [(x.student, x.school) for x in pool - chosen]
-                held[d] = chosen
-                continue
-            if not new:
-                continue
-            seats = held[d]
-            if seats is None:
-                seats = held[d] = HeldSeats(rule, problem)
-            seats.new = new
-            rejected += choose(rule, seats, problem)
+            rejected = []
+            for d in range(D):
+                new = proposals[d]
+                rule = rules[d]
+                if tables[d]:
+                    pool = held[d].union(problem.contract(s, c) for s, c in new)
+                    chosen = choose(rule, pool, problem)
+                    if not chosen <= pool:
+                        raise RuleViolation(
+                            f"rule for {problem.district_ids[d]} chose outside its input"
+                        )
+                    rejected += [(x.student, x.school) for x in pool - chosen]
+                    held[d] = chosen
+                    continue
+                if not new:
+                    continue
+                seats = held[d]
+                if seats is None:
+                    seats = held[d] = HeldSeats(rule, problem)
+                seats.new = new
+                rejected += choose(rule, seats, problem)
 
-        log.append((tuple(enumerate(proposals)), rejected))
-        if not rejected:
-            break
-        # a student has one contract out, so none is turned down twice
-        proposing = [s for s, _ in rejected]
-        for s in proposing:
-            next_choice[s] += 1
+            steps.append(SpdaStep(tuple(enumerate(map(tuple, proposals))), tuple(rejected)))
+            if not rejected:
+                break
+            # a student has one contract out, so none is turned down twice
+            proposing = [s for s, _ in rejected]
+            for s in proposing:
+                next_choice[s] += 1
+    except DistrictMatchError as exc:
+        # a failed run leaves the steps it took behind
+        exc.trace = Trace(tuple(steps), frozenset())
+        raise
 
     outcome = [x for d in range(D) if tables[d] for x in held[d]]
     outcome += [x for X in held if isinstance(X, HeldSeats) for x in X.chosen()]
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
-    return SpdaTrace._logged(log, problem, frozenset(outcome), read)
+    return Trace(tuple(steps), frozenset(outcome), read)
 
 
 @dataclass(frozen=True)

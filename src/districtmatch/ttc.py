@@ -10,10 +10,10 @@ else), tie-broken by one master list shared by all slots.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
-from .model import Matching, Problem, distribution_of, order_positions
+from .model import Matching, Problem, Trace, distribution_of, order_positions
 from .policy import GoalTally, PolicyGoal, satisfies_with_feasibility
 
 
@@ -32,19 +32,6 @@ class TtcStep:
     student_pointer: tuple  # of (student, slot)
     cycles: tuple  # of tuples of (student, slot) edges executed
     removed: tuple  # slots removed this step
-
-
-@dataclass(frozen=True)
-class TtcTrace:
-    steps: tuple
-    outcome: Matching
-    # per student: how many entries of her school list the run consulted; a
-    # report sharing that prefix reruns identically
-    read: tuple = field(default=(), compare=False)
-
-    @property
-    def num_steps(self):
-        return len(self.steps)
 
 
 def build_hypothetical(problem: Problem, master=None) -> HypotheticalMarket:
@@ -108,7 +95,7 @@ def is_permissible(
     return tally.permits(origin, target[0] * T + target[1])
 
 
-def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
+def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     """Run the trading algorithm; every cycle found in a step executes.
 
     Slots are numbered c × num_types + t, the order of
@@ -245,7 +232,7 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
             raise Stuck(
                 "students remain but no trading cycle exists; "
                 "the goal set is likely not M-convex",
-                trace=TtcTrace(tuple(steps), frozenset()),
+                trace=Trace(tuple(steps), frozenset()),
             )
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
@@ -261,7 +248,7 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
     # the own-type slots follow the school list; a pointer past them has
     # read the whole list, since the other types' slots repeat it
     read = tuple(min(i + 1, problem.num_schools) for i in next_pref)
-    return TtcTrace(tuple(steps), outcome, read)
+    return Trace(tuple(steps), outcome, read)
 
 
 def _find_cycles(student_pointer, slot_pointer):

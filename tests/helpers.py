@@ -1,5 +1,6 @@
 """Shared test helpers: readable ids, matchings from id pairs, the seeded
-random market, rule and goal generators, and the SPDA step bound.
+random market, rule and goal generators, SPDA steps in contract form, the
+tentative assignment, and the SPDA step bound.
 
 They live outside ``conftest.py`` because the benchmark's tests have a
 ``conftest`` module of their own, and one test session imports only one
@@ -26,6 +27,7 @@ from districtmatch.policy import (
     school_diversity_goal,
 )
 from districtmatch.rules import RuleKind, make_rule
+from districtmatch.spda import SpdaStep
 
 
 def ids_of(problem, X):
@@ -71,13 +73,38 @@ def count_calls(monkeypatch, module, *names):
     return calls
 
 
+def contract_steps(problem, trace):
+    """The steps of an SPDA ``trace`` in contract form, as the set loops of
+    ``spda_reference`` record them: per district the frozenset of contracts
+    proposed to it, and the frozenset of contracts turned down."""
+
+    def contracts(pairs):
+        return frozenset([problem.contract(s, c) for s, c in pairs])
+
+    return tuple(
+        SpdaStep(tuple((d, contracts(P)) for d, P in step.proposals), contracts(step.rejected))
+        for step in trace.steps
+    )
+
+
+def tentative(problem, trace):
+    """Yield what the districts hold after each step of an SPDA ``trace``,
+    in one pass: the paper's tentative assignment."""
+    held = set()
+    for step in contract_steps(problem, trace):
+        for _, X in step.proposals:
+            held |= X
+        held -= step.rejected
+        yield frozenset(held)
+
+
 def assert_spda_step_bound(trace, lists):
     """The step bound of a deferred-acceptance trace, finished or partial,
     in which student ``s`` proposes down ``lists[s]``.  A student has one
     contract out, so each rejection moves one pointer on by one and never
     past the end of her list, and every step but the last rejects some
     contract: ``num_steps <= 1 + Σ|rejected| <= 1 + Σ len(lists)``."""
-    rejected = Counter(x.student for step in trace.steps for x in step.rejected)
+    rejected = Counter(s for step in trace.steps for s, _ in step.rejected)
     assert all(rejected[s] <= len(order) for s, order in enumerate(lists))
     assert all(step.rejected for step in trace.steps[:-1])
     assert trace.num_steps <= 1 + rejected.total() <= 1 + sum(map(len, lists))

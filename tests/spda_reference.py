@@ -17,7 +17,7 @@ contracts, as it was before ``districtmatch.spda._deferred_acceptance`` ran
 spec-rule districts on sorted key lists: it builds a contract for every
 proposal and chooses on each district's held set plus its proposals.
 Both set loops return, beside the trace, the union of the districts'
-chosen sets after each step, which ``SpdaTrace.tentative`` must reproduce
+chosen sets after each step, which ``helpers.tentative`` must reproduce
 from the steps.  Like the package's loop, both raise the error for a rule
 that chooses outside its input with the steps they took before it; the
 error carries those chosen sets as ``tentative``.
@@ -26,9 +26,9 @@ error carries those chosen sets as ``tentative``.
 from __future__ import annotations
 
 from districtmatch.errors import RuleViolation, UnknownContract
-from districtmatch.model import Matching, Problem
+from districtmatch.model import Matching, Problem, Trace
 from districtmatch.rules import RuleKind, RuleSpec, choose
-from districtmatch.spda import SpdaStep, SpdaTrace, StabilityVerdict
+from districtmatch.spda import SpdaStep, StabilityVerdict
 
 
 def _priority_of(rule: RuleSpec, school: int):
@@ -182,7 +182,7 @@ def _choose_reserves(rule: RuleSpec, own, problem: Problem) -> Matching:
 def _violation(message, steps, held_after):
     """The ``RuleViolation`` of a set loop that took ``steps``, carrying what
     its districts chose after each as ``tentative``."""
-    exc = RuleViolation(message, trace=SpdaTrace(tuple(steps), frozenset()))
+    exc = RuleViolation(message, trace=Trace(tuple(steps), frozenset()))
     exc.tentative = list(held_after)
     return exc
 
@@ -247,7 +247,7 @@ def run_spda_reference(problem: Problem, rules):
             proposing.add(x.student)
 
     outcome = frozenset().union(*held.values())
-    return SpdaTrace(tuple(steps), outcome), held_after
+    return Trace(tuple(steps), outcome), held_after
 
 
 def deferred_acceptance_reference(problem: Problem, rules, lists):
@@ -317,7 +317,7 @@ def deferred_acceptance_reference(problem: Problem, rules, lists):
 
     outcome = frozenset().union(*held.values())
     read = tuple(min(i + 1, len(order)) for i, order in zip(next_choice, lists))
-    return SpdaTrace(tuple(steps), outcome, read), held_after
+    return Trace(tuple(steps), outcome, read), held_after
 
 
 def is_stable_reference(X: Matching, problem: Problem, rules) -> StabilityVerdict:

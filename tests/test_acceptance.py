@@ -55,7 +55,7 @@ from districtmatch.spda import (
 )
 from districtmatch.ttc import run_ttc
 
-from helpers import ids_of, random_problem, sequential_rules
+from helpers import ids_of, random_problem, sequential_rules, tentative
 from policy_reference import legitimate_distributions
 
 
@@ -74,7 +74,7 @@ def test_criterion_1_basic_spda_golden(basic, capsys):
         ("s4", "c2"),
     ]
     assert trace.num_steps == 2
-    assert ids_of(p, next(trace.tentative())) == [
+    assert ids_of(p, next(tentative(p, trace))) == [
         ("s2", "c3"),
         ("s3", "c1"),
         ("s4", "c2"),

@@ -1488,16 +1488,16 @@ def _edge_traces():
     import dataclasses
 
     import districtmatch as dm
-    from districtmatch.spda import SpdaStep, SpdaTrace
-    from districtmatch.ttc import TtcStep, TtcTrace
+    from districtmatch.spda import SpdaStep
+    from districtmatch.ttc import TtcStep
     from trace_reference import _spda_trace_doc, _ttc_trace_doc
 
     def spda(problem, *steps, outcome=()):
-        trace = SpdaTrace(tuple(steps), frozenset(outcome))
+        trace = dm.Trace(tuple(steps), frozenset(outcome))
         return (problem, cli._write_spda_trace, _spda_trace_doc, trace)
 
     def ttc(problem, *steps, outcome=()):
-        trace = TtcTrace(tuple(steps), frozenset(outcome))
+        trace = dm.Trace(tuple(steps), frozenset(outcome))
         return (problem, cli._write_ttc_trace, _ttc_trace_doc, trace)
 
     p = _edge_problem()
@@ -1516,23 +1516,14 @@ def _edge_traces():
     return [
         spda(p),
         ttc(p),
-        spda(p, SpdaStep((), frozenset())),
+        spda(p, SpdaStep((), ())),
         spda(
             q,
-            SpdaStep(
-                ((0, frozenset([x[0, 0], x[2, 0]])), (1, frozenset([x[1, 1]]))),
-                frozenset(),
-            ),
-            SpdaStep(((0, frozenset()), (1, frozenset())), frozenset()),
+            SpdaStep(((0, ((2, 0), (0, 0))), (1, ((1, 1),))), ()),
+            SpdaStep(((0, ()), (1, ())), ()),
             outcome=held,
         ),
-        spda(
-            p,
-            SpdaStep(
-                ((0, frozenset([x[0, 0]])), (1, frozenset([x[1, 2], x[2, 2]]))),
-                frozenset([x[1, 2]]),
-            ),
-        ),
+        spda(p, SpdaStep(((0, ((0, 0),)), (1, ((2, 2), (1, 2)))), ((1, 2),))),
         ttc(p, TtcStep((), (), (), (), ())),
         ttc(
             p,
@@ -1573,6 +1564,52 @@ def test_run_spda_failure_leaves_partial_trace(capsys, monkeypatch, tmp_path):
     )
     assert (code, out, err) == (3, "", "mechanism error: no convergence\n")
     assert trace_path.read_text() == trace_text(_spda_trace_doc(inst.problem, partial))
+
+
+def test_run_spda_error_leaves_partial_trace(capsys, tmp_path):
+    # any package error from a step leaves the steps taken before it: d1's
+    # table lists only {}, so s1's second proposal, to c1, sends it a set
+    # outside its table at step 2
+    from trace_reference import trace_text
+
+    doc = {
+        "types": ["t1"],
+        "districts": ["d1", "d2"],
+        "schools": [
+            {"id": "c1", "district": "d1", "capacity": 1},
+            {"id": "c2", "district": "d2", "capacity": 1},
+        ],
+        "students": [
+            {"id": "s1", "district": "d1", "type": "t1", "preferences": ["c2", "c1"]},
+            {"id": "s2", "district": "d2", "type": "t1", "preferences": ["c2", "c1"]},
+        ],
+        "initial_matching": {"s1": "c1", "s2": "c2"},
+        "rules": [
+            {"district": "d1", "kind": "explicit_table", "table": [{"set": [], "chosen": []}]},
+            {
+                "district": "d2",
+                "kind": "sequential_responsive",
+                "school_order": ["c2"],
+                "priorities": {"c2": ["s2", "s1"]},
+            },
+        ],
+    }
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc))
+    failed = (3, "", "error: set outside the explicit table's declared universe\n")
+    assert run_cli(capsys, "run", str(path), "--mechanism", "spda") == failed
+    trace_path = tmp_path / "trace.json"
+    argv = ("run", str(path), "--mechanism", "spda", "--trace", str(trace_path))
+    assert run_cli(capsys, *argv) == failed
+    assert trace_path.read_text() == trace_text({
+        "mechanism": "spda",
+        "outcome": [],
+        "steps": [{
+            "proposals": {"d1": [], "d2": [["s1", "c2"], ["s2", "c2"]]},
+            "rejected": [["s1", "c2"]],
+            "tentative": [["s2", "c2"]],
+        }],
+    })
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "a_dir", "empty"])

@@ -20,7 +20,7 @@ from districtmatch.spda import (
     type_ratio_gaps,
 )
 
-from helpers import assert_spda_step_bound, count_calls, ids_of, matching_of
+from helpers import assert_spda_step_bound, count_calls, ids_of, matching_of, tentative
 from spda_reference import single_district_da_reference
 
 
@@ -43,12 +43,12 @@ def test_basic_golden_trace(basic):
     trace = run_spda(p, basic.rules)
     assert ids_of(p, trace.outcome) == GOLDEN_BASIC
     assert trace.num_steps == 2
-    assert ids_of(p, next(trace.tentative())) == [
+    assert ids_of(p, next(tentative(p, trace))) == [
         ("s2", "c3"),
         ("s3", "c1"),
         ("s4", "c2"),
     ]
-    assert trace.steps[-1].rejected == frozenset()
+    assert trace.steps[-1].rejected == ()
 
 
 def test_trace_proposals_descend_preferences(basic):
@@ -57,8 +57,8 @@ def test_trace_proposals_descend_preferences(basic):
     seen = {s: [] for s in range(p.num_students)}
     for step in trace.steps:
         for _, proposals in step.proposals:
-            for x in proposals:
-                seen[x.student].append(p.rank_of(x.student, x.school))
+            for s, c in proposals:
+                seen[s].append(p.rank_of(s, c))
     for ranks in seen.values():
         assert ranks == sorted(ranks)
 
@@ -70,7 +70,7 @@ def test_rejected_contracts_never_reappear(basic):
     for step in trace.steps:
         for _, proposals in step.proposals:
             assert not (set(proposals) & rejected)
-        rejected |= step.rejected
+        rejected.update(step.rejected)
 
 
 def test_respecting_golden(respecting):
@@ -335,23 +335,20 @@ def test_nontermination_guard():
     assert_spda_step_bound(trace, p.preferences)
 
 
-def test_step_records_are_built_only_when_read(rationed, monkeypatch, tmp_path, capsys):
-    # the run logs pairs; the audit, the stability check, an untraced run and
-    # the trace writer read that log, and only ``steps`` builds the records
+def test_a_run_logs_one_step_record_per_step(rationed, monkeypatch, tmp_path, capsys):
+    # the loop's log is the trace: one ``SpdaStep`` of (student, school)
+    # pairs per step, which the trace writer reads as it is
     p, rules = rationed.problem, rationed.rules
     record = spda_module.SpdaStep
     built = count_calls(monkeypatch, spda_module, "SpdaStep")
-    report = dm.audit_strategy_proofness("spda", p, rules=rules)
-    assert report.exhaustive and report.runs > 1
-    assert is_stable(report.honest, p, rules)
+    trace = run_spda(p, rules)
+    assert trace.num_steps == 4 and len(built) == 4
+    assert all(type(step) is record for step in trace.steps)
+    pairs = [x for step in trace.steps for _, P in step.proposals for x in P]
+    pairs += [x for step in trace.steps for x in step.rejected]
+    assert all(type(x) is tuple and len(x) == 2 for x in pairs)
     path = str(fixture_path("spda_rationed"))
     trace_path = tmp_path / "trace.json"
-    assert cli.main(["run", path, "--mechanism", "spda"]) == 0
     assert cli.main(["run", path, "--mechanism", "spda", "--trace", str(trace_path)]) == 0
     assert "steps,4" in capsys.readouterr().out and trace_path.stat().st_size
-    trace = run_spda(p, rules)
-    assert trace.num_steps == 4 and built == []
-    steps = trace.steps
-    assert len(built) == trace.num_steps
-    assert trace.steps == steps and len(built) == trace.num_steps
-    assert all(type(step) is record for step in steps)
+    assert len(built) == 8

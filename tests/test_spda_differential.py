@@ -3,10 +3,14 @@ acceptance loop on per-school held seats, the cut-off ``is_stable`` and the
 intradistrict run on home-district lists against the direct implementations
 they replace."""
 
+import functools
+import importlib.util
 import io
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from districtmatch.errors import DistrictMatchError, RuleViolation
 from districtmatch.model import (
     Contract,
     ProblemSpec,
+    Trace,
     outcome_schools,
     validate_problem,
     with_preferences,
@@ -36,14 +41,19 @@ from districtmatch.rules import (
     make_rule,
 )
 from districtmatch.spda import (
-    SpdaTrace,
     check_individual_rationality,
     is_stable,
     run_intradistrict_spda,
     run_spda,
 )
 
-from helpers import all_contracts, assert_spda_step_bound, count_calls, random_problem
+from helpers import (
+    all_contracts,
+    assert_spda_step_bound,
+    contract_steps,
+    random_problem,
+    tentative,
+)
 from spda_reference import (
     choose_reference,
     deferred_acceptance_reference,
@@ -156,21 +166,39 @@ def _outcome(fn, *args):
         return (type(exc), str(exc), getattr(exc, "trace", None))
 
 
+def reference_outcome(reference, *args):
+    """The ``_outcome`` of the set loop ``reference`` on ``args``, and what
+    its districts chose after each step (None when its error does not say).
+    A failed run's trace is the steps the loop recorded before the error."""
+    record, built = spda_reference.SpdaStep, []
+
+    def recorded(**fields):
+        built.append(record(**fields))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spda_reference, "SpdaStep", recorded)
+        try:
+            trace, held_after = reference(*args)
+        except DistrictMatchError as exc:
+            partial = Trace(tuple(built), frozenset())
+            return (type(exc), str(exc), partial), getattr(exc, "tentative", None)
+    return ("ok", trace), held_after
+
+
 def assert_run_matches_reference(got, reference, *args):
-    """``got``, the ``_outcome`` of a run, is that of the set loop
-    ``reference`` on ``args``: the same trace or error.  Its trace, finished
-    or partial, holds after each step what the set loop's districts chose
-    (``SpdaTrace.tentative``).  Returns the set loop's outcome."""
-    try:
-        trace, held_after = reference(*args)
-        want = ("ok", trace)
-    except DistrictMatchError as exc:
-        want = (type(exc), str(exc), getattr(exc, "trace", None))
-        held_after = getattr(exc, "tentative", None)
-    assert got == want
-    trace = got[1] if got[0] == "ok" else got[2]
-    if trace is not None:
-        assert list(trace.tentative()) == held_after
+    """``got``, the ``_outcome`` of a run on ``args[0]``, is that of the set
+    loop ``reference`` on ``args``: the same trace in contract form, or the
+    same error with the same partial trace.  Its trace holds after each step
+    what the set loop's districts chose (``helpers.tentative``).  Returns
+    the set loop's outcome."""
+    problem = args[0]
+    want, held_after = reference_outcome(reference, *args)
+    trace = got[-1]
+    assert got[:-1] == want[:-1]
+    assert Trace(contract_steps(problem, trace), trace.outcome) == want[-1]
+    if held_after is not None:
+        assert list(tentative(problem, trace)) == held_after
     return want
 
 
@@ -710,11 +738,10 @@ def assert_loop_matches_reference(problem, rules):
         ok = got[0] == "ok"
         if ok:
             assert got[1].read == want[1].read
-        trace = got[1] if ok else got[2]
-        if trace is not None:
-            # the writer carries the tentative keys from step to step; the
-            # document renders ``trace.tentative()``, checked above
-            assert spda_bytes(problem, trace) == trace_text(_spda_trace_doc(problem, trace))
+        # the writer carries the tentative keys from step to step; the
+        # document renders ``helpers.tentative``, checked above
+        trace = got[-1]
+        assert spda_bytes(problem, trace) == trace_text(_spda_trace_doc(problem, trace))
         runs.append(got)
     return runs
 
@@ -807,35 +834,80 @@ def test_key_loop_matches_set_loop_under_another_districts_rule(seed):
 @given(seed=st.integers(0, 2**32 - 1), moved=st.booleans())
 def test_pair_log_matches_the_set_loop(seed, moved):
     # every spec kind, completions, own-favoring variants, tables, and now
-    # and then each rule filed under the next district's index: the step
-    # records built from the pair log, and the bytes written from it, are
-    # the set loop's
+    # and then each rule filed under the next district's index: the pair
+    # steps, and the bytes written from them, are the set loop's
     rng = random.Random(seed)
     problem = random_problem(rng, students=(2, 6))
     rules = random_rules(rng, problem, tables=0.3)
     if moved:
         rules = {d: rules[(d + 1) % problem.num_districts] for d in rules}
-    rules = {d: unvalidated(rng, r) for d, r in rules.items()}
-    for lists in (problem.preferences, home_lists(problem)):
-        with pytest.MonkeyPatch.context() as m:
-            built = count_calls(m, spda_module, "SpdaStep")
-            got = _outcome(spda_module._deferred_acceptance, problem, rules, lists)
-            trace = got[1] if got[0] == "ok" else got[2]
-            if trace is None:
+    assert_loop_matches_reference(problem, {d: unvalidated(rng, r) for d, r in rules.items()})
+
+
+def test_spec_rule_runs_build_only_the_outcomes_contracts(monkeypatch):
+    # proposals, held seats and step records are pairs; a finished run on
+    # spec rules builds a contract for each student it places, and no other
+    new, built = Contract.__new__, []
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
+
+    rng = random.Random(8)
+    finished = 0
+    for i in range(40):
+        problem = random_problem(rng, students=(2, 8) if i % 2 else (30, 40))
+        rules = random_rules(rng, problem)
+        with monkeypatch.context() as m:
+            m.setattr(Contract, "__new__", counted)
+            built.clear()
+            try:
+                trace = run_spda(problem, rules)
+            except DistrictMatchError:
                 continue
-            num_steps, text = trace.num_steps, spda_bytes(problem, trace)
-            assert built == []
-            steps = trace.steps
-            assert len(built) == num_steps == len(steps)
-        want = assert_run_matches_reference(
-            got, deferred_acceptance_reference, problem, rules, lists
-        )
-        reference = want[1] if want[0] == "ok" else want[2]
-        assert (trace.steps, trace.outcome, trace.read) == (
-            reference.steps, reference.outcome, reference.read
-        )
-        assert text == spda_bytes(problem, SpdaTrace(trace.steps, trace.outcome))
-        assert text == trace_text(_spda_trace_doc(problem, trace))
+        assert sorted(built) == sorted(trace.outcome)
+        finished += 1
+    assert finished >= 30
+
+
+@functools.cache
+def _tracer():
+    """The benchmark's layer tracer module, loaded once from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), moved=st.booleans())
+def test_tracer_counts_match_the_set_loop(seed, moved):
+    # the tracer's ``spda.steps``, ``spda.proposals`` and rejections read
+    # the steps of each run, finished or failed, as they read the set loop's
+    # records: no pair repeats, and traces and steps are hashable and frozen
+    count = _tracer()._count_spda
+    rng = random.Random(seed)
+    problem = random_problem(rng, students=(2, 8))
+    rules = random_rules(rng, problem, tables=0.3)
+    if moved:
+        rules = {d: rules[(d + 1) % problem.num_districts] for d in rules}
+    for lists in (problem.preferences, home_lists(problem)):
+        trace = _outcome(spda_module._deferred_acceptance, problem, rules, lists)[-1]
+        want = reference_outcome(deferred_acceptance_reference, problem, rules, lists)[0][-1]
+        got, counts = Counter(), Counter()
+        count(got, (problem, rules), trace)
+        count(counts, (problem, rules), want)
+        assert got == counts and got["spda.steps"] == trace.num_steps == want.num_steps
+        proposed = [x for step in trace.steps for _, P in step.proposals for x in P]
+        rejected = [x for step in trace.steps for x in step.rejected]
+        assert len(set(proposed)) == len(proposed) and len(set(rejected)) == len(rejected)
+        assert hash(trace) == hash(Trace(trace.steps, trace.outcome))
+        with pytest.raises(AttributeError):  # FrozenInstanceError
+            trace.steps = ()
+        for step in trace.steps[:1]:
+            with pytest.raises(AttributeError):
+                step.rejected = ()
 
 
 def test_choose_reads_a_list_of_contracts_as_a_set():
@@ -869,7 +941,7 @@ def test_traces_compare_by_proposals_and_rejections(basic):
     assert trace == run_spda(basic.problem, basic.rules)
     i = next(i for i, step in enumerate(trace.steps) if step.rejected)
     x = min(trace.steps[i].rejected)
-    changed = replace(trace.steps[i], rejected=trace.steps[i].rejected - {x})
+    changed = replace(trace.steps[i], rejected=tuple(y for y in trace.steps[i].rejected if y != x))
     steps = trace.steps[:i] + (changed,) + trace.steps[i + 1 :]
     assert replace(trace, steps=steps) != trace
 
@@ -1036,10 +1108,11 @@ def test_rule_violation_keeps_the_steps_taken():
                 partial = exc.trace
             assert partial.outcome == frozenset()
             try:
-                steps = spda_module._deferred_acceptance(problem, repaired, lists).steps
+                trace = spda_module._deferred_acceptance(problem, repaired, lists)
             except RuleViolation as exc:  # the repaired table may not converge
-                steps = exc.trace.steps
-            assert len(steps) > len(partial.steps)
-            assert steps[: len(partial.steps)] == partial.steps
-            longest = max(longest, len(partial.steps))
+                trace = exc.trace
+            steps, taken = contract_steps(problem, trace), contract_steps(problem, partial)
+            assert len(steps) > len(taken)
+            assert steps[: len(taken)] == taken
+            longest = max(longest, len(taken))
     assert longest >= 4

@@ -3,6 +3,7 @@ the package itself or states a construct of the paper.  A helper only the
 tests use belongs in the test module that uses it."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +81,12 @@ def test_every_definition_is_used_by_the_package_or_a_paper_construct():
 def test_every_paper_construct_is_defined():
     defined = {node.name for _, node in _definitions(_modules())}
     assert PAPER_CONSTRUCTS <= defined
+
+
+def test_every_module_parses_at_the_oldest_supported_python():
+    # ``feature_version`` refuses syntax newer than the floor that
+    # ``pyproject.toml`` declares, which a newer interpreter would accept
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=tuple(map(int, floor)))

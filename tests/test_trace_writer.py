@@ -12,25 +12,26 @@ from hypothesis import strategies as st
 
 import districtmatch as dm
 from districtmatch import cli
+from districtmatch.model import Trace
 from districtmatch.policy import GoalForm
 from districtmatch.rules import RuleKind
-from districtmatch.spda import SpdaStep, SpdaTrace
-from districtmatch.ttc import TtcStep, TtcTrace
+from districtmatch.spda import SpdaStep
+from districtmatch.ttc import TtcStep
 
-from helpers import random_goal, random_problem, sequential_rules
+from helpers import contract_steps, random_goal, random_problem, sequential_rules, tentative
 from trace_reference import _spda_trace_doc, _ttc_trace_doc, trace_text
 
 WRITERS = {
-    SpdaTrace: (cli._write_spda_trace, _spda_trace_doc),
-    TtcTrace: (cli._write_ttc_trace, _ttc_trace_doc),
+    "spda": (cli._write_spda_trace, _spda_trace_doc),
+    "ttc": (cli._write_ttc_trace, _ttc_trace_doc),
 }
 
 # quotes, backslashes, controls and non-ASCII, which json escapes
 ID_TEXT = st.text('a1"\\/\n\t\x7fé☃\U0001f600', max_size=3)
 
 
-def assert_same_bytes(problem, trace):
-    write, reference = WRITERS[type(trace)]
+def assert_same_bytes(problem, mechanism, trace):
+    write, reference = WRITERS[mechanism]
     fh = io.StringIO()
     write(fh, problem, trace)
     assert fh.getvalue() == trace_text(reference(problem, trace))
@@ -56,16 +57,17 @@ def renamed(draw, problem):
 
 
 def market_traces(seed):
-    """The traces SPDA and TTC leave on one random market, finished or not."""
+    """The (mechanism, trace) pairs SPDA and TTC leave on one random market,
+    finished or not."""
     rng = random.Random(seed)
     problem = random_problem(rng, students=(2, 6))
     kind = rng.choice([RuleKind.SEQUENTIAL_RESPONSIVE, RuleKind.RATIONED_SEQUENTIAL])
-    traces = [dm.run_spda(problem, sequential_rules(rng, problem, kind))]
+    traces = [("spda", dm.run_spda(problem, sequential_rules(rng, problem, kind)))]
     goal = random_goal(rng, problem, rng.choice(list(GoalForm)))
     try:
-        traces.append(dm.run_ttc(problem, goal))
+        traces.append(("ttc", dm.run_ttc(problem, goal)))
     except (dm.Stuck, dm.RuleViolation) as exc:
-        traces.append(exc.trace)
+        traces.append(("ttc", exc.trace))
     except dm.PolicyViolatedAtStart:
         pass
     return problem, traces
@@ -76,15 +78,15 @@ def market_traces(seed):
 def test_writers_match_reference_on_random_markets(seed, data):
     problem, traces = market_traces(seed)
     problem = renamed(data.draw, problem)
-    for trace in traces:
-        assert_same_bytes(problem, trace)
+    for mechanism, trace in traces:
+        assert_same_bytes(problem, mechanism, trace)
         # a failed run carries the steps it took and no outcome
         k = data.draw(st.integers(0, trace.num_steps), label="steps kept")
-        assert_same_bytes(problem, type(trace)(trace.steps[:k], frozenset()))
-        if isinstance(trace, TtcTrace):
+        assert_same_bytes(problem, mechanism, Trace(trace.steps[:k], frozenset()))
+        if mechanism == "ttc":
             # steps cut from the middle of a run; an SPDA trace starts from
             # nothing held (see the test below)
-            assert_same_bytes(problem, type(trace)(trace.steps[k:], trace.outcome))
+            assert_same_bytes(problem, mechanism, Trace(trace.steps[k:], trace.outcome))
 
 
 def test_spda_writer_refuses_a_trace_cut_from_the_middle():
@@ -92,9 +94,9 @@ def test_spda_writer_refuses_a_trace_cut_from_the_middle():
     # neither holds nor proposes
     inst = dm.load_fixture("spda_rationed")
     trace = dm.run_spda(inst.problem, inst.rules)
-    held = list(trace.tentative())
-    k = next(k for k in range(1, trace.num_steps) if trace.steps[k].rejected & held[k - 1])
-    cut = SpdaTrace(trace.steps[k:], trace.outcome)
+    steps, held = contract_steps(inst.problem, trace), list(tentative(inst.problem, trace))
+    k = next(k for k in range(1, trace.num_steps) if steps[k].rejected & held[k - 1])
+    cut = Trace(trace.steps[k:], trace.outcome)
     with pytest.raises(ValueError, match="SPDA step 0 rejects"):
         cli._write_spda_trace(io.StringIO(), inst.problem, cut)
 
@@ -107,15 +109,15 @@ def test_writers_match_reference_on_the_stuck_fixture(data):
     try:
         dm.run_ttc(inst.problem, inst.policy, inst.master)
     except dm.Stuck as exc:
-        assert_same_bytes(renamed(data.draw, inst.problem), exc.trace)
+        assert_same_bytes(renamed(data.draw, inst.problem), "ttc", exc.trace)
     else:
         raise AssertionError("ttc_stuck finished")
 
 
 @st.composite
 def drawn_traces(draw):
-    """A problem and a trace of arbitrary, possibly empty, steps over it; an
-    SPDA trace's steps keep ``SpdaStep``'s contract."""
+    """A problem, a mechanism and a trace of arbitrary, possibly empty,
+    steps over it; an SPDA trace's steps keep ``SpdaStep``'s contract."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     problem = renamed(draw, random_problem(rng, students=(2, 5)))
     students = range(problem.num_students)
@@ -129,6 +131,9 @@ def drawn_traces(draw):
     def matching():
         return frozenset(subset(contracts))
 
+    def pairs(X):
+        return tuple((x.student, x.school) for x in X)
+
     steps, held = [], set()
     spda = draw(st.booleans())
     for _ in range(draw(st.integers(0, 3))):
@@ -141,8 +146,8 @@ def drawn_traces(draw):
             held -= rejected
             steps.append(
                 SpdaStep(
-                    tuple((d, frozenset(x for x in new if x.district == d)) for d in districts),
-                    rejected,
+                    tuple((d, pairs(x for x in new if x.district == d)) for d in districts),
+                    pairs(rejected),
                 )
             )
         else:
@@ -159,7 +164,7 @@ def drawn_traces(draw):
                     removed=tuple(subset(slots)),
                 )
             )
-    return problem, (SpdaTrace if spda else TtcTrace)(tuple(steps), matching())
+    return problem, "spda" if spda else "ttc", Trace(tuple(steps), matching())
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,6 +10,8 @@ import json
 
 from districtmatch.model import sort_matching
 
+from helpers import contract_steps, tentative
+
 
 def trace_text(doc):
     """The bytes of a trace file holding ``doc``, as text."""
@@ -39,7 +41,7 @@ def _spda_trace_doc(problem, trace):
                 "tentative": pairs(held),
                 "rejected": pairs(step.rejected),
             }
-            for step, held in zip(trace.steps, trace.tentative())
+            for step, held in zip(contract_steps(problem, trace), tentative(problem, trace))
         ],
         "outcome": pairs(trace.outcome),
     }

@@ -28,9 +28,9 @@ from collections import deque
 
 from districtmatch import policy, ttc
 from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck
-from districtmatch.model import Distribution, Problem, distribution_of, order_positions
+from districtmatch.model import Distribution, Problem, Trace, distribution_of, order_positions
 from districtmatch.policy import GoalTally, PolicyGoal
-from districtmatch.ttc import TtcStep, TtcTrace, build_hypothetical
+from districtmatch.ttc import TtcStep, build_hypothetical
 
 from policy_reference import satisfies_with_feasibility
 
@@ -50,7 +50,7 @@ def priority_key(market, slot, student):
     return (first_class, market.master.index(student))
 
 
-def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
+def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     """Run the trading algorithm; every cycle found in a step executes."""
     market = build_hypothetical(problem, master)
     initial_xi = distribution_of(problem.initial_matching(), problem)
@@ -113,7 +113,7 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTra
             raise Stuck(
                 "students remain but no trading cycle exists; "
                 "the goal set is likely not M-convex",
-                trace=TtcTrace(tuple(steps), frozenset()),
+                trace=Trace(tuple(steps), frozenset()),
             )
         for cycle in cycles:
             for s, slot in cycle:
@@ -123,10 +123,10 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> TtcTra
     outcome = frozenset(
         problem.contract(s, assignment[s][0]) for s in range(problem.num_students)
     )
-    return TtcTrace(tuple(steps), outcome)
+    return Trace(tuple(steps), outcome)
 
 
-def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrace:
+def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     """Run the trading algorithm; every cycle found in a step executes.
 
     Unassigned students still sit at their initial slots, so whether a slot
@@ -168,7 +168,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
         if len(steps) > guard:
             raise RuleViolation(
                 "trading failed to make progress",
-                trace=TtcTrace(tuple(steps), frozenset()),
+                trace=Trace(tuple(steps), frozenset()),
             )
         active = [p for p in market.pairs if p not in removed]
         heads = sorted((q[0] for q in holders.values() if q), key=rank.__getitem__)
@@ -212,7 +212,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
             raise Stuck(
                 "students remain but no trading cycle exists; "
                 "the goal set is likely not M-convex",
-                trace=TtcTrace(tuple(steps), frozenset()),
+                trace=Trace(tuple(steps), frozenset()),
             )
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
@@ -228,7 +228,7 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> TtcTrac
     # the own-type slots follow the school list; a pointer past them has
     # read the whole list, since the other types' slots repeat it
     read = tuple(min(i + 1, problem.num_schools) for i in next_pref)
-    return TtcTrace(tuple(steps), outcome, read)
+    return Trace(tuple(steps), outcome, read)
 
 
 
