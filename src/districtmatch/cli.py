@@ -297,23 +297,26 @@ def _pair_keys(X, C):
     return sorted([x.student * C + x.school for x in X])
 
 
+def _pair_texts(firsts, seconds):
+    """A function giving, per ``depth``, the text of each key
+    ``i * len(seconds) + j`` as a ``depth``-deep item: the pair
+    ``[firsts[i], seconds[j]]`` of quoted ids."""
+    n = len(seconds)
+
+    @functools.cache
+    def at(depth):
+        head, sep, tail = "[" + _NL[depth + 1], _SEP[depth + 1], _NL[depth] + "]"
+        return _Texts(lambda k: head + firsts[k // n] + sep + seconds[k % n] + tail)
+
+    return at
+
+
 def _contract_lists(students, schools):
     """A function rendering sorted ``_pair_keys``, items ``depth`` deep, as
     their [student, school] id pairs; ``students`` and ``schools`` are the
     quoted ids."""
-    C = len(schools)
-    by_depth = {}  # depth -> {student * C + school: the pair's text}
-
-    def render(keys, depth):
-        pairs = by_depth.get(depth)
-        if pairs is None:
-            head, sep, tail = "[" + _NL[depth + 1], _SEP[depth + 1], _NL[depth] + "]"
-            pairs = by_depth[depth] = _Texts(
-                lambda k: head + students[k // C] + sep + schools[k % C] + tail
-            )
-        return _block(list(map(pairs.__getitem__, keys)), depth)
-
-    return render
+    pairs = _pair_texts(students, schools)
+    return lambda keys, depth: _block(list(map(pairs(depth).__getitem__, keys)), depth)
 
 
 def _write_spda_trace(fh, problem, trace):
@@ -357,15 +360,9 @@ def _write_spda_trace(fh, problem, trace):
 def _write_ttc_trace(fh, problem, trace):
     students = list(map(_quote, problem.student_ids))
     schools = list(map(_quote, problem.school_ids))
-    types = list(map(_quote, problem.type_ids))
-    slot4, slot5, slot6 = (
-        {
-            (c, t): _block([school, type_], depth + 1)
-            for c, school in enumerate(schools)
-            for t, type_ in enumerate(types)
-        }
-        for depth in (4, 5, 6)
-    )
+    # a slot number c * T + t is the key of its [school, type] pair
+    slots = _pair_texts(schools, list(map(_quote, problem.type_ids)))
+    slot4, slot5, slot6 = slots(4), slots(5), slots(6)
     by_slot = _Texts(lambda e: _block([slot5[e[0]], students[e[1]]], 5))
     by_student = _Texts(lambda e: _block([students[e[0]], slot5[e[1]]], 5))
     outcome = _pair_keys(trace.outcome, len(schools))

@@ -45,8 +45,8 @@ class ProblemSpec:
 
     @cached_property
     def index(self) -> dict:
-        """A repeated id keeps its first position; a malformed id (None)
-        is no key."""
+        """A repeated id keeps its first position; a malformed id (None, or
+        an unhashable value) is no key."""
         index = {}
         for kind, ids in (
             ("type", self.types),
@@ -56,8 +56,11 @@ class ProblemSpec:
         ):
             positions = index[kind] = {}
             for i, v in enumerate(ids):
-                if v is not None:
+                try:
                     positions.setdefault(v, i)
+                except TypeError:  # an unhashable id
+                    pass
+            positions.pop(None, None)
         return index
 
 
@@ -233,13 +236,13 @@ def validate_problem(raw: ProblemSpec) -> Problem:
             ("school", school_ids, schools),
             ("student", student_ids, students),
         )
-        for i, v in enumerate(ids)
-        if index.get(v, i) != i
+        for i, (v, j) in enumerate(zip(ids, _positions(index, ids)))
+        if j not in (None, i)
     ]
     if issues:
         raise ValidationError(issues)
 
-    school_district = tuple(districts.get(c[1]) for c in raw.schools)
+    school_district = _positions(districts, [c[1] for c in raw.schools])
     capacities = tuple(c[2] for c in raw.schools)
     for (sid, did, cap), d in zip(raw.schools, school_district):
         if d is None:
@@ -259,9 +262,13 @@ def validate_problem(raw: ProblemSpec) -> Problem:
     ]
 
     student_district, student_type, preferences = [], [], []
-    for stid, did, tid, prefs in raw.students:
-        d, t = districts.get(did), types.get(tid)
-        pref_idx = tuple(map(schools.get, prefs))
+    C = len(raw.schools)
+    for (stid, did, tid, prefs), d, t in zip(
+        raw.students,
+        _positions(districts, [s[1] for s in raw.students]),
+        _positions(types, [s[2] for s in raw.students]),
+    ):
+        pref_idx = _positions(schools, prefs)
         if d is None:
             issues.append(
                 ("DanglingReference", f"student {stid} references unknown district {did}")
@@ -271,7 +278,7 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         elif None in pref_idx:
             unknown = prefs[pref_idx.index(None)]
             issues.append(("DanglingReference", f"student {stid} ranks unknown school {unknown}"))
-        elif order_positions(pref_idx, len(raw.schools)) is None:
+        elif len(pref_idx) != C or len(set(pref_idx)) != C:  # school positions, no None
             issues.append(
                 ("IncompletePreference", f"student {stid} must rank every school exactly once")
             )
@@ -347,6 +354,15 @@ def validate_problem(raw: ProblemSpec) -> Problem:
         k_type=tuple(map(student_type.count, range(len(raw.types)))),
         district_schools=district_schools,
     )
+
+
+def _positions(index: dict, ids) -> tuple:
+    """The position ``index`` holds for each of ``ids``; None for an id it
+    does not hold, an unhashable one included."""
+    try:
+        return tuple(map(index.get, ids))
+    except TypeError:  # an unhashable id: look each up alone
+        return (None,) if len(ids) == 1 else tuple(_positions(index, (v,))[0] for v in ids)
 
 
 def order_positions(order, n: int) -> Optional[tuple]:

@@ -986,10 +986,7 @@ class Chooser(DistrictSpace):
 
     def fill(self) -> None:
         """Memoize the choice of every mask without an unranked contract, in
-        one walk over the product of the school windows (``_fill_level``).
-        Explicit tables are not walked."""
-        if self.to_keys is None:
-            return
+        one walk over the product of the school windows (``_fill_level``)."""
         if len(self._cache) == 1 << len(self.universe) - self.unranked.bit_count():
             return  # every ranked mask is in the memo already
         if not self.schools:  # no contract is ranked

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
 from .model import Matching, Problem, Trace, distribution_of, order_positions
@@ -27,7 +28,7 @@ class HypotheticalMarket:
 
 @dataclass(frozen=True)
 class TtcStep:
-    active: tuple  # slots alive at the start of the step
+    active: tuple  # slot numbers c × num_types + t alive at the start of the step
     slot_pointer: tuple  # of (slot, student)
     student_pointer: tuple  # of (student, slot)
     cycles: tuple  # of tuples of (student, slot) edges executed
@@ -36,16 +37,10 @@ class TtcStep:
 
 def build_hypothetical(problem: Problem, master=None) -> HypotheticalMarket:
     """Lift the market to school-type slots; master defaults to file order."""
-    if master is None:
-        master = tuple(range(problem.num_students))
-    master = tuple(master)
+    master = tuple(range(problem.num_students)) if master is None else tuple(master)
     if order_positions(master, problem.num_students) is None:
         raise RuleViolation("master list must order every student exactly once")
-    pairs = tuple(
-        (c, t)
-        for c in range(problem.num_schools)
-        for t in range(problem.num_types)
-    )
+    pairs = tuple(product(range(problem.num_schools), range(problem.num_types)))
     prefs = []
     for s in range(problem.num_students):
         t = problem.student_type[s]
@@ -57,14 +52,10 @@ def build_hypothetical(problem: Problem, master=None) -> HypotheticalMarket:
             if tt != t
         ]
         prefs.append(tuple(own + other))
-    initial = tuple(
-        (problem.initial_school[s], problem.student_type[s])
-        for s in range(problem.num_students)
-    )
     return HypotheticalMarket(
         pairs=pairs,
         student_prefs=tuple(prefs),
-        initial_slot=initial,
+        initial_slot=tuple(zip(problem.initial_school, problem.student_type)),
         master=master,
     )
 
@@ -98,10 +89,11 @@ def is_permissible(
 def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     """Run the trading algorithm; every cycle found in a step executes.
 
-    Slots are numbered c × num_types + t, the order of
-    ``build_hypothetical``'s ``pairs`` and the coordinates of ``GoalTally``.
-    Unassigned students still sit at their initial slots, so whether a slot
-    may point to one depends only on that initial slot.  Each slot points to
+    A slot is its number c × num_types + t, its place in
+    ``build_hypothetical``'s ``pairs`` and its ``GoalTally`` coordinate; the
+    run and its step records name slots by number alone.  Unassigned
+    students still sit at their initial slots, so whether a slot may point
+    to one depends only on that initial slot.  Each slot points to
     the first permitted student of one candidate list: the first unassigned
     student of its own initial slot (if any), then that of every initial
     slot in master order.  The own head is permitted iff the tally holds;
@@ -116,7 +108,7 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     first time her pointer passes her own-type slots.  Cycle walks start
     only from the least student pointing at each slot and from the students
     the slots point to: a walk from anyone else stops at its second student,
-    whom an earlier walk visited.  Steps record pointers in ``pairs`` order
+    whom an earlier walk visited.  Steps record pointers by ascending slot
     and by ascending student.
     """
     n, T = problem.num_students, problem.num_types
@@ -124,7 +116,6 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     rank = order_positions(master, n)
     if rank is None:
         raise RuleViolation("master list must order every student exactly once")
-    pairs = [(c, t) for c in range(problem.num_schools) for t in range(T)]
     initial_xi = distribution_of(problem.initial_matching(), problem)
     if not satisfies_with_feasibility(goal, initial_xi, problem):
         raise PolicyViolatedAtStart(
@@ -135,16 +126,15 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
     initial = [c * T + t for c, t in zip(problem.initial_school, types)]
 
     # unassigned students of each initial slot, in master order
-    holders = [deque() for _ in pairs]
+    holders = [deque() for _ in range(problem.num_schools * T)]
     for s in master:
         holders[initial[s]].append(s)
-    alive = [True] * len(pairs)
-    active = list(range(len(pairs)))
-    active_slots = tuple(pairs)
+    alive = [True] * len(holders)
+    active = tuple(range(len(holders)))
     others = {}  # student -> her other-type slots, once her pointer needs them
     next_pref = [0] * n  # position in her list of the slot she points to
     pointer = {}  # student -> slot, ascending student
-    pointed = {}  # slot number -> the students pointing to it
+    pointed = {}  # slot -> the students pointing to it
     assignment = {}
     steps = []
 
@@ -169,7 +159,7 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
         if k is None:
             pointer.pop(s, None)
         else:
-            pointer[s] = pairs[k]
+            pointer[s] = k
             pointed.setdefault(k, set()).add(s)
 
     for s in range(n):
@@ -196,15 +186,11 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
                 to[low.bit_length() - 1] = s
                 got ^= low
 
-        slot_pointer = {}
-        gone = []
-        for k in active:
-            if k in to:
-                slot_pointer[pairs[k]] = to[k]
-            else:
-                alive[k] = False
-                gone.append(k)
+        slot_pointer = {k: to[k] for k in active if k in to}
+        gone = [k for k in active if k not in to]
+        # a student moved onto a slot later in ``gone`` moves on at its turn
         for k in gone:
+            alive[k] = False
             for s in pointed.pop(k, ()):
                 repoint(s, next_pref[s] + 1)
 
@@ -215,16 +201,15 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
         )
         steps.append(
             TtcStep(
-                active=active_slots,
+                active=active,
                 slot_pointer=tuple(slot_pointer.items()),
                 student_pointer=tuple(pointer.items()),
                 cycles=tuple(cycles),
-                removed=tuple(pairs[k] for k in gone),
+                removed=tuple(gone),
             )
         )
         if gone:
-            active = [k for k in active if alive[k]]
-            active_slots = tuple(pairs[k] for k in active)
+            active = tuple(k for k in active if alive[k])
 
         if not cycles:
             if gone:
@@ -236,15 +221,14 @@ def run_ttc(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
             )
         # slots point only to queue heads, so each trader heads her initial slot's queue
         for cycle in cycles:
-            for s, slot in cycle:
-                k = slot[0] * T + slot[1]
+            for s, k in cycle:
                 tally.move(initial[s], k)
                 holders[initial[s]].popleft()
-                assignment[s] = slot
+                assignment[s] = k
                 del pointer[s]
                 pointed[k].discard(s)
 
-    outcome = frozenset(problem.contract(s, assignment[s][0]) for s in range(n))
+    outcome = frozenset(problem.contract(s, assignment[s] // T) for s in range(n))
     # the own-type slots follow the school list; a pointer past them has
     # read the whole list, since the other types' slots repeat it
     read = tuple(min(i + 1, problem.num_schools) for i in next_pref)

@@ -51,6 +51,12 @@ def initial_contract(problem, student):
     return problem.contract(student, problem.initial_school[student])
 
 
+def slot(problem, c, t):
+    """The number ``run_ttc`` and its steps give the slot of school ``c``
+    and type ``t``."""
+    return c * problem.num_types + t
+
+
 def matching_of(problem, pairs):
     """Build a matching from (student id, school id) pairs."""
     sidx = {v: i for i, v in enumerate(problem.student_ids)}

@@ -55,7 +55,7 @@ from districtmatch.spda import (
 )
 from districtmatch.ttc import run_ttc
 
-from helpers import ids_of, random_problem, sequential_rules, tentative
+from helpers import ids_of, random_problem, sequential_rules, slot, tentative
 from policy_reference import legitimate_distributions
 
 
@@ -163,10 +163,10 @@ def test_criterion_5_ttc_golden(ttc_diversity):
         ("s7", "c2"),
     ]
     assert trace.num_steps == 5
-    step1 = {(s, slot) for cyc in trace.steps[0].cycles for s, slot in cyc}
-    assert step1 == {(6, (1, 1)), (2, (3, 0))}
-    step2 = {(s, slot) for cyc in trace.steps[1].cycles for s, slot in cyc}
-    assert step2 == {(3, (1, 0))}
+    step1 = {edge for cyc in trace.steps[0].cycles for edge in cyc}
+    assert step1 == {(6, slot(p, 1, 1)), (2, slot(p, 3, 0))}
+    step2 = {edge for cyc in trace.steps[1].cycles for edge in cyc}
+    assert step2 == {(3, slot(p, 1, 0))}
     assert time.time() - t0 < 1.0
     report(5, "trading run golden: outcome, first two cycles, 5 steps")
 

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -355,6 +357,40 @@ def test_undecodable_instance_exits_2(capsys, tmp_path, raw, message):
     assert (code, out) == (2, "")
     assert "validation error" in err and message in err
     assert err == f"validation error: MalformedJson: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("missing.json", FileNotFoundError), ("", IsADirectoryError)],
+    ids=["missing", "directory"],
+)
+def test_unreadable_instance_exits_2(capsys, tmp_path, name, error):
+    path = str(tmp_path / name)
+    code = {FileNotFoundError: errno.ENOENT, IsADirectoryError: errno.EISDIR}[error]
+    reason = error(code, os.strerror(code), path)
+    got = run_cli(capsys, "run", path, "--mechanism", "ttc")
+    assert got == (2, "", f"cannot read instance: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-rule", "spda_basic", "--district", "d9", "--properties", "feasible"),
+         "unknown district 'd9'"),
+        (("nonexistence", "nonexistence", "--district", "d9"), "unknown district 'd9'"),
+        (("bounds", "spda_basic"), "bounds needs a school-level ceilings policy"),
+        (("bounds", "nonexistence"), "bounds needs a school-level ceilings policy"),
+        (("policy-check", "spda_basic"), "instance has no policy section"),
+        (("nonexistence", "spda_basic", "--district", "d1"),
+         "nonexistence needs a district-ceilings policy"),
+        (("nonexistence", "ttc_diversity", "--district", "d1"),
+         "nonexistence needs a district-ceilings policy"),
+    ],
+)
+def test_a_command_without_its_input_exits_2_before_any_output(capsys, argv, message):
+    command, fixture, *rest = argv
+    got = run_cli(capsys, command, fpath(fixture), *rest)
+    assert got == (2, "", f"validation error: DanglingReference: {message}\n")
 
 
 def test_instance_that_is_not_an_object_exits_2(capsys, tmp_path):
@@ -1527,12 +1563,13 @@ def _edge_traces():
         ttc(p, TtcStep((), (), (), (), ())),
         ttc(
             p,
+            # slots c × 2 + t: 0 (c"1, t\1), 1 (c"1, é), 3 (c☃, é), 4 and 5 (c\n3)
             TtcStep(
-                active=((0, 0), (0, 1), (1, 1)),
-                slot_pointer=(((0, 0), 0), ((0, 1), 2), ((1, 1), 1)),
-                student_pointer=((0, (0, 0)), (1, (0, 1)), (2, (1, 1))),
-                cycles=(((0, (0, 0)),), (), ((1, (0, 1)), (2, (1, 1)))),
-                removed=((2, 0), (2, 1)),
+                active=(0, 1, 3),
+                slot_pointer=((0, 0), (1, 2), (3, 1)),
+                student_pointer=((0, 0), (1, 1), (2, 3)),
+                cycles=(((0, 0),), (), ((1, 1), (2, 3))),
+                removed=(4, 5),
             ),
             outcome=[x[0, 0], x[1, 0], x[2, 1]],
         ),

@@ -251,6 +251,29 @@ def test_dangling_references_rejected():
     ]
 
 
+@pytest.mark.parametrize(
+    "types, district, prefs, issue",
+    [
+        (("t1",), "d1", (["c1"], "c2"), "student s1 ranks unknown school ['c1']"),
+        (("t1",), ["d1"], ("c1", "c2"), "student s1 references unknown district ['d1']"),
+        ((["t1"],), "d1", ("c1", "c2"), "student s1 references unknown type t1"),
+    ],
+)
+def test_unhashable_ids_are_unknown_ids(types, district, prefs, issue):
+    # an unhashable id or reference names nothing, as None does: one issue,
+    # not a TypeError from the id lookups
+    spec = ProblemSpec(
+        types=types,
+        districts=("d1", "d2"),
+        schools=(("c1", "d1", 1), ("c2", "d2", 1)),
+        students=(("s1", district, "t1", prefs),),
+        initial_matching={"s1": "c1"},
+    )
+    with pytest.raises(ValidationError) as err:
+        validate_problem(spec)
+    assert err.value.issues == [("DanglingReference", issue)]
+
+
 # -- distribution_of ---------------------------------------------------------------
 
 

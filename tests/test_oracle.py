@@ -430,6 +430,33 @@ def test_search_unsat_canonical(nonexistence):
     assert not res2.satisfiable
 
 
+def test_search_logs_a_root_left_with_one_value():
+    # the canonical district behind a two-seat school c0: the root (everyone
+    # at c0) takes one student of each type, one orbit under the symmetries,
+    # so the root is no search level; the one-seat schools still admit no
+    # rule, and the root's one value is logged once the search fails
+    schools = (("c0", "d1", 2), ("c1", "d1", 1), ("c2", "d1", 1), ("c3", "d1", 1), ("c4", "d2", 2))
+    ids = tuple(c[0] for c in schools)
+    spec = ProblemSpec(
+        types=("t1", "t2"),
+        districts=("d1", "d2"),
+        schools=schools,
+        students=(
+            ("s1", "d1", "t1", ids),
+            ("s2", "d1", "t1", ids),
+            ("s3", "d2", "t2", ids),
+            ("s4", "d2", "t2", ids),
+        ),
+        initial_matching={"s1": "c1", "s2": "c2", "s3": "c4", "s4": "c4"},
+    )
+    p = validate_problem(spec)
+    res = search_rule_nonexistence(p, 0, {0: 1, 1: 1}, symmetry=True)
+    root = frozenset({p.contract(0, 0), p.contract(2, 0)})
+    assert (res.satisfiable, res.nodes) == (False, 2)
+    assert res.conflict_log == ((root, "all extensions contradict"),)
+    assert res == search_rule_nonexistence_reference(p, 0, {0: 1, 1: 1}, symmetry=True)
+
+
 def test_search_sat_with_relaxed_ceilings(nonexistence):
     p = nonexistence.problem
     res = search_rule_nonexistence(p, 0, {0: 2, 1: 2}, symmetry=True)

@@ -121,9 +121,8 @@ def drawn_traces(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     problem = renamed(draw, random_problem(rng, students=(2, 5)))
     students = range(problem.num_students)
-    schools, types = range(problem.num_schools), range(problem.num_types)
-    contracts = [problem.contract(s, c) for s in students for c in schools]
-    slots = [(c, t) for c in schools for t in types]
+    contracts = [problem.contract(s, c) for s in students for c in range(problem.num_schools)]
+    slots = list(range(problem.num_schools * problem.num_types))
 
     def subset(items):
         return draw(st.lists(st.sampled_from(items), unique=True)) if items else []

@@ -3,7 +3,7 @@
 import pytest
 
 import districtmatch as dm
-from districtmatch.errors import PolicyViolatedAtStart, Stuck, TypeMismatch
+from districtmatch.errors import PolicyViolatedAtStart, RuleViolation, Stuck, TypeMismatch
 from districtmatch.model import distribution_of
 from districtmatch.policy import (
     balanced_exchange_goal,
@@ -13,7 +13,7 @@ from districtmatch.policy import (
 )
 from districtmatch.ttc import _find_cycles, build_hypothetical, is_permissible, run_ttc
 
-from helpers import ids_of, initial_contract, matching_of
+from helpers import ids_of, initial_contract, matching_of, slot
 from ttc_reference import priority_key
 
 GOLDEN_TTC = [
@@ -32,12 +32,12 @@ def test_lifted_preferences(ttc_diversity):
     market = build_hypothetical(p, ttc_diversity.master)
     # own-type slots in school-preference order, then other types
     assert market.student_prefs[0][:4] == ((1, 0), (2, 0), (0, 0), (3, 0))
-    assert all(slot[1] == 0 for slot in market.student_prefs[0][:4])
+    assert all(t == 0 for _, t in market.student_prefs[0][:4])
     initial = market.initial_slot[0]
     own = market.student_prefs[0][:4]
     other = market.student_prefs[0][4:]
     assert own.index(initial) < 4
-    assert all(slot[1] != 0 for slot in other)
+    assert all(t != 0 for _, t in other)
 
 
 def test_single_slot_market():
@@ -63,6 +63,16 @@ def test_slot_priority_classes(ttc_diversity):
     key = lambda s: priority_key(market, (0, 0), s)
     assert key(0) < key(1) < key(2)
     assert key(1)[0] == 0 and key(2)[0] == 1
+
+
+@pytest.mark.parametrize("last", [(), (5,), (7,), ("6",)], ids=["short", "repeat", "range", "str"])
+def test_master_list_must_order_every_student_once(ttc_diversity, last):
+    p = ttc_diversity.problem
+    master = (0, 1, 2, 3, 4, 5, *last)
+    for run in (build_hypothetical, lambda p, master: run_ttc(p, ttc_diversity.policy, master)):
+        with pytest.raises(RuleViolation) as err:
+            run(p, master)
+        assert str(err.value) == "master list must order every student exactly once"
 
 
 def test_permissibility_worked_cases(ttc_diversity):
@@ -97,23 +107,23 @@ def test_golden_run(ttc_diversity):
     trace = run_ttc(p, ttc_diversity.policy, ttc_diversity.master)
     assert ids_of(p, trace.outcome) == GOLDEN_TTC
     assert trace.num_steps == 5
-    step1 = {(s, slot) for cycle in trace.steps[0].cycles for s, slot in cycle}
-    assert step1 == {(6, (1, 1)), (2, (3, 0))}  # s7->(c2,t2), s3->(c4,t1)
-    step2 = {(s, slot) for cycle in trace.steps[1].cycles for s, slot in cycle}
-    assert step2 == {(3, (1, 0))}  # s4->(c2,t1)
+    step1 = {edge for cycle in trace.steps[0].cycles for edge in cycle}
+    assert step1 == {(6, slot(p, 1, 1)), (2, slot(p, 3, 0))}  # s7->(c2,t2), s3->(c4,t1)
+    step2 = {edge for cycle in trace.steps[1].cycles for edge in cycle}
+    assert step2 == {(3, slot(p, 1, 0))}  # s4->(c2,t1)
 
 
 def test_policy_preserved_each_step(ttc_diversity):
     p = ttc_diversity.problem
     goal = ttc_diversity.policy
     trace = run_ttc(p, goal, ttc_diversity.master)
-    assignment = {s: (p.initial_school[s], p.student_type[s]) for s in range(7)}
+    school = list(p.initial_school)
     for step in trace.steps:
-        X = frozenset(p.contract(s, slot[0]) for s, slot in assignment.items())
+        X = frozenset(p.contract(s, c) for s, c in enumerate(school))
         assert satisfies_with_feasibility(goal, distribution_of(X, p), p)
         for cycle in step.cycles:
-            for s, slot in cycle:
-                assignment[s] = slot
+            for s, k in cycle:
+                school[s] = k // p.num_types
     assert satisfies_with_feasibility(
         goal, distribution_of(trace.outcome, p), p
     )
@@ -139,8 +149,8 @@ def test_self_cycles_when_everyone_loves_home(ttc_diversity):
     for step in trace.steps:
         for cycle in step.cycles:
             assert len(cycle) == 1
-            (s, slot), = cycle
-            assert slot == (p.initial_school[s], p.student_type[s])
+            (s, k), = cycle
+            assert k == slot(p, p.initial_school[s], p.student_type[s])
 
 
 def test_fail_fast_when_initial_violates_goal(ttc_diversity):

@@ -23,7 +23,7 @@ from districtmatch.policy import (
 )
 from districtmatch.ttc import _find_cycles, run_ttc
 
-from helpers import random_goal, random_problem
+from helpers import random_goal, random_problem, slot
 from policy_reference import satisfies_with_feasibility
 from ttc_reference import _find_cycles as find_cycles_reference
 from ttc_reference import run_ttc_per_pair, run_ttc_reference
@@ -149,9 +149,9 @@ def test_pointer_runs_on_into_other_types_in_list_order():
     kind, trace = assert_same_as_per_pair(problem, goal, None)
     assert kind == "trace"
     first = trace.steps[0]
-    assert first.removed == ((0, 0), (0, 1), (1, 0))
-    assert first.student_pointer == ((0, (0, 2)), (1, (1, 1)))
-    assert first.cycles == (((0, (0, 2)),), ((1, (1, 1)),))
+    assert first.removed == (slot(problem, 0, 0), slot(problem, 0, 1), slot(problem, 1, 0))
+    assert first.student_pointer == ((0, slot(problem, 0, 2)), (1, slot(problem, 1, 1)))
+    assert first.cycles == (((0, slot(problem, 0, 2)),), ((1, slot(problem, 1, 1)),))
     assert trace.read == (3, 1)
 
 
@@ -225,12 +225,12 @@ def test_per_pair_sweep_reaches_every_branch(monkeypatch):
         trace = rest[-1]
         seen.add(kind)
         for step in trace.steps if trace else ():
-            for s, slot in step.student_pointer:
+            for s, k in step.student_pointer:
                 t = problem.student_type[s]
-                if slot[1] != t:
+                if k % problem.num_types != t:
                     # her other-type slots start at her first school's
-                    first = (problem.preferences[s][0], int(t == 0))
-                    seen.add("other type" if slot == first else "later other type")
+                    first = slot(problem, problem.preferences[s][0], int(t == 0))
+                    seen.add("other type" if k == first else "later other type")
     assert {
         "trace", "other type", "later other type", "linear per pair",
         dm.Stuck, dm.PolicyViolatedAtStart,

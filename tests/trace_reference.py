@@ -48,8 +48,9 @@ def _spda_trace_doc(problem, trace):
 
 
 def _ttc_trace_doc(problem, trace):
-    def slot(p):
-        return [problem.school_ids[p[0]], problem.type_ids[p[1]]]
+    def slot(k):
+        c, t = divmod(k, problem.num_types)
+        return [problem.school_ids[c], problem.type_ids[t]]
 
     return {
         "mechanism": "ttc",

@@ -15,8 +15,10 @@ other-type slots of a list only when its pointer reaches them, starts walks
 only from the least student pointing at each slot and from the slots'
 targets, and hands out the free slots head by head in master order through
 ``GoalTally.target_masks``: one mask per head while a linear goal's tally
-holds, one ``permits`` per free slot otherwise.  Both loops name slots by
-their coordinates c × num_types + t when they ask the tally.
+holds, one ``permits`` per free slot otherwise.  Both loops work on (c, t)
+slots and record each step with its slots numbered c × num_types + t
+(``numbered_step``), as ``run_ttc`` names them; the per-pair loop asks the
+tally by those numbers too.
 
 ``_find_cycles`` is the cycle walk ``districtmatch.ttc._find_cycles``
 replaced: a path list, a position dict and a per-node ``visited`` loop.
@@ -41,6 +43,22 @@ def _slot_distribution(problem, assignment):
     for c, t in assignment.values():
         rows[c][t] += 1
     return Distribution(tuple(tuple(r) for r in rows))
+
+
+def numbered_step(T, *, active, slot_pointer, student_pointer, cycles, removed):
+    """The ``TtcStep`` of a step these loops record on (c, t) slots: each
+    slot named by its number c × T + t, as ``run_ttc`` names it."""
+
+    def k(slot):
+        return slot[0] * T + slot[1]
+
+    return TtcStep(
+        active=tuple(map(k, active)),
+        slot_pointer=tuple((k(p), s) for p, s in slot_pointer),
+        student_pointer=tuple((s, k(p)) for s, p in student_pointer),
+        cycles=tuple(tuple((s, k(p)) for s, p in cycle) for cycle in cycles),
+        removed=tuple(map(k, removed)),
+    )
 
 
 def priority_key(market, slot, student):
@@ -98,12 +116,13 @@ def run_ttc_reference(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
 
         cycles = _find_cycles(student_pointer, slot_pointer)
         steps.append(
-            TtcStep(
-                active=tuple(active),
-                slot_pointer=tuple(sorted(slot_pointer.items())),
-                student_pointer=tuple(sorted(student_pointer.items())),
-                cycles=tuple(cycles),
-                removed=tuple(newly_removed),
+            numbered_step(
+                problem.num_types,
+                active=active,
+                slot_pointer=sorted(slot_pointer.items()),
+                student_pointer=sorted(student_pointer.items()),
+                cycles=cycles,
+                removed=newly_removed,
             )
         )
 
@@ -197,12 +216,13 @@ def run_ttc_per_pair(problem: Problem, goal: PolicyGoal, master=None) -> Trace:
 
         cycles = ttc._find_cycles(student_pointer, slot_pointer)
         steps.append(
-            TtcStep(
-                active=tuple(active),
-                slot_pointer=tuple(slot_pointer.items()),
-                student_pointer=tuple(student_pointer.items()),
-                cycles=tuple(cycles),
-                removed=tuple(newly_removed),
+            numbered_step(
+                T,
+                active=active,
+                slot_pointer=slot_pointer.items(),
+                student_pointer=student_pointer.items(),
+                cycles=cycles,
+                removed=newly_removed,
             )
         )
 
