@@ -9,6 +9,7 @@ broken lexicographically by sorted contract indices.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -347,22 +348,33 @@ class HeldSeats:
 
     With one key per student no pick at one school takes a key out at
     another, so a school's picks depend on its own keys alone, and a step
-    picks a school's reserves and eligible keys afresh only where keys
-    arrived.  Keys beyond their type's remaining ceiling are turned down.
-    Then the first ``room`` eligible keys keep the open seats and the rest
-    are turned down, where ``room`` is the school's capacity less its
-    reserve picks, and at most the district cap less every reserve pick and
-    the open picks at earlier schools.  So under a cap every school's room
-    is walked again; without one a school that got no keys keeps what it
-    holds.  What is left is what a fresh walk on it keeps (``_chosen_keys``).
+    changes a school's picks only where keys arrived.  A school with
+    reserves or ceilings also keeps its keys by type from step to step
+    (``typed``, type -> sorted keys; None elsewhere) with its reserve picks
+    per type (``loads``): a type's picks are the first ``loads[t]`` keys of
+    its list, and its keys past both that load and its ceiling, a suffix,
+    are turned down.  A new key can change the picks only if it beats a
+    pick of its type or every key of its type is picked.  Then the first
+    ``room`` eligible keys keep the open seats and the rest are turned down,
+    where ``room`` is the school's capacity less its reserve picks, and at
+    most the district cap less every reserve pick and the open picks at
+    earlier schools.  So under a cap every school's room is walked again;
+    without one a school that got no keys keeps what it holds.  What is
+    left is what a fresh walk on it keeps (``_chosen_keys``).
     """
 
-    __slots__ = ("comp", "reserved", "eligible", "new")
+    __slots__ = ("comp", "reserved", "eligible", "typed", "loads", "new")
 
     def __init__(self, rule: RuleSpec, problem: Problem):
         self.comp = comp = compiled(rule, problem)
         self.reserved = [[] for _ in comp.capacity]
         self.eligible = [[] for _ in comp.capacity]
+        types = range(problem.num_types)
+        self.typed = [  # also any type a reserve names that no student has
+            {t: [] for t in itertools.chain(types, dict(reserve))} if reserve or ceiling else None
+            for reserve, ceiling in zip(comp.reserves, comp.ceilings)
+        ]
+        self.loads = [typed and dict.fromkeys(typed, 0) for typed in self.typed]
         self.new = []
 
     def chosen(self) -> list:
@@ -370,20 +382,42 @@ class HeldSeats:
         return [self.comp.contract(k) for keys in self.reserved + self.eligible for k in keys]
 
     def _refill(self, pos: int, keys: list) -> list:
-        """Add ``keys`` at school ``pos``, pick its reserves and eligible keys
-        afresh, and return the keys over a ceiling."""
-        comp = self.comp
-        pool = sorted(self.reserved[pos] + self.eligible[pos] + keys)
-        picked, load = _reserve_picks(comp, pos, pool)
-        self.reserved[pos] = picked
-        if picked:
-            taken = set(picked)
-            pool = [k for k in pool if k not in taken]
-        over = _over_ceilings(comp, pos, pool, load)
-        if over:
-            gone = set(over)
-            pool = [k for k in pool if k not in gone]
-        self.eligible[pos] = pool
+        """Add ``keys`` at school ``pos`` to its type lists and its eligible
+        keys; if one may change a reserve pick, pick the reserves afresh and
+        move the keys that changed seats.  Cut and return the keys over a
+        ceiling."""
+        comp, typed, load = self.comp, self.typed[pos], self.loads[pos]
+        type_at, eligible, repick = comp.type_at, self.eligible[pos], False
+        for k in keys:
+            t = type_at[k]
+            of_type, got = typed[t], load[t]
+            i = bisect.bisect_left(of_type, k)
+            # it beats a pick of its type, or every key of its type is picked
+            repick = repick or i < got or len(of_type) == got
+            of_type.insert(i, k)
+            bisect.insort(eligible, k)
+        if repick:
+            was, room, picked = self.reserved[pos], comp.capacity[pos], []
+            load = self.loads[pos] = dict.fromkeys(typed, 0)
+            for t, target in comp.reserves[pos]:
+                got = load[t]  # a type named twice in the type order picks again
+                picks = typed[t][got : got + max(min(target, room - len(picked)), 0)]
+                load[t] = got + len(picks)
+                picked += picks
+            if picked != was:  # move the keys that changed seats
+                for k in set(was).difference(picked):
+                    bisect.insort(eligible, k)
+                for k in set(picked).difference(was):
+                    del eligible[bisect.bisect_left(eligible, k)]
+                self.reserved[pos] = picked
+        over = []
+        for t, q in comp.ceilings[pos].items():
+            of_type, q = typed[t], max(q, load[t])
+            if len(of_type) > q:
+                over += of_type[q:]
+                del of_type[q:]
+        for k in over:
+            del eligible[bisect.bisect_left(eligible, k)]
         return over
 
     def _choose(self, district: int, problem: Problem) -> list:
@@ -407,11 +441,11 @@ class HeldSeats:
             raise unranked_error(own)
         rejected = []
         for pos, keys in arrived.items():
-            if comp.reserves[pos] or comp.ceilings[pos]:
+            if self.typed[pos] is not None:
                 rejected += self._refill(pos, keys)
             else:  # nothing reserved, nothing over a ceiling
                 self.eligible[pos] = sorted(self.eligible[pos] + keys)
-        capacity, reserved = comp.capacity, self.reserved
+        capacity, reserved, type_at = comp.capacity, self.reserved, comp.type_at
         if comp.cap is None:
             walk, left = arrived, math.inf
         else:
@@ -420,8 +454,13 @@ class HeldSeats:
             eligible = self.eligible[pos]
             room = max(min(capacity[pos] - len(reserved[pos]), left), 0)
             if len(eligible) > room:
-                rejected += eligible[room:]
+                cut = eligible[room:]
+                rejected += cut
                 del eligible[room:]
+                typed = self.typed[pos]
+                if typed is not None:  # each type's cut keys end its list
+                    for k in reversed(cut):
+                        typed[type_at[k]].pop()
             left -= len(eligible)
         student_at, school_order, stride = comp.student_at, comp.school_order, comp.stride
         return unranked + [(student_at[k], school_order[k // stride]) for k in rejected]

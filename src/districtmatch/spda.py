@@ -10,13 +10,15 @@ C(C(X)) = C(X)), so choosing again would return the held set.  Explicit
 tables promise nothing of the kind and are re-evaluated every step.
 
 A spec-rule district holds its tentative contracts in a ``rules.HeldSeats``,
-by its rule's keys, school by school.  Each step hands it the new
-proposals as (student, school) pairs, and ``choose`` re-picks only the
-schools that got one (under a district cap it then walks every school's
-room) and returns the pairs turned down; what it keeps is its part of the
-outcome.  Explicit tables hold and choose sets of contracts.  A step logs
-its proposals and rejections as one ``SpdaStep`` of pairs.  An error from
-a step leaves the steps taken before it on the error's ``trace``.
+by its rule's keys, school by school, and at a school with reserves or
+ceilings also one sorted key list per type, kept from step to step.  Each
+step hands it the new proposals as (student, school) pairs, and ``choose``
+re-picks only the schools that got one (under a district cap it then
+walks every school's room) and returns the pairs turned down; what it
+keeps is its part of the outcome.  Explicit tables hold and choose sets of
+contracts.  A step logs its proposals and rejections as one ``SpdaStep``
+of pairs.  An error from a step leaves the steps taken before it on the
+error's ``trace``.
 
 The intradistrict benchmark is the same loop with each student's list cut
 to the schools of her home district.

@@ -1027,7 +1027,18 @@ def checked_choose(rule, X, problem, checked):
     fresh = HeldSeats(rule, problem)
     fresh.new = [(held[k].student, held[k].school) for k in kept]
     assert choose(rule, fresh, problem) == []
-    assert (fresh.reserved, fresh.eligible) == (X.reserved, X.eligible)
+    assert (fresh.reserved, fresh.eligible, fresh.typed, fresh.loads) == (
+        X.reserved, X.eligible, X.typed, X.loads
+    )
+    for pos, typed in enumerate(X.typed):
+        if typed is None:
+            continue
+        # the type lists are the held keys split by type, each sorted, and
+        # each type's reserve picks the first ``loads`` keys of its list
+        keys = sorted(X.reserved[pos] + X.eligible[pos])
+        assert typed == {t: [k for k in keys if comp.type_at[k] == t] for t in typed}
+        load = X.loads[pos]
+        assert sorted(X.reserved[pos]) == sorted(k for t in typed for k in typed[t][: load[t]])
     checked.append(len(pool))
     return rejected
 
@@ -1083,6 +1094,107 @@ def test_held_seats_checks_reach_large_pools():
         problem, rules = large_market(rng, students=40, schools=8)
         sizes += assert_seats_match_walk(problem, capped(rng, rules, problem))
     assert max(sizes) >= 20
+
+
+def outside_district(capacities, student_types, types=2):
+    """A market whose district d1 has schools c0, c1, ... of ``capacities``
+    and no student of its own, so a rule there is held only by its cap.
+    Student s has type index ``student_types[s]``, lives in d2 and starts
+    at its one school."""
+    n = len(student_types)
+    schools = tuple((f"c{c}", "d1", q) for c, q in enumerate(capacities)) + (("home", "d2", n),)
+    names = tuple(c for c, _, _ in schools)
+    return validate_problem(
+        ProblemSpec(
+            types=tuple(f"t{t}" for t in range(types)),
+            districts=("d1", "d2"),
+            schools=schools,
+            students=tuple((f"s{s}", "d2", f"t{t}", names) for s, t in enumerate(student_types)),
+            initial_matching={f"s{s}": "home" for s in range(n)},
+        )
+    )
+
+
+def held_by_hand(problem, steps, **spec):
+    """A reserves rule of district d1 (every school ranking the students by
+    index, cap the district's capacity unless ``spec`` sets one) fed the
+    proposal batches ``steps`` through ``checked_choose``: its ``HeldSeats``
+    and the students each step turns down."""
+    own = problem.district_schools[0]
+    spec.setdefault("district_cap", sum(problem.capacities[c] for c in own))
+    rule = make_rule(
+        district=0,
+        kind=RuleKind.RESERVES_AND_CEILINGS,
+        school_order=own,
+        priorities={c: range(problem.num_students) for c in own},
+        **spec,
+    )
+    seats, turned_down = HeldSeats(rule, problem), []
+    for students, school in steps:
+        seats.new = [(s, school) for s in students]
+        turned_down.append(sorted(s for s, _ in checked_choose(rule, seats, problem, [])))
+    return seats, turned_down
+
+
+def test_held_seats_ceiling_below_the_reserve_turns_down_every_open_key():
+    # a ceiling of 1 under a reserve of 3 (the rule is not validated): every
+    # key of the type past its reserve picks is over, also the reserve pick
+    # a better key later pushes out
+    problem = outside_district([5], [0, 0, 0, 0, 1, 0])
+    seats, turned_down = held_by_hand(
+        problem,
+        [([1, 2, 3, 4, 5], 0), ([0], 0)],
+        reserves={(0, 0): 3},
+        ceilings={(0, 0): 1},
+    )
+    assert turned_down == [[5], [3]]
+    assert seats.typed[0] == {0: [0, 1, 2], 1: [4]} and seats.loads[0][0] == 3
+
+
+def test_held_seats_reserve_named_twice_picks_again_later_keys():
+    # type 0 picks two keys, type 1 two, then type 0 two more; a better type
+    # 0 key, arriving while type 0 has a key past its picks, moves each of
+    # them one place on, across the second turn
+    problem = outside_district([8], [0, 0, 0, 1, 1, 1, 0, 0, 0])
+    seats, turned_down = held_by_hand(
+        problem,
+        [([1, 2, 3, 4, 5, 6, 7, 8], 0), ([0], 0)],
+        reserves={(0, 0): 2, (0, 1): 2},
+        type_order=(0, 1, 0),
+    )
+    assert turned_down == [[], [8]]
+    assert seats.reserved[0] == [0, 1, 3, 4, 2, 6] and seats.eligible[0] == [5, 7]
+
+
+def test_held_seats_reserves_fill_the_school_before_a_later_type():
+    # type 1 takes two reserve seats while type 0 has no key; three type 0
+    # keys then fill all three seats first, and type 1's are turned down
+    problem = outside_district([3], [0, 0, 0, 1, 1])
+    seats, turned_down = held_by_hand(
+        problem,
+        [([3, 4], 0), ([0, 1, 2], 0)],
+        reserves={(0, 0): 3, (0, 1): 2},
+        ceilings={(0, 1): 2},
+    )
+    assert turned_down == [[], [3, 4]]
+    assert seats.typed[0] == {0: [0, 1, 2], 1: []} and seats.loads[0] == {0: 3, 1: 0}
+
+
+def test_held_seats_room_cut_under_the_cap_leaves_the_type_lists():
+    # the district cap of 3 fills at c0, the earlier school, so c1's open
+    # keys are cut; its next proposal meets type lists without them
+    problem = outside_district([3, 3], [0, 0, 1, 1, 1, 0])
+    seats, turned_down = held_by_hand(
+        problem,
+        [([2, 3, 4], 1), ([0, 1], 0), ([5], 1)],
+        reserves={(1, 1): 1},
+        ceilings={(1, 0): 2},
+        district_cap=3,
+    )
+    assert turned_down == [[], [3, 4], [5]]
+    key = seats.comp.key_at[1][2]  # student 2's, at c1
+    assert seats.typed == [None, {0: [], 1: [key]}]
+    assert (seats.reserved, seats.eligible) == ([[], [key]], [[0, 1], []])
 
 
 def test_rule_violation_keeps_the_steps_taken():
